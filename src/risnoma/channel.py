@@ -5,6 +5,9 @@ contributes ``amp_gain * 10**((pl + g)/20)`` to the complex channel entry,
 i.e. path loss and gains are power quantities and channels carry their
 square roots.  AP-side links (direct and AP->RIS) carry the antenna gain;
 RIS->user links are passive and carry path loss only.
+
+The helpers take scalars or arrays; a scalar input gives a scalar (or, for
+``array_response``, a single vector) back.
 """
 from __future__ import annotations
 
@@ -18,13 +21,18 @@ from .topology import Topology
 LOG10_E = np.log10(np.e)
 
 
-def los_probability(distance: float, d_b: float) -> float:
-    """Blockage survival probability exp(-distance/d_b); 1 at zero range."""
-    if distance < 0:
+def los_probability(distance, d_b: float):
+    """Blockage survival probability exp(-distance/d_b); 1 at zero range.
+
+    ``distance`` is a scalar or an array; the result has its shape.
+    """
+    distance = np.asarray(distance, dtype=float)
+    if np.any(distance < 0):
         raise ValueError("distance must be non-negative")
     if d_b <= 0:
         raise ValueError("decay distance must be positive")
-    return float(np.exp(-distance / d_b))
+    out = np.exp(-distance / d_b)
+    return float(out) if out.ndim == 0 else out
 
 
 def path_loss_db(freq: float, distance, k_abs: float):
@@ -40,28 +48,41 @@ def path_loss_db(freq: float, distance, k_abs: float):
     return float(out) if out.ndim == 0 else out
 
 
-def array_response(n: int, aod: float) -> np.ndarray:
-    """Unit-norm ULA steering vector, entry m = exp(j*pi*m*sin(aod))/sqrt(n)."""
+def array_response(n: int, aod) -> np.ndarray:
+    """Unit-norm ULA steering vectors, entry m = exp(j*pi*m*sin(aod))/sqrt(n).
+
+    ``aod`` is a scalar or an array of angles; the result has shape
+    ``aod.shape + (n,)``.
+    """
     if n < 1:
         raise ValueError("array size must be >= 1")
     m = np.arange(n)
-    return np.exp(1j * np.pi * m * np.sin(aod)) / np.sqrt(n)
+    return np.exp(1j * np.pi * m * np.sin(aod)[..., None]) / np.sqrt(n)
 
 
-def reflection_coeff(phi_in: float, sigma_rough: float, freq: float,
-                     n_r: complex) -> complex:
-    """Fresnel coefficient attenuated by the Rayleigh roughness factor."""
-    if not 0 <= phi_in < np.pi / 2:
+def reflection_coeff(phi_in, sigma_rough: float, freq: float, n_r: complex):
+    """Fresnel coefficient attenuated by the Rayleigh roughness factor.
+
+    ``phi_in`` is a scalar or an array of incidence angles; the result is a
+    complex scalar or a complex array of its shape.
+    """
+    phi_in = np.asarray(phi_in, dtype=float)
+    if np.any((phi_in < 0) | (phi_in >= np.pi / 2)):
         raise ValueError("incidence angle must lie in [0, pi/2)")
     cos_phi = np.cos(phi_in)
     root = np.sqrt(n_r ** 2 - np.sin(phi_in) ** 2)
     fresnel = (cos_phi - root) / (cos_phi + root)
     rough = np.exp(-0.5 * (4.0 * np.pi * freq * sigma_rough * cos_phi / C_LIGHT))
-    return complex(fresnel * rough)
+    out = fresnel * rough
+    return complex(out) if out.ndim == 0 else out
 
 
 def ris_phase_diag(on_off: np.ndarray, phase_idx: np.ndarray, bits: int) -> np.ndarray:
-    """Diagonal of the reflection matrix: omega_l * exp(j*2^(1-b)*pi*beta_l)."""
+    """Diagonal of the reflection matrix: omega_l * exp(j*2^(1-b)*pi*beta_l).
+
+    Works elementwise, so (J, L) on/off and phase arrays give the (J, L)
+    diagonals of all RISs at once.
+    """
     on_off = np.asarray(on_off)
     phase_idx = np.asarray(phase_idx)
     if on_off.shape != phase_idx.shape:
@@ -73,69 +94,23 @@ def ris_phase_diag(on_off: np.ndarray, phase_idx: np.ndarray, bits: int) -> np.n
     return on_off * np.exp(1j * (2.0 ** (1 - bits)) * np.pi * phase_idx)
 
 
-def ris_phase_matrix(on_off: np.ndarray, phase_idx: np.ndarray, bits: int) -> np.ndarray:
-    return np.diag(ris_phase_diag(on_off, phase_idx, bits))
+def _pairwise(src: np.ndarray, dst: np.ndarray):
+    """Distances and direction cosines from (S, 3) sources to (D, 3) targets.
+
+    Both results are (S, D).  The cosine is taken along the x-aligned array
+    axis of the source, and is 0 for coincident points.
+    """
+    delta = dst[None, :, :] - src[:, None, :]
+    dist = np.linalg.norm(delta, axis=-1)
+    cos = np.divide(delta[..., 0], dist, out=np.zeros_like(dist), where=dist > 0)
+    return dist, np.clip(cos, -1.0, 1.0)
 
 
-def cascaded_channel(h_direct: np.ndarray, ris_links) -> np.ndarray:
-    """Direct row plus the sum of reflect-and-forward products F @ Theta @ G."""
-    h = np.array(h_direct, dtype=complex)
-    for f_row, theta, g_mat in ris_links:
-        f_row = np.asarray(f_row)
-        g_mat = np.asarray(g_mat)
-        theta = np.asarray(theta)
-        if theta.ndim == 1:
-            theta = np.diag(theta)
-        if f_row.shape[-1] != theta.shape[0] or theta.shape[1] != g_mat.shape[0]:
-            raise ValueError("cascade dimensions are inconsistent")
-        if g_mat.shape[1] != h.shape[-1]:
-            raise ValueError("RIS->AP block does not match the direct channel width")
-        h = h + f_row @ theta @ g_mat
-    return h
-
-
-def _sin_aod(src: np.ndarray, dst: np.ndarray) -> float:
-    """Direction cosine along the (x-aligned) array axis of the source."""
-    delta = dst - src
-    dist = np.linalg.norm(delta)
-    return 0.0 if dist == 0 else float(np.clip(delta[0] / dist, -1.0, 1.0))
-
-
-def _amp(config: NetworkConfig, distance: float, with_gain: bool = True) -> float:
+def _amp(config: NetworkConfig, distance, with_gain: bool = True):
+    """Path amplitude over ``distance`` (scalar or array, result of its shape)."""
     pl = path_loss_db(config.carrier_freq, distance, config.absorption_coeff)
     gain = config.antenna_gain_dbi if with_gain else 0.0
     return config.amp_gain * 10.0 ** ((pl + gain) / 20.0)
-
-
-def direct_channel(topology: Topology, user: int, ap: int,
-                   rng: np.random.Generator, config: NetworkConfig):
-    """One fresh draw of the AP->user row (LoS survival plus reflections).
-
-    Draw order per call: LoS uniform, LoS phase, then per reflected path
-    (aod, detour, incidence, phase).  The LoS departure angle comes from
-    geometry; reflected paths use random departure angles and a stretched
-    path length ``distance * detour``.
-    """
-    pos_ap = topology.ap_positions[ap]
-    pos_user = topology.user_positions[user]
-    dist = float(np.linalg.norm(pos_user - pos_ap))
-    los = int(rng.random() < los_probability(dist, config.los_decay_distance))
-    phase_los = rng.uniform(0.0, 2.0 * np.pi)
-    row = np.zeros(config.antennas, dtype=complex)
-    if los:
-        aod = np.arcsin(_sin_aod(pos_ap, pos_user))
-        row += (_amp(config, dist) * np.exp(1j * phase_los)
-                * np.conj(array_response(config.antennas, aod)))
-    for _ in range(config.num_nlos_paths):
-        aod = rng.uniform(-np.pi / 2, np.pi / 2)
-        detour = rng.uniform(config.detour_min, config.detour_max)
-        incidence = rng.uniform(0.0, np.pi / 2)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        refl = reflection_coeff(incidence, config.roughness_sigma,
-                                config.carrier_freq, config.refractive_index)
-        row += (_amp(config, dist * detour) * refl * np.exp(1j * phase)
-                * np.conj(array_response(config.antennas, aod)))
-    return row, los
 
 
 @dataclass
@@ -148,14 +123,18 @@ class ChannelState:
     los_ris: np.ndarray     # (J, U) 0/1
 
     def effective(self, theta_diags: np.ndarray) -> np.ndarray:
-        """Compose AP->user channels under per-RIS reflection diagonals."""
-        m, u, _ = self.direct.shape
-        h = self.direct.copy()
-        for j in range(self.ris_user.shape[0]):
-            reflected = self.ris_user[j] * theta_diags[j]          # (U, L)
-            for i in range(m):
-                h[i] += reflected @ self.ap_ris[i, j]               # (U, N_A)
-        return h
+        """AP->user channels under (J, L) reflection diagonals, (M, U, N_A).
+
+        h[m, u] = direct[m, u] + sum_j ris_user[j, u] diag(theta_j) ap_ris[m, j],
+        with the sum over (j, l) taken as one batched matrix product.
+        """
+        j, u, n_el = self.ris_user.shape
+        if np.shape(theta_diags) != (j, n_el):
+            raise ValueError(f"reflection diagonals must have shape {(j, n_el)}")
+        reflected = (self.ris_user * theta_diags[:, None, :]).transpose(1, 0, 2)
+        m, n_a = self.direct.shape[0], self.direct.shape[2]
+        return self.direct + (reflected.reshape(u, j * n_el)
+                              @ self.ap_ris.reshape(m, j * n_el, n_a))
 
 
 class EpisodeChannel:
@@ -163,54 +142,64 @@ class EpisodeChannel:
 
     ``new_episode`` fixes which links are blocked and the reflected-path
     geometry; ``slot_parts`` realizes a ChannelState with fresh path phases.
+    Terms that depend on geometry alone (distances, LoS rows, AP->RIS blocks
+    without their phase) are computed once here, the reflected paths once
+    per episode, so a slot only draws and applies its phases.
+
+    Draw order, with M APs, J RISs, U users and P reflected paths per link:
+
+    * ``new_episode``: LoS uniforms (M, U) for the AP->user links; reflected
+      path departure angles (M, U, P), detour factors (M, U, P) and
+      incidence angles (M, U, P); LoS uniforms (J, U) for the RIS->user
+      links.
+    * ``slot_parts``: AP->user path phases (M, U, 1 + P), LoS first;
+      RIS->user phases (J, U); AP->RIS phases (M, J).
+
+    A reflected path departs at its drawn angle over ``distance * detour``;
+    LoS links depart along the geometric direction.
     """
 
     def __init__(self, config: NetworkConfig, topology: Topology):
         self.config = config
         self.topo = topology
-        m, j, u = config.num_aps, config.num_ris, config.total_users
-        self._d_ap_user = np.array([
-            [np.linalg.norm(topology.user_positions[k] - topology.ap_positions[i])
-             for k in range(u)] for i in range(m)])
-        self._d_ris_user = np.array([
-            [np.linalg.norm(topology.user_positions[k] - topology.ris_positions[r])
-             for k in range(u)] for r in range(j)]) if j else np.zeros((0, u))
-        self._d_ap_ris = np.array([
-            [np.linalg.norm(topology.ris_positions[r] - topology.ap_positions[i])
-             for r in range(j)] for i in range(m)]) if j else np.zeros((m, 0))
-        self._sin_ap_user = np.array([
-            [_sin_aod(topology.ap_positions[i], topology.user_positions[k])
-             for k in range(u)] for i in range(m)])
-        self._sin_ris_user = np.array([
-            [_sin_aod(topology.ris_positions[r], topology.user_positions[k])
-             for k in range(u)] for r in range(j)]) if j else np.zeros((0, u))
-        self._sin_ap_to_ris = np.array([
-            [_sin_aod(topology.ap_positions[i], topology.ris_positions[r])
-             for r in range(j)] for i in range(m)]) if j else np.zeros((m, 0))
-        self._sin_ris_from_ap = np.array([
-            [_sin_aod(topology.ris_positions[r], topology.ap_positions[i])
-             for i in range(m)] for r in range(j)]) if j else np.zeros((0, m))
+        n_a, n_el = config.antennas, config.ris_elements
+        ap, ris = topology.ap_positions, topology.ris_positions
+        user = topology.user_positions
+        self._d_ap_user, cos_ap_user = _pairwise(ap, user)
+        self._d_ris_user, cos_ris_user = _pairwise(ris, user)
+        d_ap_ris, cos_ap_ris = _pairwise(ap, ris)
+        self._los_rows = (_amp(config, self._d_ap_user)[..., None]
+                          * np.conj(array_response(n_a, np.arcsin(cos_ap_user))))
+        self._ris_rows = (
+            _amp(config, self._d_ris_user, with_gain=False)[..., None]
+            * np.conj(array_response(n_el, np.arcsin(cos_ris_user))))
+        # the RIS sees the AP along the reversed direction
+        arrive = array_response(n_el, np.arcsin(-cos_ap_ris))
+        depart = np.conj(array_response(n_a, np.arcsin(cos_ap_ris)))
+        self._ap_ris_blocks = (_amp(config, d_ap_ris)[..., None, None]
+                               * arrive[..., :, None] * depart[..., None, :])
         self._episode = None
 
     def new_episode(self, rng: np.random.Generator) -> None:
         cfg = self.config
         m, j, u = cfg.num_aps, cfg.num_ris, cfg.total_users
         n_nl = cfg.num_nlos_paths
-        p_direct = np.exp(-self._d_ap_user / cfg.los_decay_distance)
+        p_direct = los_probability(self._d_ap_user, cfg.los_decay_distance)
         los_direct = (rng.random((m, u)) < p_direct).astype(np.int8)
         nlos_aod = rng.uniform(-np.pi / 2, np.pi / 2, (m, u, n_nl))
         nlos_detour = rng.uniform(cfg.detour_min, cfg.detour_max, (m, u, n_nl))
         nlos_incidence = rng.uniform(0.0, np.pi / 2, (m, u, n_nl))
-        p_ris = (np.exp(-self._d_ris_user / cfg.los_decay_distance)
-                 if j else np.zeros((0, u)))
+        p_ris = los_probability(self._d_ris_user, cfg.los_decay_distance)
         los_ris = (rng.random((j, u)) < p_ris).astype(np.int8)
-        refl = np.empty((m, u, n_nl), dtype=complex)
-        for idx in np.ndindex(m, u, n_nl):
-            refl[idx] = reflection_coeff(nlos_incidence[idx], cfg.roughness_sigma,
-                                         cfg.carrier_freq, cfg.refractive_index)
+        refl = reflection_coeff(nlos_incidence, cfg.roughness_sigma,
+                                cfg.carrier_freq, cfg.refractive_index)
+        nlos = ((_amp(cfg, self._d_ap_user[..., None] * nlos_detour) * refl)[..., None]
+                * np.conj(array_response(cfg.antennas, nlos_aod)))
+        los = los_direct[..., None, None] * self._los_rows[:, :, None, :]
         self._episode = dict(
-            los_direct=los_direct, los_ris=los_ris, nlos_aod=nlos_aod,
-            nlos_detour=nlos_detour, nlos_refl=refl,
+            los_direct=los_direct, los_ris=los_ris,
+            paths=np.concatenate([los, nlos], axis=2),     # (M, U, 1 + P, N_A)
+            ris_rows=los_ris[..., None] * self._ris_rows,  # (J, U, L)
         )
 
     def slot_parts(self, rng: np.random.Generator) -> ChannelState:
@@ -218,59 +207,11 @@ class EpisodeChannel:
             raise RuntimeError("call new_episode before sampling slots")
         cfg, ep = self.config, self._episode
         m, j, u = cfg.num_aps, cfg.num_ris, cfg.total_users
-        n_a, n_el, n_nl = cfg.antennas, cfg.ris_elements, cfg.num_nlos_paths
-
-        phase_direct = rng.uniform(0.0, 2.0 * np.pi, (m, u, 1 + n_nl))
+        phase_direct = rng.uniform(0.0, 2.0 * np.pi, (m, u, 1 + cfg.num_nlos_paths))
         phase_f = rng.uniform(0.0, 2.0 * np.pi, (j, u))
         phase_g = rng.uniform(0.0, 2.0 * np.pi, (m, j))
-
-        direct = np.zeros((m, u, n_a), dtype=complex)
-        for i in range(m):
-            for k in range(u):
-                d = self._d_ap_user[i, k]
-                if ep["los_direct"][i, k]:
-                    aod = np.arcsin(self._sin_ap_user[i, k])
-                    direct[i, k] += (_amp(cfg, d)
-                                     * np.exp(1j * phase_direct[i, k, 0])
-                                     * np.conj(array_response(n_a, aod)))
-                for p in range(n_nl):
-                    direct[i, k] += (
-                        _amp(cfg, d * ep["nlos_detour"][i, k, p])
-                        * ep["nlos_refl"][i, k, p]
-                        * np.exp(1j * phase_direct[i, k, 1 + p])
-                        * np.conj(array_response(n_a, ep["nlos_aod"][i, k, p])))
-
-        ris_user = np.zeros((j, u, n_el), dtype=complex)
-        for r in range(j):
-            for k in range(u):
-                if ep["los_ris"][r, k]:
-                    aod = np.arcsin(self._sin_ris_user[r, k])
-                    ris_user[r, k] = (_amp(cfg, self._d_ris_user[r, k], with_gain=False)
-                                      * np.exp(1j * phase_f[r, k])
-                                      * np.conj(array_response(n_el, aod)))
-
-        ap_ris = np.zeros((m, j, n_el, n_a), dtype=complex)
-        for i in range(m):
-            for r in range(j):
-                arrive = array_response(n_el, np.arcsin(self._sin_ris_from_ap[r, i]))
-                depart = np.conj(array_response(n_a, np.arcsin(self._sin_ap_to_ris[i, r])))
-                ap_ris[i, r] = (_amp(cfg, self._d_ap_ris[i, r])
-                                * np.exp(1j * phase_g[i, r])
-                                * np.outer(arrive, depart))
-
+        direct = np.einsum("mup,mupn->mun", np.exp(1j * phase_direct), ep["paths"])
+        ris_user = ep["ris_rows"] * np.exp(1j * phase_f)[..., None]
+        ap_ris = self._ap_ris_blocks * np.exp(1j * phase_g)[..., None, None]
         return ChannelState(direct, ris_user, ap_ris,
                             ep["los_direct"].copy(), ep["los_ris"].copy())
-
-
-def sample_channel_state(topology: Topology, ris_on: np.ndarray,
-                         ris_phase: np.ndarray, config: NetworkConfig,
-                         rng: np.random.Generator):
-    """One-shot draw: fresh episode, one slot, composed effective channels."""
-    chan = EpisodeChannel(config, topology)
-    chan.new_episode(rng)
-    state = chan.slot_parts(rng)
-    thetas = np.stack([
-        ris_phase_diag(ris_on[r], ris_phase[r], config.ris_phase_bits)
-        for r in range(config.num_ris)
-    ]) if config.num_ris else np.zeros((0, config.ris_elements), dtype=complex)
-    return state, state.effective(thetas)

@@ -84,12 +84,17 @@ class NetworkConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name, least in (("num_aps", 1), ("num_ris", 0), ("se_users_per_ap", 1),
+                            ("iot_users_per_ap", 0), ("antennas", 1),
+                            ("ris_elements", 1), ("num_nlos_paths", 0),
+                            ("ris_phase_bits", 1), ("analog_phase_bits", 1),
+                            ("episode_slots", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.rf_chains != self.se_users_per_ap:
             raise ValueError("rf_chains must equal se_users_per_ap")
         if self.antennas % self.rf_chains != 0:
             raise ValueError("antennas must be a multiple of rf_chains")
-        if self.ris_phase_bits < 1:
-            raise ValueError("ris_phase_bits must be >= 1")
         if min(self.room_x, self.room_y, self.room_z) <= 0:
             raise ValueError("room dimensions must be positive")
         for name in ("max_tx_power", "p_bb", "p_rf", "p_ps", "p_a", "p_d",
@@ -126,13 +131,6 @@ class NetworkConfig:
     def qmax_gbit(self) -> tuple[float, float]:
         s = self.slot_seconds
         return self.qmax_se_gbps * s, self.qmax_iot_gbps * s
-
-    @property
-    def rate_cap_gbit(self) -> float:
-        """Service per slot can never exceed single-user AWGN capacity."""
-        import math
-        snr_max = self.max_tx_power / self.noise_power
-        return self.bandwidth * math.log2(1.0 + snr_max) / 1e9 * self.slot_seconds
 
 
 _UNITS = {

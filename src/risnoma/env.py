@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class StepOutcome:
     outage: np.ndarray             # bool per user
     sic_fail: dict
     zf_loaded: bool
-    plan_note: dict = field(default_factory=dict)
 
 
 class NetworkEnv:
@@ -116,18 +115,12 @@ class NetworkEnv:
             raise ValueError(f"RIS action arrays must have shape {shape}")
         return on, phase
 
-    def _thetas(self, on: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        if cfg.num_ris == 0:
-            return np.zeros((0, cfg.ris_elements), dtype=complex)
-        return np.stack([ris_phase_diag(on[r], phase[r], cfg.ris_phase_bits)
-                         for r in range(cfg.num_ris)])
-
     # -- core pipeline --------------------------------------------------------
     def _evaluate(self, power: np.ndarray, on: np.ndarray, phase: np.ndarray):
         """Plan + score the slot under the given action; no state mutation."""
         cfg, topo = self.config, self.topo
-        h_eff = self._parts.effective(self._thetas(on, phase))
+        h_eff = self._parts.effective(
+            ris_phase_diag(on, phase, cfg.ris_phase_bits))
         plans = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -182,14 +175,13 @@ class NetworkEnv:
             weights=ev["weights"], arrivals=arrivals, q=q, y=y,
             outage=outage, sic_fail=ev["fail"],
             zf_loaded=any(p.zf_loaded for p in ev["plans"]),
-            plan_note={"clusters": [p.clusters for p in ev["plans"]]},
         )
 
     # -- agent-facing views ---------------------------------------------------
     def observed_effective(self) -> np.ndarray:
         """Channels composed under the previous slot's RIS action."""
-        return self._parts.effective(self._thetas(self._last_on,
-                                                  self._last_phase))
+        return self._parts.effective(ris_phase_diag(
+            self._last_on, self._last_phase, self.config.ris_phase_bits))
 
     def observe(self, agent_kind: str, index: int) -> AgentObservation:
         if agent_kind == "ap":

@@ -48,10 +48,6 @@ class CommGraph:
     def num_nodes(self) -> int:
         return len(self.node_kind)
 
-    def inbound(self, node: int):
-        return [(e, s, kind) for e, (s, d, kind) in enumerate(self.edges)
-                if d == node]
-
     def permuted(self, perm: np.ndarray) -> "CommGraph":
         """Relabel nodes by ``perm`` (node i becomes perm[i]), features carried."""
         n = self.num_nodes

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from risnoma.channel import (EpisodeChannel, array_response, cascaded_channel,
-                             direct_channel, los_probability, path_loss_db,
-                             reflection_coeff, ris_phase_diag,
-                             ris_phase_matrix, sample_channel_state)
+from risnoma.channel import (ChannelState, EpisodeChannel, _amp, array_response,
+                             los_probability, path_loss_db, reflection_coeff,
+                             ris_phase_diag)
 from risnoma.config import C_LIGHT
 from risnoma.presets import medium_config, tiny_config
 from risnoma.topology import build_topology
@@ -70,6 +69,16 @@ class TestLosProbability:
         with pytest.raises(ValueError):
             los_probability(-1.0, 8.0)
 
+    def test_array_matches_scalar(self):
+        d = np.array([[0.0, 3.0], [8.0, 20.0]])
+        got = los_probability(d, 8.0)
+        assert got.shape == d.shape
+        assert np.array_equal(got, [[los_probability(x, 8.0) for x in row] for row in d])
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            los_probability(np.array([1.0, -1.0]), 8.0)
+
 
 class TestArrayResponse:
     def test_broadside_all_equal(self):
@@ -87,6 +96,13 @@ class TestArrayResponse:
             n = int(rng.integers(1, 1025))
             phi = rng.uniform(-np.pi / 2, np.pi / 2)
             assert abs(np.linalg.norm(array_response(n, phi)) - 1.0) < 1e-12
+
+    def test_array_of_angles_stacks_vectors(self):
+        aod = np.random.default_rng(12).uniform(-np.pi / 2, np.pi / 2, (2, 3))
+        got = array_response(5, aod)
+        assert got.shape == (2, 3, 5)
+        for idx in np.ndindex(aod.shape):
+            assert np.array_equal(got[idx], array_response(5, aod[idx]))
 
 
 class TestReflectionCoeff:
@@ -108,15 +124,28 @@ class TestReflectionCoeff:
             n_r = rng.uniform(1.2, 3.0) + 1j * rng.uniform(0, 0.1)
             assert abs(reflection_coeff(phi, sigma, 0.3e12, n_r)) <= 1 + 1e-12
 
+    def test_array_matches_scalar(self):
+        phi = np.random.default_rng(13).uniform(0, np.pi / 2, (3, 2))
+        got = reflection_coeff(phi, 8.8e-5, 0.3e12, 1.922 + 0.0057j)
+        assert got.shape == phi.shape
+        for idx in np.ndindex(phi.shape):
+            assert got[idx] == pytest.approx(
+                reflection_coeff(float(phi[idx]), 8.8e-5, 0.3e12, 1.922 + 0.0057j),
+                rel=1e-14)
+
+    def test_grazing_entry_rejected(self):
+        with pytest.raises(ValueError):
+            reflection_coeff(np.array([0.1, np.pi / 2]), 0.0, 0.3e12, 1.922 + 0.0057j)
+
 
 class TestRisPhase:
     def test_all_off_zero_matrix(self):
-        theta = ris_phase_matrix(np.zeros(4), np.zeros(4, dtype=int), 1)
+        theta = ris_phase_diag(np.zeros(4), np.zeros(4, dtype=int), 1)
         assert np.all(theta == 0)
 
     def test_one_bit_set(self):
-        theta = ris_phase_matrix(np.array([1, 1]), np.array([0, 1]), 1)
-        assert np.allclose(np.diag(theta), [1, -1])
+        theta = ris_phase_diag(np.array([1, 1]), np.array([0, 1]), 1)
+        assert np.allclose(theta, [1, -1])
 
     def test_two_bit_index_three(self):
         d = ris_phase_diag(np.array([1]), np.array([3]), 2)
@@ -134,51 +163,59 @@ class TestRisPhase:
             ris_phase_diag(np.array([1]), np.array([2]), 1)
 
 
+def cplx(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def hand_state(direct, ris_user, ap_ris):
+    """A ChannelState from hand-built (M, U, N), (J, U, L), (M, J, L, N) links."""
+    m, u, _ = direct.shape
+    j = ris_user.shape[0]
+    return ChannelState(direct, ris_user, ap_ris, np.ones((m, u), dtype=np.int8),
+                        np.ones((j, u), dtype=np.int8))
+
+
 class TestCascade:
-    def _links(self, rng, count, l_el, n_a):
-        out = []
-        for _ in range(count):
-            f = rng.normal(size=l_el) + 1j * rng.normal(size=l_el)
-            theta = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, l_el)))
-            g = rng.normal(size=(l_el, n_a)) + 1j * rng.normal(size=(l_el, n_a))
-            out.append((f, theta, g))
-        return out
+    def _state(self, rng, count, l_el, n_a, m=2, u=3):
+        return hand_state(cplx(rng, m, u, n_a), cplx(rng, count, u, l_el),
+                          cplx(rng, m, count, l_el, n_a))
 
     def test_all_off_returns_direct(self):
-        rng = np.random.default_rng(2)
-        h = rng.normal(size=6) + 1j * rng.normal(size=6)
-        links = [(np.ones(3), np.zeros((3, 3)), np.ones((3, 6)))]
-        assert np.array_equal(cascaded_channel(h, links), h)
+        state = self._state(np.random.default_rng(2), 1, 3, 6)
+        assert np.array_equal(state.effective(np.zeros((1, 3))), state.direct)
 
     def test_single_element_hand_case(self):
         h = np.array([1 + 1j, 2.0])
         f = np.array([3.0 - 1j])
         g = np.array([[0.5, 2j]])
-        got = cascaded_channel(h, [(f, np.array([[1.0]]), g)])
-        assert np.allclose(got, h + f[0] * g[0])
+        state = hand_state(h[None, None], f[None, None], g[None, None])
+        got = state.effective(np.array([[1.0]]))
+        assert np.allclose(got[0, 0], h + f[0] * g[0])
 
     def test_additive_over_ris_set(self):
         rng = np.random.default_rng(4)
-        h = rng.normal(size=5) + 1j * rng.normal(size=5)
-        a, b = self._links(rng, 2, 3, 5)
-        both = cascaded_channel(h, [a, b])
-        split = cascaded_channel(h, [a]) + cascaded_channel(h, [b]) - h
-        assert np.allclose(both, split, atol=1e-12)
+        state = self._state(rng, 2, 3, 5)
+        theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 3)))
+        both = state.effective(theta)
+        split = [hand_state(state.direct, state.ris_user[r:r + 1],
+                            state.ap_ris[:, r:r + 1]).effective(theta[r:r + 1])
+                 for r in range(2)]
+        assert np.allclose(both, split[0] + split[1] - state.direct, atol=1e-12)
 
     def test_linear_in_theta(self):
         rng = np.random.default_rng(6)
-        h = np.zeros(4, dtype=complex)
-        f = rng.normal(size=3) + 1j * rng.normal(size=3)
-        g = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        t1 = np.diag(rng.normal(size=3) + 1j * rng.normal(size=3))
-        t2 = np.diag(rng.normal(size=3) + 1j * rng.normal(size=3))
-        lhs = cascaded_channel(h, [(f, t1 + t2, g)])
-        rhs = cascaded_channel(h, [(f, t1, g)]) + cascaded_channel(h, [(f, t2, g)])
+        state = self._state(rng, 1, 3, 4)
+        state.direct[:] = 0
+        t1, t2 = cplx(rng, 1, 3), cplx(rng, 1, 3)
+        lhs = state.effective(t1 + t2)
+        rhs = state.effective(t1) + state.effective(t2)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
+        state = hand_state(np.ones((1, 1, 4)), np.ones((1, 1, 3)),
+                           np.ones((1, 1, 3, 4)))
         with pytest.raises(ValueError):
-            cascaded_channel(np.ones(4), [(np.ones(3), np.eye(2), np.ones((3, 4)))])
+            state.effective(np.ones((1, 2)))
 
 
 class TestTopology:
@@ -220,24 +257,54 @@ class TestTopology:
         with pytest.raises(ValueError):
             medium_config(room_x=0.0)
 
+    @pytest.mark.parametrize("override", [
+        dict(num_aps=0), dict(num_ris=-1),
+        dict(se_users_per_ap=0, rf_chains=0), dict(iot_users_per_ap=-1),
+        dict(antennas=0), dict(ris_elements=0), dict(num_nlos_paths=-1),
+        dict(analog_phase_bits=-1), dict(analog_phase_bits=0),
+        dict(episode_slots=0),
+    ])
+    def test_bad_counts_rejected(self, override):
+        with pytest.raises(ValueError):
+            medium_config(**override)
+
+
+def episode_state(cfg, topo, seed):
+    chan = EpisodeChannel(cfg, topo)
+    rng = np.random.default_rng(seed)
+    chan.new_episode(rng)
+    return chan.slot_parts(rng)
+
+
+def replay_draws(cfg, seed):
+    """The documented draw order of new_episode then slot_parts, by hand."""
+    m, j, u, p = cfg.num_aps, cfg.num_ris, cfg.total_users, cfg.num_nlos_paths
+    rng = np.random.default_rng(seed)
+    d = dict(los_direct=rng.random((m, u)),
+             aod=rng.uniform(-np.pi / 2, np.pi / 2, (m, u, p)),
+             detour=rng.uniform(cfg.detour_min, cfg.detour_max, (m, u, p)),
+             incidence=rng.uniform(0, np.pi / 2, (m, u, p)),
+             los_ris=rng.random((j, u)))
+    d.update(phase_direct=rng.uniform(0, 2 * np.pi, (m, u, 1 + p)),
+             phase_f=rng.uniform(0, 2 * np.pi, (j, u)),
+             phase_g=rng.uniform(0, 2 * np.pi, (m, j)))
+    return d
+
 
 class TestDirectChannel:
     def test_no_paths_gives_zero(self):
         cfg = tiny_config(num_nlos_paths=0, los_decay_distance=1e-9)
         topo = build_topology(cfg, np.random.default_rng(0))
-        row, los = direct_channel(topo, 0, 0, np.random.default_rng(1), cfg)
-        assert los == 0
-        assert np.all(row == 0)
+        state = episode_state(cfg, topo, 1)
+        assert np.all(state.los_direct == 0)
+        assert np.all(state.direct == 0)
 
     def test_pure_los_composes_from_parts(self):
         cfg = tiny_config(num_nlos_paths=0, los_decay_distance=1e12)
         topo = build_topology(cfg, np.random.default_rng(0))
-        row, los = direct_channel(topo, 1, 0, np.random.default_rng(123), cfg)
-        assert los == 1
-        # replay the documented draw order: LoS uniform, then LoS phase
-        rng = np.random.default_rng(123)
-        rng.random()
-        phase = rng.uniform(0, 2 * np.pi)
+        state = episode_state(cfg, topo, 123)
+        assert state.los_direct[0, 1] == 1
+        phase = replay_draws(cfg, 123)["phase_direct"][0, 1, 0]
         delta = topo.user_positions[1] - topo.ap_positions[0]
         dist = np.linalg.norm(delta)
         aod = np.arcsin(delta[0] / dist)
@@ -245,49 +312,92 @@ class TestDirectChannel:
             (path_loss_db(cfg.carrier_freq, dist, cfg.absorption_coeff)
              + cfg.antenna_gain_dbi) / 20)
         expect = amp * np.exp(1j * phase) * np.conj(array_response(cfg.antennas, aod))
-        assert np.allclose(row, expect, rtol=1e-12)
+        assert np.allclose(state.direct[0, 1], expect, rtol=1e-12)
+
+    def test_reflected_path_composes_from_parts(self):
+        cfg = tiny_config(num_nlos_paths=1, los_decay_distance=1e-9)
+        topo = build_topology(cfg, np.random.default_rng(0))
+        state = episode_state(cfg, topo, 31)
+        assert np.all(state.los_direct == 0)
+        draws = replay_draws(cfg, 31)
+        for k in range(cfg.total_users):
+            dist = np.linalg.norm(topo.user_positions[k] - topo.ap_positions[0])
+            refl = reflection_coeff(draws["incidence"][0, k, 0], cfg.roughness_sigma,
+                                    cfg.carrier_freq, cfg.refractive_index)
+            expect = (_amp(cfg, dist * draws["detour"][0, k, 0]) * refl
+                      * np.exp(1j * draws["phase_direct"][0, k, 1])
+                      * np.conj(array_response(cfg.antennas, draws["aod"][0, k, 0])))
+            assert np.allclose(state.direct[0, k], expect, rtol=1e-12, atol=0)
 
     def test_seed_reproducible(self):
         cfg = tiny_config()
         topo = build_topology(cfg, np.random.default_rng(0))
-        r1, l1 = direct_channel(topo, 0, 0, np.random.default_rng(9), cfg)
-        r2, l2 = direct_channel(topo, 0, 0, np.random.default_rng(9), cfg)
-        assert l1 == l2 and np.array_equal(r1, r2)
+        s1, s2 = episode_state(cfg, topo, 9), episode_state(cfg, topo, 9)
+        assert np.array_equal(s1.los_direct, s2.los_direct)
+        assert np.array_equal(s1.direct, s2.direct)
 
 
 class TestSampler:
     def test_infinite_decay_all_los(self):
         cfg = tiny_config(los_decay_distance=1e12)
         topo = build_topology(cfg, np.random.default_rng(0))
-        on = np.ones((1, cfg.ris_elements), dtype=int)
-        beta = np.zeros((1, cfg.ris_elements), dtype=int)
-        state, _ = sample_channel_state(topo, on, beta, cfg,
-                                        np.random.default_rng(5))
+        state = episode_state(cfg, topo, 5)
         assert np.all(state.los_direct == 1) and np.all(state.los_ris == 1)
 
     def test_ris_off_leaves_direct(self):
         cfg = tiny_config()
         topo = build_topology(cfg, np.random.default_rng(0))
+        state = episode_state(cfg, topo, 5)
         off = np.zeros((1, cfg.ris_elements), dtype=int)
         beta = np.zeros((1, cfg.ris_elements), dtype=int)
-        state, h_eff = sample_channel_state(topo, off, beta, cfg,
-                                            np.random.default_rng(5))
+        h_eff = state.effective(ris_phase_diag(off, beta, cfg.ris_phase_bits))
         assert np.array_equal(h_eff, state.direct)
 
     def test_effective_matches_manual_recomposition(self):
-        cfg = tiny_config(ris_elements=3)
+        cfg = medium_config(ris_elements=3)
         topo = build_topology(cfg, np.random.default_rng(0))
-        on = np.array([[1, 0, 1]])
-        beta = np.array([[1, 0, 1]])
-        state, h_eff = sample_channel_state(topo, on, beta, cfg,
-                                            np.random.default_rng(8))
-        theta = ris_phase_matrix(on[0], beta[0], cfg.ris_phase_bits)
+        state = episode_state(cfg, topo, 8)
+        on = np.array([[1, 0, 1], [1, 1, 0]])
+        beta = np.array([[1, 0, 1], [0, 1, 1]])
+        theta = ris_phase_diag(on, beta, cfg.ris_phase_bits)
+        h_eff = state.effective(theta)
         for i in range(cfg.num_aps):
             for u in range(cfg.total_users):
-                manual = cascaded_channel(
-                    state.direct[i, u],
-                    [(state.ris_user[0, u], theta, state.ap_ris[i, 0])])
+                manual = state.direct[i, u].copy()
+                for r in range(cfg.num_ris):
+                    manual += (state.ris_user[r, u] @ np.diag(theta[r])
+                               @ state.ap_ris[i, r])
                 assert np.allclose(h_eff[i, u], manual, rtol=1e-12)
+
+    def test_ap_ris_block_composes_from_parts(self):
+        cfg = medium_config(ris_elements=5)
+        topo = build_topology(cfg, np.random.default_rng(0))
+        state = episode_state(cfg, topo, 17)
+        phase_g = replay_draws(cfg, 17)["phase_g"]
+        for i in range(cfg.num_aps):
+            for r in range(cfg.num_ris):
+                delta = topo.ris_positions[r] - topo.ap_positions[i]
+                dist = np.linalg.norm(delta)
+                arrive = array_response(cfg.ris_elements, np.arcsin(-delta[0] / dist))
+                depart = array_response(cfg.antennas, np.arcsin(delta[0] / dist))
+                expect = (_amp(cfg, dist) * np.exp(1j * phase_g[i, r])
+                          * np.outer(arrive, np.conj(depart)))
+                assert np.allclose(state.ap_ris[i, r], expect, rtol=1e-12, atol=0)
+
+    def test_ris_user_row_composes_from_parts(self):
+        cfg = medium_config(ris_elements=5, los_decay_distance=1e12)
+        topo = build_topology(cfg, np.random.default_rng(0))
+        state = episode_state(cfg, topo, 19)
+        assert np.all(state.los_ris == 1)
+        phase_f = replay_draws(cfg, 19)["phase_f"]
+        for r in range(cfg.num_ris):
+            for k in range(cfg.total_users):
+                delta = topo.user_positions[k] - topo.ris_positions[r]
+                dist = np.linalg.norm(delta)
+                expect = (_amp(cfg, dist, with_gain=False) * np.exp(1j * phase_f[r, k])
+                          * np.conj(array_response(cfg.ris_elements,
+                                                   np.arcsin(delta[0] / dist))))
+                assert np.allclose(state.ris_user[r, k], expect, rtol=1e-12, atol=0)
 
     def test_slot_resampling_is_seed_stable(self):
         cfg = tiny_config()
