@@ -63,8 +63,10 @@ def array_response(n: int, aod) -> np.ndarray:
 def reflection_coeff(phi_in, sigma_rough: float, freq: float, n_r: complex):
     """Fresnel coefficient attenuated by the Rayleigh roughness factor.
 
-    ``phi_in`` is a scalar or an array of incidence angles; the result is a
-    complex scalar or a complex array of its shape.
+    The roughness factor is exp(-x**2 / 2) with x = 4 pi f sigma cos(phi) / c
+    (Piesiewicz et al., IEEE TAP 2007).  ``phi_in`` is a scalar or an array
+    of incidence angles; the result is a complex scalar or a complex array
+    of its shape.
     """
     phi_in = np.asarray(phi_in, dtype=float)
     if np.any((phi_in < 0) | (phi_in >= np.pi / 2)):
@@ -72,7 +74,8 @@ def reflection_coeff(phi_in, sigma_rough: float, freq: float, n_r: complex):
     cos_phi = np.cos(phi_in)
     root = np.sqrt(n_r ** 2 - np.sin(phi_in) ** 2)
     fresnel = (cos_phi - root) / (cos_phi + root)
-    rough = np.exp(-0.5 * (4.0 * np.pi * freq * sigma_rough * cos_phi / C_LIGHT))
+    x = 4.0 * np.pi * freq * sigma_rough * cos_phi / C_LIGHT
+    rough = np.exp(-0.5 * x ** 2)
     out = fresnel * rough
     return complex(out) if out.ndim == 0 else out
 

@@ -116,6 +116,14 @@ class TestReflectionCoeff:
         assert got.real == pytest.approx(-0.315540, abs=1e-5)
         assert got.imag == pytest.approx(-0.0013352, abs=1e-6)
 
+    def test_rough_normal_incidence_value(self):
+        # x = 4*pi*f*sigma/c = 1.10657 at normal incidence; exp(-x**2/2) = 0.5421088
+        got = reflection_coeff(0.0, 8.8e-5, 0.3e12, 1.922 + 0.0057j)
+        smooth = reflection_coeff(0.0, 0.0, 0.3e12, 1.922 + 0.0057j)
+        assert abs(got / smooth) == pytest.approx(0.5421088, abs=1e-7)
+        assert got.real == pytest.approx(-0.1710570, abs=1e-7)
+        assert got.imag == pytest.approx(-0.0007238, abs=1e-7)
+
     def test_magnitude_below_one(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
