@@ -1,8 +1,17 @@
 """Reverse-mode tape over float64 numpy arrays: just the ops the nets need.
 
 Every op builds a Tensor holding its value, its parents, and a closure that
-scatters the output gradient back to them; ``backward()`` walks the tape in
-reverse topological order.  No graph reuse, no in-place tricks.
+scatters the output gradient back to those parents that require one;
+``backward()`` walks the tape in reverse topological order.  No graph
+reuse, no in-place tricks.
+
+Ops, all batched over leading axes where that makes sense:
+  arithmetic   ``+ - * /`` (numpy broadcasting), ``@`` (1-D or 2-D operands)
+  indexing     ``x[key]`` (basic or advanced; repeated indices accumulate)
+  shape        ``reshape``, ``sum(axis)``, ``concat(parts, axis)``
+  elementwise  ``tanh sigmoid relu elu exp log absolute square softplus clip``
+  rows         ``log_softmax`` (last axis), ``segment_reduce`` (sum, mean or
+               max of the rows sent to each segment)
 """
 from __future__ import annotations
 
@@ -59,8 +68,10 @@ class Tensor:
         other = as_tensor(other)
 
         def push(g):
-            self._accum(_unbroadcast(g, self.shape))
-            other._accum(_unbroadcast(g, other.shape))
+            if self.requires:
+                self._accum(_unbroadcast(g, self.shape))
+            if other.requires:
+                other._accum(_unbroadcast(g, other.shape))
         return Tensor(self.value + other.value, parents=(self, other), push=push)
 
     __radd__ = __add__
@@ -69,8 +80,10 @@ class Tensor:
         other = as_tensor(other)
 
         def push(g):
-            self._accum(_unbroadcast(g * other.value, self.shape))
-            other._accum(_unbroadcast(g * self.value, other.shape))
+            if self.requires:
+                self._accum(_unbroadcast(g * other.value, self.shape))
+            if other.requires:
+                other._accum(_unbroadcast(g * self.value, other.shape))
         return Tensor(self.value * other.value, parents=(self, other), push=push)
 
     __rmul__ = __mul__
@@ -92,34 +105,37 @@ class Tensor:
     def __matmul__(self, other):
         other = as_tensor(other)
         a, b = self.value, other.value
+        if a.ndim > 2 or b.ndim > 2:
+            raise ValueError("matmul takes 1-D or 2-D operands")
 
         def push(g):
             g = np.asarray(g)
-            if a.ndim == 1 and b.ndim == 2:
-                self._accum(g @ b.T)
-                other._accum(np.outer(a, g))
-            elif a.ndim == 2 and b.ndim == 1:
-                self._accum(np.outer(g, b))
-                other._accum(a.T @ g)
-            elif a.ndim == 1 and b.ndim == 1:
-                self._accum(g * b)
-                other._accum(g * a)
-            else:
-                self._accum(g @ b.T)
-                other._accum(a.T @ g)
+            if self.requires:
+                if b.ndim == 2:
+                    self._accum(g @ b.T)
+                else:
+                    self._accum(np.outer(g, b) if a.ndim == 2 else g * b)
+            if other.requires:
+                if a.ndim == 2:
+                    other._accum(a.T @ g)
+                else:
+                    other._accum(np.outer(a, g) if b.ndim == 2 else g * a)
         return Tensor(a @ b, parents=(self, other), push=push)
 
     def __getitem__(self, key):
         def push(g):
             full = np.zeros_like(self.value)
-            full[key] = g
+            np.add.at(full, key, g)  # a repeated index collects every copy
             self._accum(full)
         return Tensor(self.value[key], parents=(self,), push=push)
 
-    def sum(self):
+    def sum(self, axis=None):
         def push(g):
-            self._accum(np.full_like(self.value, float(g)))
-        return Tensor(self.value.sum(), parents=(self,), push=push)
+            g = np.asarray(g)
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, self.value.shape))
+        return Tensor(self.value.sum(axis=axis), parents=(self,), push=push)
 
     def reshape(self, *shape):
         def push(g):
@@ -209,40 +225,84 @@ def clip(x, lo, hi):
     return _unary(x, np.clip(x.value, lo, hi), inside)
 
 
-def maximum(a, b):
-    """Elementwise max; ties route the gradient to the first argument."""
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.value >= b.value
-
-    def push(g):
-        a._accum(_unbroadcast(g * take_a, a.shape))
-        b._accum(_unbroadcast(g * ~take_a, b.shape))
-    return Tensor(np.maximum(a.value, b.value), parents=(a, b), push=push)
-
-
-def concat(parts):
+def concat(parts, axis=-1):
+    """Join tensors along an existing axis."""
     parts = [as_tensor(p) for p in parts]
-    sizes = [p.value.size for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    value = np.concatenate([p.value for p in parts], axis=axis)
+    bounds = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
 
     def push(g):
-        g = np.asarray(g).ravel()
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p._accum(g[lo:hi].reshape(p.value.shape))
-    value = np.concatenate([p.value.ravel() for p in parts])
+        for p, piece in zip(parts, np.split(np.asarray(g), bounds, axis=axis)):
+            if p.requires:
+                p._accum(piece)
     return Tensor(value, parents=tuple(parts), push=push)
 
 
 def log_softmax(x):
+    """Log-probabilities over the last axis."""
     x = as_tensor(x)
-    shifted = x.value - x.value.max()
-    lse = shifted - np.log(np.exp(shifted).sum())
+    shifted = x.value - x.value.max(axis=-1, keepdims=True)
+    lse = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     probs = np.exp(lse)
 
     def push(g):
         g = np.asarray(g)
-        x._accum(g - probs * g.sum())
+        x._accum(g - probs * g.sum(axis=-1, keepdims=True))
     return Tensor(lse, parents=(x,), push=push)
+
+
+def segment_reduce(kind: str, msgs, dst, n: int) -> Tensor:
+    """Reduce the rows of ``msgs`` (E, d) into ``n`` segments, row e into
+    segment ``dst[e]``; returns (n, d) and an empty segment gives zeros.
+
+    Each segment folds its rows one at a time in lexicographic order of
+    their values, so relabelling the rows (with their ``dst``) gives a
+    bitwise-identical result.  ``max`` ties route the gradient to the first
+    row in that order.
+    """
+    if kind not in ("sum", "mean", "max"):
+        raise ValueError(f"unknown aggregation kind: {kind}")
+    msgs = as_tensor(msgs)
+    vals = msgs.value
+    dst = np.asarray(dst, dtype=np.intp)
+    if vals.ndim != 2 or dst.shape != vals.shape[:1]:
+        raise ValueError("segment_reduce needs (E, d) rows and E segment ids")
+    order = np.lexsort((*vals.T[::-1], dst))  # by segment, then by value
+    seg = dst[order]
+    counts = np.bincount(dst, minlength=n)
+    rank = np.arange(dst.size) - (np.cumsum(counts) - counts)[seg]
+    out = np.zeros((n, vals.shape[1]))
+    winner = np.full(out.shape, -1)
+    for k in range(counts.max(initial=0)):
+        at = rank == k  # at most one row per segment
+        rows, segs = order[at], seg[at]
+        if k == 0:
+            out[segs] = vals[rows]
+            winner[segs] = rows[:, None]
+        elif kind == "max":
+            better = vals[rows] > out[segs]
+            out[segs] = np.where(better, vals[rows], out[segs])
+            winner[segs] = np.where(better, rows[:, None], winner[segs])
+        else:
+            out[segs] += vals[rows]
+    scale = None
+    if kind == "mean":
+        scale = np.zeros(n)
+        scale[counts > 0] = 1.0 / counts[counts > 0]
+        out *= scale[:, None]
+
+    def push(g):
+        g = np.asarray(g)
+        if kind == "max":
+            full = np.zeros_like(vals)
+            hit = winner >= 0
+            full[winner[hit], np.nonzero(hit)[1]] = g[hit]
+        elif kind == "mean":
+            full = (g * scale[:, None])[dst]
+        else:
+            full = g[dst]
+        msgs._accum(full)
+    return Tensor(out, parents=(msgs,), push=push)
 
 
 class ParamStore:

@@ -9,10 +9,16 @@ Node ids: APs are 0..M-1, RISs are M..M+J-1.  Edge kinds are "ap_ap",
 "ap_ris" and "ris_ap"; every kind has a fixed feature width for a given
 config (AP->RIS features reserve one slot per AP, zero-filled for APs
 outside the RIS's neighborhood), so non-edges simply do not appear.
+
+A ``CommGraph`` is stored batched, as the nets consume it: one feature
+matrix per node type, and per edge kind the sender and receiver rows plus
+one feature matrix.  ``stack_graphs`` lays several graphs side by side in
+the same form, so one pass of the nets covers a whole trajectory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,27 +43,74 @@ class AgentObservation:
         return np.concatenate(parts) if parts else np.zeros(0)
 
 
+NODE_TYPES = ("ap", "ris")
+EDGE_ENDS = {"ap_ap": ("ap", "ap"), "ap_ris": ("ap", "ris"),
+             "ris_ap": ("ris", "ap")}         # kind -> (sender, receiver)
+
+
 @dataclass
 class CommGraph:
-    node_kind: list                # "ap"/"ris" per node
-    node_feat: list                # per node: 1-D float array
-    edges: list = field(default_factory=list)       # (src, dst, kind)
-    edge_feat: list = field(default_factory=list)   # matching 1-D arrays
+    """Typed communication graph in batched form.
+
+    ``nodes[t]`` is the (n_t, d_t) feature matrix of node type t; row i of
+    ``nodes["ap"]`` is node i and row r of ``nodes["ris"]`` is node M + r.
+    For an edge kind, ``src[kind]`` and ``dst[kind]`` are (E,) row indices
+    into the sender's and the receiver's type, and ``edge_feat[kind]`` is
+    the (E, d_kind) feature matrix, one row per edge.
+    """
+    nodes: dict
+    src: dict
+    dst: dict
+    edge_feat: dict
 
     @property
     def num_nodes(self) -> int:
-        return len(self.node_kind)
+        return sum(len(self.nodes[t]) for t in NODE_TYPES)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(len(self.src[kind]) for kind in EDGE_ENDS)
 
     def permuted(self, perm: np.ndarray) -> "CommGraph":
-        """Relabel nodes by ``perm`` (node i becomes perm[i]), features carried."""
-        n = self.num_nodes
-        node_kind = [None] * n
-        node_feat = [None] * n
-        for i in range(n):
-            node_kind[perm[i]] = self.node_kind[i]
-            node_feat[perm[i]] = self.node_feat[i]
-        edges = [(int(perm[s]), int(perm[d]), kind) for s, d, kind in self.edges]
-        return CommGraph(node_kind, node_feat, edges, list(self.edge_feat))
+        """Relabel nodes by ``perm`` (node i becomes perm[i]), features
+        carried.  Node ids fix the type, so ``perm`` must map APs to APs and
+        RISs to RISs."""
+        perm = np.asarray(perm)
+        rows, start = {}, 0
+        for t in NODE_TYPES:
+            n = len(self.nodes[t])
+            rows[t] = perm[start:start + n] - start
+            if not np.array_equal(np.sort(rows[t]), np.arange(n)):
+                raise ValueError("a relabelling must keep every node's type")
+            start += n
+        nodes = {}
+        for t in NODE_TYPES:
+            nodes[t] = np.empty_like(self.nodes[t])
+            nodes[t][rows[t]] = self.nodes[t]
+        src = {k: rows[s][self.src[k]] for k, (s, _) in EDGE_ENDS.items()}
+        dst = {k: rows[r][self.dst[k]] for k, (_, r) in EDGE_ENDS.items()}
+        return CommGraph(nodes, src, dst, dict(self.edge_feat))
+
+
+def stack_graphs(graphs) -> CommGraph:
+    """One graph holding ``graphs`` side by side: for every node type the
+    rows of graph b follow those of graph b - 1, and edges follow their
+    nodes."""
+    graphs = list(graphs)
+    if len(graphs) == 1:
+        return graphs[0]
+    sizes = {t: np.array([len(g.nodes[t]) for g in graphs]) for t in NODE_TYPES}
+    offset = {t: np.cumsum(sizes[t]) - sizes[t] for t in NODE_TYPES}
+    nodes = {t: np.concatenate([g.nodes[t] for g in graphs])
+             for t in NODE_TYPES}
+    src, dst, feat = {}, {}, {}
+    for kind, (sender, receiver) in EDGE_ENDS.items():
+        src[kind] = np.concatenate([g.src[kind] + offset[sender][b]
+                                    for b, g in enumerate(graphs)])
+        dst[kind] = np.concatenate([g.dst[kind] + offset[receiver][b]
+                                    for b, g in enumerate(graphs)])
+        feat[kind] = np.concatenate([g.edge_feat[kind] for g in graphs])
+    return CommGraph(nodes, src, dst, feat)
 
 
 class FeatureScale:
@@ -112,6 +165,19 @@ def ris_observation(ris: int, ris_user: np.ndarray, ap_ris: np.ndarray,
     return AgentObservation("ris", blocks)
 
 
+def _rows(z: np.ndarray) -> np.ndarray:
+    """``cvec`` of every leading-axis slice: (n, ...) -> (n, 2 * size)."""
+    flat = z.reshape(z.shape[0], math.prod(z.shape[1:]))
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def _pairs(neighbors) -> tuple:
+    """(src, dst) index arrays of the edges i -> j for j in neighbors[i]."""
+    src = [i for i, near in enumerate(neighbors) for _ in near]
+    dst = [j for near in neighbors for j in near]
+    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+
+
 def build_comm_graph(direct: np.ndarray, effective: np.ndarray,
                      ris_user: np.ndarray, ap_ris: np.ndarray,
                      weights: np.ndarray, last_power: np.ndarray,
@@ -119,52 +185,50 @@ def build_comm_graph(direct: np.ndarray, effective: np.ndarray,
                      topo: Topology, config: NetworkConfig) -> CommGraph:
     scale = FeatureScale(config)
     m, j = config.num_aps, config.num_ris
+    users = np.stack([topo.users_of(i) for i in range(m)])   # (M, K)
+    own = np.arange(m)
 
-    node_kind, node_feat = [], []
-    for i in range(m):
-        obs = ap_observation(i, direct, weights, last_power, topo, scale)
-        node_kind.append("ap")
-        node_feat.append(np.concatenate([
-            obs.blocks["own_direct"], obs.blocks["weights"],
-            obs.blocks["last_action"],
-        ]))
-    for r in range(j):
-        node_kind.append("ris")
-        node_feat.append(np.concatenate([
-            np.asarray(last_on[r], dtype=float),
-            np.asarray(last_phase[r], dtype=float) * scale.phase,
-        ]))
+    qinv = np.where(topo.user_kind[users] == 0, scale.qinv_se, scale.qinv_iot)
+    ap_nodes = np.concatenate([
+        _rows(direct[own[:, None], users]) * scale.chan,   # own channels
+        weights[users] * qinv,
+        last_power[users] * scale.power,
+    ], axis=1)
+    ris_nodes = np.concatenate([
+        np.asarray(last_on, dtype=float),
+        np.asarray(last_phase, dtype=float) * scale.phase,
+    ], axis=1)
 
-    graph = CommGraph(node_kind, node_feat)
-    for i in range(m):
-        for i2 in topo.ap_neighbor_ap[i]:
-            feat = cvec(direct[i, topo.users_of(i2)]) * scale.chan
-            graph.edges.append((i, i2, "ap_ap"))
-            graph.edge_feat.append(feat)
-        for r in topo.ap_neighbor_ris[i]:
-            # one zero-filled slot per AP keeps the width fixed per config
-            slots = []
-            for mm in range(m):
-                block = cvec(effective[i, topo.users_of(mm)]) * scale.chan
-                if mm not in topo.ris_neighbor_ap[r]:
-                    block = np.zeros_like(block)
-                slots.append(block)
-            graph.edges.append((i, m + r, "ap_ris"))
-            graph.edge_feat.append(np.concatenate(slots))
-    for r in range(j):
-        for i in topo.ris_neighbor_ap[r]:
-            feat = np.concatenate([
-                cvec(ap_ris[i, r]) * scale.chan,
-                cvec(ris_user[r, topo.users_of(i)]) * scale.chan,
-            ])
-            graph.edges.append((m + r, i, "ris_ap"))
-            graph.edge_feat.append(feat)
-    return graph
+    src, dst, feat = {}, {}, {}
+    # AP i -> AP i2: i's channels to the users of i2
+    src["ap_ap"], dst["ap_ap"] = _pairs(topo.ap_neighbor_ap)
+    feat["ap_ap"] = _rows(direct[src["ap_ap"][:, None], users[dst["ap_ap"]]]
+                          ) * scale.chan
+    # AP i -> RIS r: i's effective channels to every AP's users, one slot
+    # per AP (zero-filled outside r's neighborhood keeps the width fixed)
+    src["ap_ris"], dst["ap_ris"] = _pairs(topo.ap_neighbor_ris)
+    near = np.zeros((j, m), dtype=bool)
+    for r, aps in enumerate(topo.ris_neighbor_ap):
+        near[r, aps] = True
+    blocks = effective[src["ap_ris"]][:, users]       # (E, M, K, N_A)
+    e = len(blocks)
+    slots = _rows(blocks.reshape((e * m,) + blocks.shape[2:]))
+    slots = np.where(near[dst["ap_ris"]].reshape(e * m, 1),
+                     slots * scale.chan, 0.0)
+    feat["ap_ris"] = slots.reshape(e, m * slots.shape[1])
+    # RIS r -> AP i: the AP->RIS block and the RIS's channels to i's users
+    src["ris_ap"], dst["ris_ap"] = _pairs(topo.ris_neighbor_ap)
+    r_, i_ = src["ris_ap"], dst["ris_ap"]
+    feat["ris_ap"] = np.concatenate([
+        _rows(ap_ris[i_, r_]) * scale.chan,
+        _rows(ris_user[r_[:, None], users[i_]]) * scale.chan,
+    ], axis=1)
+    return CommGraph({"ap": ap_nodes, "ris": ris_nodes}, src, dst, feat)
 
 
 def state_digest(graph: CommGraph) -> np.ndarray:
     """Fixed-order concatenation of node features (the mixer's state input)."""
-    return np.concatenate([np.asarray(f, dtype=float) for f in graph.node_feat])
+    return np.concatenate([graph.nodes[t].ravel() for t in NODE_TYPES])
 
 
 def feature_dims(config: NetworkConfig, topo: Topology) -> dict:

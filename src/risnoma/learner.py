@@ -1,10 +1,13 @@
 """Rollout collection and the actor/critic/mixer training loop.
 
 Collection runs the decentralized pipeline per slot (observe, message
-passing, per-agent sampling, env step) and records everything needed to
-replay exact log-probabilities.  Training replays each trajectory on the
-tape, scores one-step advantages for the policy term and n-step returns for
-the critics, and applies one combined update per training episode:
+passing, per-agent sampling, env step), each stage one batched call over
+all agents, and records everything needed to replay exact log-probabilities.
+Training replays each trajectory on the tape in one batched pass: the T
+slot graphs plus the final one are embedded together, critics and the mixer
+run over all T+1 slots at once, and only the actors' GRU steps through the
+slots.  It scores one-step advantages for the policy term and n-step returns
+for the critics, and applies one combined update per training episode:
 
     mixer     <- mixer - lr_mix * dL_V/dmixer
     theta     <- theta + lr_pi * d(sum logpi * A)/dtheta - lr_v * dL_V/dtheta
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, gradient_norm
+from .autodiff import gradient_norm
 from .env import NetworkEnv
 from .graphs import CommGraph, state_digest
 from .policy import ActionSample, GEVDACPolicy, PolicyConfig, policy_for_env
@@ -33,9 +36,8 @@ from .topology import SE
 class StepRecord:
     graph: CommGraph
     digest: np.ndarray
-    ztilde: list                   # embedded-state values per agent
-    samples: dict                  # agent id -> ActionSample
-    logps: dict                    # agent id -> float (collection-time)
+    sample: ActionSample           # every agent's draws, slot axis 1
+    logps: np.ndarray              # (M + J,) collection-time, node order
     reward: float
     eta: float
     delta: float
@@ -85,24 +87,17 @@ def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
             rng: np.random.Generator, deterministic: bool = False) -> Trajectory:
     """One episode of length ``horizon`` under the current parameters."""
     env.reset()
-    gru = {i: policy.gru_zero() for i in range(policy._n_agents)}
+    gru = policy.gru_zero()
     steps = []
     for _ in range(horizon):
         graph = env.comm_graph()
-        digest = state_digest(graph)
-        z = policy.embed(graph)
-        samples, logps = {}, {}
-        for i, kind in enumerate(graph.node_kind):
-            sample, logp, h = policy.act(z[i], kind, gru[i], rng,
-                                         deterministic=deterministic)
-            samples[i] = sample
-            logps[i] = logp.item()
-            gru[i] = h.value
-        power, on, phase = policy.env_action(samples)
-        out = env.step(power, on, phase)
+        z = policy.embed([graph])
+        sample, logp, h = policy.act(z, gru, rng, deterministic=deterministic)
+        gru = {t: state.value for t, state in h.items()}
+        out = env.step(*policy.env_action(sample))
         steps.append(StepRecord(
-            graph=graph, digest=digest, ztilde=[t.value.copy() for t in z],
-            samples=samples, logps=logps, reward=out.reward, eta=out.eta,
+            graph=graph, digest=state_digest(graph), sample=sample,
+            logps=logp.value[0], reward=out.reward, eta=out.eta,
             delta=out.delta, rates=out.rates, outage=out.outage, q=out.q,
             y=out.y, weights=out.weights,
             exchange=policy.exchange_volume(graph)))
@@ -126,27 +121,19 @@ def advantage(reward: float, v_now: float, v_next: float, gamma: float) -> float
 
 
 def _replay_values(policy: GEVDACPolicy, traj: Trajectory):
-    """Tape pass over one trajectory: V_tot per slot (plus bootstrap) and
-    the per-slot sum of agent log-probabilities."""
-    vtots, logp_sums = [], []
-    gru = {i: Tensor(policy.gru_zero())
-           for i in range(policy._n_agents)}
-    for rec in traj.steps:
-        z = policy.embed(rec.graph)
-        locals_ = [policy.local_value(z[i], kind)
-                   for i, kind in enumerate(rec.graph.node_kind)]
-        vtots.append(policy.global_value(rec.digest, locals_))
-        lp_total = None
-        for i, kind in enumerate(rec.graph.node_kind):
-            lp, h = policy.log_prob(z[i], kind, gru[i], rec.samples[i])
-            gru[i] = h
-            lp_total = lp if lp_total is None else lp_total + lp
-        logp_sums.append(lp_total)
-    z_fin = policy.embed(traj.final_graph)
-    locals_fin = [policy.local_value(z_fin[i], kind)
-                  for i, kind in enumerate(traj.final_graph.node_kind)]
-    vtots.append(policy.global_value(traj.final_digest, locals_fin))
-    return vtots, logp_sums
+    """One batched tape pass over a trajectory of T slots: V_tot (T+1,),
+    the bootstrap V(s_H) last, and the per-slot sums (T,) of the agents'
+    log-probabilities."""
+    steps = len(traj)
+    z = policy.embed([rec.graph for rec in traj.steps] + [traj.final_graph])
+    digests = np.stack([rec.digest for rec in traj.steps]
+                       + [traj.final_digest])
+    v_tot = policy.global_value(digests, policy.local_value(z))
+    gru = policy.gru_zero()
+    played = {t: z[t][:steps * len(gru[t])] for t in z}  # drop the final slot
+    logp, _ = policy.log_prob(
+        played, gru, ActionSample.stack(rec.sample for rec in traj.steps))
+    return v_tot, logp.sum(axis=1)
 
 
 def _clip_block(grads: dict, max_norm: float) -> dict:
@@ -165,19 +152,21 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
     store = policy.store
     loss_pi, loss_v = None, None
     for traj in trajectories:
-        vtots, logp_sums = _replay_values(policy, traj)
+        v_tot, logp_sums = _replay_values(policy, traj)
         if traj.values is None:
-            traj.values = np.array([v.item() for v in vtots])
+            traj.values = v_tot.value.copy()
         v_num = traj.values
         rewards = [rec.reward * reward_scale for rec in traj.steps]
-        for t in range(len(traj)):
-            adv = advantage(rewards[t], v_num[t], v_num[t + 1], tcfg.gamma)
-            term = logp_sums[t] * adv
-            loss_pi = term if loss_pi is None else loss_pi + term
-            target = n_step_return(rewards, v_num, t, tcfg.gamma, tcfg.nstep)
-            err = vtots[t] - Tensor(np.array(target))
-            sq = err * err
-            loss_v = sq if loss_v is None else loss_v + sq
+        horizon = len(traj)
+        adv = np.array([advantage(rewards[t], v_num[t], v_num[t + 1],
+                                  tcfg.gamma) for t in range(horizon)])
+        target = np.array([n_step_return(rewards, v_num, t, tcfg.gamma,
+                                         tcfg.nstep) for t in range(horizon)])
+        term_pi = (logp_sums * adv).sum()
+        err = v_tot[:horizon] - target
+        term_v = (err * err).sum()
+        loss_pi = term_pi if loss_pi is None else loss_pi + term_pi
+        loss_v = term_v if loss_v is None else loss_v + term_v
 
     blocks = policy.parameter_blocks()
     store.zero_grads()

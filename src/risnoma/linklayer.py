@@ -27,13 +27,16 @@ def channel_correlation(h1: np.ndarray, h2: np.ndarray) -> float:
 def cluster_users(h_own: np.ndarray, se_ids, iot_ids, max_cluster_size: int):
     """Greedy QoS clustering: SE users head the clusters, IoT users join
     the head with the highest spatial correlation (ties to the lowest
-    cluster index, capacity-limited)."""
+    cluster index, capacity-limited).  A zero channel (no reflected path
+    and a blocked LoS) correlates with nothing: it counts as 0."""
     se_ids, iot_ids = list(se_ids), sorted(iot_ids)  # id order: input-order invariant
     if not se_ids:
         raise ValueError("need at least one SE user per AP")
     clusters = [[head] for head in se_ids]
+    zero = ~np.any(h_own, axis=1)
     for u in iot_ids:
-        corr = np.array([channel_correlation(h_own[u], h_own[head])
+        corr = np.array([0.0 if zero[u] or zero[head]
+                         else channel_correlation(h_own[u], h_own[head])
                          for head in se_ids])
         order = np.argsort(-corr, kind="stable")  # ties keep lowest index
         placed = False
@@ -77,14 +80,17 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
     """Zero-forcing across cluster centers with unit ``||V w||`` columns.
 
     Near-singular Gram matrices get diagonal loading (1e-8 x mean eigenvalue)
-    and raise a RuntimeWarning so degenerate clustering is visible.
+    and raise a RuntimeWarning so degenerate clustering is visible.  An
+    all-zero Gram (every center a zero channel) has no scale to load by; it
+    gets unit loading, which yields zero beams.
     """
     h_eff = centers @ v if on_effective else centers
     gram = h_eff @ h_eff.conj().T
     n_r = gram.shape[0]
     loaded = False
     if np.linalg.cond(gram) > cond_threshold:
-        gram = gram + (1e-8 * np.trace(gram).real / n_r) * np.eye(n_r)
+        mean_eig = np.trace(gram).real / n_r
+        gram = gram + (1e-8 * mean_eig if mean_eig > 0 else 1.0) * np.eye(n_r)
         loaded = True
         warnings.warn("ill-conditioned cluster centers; ZF regularized",
                       RuntimeWarning, stacklevel=2)

@@ -1,5 +1,6 @@
-"""Network blocks on top of the tape: dense layers, a GRU cell,
-permutation-invariant aggregation, and the hypernetwork value mixer."""
+"""Network blocks on top of the tape: dense layers, a GRU cell and the
+hypernetwork value mixer.  Each works on a single input vector or on a
+batch of them stacked as rows."""
 from __future__ import annotations
 
 import numpy as np
@@ -33,52 +34,28 @@ def gru_step(store: ParamStore, name: str, x, h, in_dim: int,
     return (one - z) * h + z * cand
 
 
-def aggregate(kind: str, items, dim: int) -> Tensor:
-    """Reduce a set of equal-length vectors; the empty set gives zeros.
-
-    Items are folded in lexicographic order of their values, so any
-    permutation of the input set produces a bitwise-identical result.
-    """
-    items = list(items)
-    if not items:
-        return Tensor(np.zeros(dim))
-    items = [ad.as_tensor(t) for t in items]
-    stacked = np.stack([t.value for t in items])
-    order = np.lexsort(stacked.T[::-1])
-    folded = items[order[0]]
-    if kind == "max":
-        for idx in order[1:]:
-            folded = ad.maximum(folded, items[idx])
-        return folded
-    for idx in order[1:]:
-        folded = folded + items[idx]
-    if kind == "mean":
-        folded = folded / float(len(items))
-    elif kind != "sum":
-        raise ValueError(f"unknown aggregation kind: {kind}")
-    return folded
-
-
 def hyper_mixing(store: ParamStore, prefix: str, state, values,
                  state_dim: int, hidden: int) -> Tensor:
     """Monotone two-layer mix of local values with state-generated weights.
 
-    Both weight layers pass through |.| so every path from a local value to
-    the output has a non-negative slope; biases are unconstrained and the
-    final bias is itself a small network of the state.
+    ``state`` is (..., state_dim) and ``values`` (..., n) over the same
+    leading axes; returns one mixed value per leading index.  Both weight
+    layers pass through |.| so every path from a local value to the output
+    has a non-negative slope; biases are unconstrained and the final bias is
+    itself a small network of the state.
     """
     state = ad.as_tensor(state)
-    v = ad.concat([ad.as_tensor(x).reshape(1) for x in values])
-    n = v.value.size
+    v = ad.as_tensor(values)
+    lead, n = v.shape[:-1], v.shape[-1]
     w1 = ad.absolute(dense(store, f"{prefix}.hw1", state, state_dim,
-                           n * hidden)).reshape(n, hidden)
+                           n * hidden)).reshape(*lead, n, hidden)
     b1 = dense(store, f"{prefix}.hb1", state, state_dim, hidden)
-    mixed = ad.elu(v @ w1 + b1)
+    mixed = ad.elu((v.reshape(*lead, n, 1) * w1).sum(axis=-2) + b1)
     w2 = ad.absolute(dense(store, f"{prefix}.hw2", state, state_dim, hidden))
     b2 = dense(store, f"{prefix}.hb2a", state, state_dim, hidden,
                activation="relu")
     b2 = dense(store, f"{prefix}.hb2b", b2, hidden, 1)
-    return (mixed @ w2.reshape(hidden, 1) + b2)[0]
+    return (mixed * w2).sum(axis=-1) + b2.reshape(lead)
 
 
 def mlp(store: ParamStore, name: str, x, dims, activation: str = "tanh",

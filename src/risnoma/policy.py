@@ -6,6 +6,23 @@ distribution heads (Gaussian allocation logits for APs, Bernoulli + categorical
 element controls for RISs).  Critics read the same embedded state, so the
 embedding trunk is shared between policy and value losses; heads are disjoint.
 
+Everything runs batched.  ``embed`` takes a batch of B graphs (one slot, or a
+whole trajectory) and returns, per node type, the embedded states of all its
+agents as rows, slot-major: row ``b * n_t + i`` is agent i of that type in
+graph b.  Each message layer is one dense op per edge kind over all edges of
+the batch, aggregation is one ``segment_reduce`` per receiving type, and each
+combine layer is one dense op per node type.  The trunk, heads and critics
+then run on those rows; only the GRU steps through the slots in order, one
+dense op per gate for all agents of a type.  Shapes, for n_t agents of type t
+(M APs, J RISs, K users per AP, L elements, P phase levels):
+
+  embed        {t: (B * n_t, ztilde_dim(t))}
+  act          ActionSample with slot axis 1, log-probs (1, M + J), next GRU
+               states {t: (n_t, gru_hidden)}
+  log_prob     log-probs (T, M + J) of T stored slots and the final states
+  local_value  (B, M + J), agents in node order
+  global_value (B,) from (B, digest_dim) digests and (B, M + J) local values
+
 Parameter name prefixes partition the update rules:
   emb.*     embedding nets           (policy + critic gradients)
   act.*     action trunk and heads   (policy gradient)
@@ -21,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import ParamStore, Tensor
-from .graphs import CommGraph
+from .graphs import EDGE_ENDS, NODE_TYPES, CommGraph, stack_graphs
 
 LOG2PI = float(np.log(2.0 * np.pi))
 LOG_STD_OFFSET = -1.0
@@ -43,17 +60,26 @@ class PolicyConfig:
 
 @dataclass
 class ActionSample:
-    """Raw per-agent draws; enough to replay exact log-probabilities."""
-    kind: str
-    gaussian: np.ndarray | None = None     # AP: K+1 raw logits
-    on_off: np.ndarray | None = None       # RIS: L binaries
-    phase: np.ndarray | None = None        # RIS: L category picks
+    """Raw draws of every agent over T slots; enough to replay exact
+    log-probabilities.  Arrays are (T, agents of the type, ...)."""
+    gaussian: np.ndarray       # (T, M, K+1) AP raw logits
+    on_off: np.ndarray         # (T, J, L) RIS binaries
+    phase: np.ndarray          # (T, J, L) RIS category picks
+
+    @property
+    def steps(self) -> int:
+        return self.gaussian.shape[0]
+
+    @staticmethod
+    def stack(samples) -> "ActionSample":
+        """Join per-slot samples along the slot axis."""
+        samples = list(samples)
+        return ActionSample(*(np.concatenate([getattr(s, f) for s in samples])
+                              for f in ("gaussian", "on_off", "phase")))
 
 
 class GEVDACPolicy:
     """Shared-parameter actor/critic stack over a communication graph."""
-
-    EDGE_KINDS = ("ap_ap", "ap_ris", "ris_ap")
 
     def __init__(self, dims: dict, counts: dict, pcfg: PolicyConfig, seed: int):
         self.dims = dict(dims)                 # node/edge feature widths
@@ -61,19 +87,19 @@ class GEVDACPolicy:
         self.pcfg = pcfg                       # ris_elements, n_phase, max_power,
         self.store = ParamStore(seed)          # digest_dim
         self._node_dim = {"ap": dims["ap_node"], "ris": dims["ris_node"]}
-        self._sender = {"ap_ap": "ap", "ap_ris": "ap", "ris_ap": "ris"}
+        self._count = {"ap": counts["num_aps"], "ris": counts["num_ris"]}
         self._build_params()
 
     # -- eager parameter creation (stable checkpoints, zero-lr identity) -----
     def _build_params(self):
         p, dims = self.pcfg, self.dims
-        for kind in self.EDGE_KINDS:
+        for kind in EDGE_ENDS:
             if p.embed_mode == "raw":
                 self.store.param(f"emb.{kind}.raw.w", (dims[kind], p.msg_dim))
                 self.store.param(f"emb.{kind}.raw.b", (p.msg_dim,), kind="zeros")
             elif p.embed_mode == "mpgnn":
                 for layer in range(1, p.n_layers + 1):
-                    z_dim = (self._node_dim[self._sender[kind]]
+                    z_dim = (self._node_dim[EDGE_ENDS[kind][0]]
                              if layer == 1 else p.hidden)
                     self.store.param(f"emb.{kind}.l{layer}.w",
                                      (z_dim + dims[kind], p.msg_dim))
@@ -146,173 +172,180 @@ class GEVDACPolicy:
     def ztilde_dim(self, kind: str) -> int:
         return self._node_dim[kind] + self.pcfg.hidden
 
-    def gru_zero(self) -> np.ndarray:
-        return np.zeros(self.pcfg.gru_hidden)
+    def gru_zero(self) -> dict:
+        """GRU states of every agent at the start of an episode."""
+        return {t: np.zeros((n, self.pcfg.gru_hidden))
+                for t, n in self._count.items()}
 
     # -- graph embedding ------------------------------------------------------
-    def embed(self, graph: CommGraph) -> list:
+    def embed(self, graphs) -> dict:
+        """Embedded states [own features, embedding] of every agent in a
+        batch of graphs: {type: (B * n_type, ztilde_dim) rows}."""
         p = self.pcfg
-        z = [Tensor(np.asarray(f, dtype=float)) for f in graph.node_feat]
+        g = stack_graphs(graphs)
+        x = {t: Tensor(g.nodes[t]) for t in NODE_TYPES}
+        z = x
         if p.n_layers == 0:
-            z = [nn.dense(self.store, f"emb.{graph.node_kind[i]}.proj", z[i],
-                          self._node_dim[graph.node_kind[i]], p.hidden, "tanh")
-                 for i in range(graph.num_nodes)]
-        raw_msgs = None
+            z = {t: nn.dense(self.store, f"emb.{t}.proj", x[t],
+                             self._node_dim[t], p.hidden, "tanh")
+                 for t in NODE_TYPES}
+        feat = {kind: Tensor(g.edge_feat[kind]) for kind in EDGE_ENDS}
+        msgs = {}
         for layer in range(1, p.n_layers + 1):
-            inbox = {i: [] for i in range(graph.num_nodes)}
             if p.embed_mode == "mpgnn":
-                for (src, dst, kind), feat in zip(graph.edges, graph.edge_feat):
-                    x = ad.concat([z[src], Tensor(feat)])
-                    z_dim = (self._node_dim[self._sender[kind]]
-                             if layer == 1 else p.hidden)
-                    msg = nn.dense(self.store, f"emb.{kind}.l{layer}", x,
-                                   z_dim + self.dims[kind], p.msg_dim, "tanh")
-                    inbox[dst].append(msg)
-            elif p.embed_mode == "raw":
-                if raw_msgs is None:
-                    raw_msgs = []
-                    for (src, dst, kind), feat in zip(graph.edges,
-                                                      graph.edge_feat):
-                        msg = nn.dense(self.store, f"emb.{kind}.raw",
-                                       Tensor(feat), self.dims[kind],
-                                       p.msg_dim, "tanh")
-                        raw_msgs.append((dst, msg))
-                for dst, msg in raw_msgs:
-                    inbox[dst].append(msg)
-            new_z = []
-            for i in range(graph.num_nodes):
-                agg = nn.aggregate(p.aggregation, inbox[i], p.msg_dim)
-                kind = graph.node_kind[i]
-                z_dim = self._node_dim[kind] if layer == 1 else p.hidden
-                new_z.append(nn.dense(
-                    self.store, f"emb.{kind}.comb.l{layer}",
-                    ad.concat([z[i], agg]), z_dim + p.msg_dim, p.hidden, "tanh"))
+                for kind, (sender, _) in EDGE_ENDS.items():
+                    z_dim = self._node_dim[sender] if layer == 1 else p.hidden
+                    msgs[kind] = nn.dense(
+                        self.store, f"emb.{kind}.l{layer}",
+                        ad.concat([z[sender][g.src[kind]], feat[kind]]),
+                        z_dim + self.dims[kind], p.msg_dim, "tanh")
+            elif p.embed_mode == "raw" and not msgs:  # the same every layer
+                for kind in EDGE_ENDS:
+                    msgs[kind] = nn.dense(self.store, f"emb.{kind}.raw",
+                                          feat[kind], self.dims[kind],
+                                          p.msg_dim, "tanh")
+            new_z = {}
+            for t in NODE_TYPES:
+                inbound = [k for k in msgs if EDGE_ENDS[k][1] == t]
+                rows = (ad.concat([msgs[k] for k in inbound], axis=0)
+                        if inbound else Tensor(np.zeros((0, p.msg_dim))))
+                dst = np.concatenate([g.dst[k] for k in inbound]
+                                     + [np.zeros(0, dtype=np.intp)])
+                agg = ad.segment_reduce(p.aggregation, rows, dst,
+                                        len(g.nodes[t]))
+                z_dim = self._node_dim[t] if layer == 1 else p.hidden
+                new_z[t] = nn.dense(
+                    self.store, f"emb.{t}.comb.l{layer}",
+                    ad.concat([z[t], agg]), z_dim + p.msg_dim, p.hidden,
+                    "tanh")
             z = new_z
-        return [ad.concat([Tensor(np.asarray(graph.node_feat[i], dtype=float)),
-                           z[i]]) for i in range(graph.num_nodes)]
+        return {t: ad.concat([x[t], z[t]]) for t in NODE_TYPES}
 
     # -- action trunk and heads -------------------------------------------------
-    def _trunk(self, z_tilde, kind: str, gru_state):
+    def _trunk(self, z_tilde, kind: str, gru_state, steps: int):
+        """pre/post dense layers on all (steps * n, .) rows, the GRU slot by
+        slot from ``gru_state`` (n, gru_hidden); returns post and the state
+        after the last slot."""
         p = self.pcfg
+        n = self._count[kind]
         pre = nn.dense(self.store, f"act.{kind}.pre", z_tilde,
                        self.ztilde_dim(kind), p.gru_hidden, "tanh")
-        h = nn.gru_step(self.store, f"act.{kind}.gru", pre,
-                        ad.as_tensor(gru_state), p.gru_hidden, p.gru_hidden)
-        post = nn.dense(self.store, f"act.{kind}.post", h, p.gru_hidden,
+        h, states = ad.as_tensor(gru_state), []
+        for t in range(steps):
+            h = nn.gru_step(self.store, f"act.{kind}.gru",
+                            pre[t * n:(t + 1) * n], h, p.gru_hidden,
+                            p.gru_hidden)
+            states.append(h)
+        post = nn.dense(self.store, f"act.{kind}.post",
+                        ad.concat(states, axis=0), p.gru_hidden,
                         p.gru_hidden, "tanh")
         return post, h
 
-    def _ap_heads(self, post):
+    def _heads(self, z_tilde: dict, gru_state: dict, steps: int):
+        """Trunks and distribution heads of both agent types."""
         g, k = self.pcfg.gru_hidden, self.counts["users_per_ap"]
-        mean = nn.dense(self.store, "act.ap.mean", post, g, k + 1)
-        log_std = ad.clip(
-            nn.dense(self.store, "act.ap.logstd", post, g, k + 1)
-            + Tensor(np.full(k + 1, LOG_STD_OFFSET)), LOG_STD_MIN, LOG_STD_MAX)
-        return mean, log_std
-
-    def _ris_heads(self, post):
-        g = self.pcfg.gru_hidden
         n_el, n_ph = self.counts["ris_elements"], self.counts["n_phase"]
-        onoff = nn.dense(self.store, "act.ris.onoff", post, g, n_el)
-        phase = nn.dense(self.store, "act.ris.phase", post, g,
-                         n_el * n_ph).reshape(n_el, n_ph)
-        return onoff, phase
+        post, h = {}, {}
+        for t in NODE_TYPES:
+            post[t], h[t] = self._trunk(z_tilde[t], t, gru_state[t], steps)
+        mean = nn.dense(self.store, "act.ap.mean", post["ap"], g, k + 1)
+        log_std = ad.clip(
+            nn.dense(self.store, "act.ap.logstd", post["ap"], g, k + 1)
+            + LOG_STD_OFFSET, LOG_STD_MIN, LOG_STD_MAX)
+        onoff = nn.dense(self.store, "act.ris.onoff", post["ris"], g, n_el)
+        phase = nn.dense(self.store, "act.ris.phase", post["ris"], g,
+                         n_el * n_ph).reshape(post["ris"].shape[0], n_el, n_ph)
+        return (mean, log_std, onoff, phase), h
 
-    def act(self, z_tilde, kind: str, gru_state, rng: np.random.Generator,
+    def act(self, z_tilde: dict, gru_state: dict, rng: np.random.Generator,
             deterministic: bool = False):
-        """Sample (or take the mode of) the local action; returns
-        (ActionSample, log-prob Tensor, next GRU state Tensor)."""
-        post, h = self._trunk(z_tilde, kind, gru_state)
-        if kind == "ap":
-            mean, log_std = self._ap_heads(post)
-            if deterministic:
-                draw = mean.value.copy()
-            else:
-                draw = mean.value + np.exp(log_std.value) * rng.standard_normal(
-                    mean.value.size)
-            sample = ActionSample("ap", gaussian=draw)
+        """Sample (or take the mode of) every agent's action in one slot;
+        returns (ActionSample, log-probs (1, M + J), next GRU states)."""
+        heads, h = self._heads(z_tilde, gru_state, 1)
+        mean, log_std, onoff, phase = (t.value for t in heads)
+        if deterministic:
+            draw = mean.copy()
+            on = (onoff > 0).astype(int)
+            picks = phase.argmax(axis=-1)
         else:
-            onoff, phase = self._ris_heads(post)
-            if deterministic:
-                on = (onoff.value > 0).astype(int)
-                picks = phase.value.argmax(axis=1)
-            else:
-                on = (rng.random(onoff.value.size)
-                      < _sigmoid(onoff.value)).astype(int)
-                picks = np.array([
-                    rng.choice(phase.value.shape[1], p=_softmax(row))
-                    for row in phase.value])
-            sample = ActionSample("ris", on_off=on, phase=picks)
-        logp = self._score(sample, post)
-        return sample, logp, h
+            draw = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
+            # per RIS: L on/off uniforms, then L phase uniforms
+            u = rng.random((self._count["ris"], 2, onoff.shape[-1]))
+            on = (u[:, 0] < _sigmoid(onoff)).astype(int)
+            picks = _inverse_cdf(_softmax(phase), u[:, 1])
+        sample = ActionSample(draw[None], on[None], picks[None])
+        return sample, self._score(sample, *heads), h
 
-    def log_prob(self, z_tilde, kind: str, gru_state, sample: ActionSample):
-        """Replay path: exact log-probability of a stored sample."""
-        post, h = self._trunk(z_tilde, kind, gru_state)
-        return self._score(sample, post), h
+    def log_prob(self, z_tilde: dict, gru_state: dict, sample: ActionSample):
+        """Replay path: exact log-probabilities (T, M + J) of T stored slots
+        whose embedded states are ``z_tilde``, and the final GRU states."""
+        heads, h = self._heads(z_tilde, gru_state, sample.steps)
+        return self._score(sample, *heads), h
 
-    def _score(self, sample: ActionSample, post) -> Tensor:
-        if sample.kind == "ap":
-            mean, log_std = self._ap_heads(post)
-            diff = Tensor(sample.gaussian) - mean
-            zed = diff * ad.exp(-log_std)
-            return (ad.square(zed).sum() * (-0.5) - log_std.sum()
-                    - Tensor(np.array(0.5 * LOG2PI * sample.gaussian.size)))
-        onoff, phase = self._ris_heads(post)
-        on = sample.on_off.astype(float)
+    def _score(self, sample: ActionSample, mean, log_std, onoff,
+               phase) -> Tensor:
+        """Log-probabilities (T, M + J) of ``sample`` under the heads."""
+        steps = sample.steps
+        gauss = sample.gaussian.reshape(mean.shape)
+        zed = (Tensor(gauss) - mean) * ad.exp(-log_std)
+        ap = (ad.square(zed).sum(axis=1) * (-0.5) - log_std.sum(axis=1)
+              - 0.5 * LOG2PI * gauss.shape[1])
+        on = sample.on_off.reshape(onoff.shape).astype(float)
         bern = (Tensor(on) * (-ad.softplus(-onoff))
-                + Tensor(1.0 - on) * (-ad.softplus(onoff))).sum()
-        cat = None
-        for el, pick in enumerate(sample.phase):
-            term = ad.log_softmax(phase[el, :])[int(pick)]
-            cat = term if cat is None else cat + term
-        return bern + cat
+                + Tensor(1.0 - on) * (-ad.softplus(onoff))).sum(axis=1)
+        rows, n_el = on.shape
+        picked = ad.log_softmax(phase)[np.arange(rows)[:, None],
+                                       np.arange(n_el),
+                                       sample.phase.reshape(rows, n_el)]
+        ris = bern + picked.sum(axis=1)
+        return ad.concat([ap.reshape(steps, self._count["ap"]),
+                          ris.reshape(steps, self._count["ris"])])
 
     # -- critics ---------------------------------------------------------------
-    def local_value(self, z_tilde, kind: str) -> Tensor:
+    def local_value(self, z_tilde: dict) -> Tensor:
+        """Per-agent values (B, M + J) of a batch of B slots."""
         p = self.pcfg
-        hidden = nn.dense(self.store, f"critic.{kind}.h", z_tilde,
-                          self.ztilde_dim(kind), p.critic_hidden, "tanh")
-        return nn.dense(self.store, f"critic.{kind}.out", hidden,
-                        p.critic_hidden, 1)[0]
+        slots = z_tilde["ap"].shape[0] // self._count["ap"]
+        values = []
+        for t in NODE_TYPES:
+            hidden = nn.dense(self.store, f"critic.{t}.h", z_tilde[t],
+                              self.ztilde_dim(t), p.critic_hidden, "tanh")
+            out = nn.dense(self.store, f"critic.{t}.out", hidden,
+                           p.critic_hidden, 1)
+            values.append(out.reshape(slots, self._count[t]))
+        return ad.concat(values)
 
     def global_value(self, digest, values) -> Tensor:
+        """V_tot of each slot from its (..., digest_dim) state digest and its
+        (..., M + J) local values; returns one value per leading index."""
         p = self.pcfg
         d = self.counts["digest_dim"]
+        digest = np.asarray(digest)
         if p.critic_mode == "mix":
-            return nn.hyper_mixing(self.store, "mix", np.asarray(digest),
-                                   values, d, p.mix_hidden)
-        return nn.mlp(self.store, "critic.central", np.asarray(digest),
-                      [d, p.critic_hidden, p.critic_hidden, 1])[0]
+            return nn.hyper_mixing(self.store, "mix", digest, values, d,
+                                   p.mix_hidden)
+        out = nn.mlp(self.store, "critic.central", digest,
+                     [d, p.critic_hidden, p.critic_hidden, 1])
+        return out.reshape(digest.shape[:-1])
 
     # -- env action assembly -----------------------------------------------------
-    def env_action(self, samples: dict):
-        """Map per-agent samples onto (power, on, phase) env arrays."""
-        m = self.counts["num_aps"]
-        j, n_el = self.counts["num_ris"], self.counts["ris_elements"]
+    def env_action(self, sample: ActionSample):
+        """Map the last slot of ``sample`` onto (power, on, phase) env arrays."""
         k, p_max = self.counts["users_per_ap"], self.counts["max_power"]
-        power = np.zeros(m * k)
-        for i in range(m):
-            draw = samples[i].gaussian
-            split = _softmax(draw[:k])
-            total = p_max * _sigmoid(draw[k])
-            power[i * k:(i + 1) * k] = split * total
-        on = np.zeros((j, n_el), dtype=int)
-        phase = np.zeros((j, n_el), dtype=int)
-        for r in range(j):
-            s = samples[m + r]
-            on[r] = s.on_off
-            phase[r] = s.phase
-        return power, on, phase
+        draw = sample.gaussian[-1]
+        split = _softmax(draw[:, :k])
+        total = p_max * _sigmoid(draw[:, k])
+        power = (split * total[:, None]).ravel()
+        return power, sample.on_off[-1].copy(), sample.phase[-1].copy()
 
     # -- bookkeeping ---------------------------------------------------------------
     def exchange_volume(self, graph: CommGraph) -> int:
         """Scalars crossing agent boundaries per slot under this mode."""
         p = self.pcfg
         if p.embed_mode == "mpgnn":
-            return p.n_layers * len(graph.edges) * p.msg_dim
+            return p.n_layers * graph.num_edges * p.msg_dim
         if p.embed_mode == "raw":
-            return int(sum(f.size for f in graph.edge_feat))
+            return int(sum(f.size for f in graph.edge_feat.values()))
         return 0
 
     def parameter_blocks(self) -> dict:
@@ -328,8 +361,17 @@ class GEVDACPolicy:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
+    """Softmax over the last axis."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category of each uniform ``u`` under the matching row of ``p``; the
+    arithmetic of ``Generator.choice(len(row), p=row)`` fed the same draw."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= u[..., None]).sum(axis=-1)
 
 
 def _sigmoid(x):

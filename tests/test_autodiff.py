@@ -27,6 +27,43 @@ class TestTapeBasics:
         x[1:3].sum().backward()
         assert np.allclose(x.grad, [0, 1, 1, 0])
 
+    def test_getitem_repeated_index_accumulates(self):
+        x = Tensor(np.array([5.0, 7.0]), requires=True)
+        x[[0, 0, 1]].sum().backward()
+        assert np.array_equal(x.grad, [2.0, 1.0])
+
+    def test_repeated_row_gather_gradients(self):
+        # one source row feeding several edges, as the message layers gather
+        store = ParamStore(3)
+        x = store.param("x", (3, 4))
+        weights = np.random.default_rng(0).normal(size=(5, 4))
+        src = np.array([2, 0, 2, 2, 1])
+
+        def build():
+            return (ad.tanh(store.get("x")[src]) * weights).sum()
+
+        fd_check(build, store)
+
+    def test_constant_inputs_get_no_gradient(self):
+        rng = np.random.default_rng(1)
+        w0, b0 = rng.normal(size=(3, 2)), rng.normal(size=2)
+        x0, y0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 5))
+        c = rng.normal(size=(4, 7))
+
+        def run(inputs_require):
+            w, b = Tensor(w0, requires=True), Tensor(b0, requires=True)
+            x = Tensor(x0, requires=inputs_require)
+            y = Tensor(y0, requires=inputs_require)
+            (ad.concat([x @ w + b, y]) * Tensor(c)).sum().backward()
+            return w, b, x, y
+
+        w, b, x, y = run(False)
+        assert x.grad is None and y.grad is None
+        w_ref, b_ref, x_ref, y_ref = run(True)
+        assert x_ref.grad is not None and y_ref.grad is not None
+        assert np.array_equal(w.grad, w_ref.grad)
+        assert np.array_equal(b.grad, b_ref.grad)
+
     def test_broadcast_add_reduces(self):
         b = Tensor(np.zeros(3), requires=True)
         x = Tensor(np.ones((4, 3)))
@@ -145,40 +182,65 @@ class TestGru:
 
 class TestAggregate:
     def test_singleton_identity(self):
-        v = Tensor(np.array([1.0, -2.0]))
+        v = Tensor(np.array([[1.0, -2.0]]))
         for kind in ("sum", "mean", "max"):
-            assert np.array_equal(nn.aggregate(kind, [v], 2).value, v.value)
+            out = ad.segment_reduce(kind, v, [0], 1)
+            assert np.array_equal(out.value, v.value)
 
     def test_empty_set_zeros(self):
-        assert np.array_equal(nn.aggregate("mean", [], 3).value, np.zeros(3))
+        out = ad.segment_reduce("mean", np.zeros((0, 3)), [], 2)
+        assert np.array_equal(out.value, np.zeros((2, 3)))
+        # a segment no row reaches is empty too
+        rows = Tensor(np.ones((2, 3)))
+        for kind in ("sum", "mean", "max"):
+            out = ad.segment_reduce(kind, rows, [2, 2], 3)
+            assert np.array_equal(out.value[:2], np.zeros((2, 3)))
 
     def test_bitwise_permutation_invariance(self):
         rng = np.random.default_rng(7)
-        vecs = [Tensor(rng.normal(size=4)) for _ in range(9)]
+        vecs = rng.normal(size=(9, 4))
+        dst = np.array([0, 1, 0, 2, 0, 1, 0, 2, 0])
         for kind in ("sum", "mean", "max"):
-            base = nn.aggregate(kind, vecs, 4).value
+            base = ad.segment_reduce(kind, vecs, dst, 4).value
             for _ in range(20):
-                shuffled = [vecs[i] for i in rng.permutation(9)]
-                assert np.array_equal(nn.aggregate(kind, shuffled, 4).value, base)
+                perm = rng.permutation(9)
+                got = ad.segment_reduce(kind, vecs[perm], dst[perm], 4).value
+                assert np.array_equal(got, base)
 
     def test_mean_gradients_over_seven_vectors(self):
         store = ParamStore(17)
-        vals = [store.param(f"v{i}", (3,)) for i in range(7)]
-        for i, v in enumerate(vals):
-            v.value = np.random.default_rng(i).normal(size=3)
+        rows = store.param("v", (7, 3))
+        rows.value = np.random.default_rng(0).normal(size=(7, 3))
+        dst = np.array([1, 0, 1, 1, 2, 1, 0])
+        weights = np.random.default_rng(1).normal(size=(3, 3))
 
         def build():
-            return nn.aggregate("mean", [store.get(f"v{i}") for i in range(7)],
-                                3).sum()
+            out = ad.segment_reduce("mean", store.get("v"), dst, 3)
+            return (out * weights).sum()
 
         fd_check(build, store)
 
     def test_max_routes_gradient_to_argmax(self):
-        a = Tensor(np.array([1.0, 5.0]), requires=True)
-        b = Tensor(np.array([2.0, 3.0]), requires=True)
-        nn.aggregate("max", [a, b], 2).sum().backward()
-        assert np.allclose(a.grad, [0, 1])
-        assert np.allclose(b.grad, [1, 0])
+        rows = Tensor(np.array([[1.0, 5.0], [2.0, 3.0]]), requires=True)
+        ad.segment_reduce("max", rows, [0, 0], 1).sum().backward()
+        assert np.allclose(rows.grad, [[0, 1], [1, 0]])
+
+    def test_max_tie_routes_to_first_row_in_value_order(self):
+        # rows 0 and 2 tie at 4 in column 1; row 2 sorts first (its column
+        # 0 is smaller), so it takes that column's gradient wherever it sits
+        vals = np.array([[3.0, 4.0], [1.0, 2.0], [0.0, 4.0]])
+        for perm in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
+            rows = Tensor(vals[perm], requires=True)
+            out = ad.segment_reduce("max", rows, [0, 0, 0], 1)
+            out.backward(np.array([[10.0, 20.0]]))
+            grad = np.empty_like(vals)
+            grad[perm] = rows.grad
+            assert np.array_equal(out.value, [[3.0, 4.0]])
+            assert np.array_equal(grad, [[10, 0], [0, 0], [0, 20]])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            ad.segment_reduce("median", np.ones((2, 2)), [0, 1], 2)
 
 
 class TestHyperMixing:
@@ -188,7 +250,7 @@ class TestHyperMixing:
     def test_frozen_identity_equivalent(self):
         store = ParamStore(0)
         s = np.array([0.4, -0.2, 0.9])
-        v = [Tensor(np.array(x)) for x in (0.5, 1.5, 0.25)]
+        v = np.array([0.5, 1.5, 0.25])
         nn.hyper_mixing(store, "mix", s, v, 3, 3)  # create params
         for name in store.names():
             store.get(name).value[:] = 0.0
@@ -201,7 +263,7 @@ class TestHyperMixing:
     def test_zero_values_leave_state_bias(self):
         store = ParamStore(5)
         s = np.random.default_rng(0).normal(size=4)
-        v = [Tensor(np.array(0.0)) for _ in range(3)]
+        v = np.zeros(3)
         out = self._mix(store, s, v)
         w2 = ad.absolute(nn.dense(store, "mix.hw2", Tensor(s), 4, 4)).value
         b1 = nn.dense(store, "mix.hb1", Tensor(s), 4, 4).value
@@ -210,6 +272,23 @@ class TestHyperMixing:
                                activation="relu"), 4, 1).value
         hidden = np.where(b1 > 0, b1, np.exp(np.minimum(b1, 0)) - 1)
         assert out.item() == pytest.approx(float(hidden @ w2 + b2[0]), rel=1e-10)
+
+    def test_matches_hand_computation_over_a_batch(self):
+        store = ParamStore(29)
+        rng = np.random.default_rng(3)
+        s = rng.normal(size=(3, 5))
+        v = rng.normal(size=(3, 4))
+        out = nn.hyper_mixing(store, "mix", s, v, 5, 6)
+        p = {n: store.get(n).value for n in store.names()}
+        for b in range(3):
+            w1 = np.abs(s[b] @ p["mix.hw1.w"] + p["mix.hw1.b"]).reshape(4, 6)
+            pre = v[b] @ w1 + s[b] @ p["mix.hb1.w"] + p["mix.hb1.b"]
+            hidden = np.where(pre > 0, pre, np.exp(np.minimum(pre, 0)) - 1)
+            w2 = np.abs(s[b] @ p["mix.hw2.w"] + p["mix.hw2.b"])
+            b2 = (np.maximum(s[b] @ p["mix.hb2a.w"] + p["mix.hb2a.b"], 0)
+                  @ p["mix.hb2b.w"] + p["mix.hb2b.b"])
+            assert out.value[b] == pytest.approx(float(hidden @ w2 + b2[0]),
+                                                 rel=1e-12)
 
     def test_monotone_in_every_local_value(self):
         rng = np.random.default_rng(9)

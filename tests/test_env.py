@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from risnoma.env import NetworkEnv, shaped_reward
-from risnoma.graphs import feature_dims, state_digest
+from risnoma.graphs import EDGE_ENDS, feature_dims, stack_graphs, state_digest
 from risnoma.presets import default_config, medium_config, tiny_config
 from risnoma.topology import SE
 
@@ -84,6 +84,17 @@ class TestStepSemantics:
         peeked = env.peek_reward(*act)
         assert env.step(*act).reward == peeked
 
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5])
+    def test_zero_channels_step(self, seed):
+        # no reflected paths and every RIS element off: blocked LoS users
+        # (and, for seed 2, the whole AP) see an exactly zero channel
+        cfg = tiny_config(num_nlos_paths=0)
+        env = NetworkEnv(cfg, seed=seed)
+        off = np.zeros((cfg.num_ris, cfg.ris_elements), dtype=int)
+        out = env.step(np.full(cfg.total_users, 0.3), off, off)
+        for arr in (out.sinr, out.rates):
+            assert np.all(np.isfinite(arr)) and np.all(arr >= 0)
+
     def test_checksum_stable_and_config_sensitive(self):
         cfg = tiny_config()
         a, b = NetworkEnv(cfg, seed=1), NetworkEnv(cfg, seed=1)
@@ -126,7 +137,8 @@ class TestCommGraph:
         cfg = medium_config(num_ris=0)
         env = NetworkEnv(cfg, seed=0)
         graph = env.comm_graph()
-        assert all(kind == "ap_ap" for _, _, kind in graph.edges)
+        assert all(kind == "ap_ap" for kind, src in graph.src.items()
+                   if len(src))
 
     def test_edge_counts_match_neighbor_sets(self):
         cfg = medium_config()
@@ -136,17 +148,31 @@ class TestCommGraph:
         expect = (sum(len(v) for v in topo.ap_neighbor_ap)
                   + sum(len(v) for v in topo.ap_neighbor_ris)
                   + sum(len(v) for v in topo.ris_neighbor_ap))
-        assert len(graph.edges) == expect
+        assert graph.num_edges == expect
 
     def test_node_feature_dims(self):
         cfg = medium_config()
         env = NetworkEnv(cfg, seed=0)
         graph = env.comm_graph()
         dims = feature_dims(cfg, env.topo)
-        for kind, feat in zip(graph.node_kind, graph.node_feat):
-            assert feat.size == dims[f"{kind}_node"]
-        for (src, dst, kind), feat in zip(graph.edges, graph.edge_feat):
-            assert feat.size == dims[kind]
+        for kind, feat in graph.nodes.items():
+            assert feat.shape == (len(feat), dims[f"{kind}_node"])
+        for kind, feat in graph.edge_feat.items():
+            assert feat.shape == (len(graph.src[kind]), dims[kind])
+            assert len(graph.dst[kind]) == len(feat)
+
+    def test_edges_follow_neighbor_sets(self):
+        cfg = medium_config()
+        env = NetworkEnv(cfg, seed=0)
+        graph = env.comm_graph()
+        topo = env.topo
+        for kind, near in (("ap_ap", topo.ap_neighbor_ap),
+                           ("ap_ris", topo.ap_neighbor_ris),
+                           ("ris_ap", topo.ris_neighbor_ap)):
+            pairs = sorted(zip(graph.src[kind].tolist(),
+                               graph.dst[kind].tolist()))
+            assert pairs == sorted((i, j) for i, js in enumerate(near)
+                                   for j in js)
 
     def test_ris_relabel_permutes_graph(self):
         # swapping the two RIS agents permutes node features verbatim
@@ -157,13 +183,49 @@ class TestCommGraph:
         perm = np.arange(graph.num_nodes)
         perm[m], perm[m + 1] = m + 1, m
         permuted = graph.permuted(perm)
-        assert np.array_equal(permuted.node_feat[m + 1], graph.node_feat[m])
-        assert np.array_equal(permuted.node_feat[m], graph.node_feat[m + 1])
-        for (s, d, kind), feat in zip(graph.edges, graph.edge_feat):
-            moved = (int(perm[s]), int(perm[d]), kind)
-            assert moved in permuted.edges
-            assert np.array_equal(
-                permuted.edge_feat[permuted.edges.index(moved)], feat)
+        assert np.array_equal(permuted.nodes["ris"][1], graph.nodes["ris"][0])
+        assert np.array_equal(permuted.nodes["ris"][0], graph.nodes["ris"][1])
+        rows = {"ap": perm[:m], "ris": perm[m:] - m}
+        for kind, (sender, receiver) in EDGE_ENDS.items():
+            moved = list(zip(permuted.src[kind].tolist(),
+                             permuted.dst[kind].tolist()))
+            for s, d, feat in zip(graph.src[kind], graph.dst[kind],
+                                  graph.edge_feat[kind]):
+                key = (int(rows[sender][s]), int(rows[receiver][d]))
+                assert key in moved
+                assert np.array_equal(
+                    permuted.edge_feat[kind][moved.index(key)], feat)
+
+    def test_relabel_across_types_rejected(self):
+        graph = NetworkEnv(medium_config(), seed=0).comm_graph()
+        perm = np.arange(graph.num_nodes)
+        perm[0], perm[-1] = perm[-1], perm[0]
+        with pytest.raises(ValueError):
+            graph.permuted(perm)
+
+    def test_stacked_graphs_keep_each_graph(self):
+        cfg = medium_config(num_ris=3)  # row offsets differ between types
+        env = NetworkEnv(cfg, seed=0)
+        rng = np.random.default_rng(3)
+        graphs = []
+        for _ in range(3):
+            graphs.append(env.comm_graph())
+            env.step(*random_action(cfg, rng))
+        stacked = stack_graphs(graphs)
+        for t in ("ap", "ris"):
+            np.testing.assert_array_equal(
+                stacked.nodes[t], np.concatenate([g.nodes[t] for g in graphs]))
+        for kind, (sender, receiver) in EDGE_ENDS.items():
+            n_s, n_r = len(graphs[0].nodes[sender]), len(graphs[0].nodes[receiver])
+            e = len(graphs[0].src[kind])
+            for b, g in enumerate(graphs):
+                sl = slice(b * e, (b + 1) * e)
+                np.testing.assert_array_equal(stacked.src[kind][sl],
+                                              g.src[kind] + b * n_s)
+                np.testing.assert_array_equal(stacked.dst[kind][sl],
+                                              g.dst[kind] + b * n_r)
+                np.testing.assert_array_equal(stacked.edge_feat[kind][sl],
+                                              g.edge_feat[kind])
 
     def test_digest_is_node_concat(self):
         cfg = tiny_config()
@@ -183,14 +245,16 @@ class TestFeatureScale:
         chans = []
         for _ in range(10):
             graph = env.comm_graph()
-            for kind, feat in zip(graph.node_kind, graph.node_feat):
-                if kind == "ap":
-                    # queue weights follow the channel block; they carry the
-                    # backlog, scaled by the outage cap, and are not bounded
-                    chans.append(feat[:own])
-                    feat = feat[own + cfg.users_per_ap:]
-                assert np.all(np.abs(feat) <= 3.0)
-            chans.extend(graph.edge_feat)
+            for kind, feats in graph.nodes.items():
+                for feat in feats:
+                    if kind == "ap":
+                        # queue weights follow the channel block; they carry
+                        # the backlog, scaled by the outage cap, and are not
+                        # bounded
+                        chans.append(feat[:own])
+                        feat = feat[own + cfg.users_per_ap:]
+                    assert np.all(np.abs(feat) <= 3.0)
+            chans.extend(f.ravel() for f in graph.edge_feat.values())
             env.step(*random_action(cfg, rng))
         chans = np.concatenate(chans)
         assert np.abs(chans).max() <= 3.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fd import fd_check
+
 from risnoma.env import NetworkEnv, shaped_reward
 from risnoma.learner import (TrainConfig, advantage, n_step_return, rollout,
                              train, update, _replay_values)
@@ -54,7 +56,7 @@ class TestRollout:
         a, b = trajs
         assert [s.reward for s in a.steps] == [s.reward for s in b.steps]
         for sa, sb in zip(a.steps, b.steps):
-            assert sa.logps == sb.logps
+            assert np.array_equal(sa.logps, sb.logps)
             assert np.array_equal(sa.digest, sb.digest)
 
     def test_length_matches_horizon(self):
@@ -74,13 +76,14 @@ class TestRollout:
             assert again == s.reward
 
     def test_replay_reproduces_collection_logps(self):
-        env = tiny_env()
-        policy = small_policy(env)
-        traj = rollout(env, policy, 5, np.random.default_rng(5))
-        _, logp_sums = _replay_values(policy, traj)
-        for t, rec in enumerate(traj.steps):
-            assert logp_sums[t].item() == pytest.approx(
-                sum(rec.logps.values()), rel=1e-12)
+        for make in (tiny_config, medium_config):
+            env = NetworkEnv(make(), seed=0)
+            policy = small_policy(env)
+            traj = rollout(env, policy, 5, np.random.default_rng(5))
+            _, logp_sums = _replay_values(policy, traj)
+            for t, rec in enumerate(traj.steps):
+                assert logp_sums[t].item() == pytest.approx(
+                    sum(rec.logps), rel=1e-12)
 
 
 class TestUpdate:
@@ -142,15 +145,14 @@ class TestUpdate:
         # single-agent bandit view: d logp / d mean-bias = (g - mu) / sigma^2
         env = tiny_env()
         policy = small_policy(env)
-        graph = env.comm_graph()
-        z = policy.embed(graph)
-        sample, logp, _ = policy.act(z[0], "ap", policy.gru_zero(),
+        z = policy.embed([env.comm_graph()])
+        sample, logp, _ = policy.act(z, policy.gru_zero(),
                                      np.random.default_rng(4))
         policy.store.zero_grads()
-        logp.backward()
-        post, _ = policy._trunk(z[0], "ap", policy.gru_zero())
-        mean, log_std = policy._ap_heads(post)
-        expect = (sample.gaussian - mean.value) / np.exp(2 * log_std.value)
+        logp[0, 0].backward()  # the AP's term
+        (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero(), 1)
+        expect = ((sample.gaussian[0, 0] - mean.value[0])
+                  / np.exp(2 * log_std.value[0]))
         got = policy.store.get("act.ap.mean.b").grad
         np.testing.assert_allclose(got, expect, rtol=1e-10)
 
@@ -208,6 +210,31 @@ class TestUpdate:
         update(policy, [fresh], cfg)
         np.testing.assert_array_equal(fresh.values, [v.item() for v in own])
         np.testing.assert_array_equal(traj.values, held)
+
+    @pytest.mark.parametrize("loss", ["pi", "v"])
+    def test_batched_replay_gradients_match_finite_differences(self, loss):
+        # three slots through the GRU, the segment mean and the mixer, with
+        # two agents of each type so every batched axis has length > 1
+        env = NetworkEnv(tiny_config(num_aps=2, num_ris=2, antennas=2,
+                                     room_x=12.0), seed=0)
+        policy = policy_for_env(env, PolicyConfig(
+            msg_dim=3, hidden=3, gru_hidden=4, critic_hidden=4,
+            mix_hidden=3), 0)
+        traj = rollout(env, policy, 3, np.random.default_rng(8))
+        weights = np.array([0.7, -1.3, 0.4])
+        target = np.array([0.2, -0.5, 1.1])
+
+        def build():
+            v_tot, logp_sums = _replay_values(policy, traj)
+            if loss == "pi":
+                return (logp_sums * weights).sum()
+            err = v_tot[:3] - target
+            return (err * err).sum()
+
+        reached = ("emb.", "act.") if loss == "pi" else ("emb.", "critic.",
+                                                         "mix.")
+        names = [n for n in policy.store.names() if n.startswith(reached)]
+        fd_check(build, policy.store, names=names)
 
     def test_exact_target_means_zero_critic_gradient(self):
         env = tiny_env()

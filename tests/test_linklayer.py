@@ -54,6 +54,17 @@ class TestClustering:
         got = ll.cluster_users(h, [0, 1], [2, 3], 2)
         assert got == [[0, 2], [1, 3]]
 
+    def test_zero_channel_joins_lowest_index_head_with_room(self):
+        h = np.zeros((5, 4), dtype=complex)
+        h[0] = [1, 0, 0, 0]
+        h[1] = [0, 1, 0, 0]
+        # users 3 and 4 have zero channels: correlation 0 with every head
+        assert ll.cluster_users(h, [0, 1], [3, 4], 3) == [[0, 3, 4], [1]]
+        h[2] = [1, 0, 0, 0]  # fills head 0 first, so user 3 spills to head 1
+        assert ll.cluster_users(h, [0, 1], [2, 3], 2) == [[0, 2], [1, 3]]
+        h[0] = 0.0           # a zero head attracts nobody either
+        assert ll.cluster_users(h, [0, 1], [3, 4], 3) == [[0, 3, 4], [1]]
+
     def test_input_order_invariant(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
@@ -130,6 +141,12 @@ class TestZF:
         w, _ = ll.zf_digital_beamformer(centers, v)
         for n in range(2):
             assert np.linalg.norm(v @ w[:, n]) == pytest.approx(1.0, rel=1e-12)
+
+    def test_all_zero_centers_give_zero_beams(self):
+        centers = np.zeros((2, 2), dtype=complex)
+        with pytest.warns(RuntimeWarning):
+            w, loaded = ll.zf_digital_beamformer(centers, np.eye(2, dtype=complex))
+        assert loaded and np.array_equal(w, np.zeros((2, 2)))
 
     def test_near_singular_loads_and_warns(self):
         centers = np.array([[1.0, 0.0], [1.0, 1e-13]], dtype=complex)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from risnoma.env import NetworkEnv
-from risnoma.graphs import CommGraph
-from risnoma.policy import (ActionSample, GEVDACPolicy, PolicyConfig,
-                            policy_for_env)
+from risnoma.graphs import CommGraph, state_digest
+from risnoma.policy import GEVDACPolicy, PolicyConfig, policy_for_env
 from risnoma.presets import medium_config, tiny_config
 
 from fd import fd_check
@@ -13,23 +12,23 @@ from fd import fd_check
 def synthetic_graph(rng, n_ap=2, n_ris=2, dims=None):
     dims = dims or {"ap_node": 6, "ris_node": 4, "ap_ap": 5, "ap_ris": 7,
                     "ris_ap": 3}
-    node_kind = ["ap"] * n_ap + ["ris"] * n_ris
-    node_feat = [rng.normal(size=dims["ap_node"]) for _ in range(n_ap)]
-    node_feat += [rng.normal(size=dims["ris_node"]) for _ in range(n_ris)]
-    graph = CommGraph(node_kind, node_feat)
-    for i in range(n_ap):
-        for i2 in range(n_ap):
-            if i != i2:
-                graph.edges.append((i, i2, "ap_ap"))
-                graph.edge_feat.append(rng.normal(size=dims["ap_ap"]))
-        for r in range(n_ris):
-            graph.edges.append((i, n_ap + r, "ap_ris"))
-            graph.edge_feat.append(rng.normal(size=dims["ap_ris"]))
-    for r in range(n_ris):
-        for i in range(n_ap):
-            graph.edges.append((n_ap + r, i, "ris_ap"))
-            graph.edge_feat.append(rng.normal(size=dims["ris_ap"]))
-    return graph, dims
+    nodes = {"ap": rng.normal(size=(n_ap, dims["ap_node"])),
+             "ris": rng.normal(size=(n_ris, dims["ris_node"]))}
+    pairs = {"ap_ap": [(i, i2) for i in range(n_ap) for i2 in range(n_ap)
+                       if i != i2],
+             "ap_ris": [(i, r) for i in range(n_ap) for r in range(n_ris)],
+             "ris_ap": [(r, i) for r in range(n_ris) for i in range(n_ap)]}
+    src, dst, feat = {}, {}, {}
+    for kind, edges in pairs.items():
+        src[kind] = np.array([a for a, _ in edges], dtype=int)
+        dst[kind] = np.array([b for _, b in edges], dtype=int)
+        feat[kind] = rng.normal(size=(len(edges), dims[kind]))
+    return CommGraph(nodes, src, dst, feat), dims
+
+
+def node_rows(z):
+    """Per-node vectors in node-id order (APs, then RISs)."""
+    return [*z["ap"].value, *z["ris"].value]
 
 
 def make_policy(dims, n_ap=2, n_ris=2, seed=0, **pkw):
@@ -50,31 +49,34 @@ class TestEmbedding:
     def test_no_inbound_edges_uses_own_state_only(self):
         rng = np.random.default_rng(0)
         graph, dims = synthetic_graph(rng)
-        lonely = CommGraph(graph.node_kind, graph.node_feat)  # no edges at all
+        none = {k: np.zeros(0, dtype=int) for k in graph.src}
+        lonely = CommGraph(graph.nodes, none, none,   # no edges at all
+                           {k: np.zeros((0, dims[k])) for k in graph.src})
         policy = make_policy(dims)
-        z = policy.embed(lonely)
-        assert len(z) == 4
+        z = policy.embed([lonely])
+        assert len(node_rows(z)) == 4
         # zero message slot: identical to a second pass, still well-defined
-        z2 = policy.embed(lonely)
-        for a, b in zip(z, z2):
-            assert np.array_equal(a.value, b.value)
+        z2 = policy.embed([lonely])
+        for a, b in zip(node_rows(z), node_rows(z2)):
+            assert np.array_equal(a, b)
 
     def test_zero_layers_is_projection_passthrough(self):
         rng = np.random.default_rng(1)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims, n_layers=0)
-        z = policy.embed(graph)
-        for i, feat in enumerate(graph.node_feat):
-            assert np.array_equal(z[i].value[:feat.size], feat)
-            assert z[i].value.size == feat.size + policy.pcfg.hidden
+        z = policy.embed([graph])
+        for kind, feats in graph.nodes.items():
+            width = feats.shape[1]
+            assert np.array_equal(z[kind].value[:, :width], feats)
+            assert z[kind].shape[1] == width + policy.pcfg.hidden
 
     def test_embedded_dim(self):
         rng = np.random.default_rng(2)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
-        z = policy.embed(graph)
-        for i, kind in enumerate(graph.node_kind):
-            assert z[i].value.size == policy.ztilde_dim(kind)
+        z = policy.embed([graph])
+        for kind, feats in graph.nodes.items():
+            assert z[kind].shape == (len(feats), policy.ztilde_dim(kind))
 
     @pytest.mark.parametrize("mode", ["mpgnn", "raw", "none"])
     def test_permutation_equivariance_is_bitwise(self, mode):
@@ -83,10 +85,61 @@ class TestEmbedding:
             graph, dims = synthetic_graph(rng)
             policy = make_policy(dims, seed=trial, embed_mode=mode)
             perm = type_permutation(rng, 2, 2)
-            z = policy.embed(graph)
-            zp = policy.embed(graph.permuted(perm))
+            z = node_rows(policy.embed([graph]))
+            zp = node_rows(policy.embed([graph.permuted(perm)]))
             for i in range(4):
-                assert np.array_equal(zp[perm[i]].value, z[i].value)
+                assert np.array_equal(zp[perm[i]], z[i])
+
+    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
+    def test_matches_per_node_reference(self, aggregation):
+        # an independent node-by-node transcription of the message passing
+        rng = np.random.default_rng(20)
+        graph, dims = synthetic_graph(rng, n_ap=3, n_ris=2)
+        for kind in graph.src:  # drop some edges: uneven in-degrees
+            keep = rng.random(len(graph.src[kind])) < 0.7
+            graph.src[kind] = graph.src[kind][keep]
+            graph.dst[kind] = graph.dst[kind][keep]
+            graph.edge_feat[kind] = graph.edge_feat[kind][keep]
+        policy = make_policy(dims, n_ap=3, aggregation=aggregation)
+        prm = {n: policy.store.get(n).value for n in policy.store.names()}
+        ends = {"ap_ap": ("ap", "ap"), "ap_ris": ("ap", "ris"),
+                "ris_ap": ("ris", "ap")}
+        reduce = {"mean": np.mean, "sum": np.sum, "max": np.max}[aggregation]
+        z = {t: list(graph.nodes[t]) for t in graph.nodes}
+        for layer in (1, 2):
+            inbox = {t: [[] for _ in z[t]] for t in z}
+            for kind, (sender, receiver) in ends.items():
+                w, b = prm[f"emb.{kind}.l{layer}.w"], prm[f"emb.{kind}.l{layer}.b"]
+                for s, d, f in zip(graph.src[kind], graph.dst[kind],
+                                   graph.edge_feat[kind]):
+                    msg = np.tanh(np.concatenate([z[sender][s], f]) @ w + b)
+                    inbox[receiver][d].append(msg)
+            new = {}
+            for t in z:
+                w, b = prm[f"emb.{t}.comb.l{layer}.w"], prm[f"emb.{t}.comb.l{layer}.b"]
+                new[t] = [np.tanh(np.concatenate([
+                    z[t][i], reduce(inbox[t][i], axis=0) if inbox[t][i]
+                    else np.zeros(policy.pcfg.msg_dim)]) @ w + b)
+                    for i in range(len(z[t]))]
+            z = new
+        got = policy.embed([graph])
+        for t in z:
+            expect = np.concatenate([graph.nodes[t], np.array(z[t])], axis=1)
+            np.testing.assert_allclose(got[t].value, expect, rtol=1e-12,
+                                       atol=1e-14)
+
+    def test_stacked_batch_equals_graph_by_graph(self):
+        # unequal type counts, so row offsets of the two types differ
+        rng = np.random.default_rng(21)
+        graphs = [synthetic_graph(rng, n_ap=3)[0] for _ in range(3)]
+        policy = make_policy(synthetic_graph(rng)[1], n_ap=3)
+        batch = policy.embed(graphs)
+        for b, graph in enumerate(graphs):
+            one = policy.embed([graph])
+            for t, rows in one.items():
+                n = rows.shape[0]
+                np.testing.assert_allclose(batch[t].value[b * n:(b + 1) * n],
+                                           rows.value, rtol=1e-13, atol=1e-15)
 
 
 class TestActionHeads:
@@ -95,11 +148,10 @@ class TestActionHeads:
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
         policy.store.get("act.ap.logstd.b").value[:] = -100.0  # clamps to floor
-        z = policy.embed(graph)
-        s1, _, _ = policy.act(z[0], "ap", policy.gru_zero(),
-                              np.random.default_rng(0))
-        s2, _, _ = policy.act(z[0], "ap", policy.gru_zero(),
-                              np.random.default_rng(1), deterministic=True)
+        z = policy.embed([graph])
+        s1, _, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(0))
+        s2, _, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(1),
+                              deterministic=True)
         assert np.allclose(s1.gaussian, s2.gaussian, atol=1e-6)
 
     def test_zero_logit_onoff_frequency_is_half(self):
@@ -108,59 +160,75 @@ class TestActionHeads:
         policy = make_policy(dims)
         for name in ("act.ris.onoff.w", "act.ris.onoff.b"):
             policy.store.get(name).value[:] = 0.0
-        z = policy.embed(graph)
-        draws = 10_000
+        z = policy.embed([graph])
+        draws = 5_000            # two RISs per draw
         ones = 0
         sample_rng = np.random.default_rng(6)
         for _ in range(draws):
-            s, _, _ = policy.act(z[2], "ris", policy.gru_zero(), sample_rng)
+            s, _, _ = policy.act(z, policy.gru_zero(), sample_rng)
             ones += s.on_off.sum()
-        total = draws * 4
+        total = draws * 2 * 4
         freq = ones / total
         sigma = 0.5 / np.sqrt(total)
         assert abs(freq - 0.5) < 3 * sigma
+
+    def test_phase_picks_follow_generator_choice(self):
+        # the batched inverse-CDF draw replays Generator.choice on each row
+        rng = np.random.default_rng(22)
+        graph, dims = synthetic_graph(rng)
+        policy = make_policy(dims)
+        policy.store.get("act.ris.phase.b").value[:] = rng.normal(size=8)
+        z = policy.embed([graph])
+        heads, _ = policy._heads(z, policy.gru_zero(), 1)
+        logits = heads[3].value
+        for seed in range(20):
+            sample, _, _ = policy.act(z, policy.gru_zero(),
+                                      np.random.default_rng(seed))
+            ref = np.random.default_rng(seed)
+            ref.standard_normal((2, 4))          # the AP draws come first
+            for r in range(2):
+                on = (ref.random(4) < 1 / (1 + np.exp(-heads[2].value[r])))
+                picks = [ref.choice(2, p=np.exp(row - row.max())
+                                    / np.exp(row - row.max()).sum())
+                         for row in logits[r]]
+                assert np.array_equal(sample.on_off[0, r], on.astype(int))
+                assert np.array_equal(sample.phase[0, r], picks)
 
     def test_log_prob_matches_replay(self):
         rng = np.random.default_rng(7)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
-        z = policy.embed(graph)
+        z = policy.embed([graph])
         sample_rng = np.random.default_rng(8)
-        for i, kind in enumerate(graph.node_kind):
-            sample, logp, _ = policy.act(z[i], kind, policy.gru_zero(),
-                                         sample_rng)
-            assert np.isfinite(logp.item())
-            replay, _ = policy.log_prob(z[i], kind, policy.gru_zero(), sample)
-            assert replay.item() == pytest.approx(logp.item(), rel=1e-12)
+        sample, logp, _ = policy.act(z, policy.gru_zero(), sample_rng)
+        assert np.all(np.isfinite(logp.value))
+        replay, _ = policy.log_prob(z, policy.gru_zero(), sample)
+        np.testing.assert_allclose(replay.value, logp.value, rtol=1e-12)
 
     def test_gaussian_log_prob_closed_form(self):
         rng = np.random.default_rng(9)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
-        z = policy.embed(graph)
+        z = policy.embed([graph])
         sample_rng = np.random.default_rng(10)
-        sample, logp, _ = policy.act(z[0], "ap", policy.gru_zero(), sample_rng)
+        sample, logp, _ = policy.act(z, policy.gru_zero(), sample_rng)
         # recompute the density from the head outputs by hand
-        post, _ = policy._trunk(z[0], "ap", policy.gru_zero())
-        mean, log_std = policy._ap_heads(post)
-        mu, ls = mean.value, log_std.value
-        g = sample.gaussian
-        expect = float(-0.5 * (((g - mu) / np.exp(ls)) ** 2).sum()
-                       - ls.sum() - 0.5 * g.size * np.log(2 * np.pi))
-        assert logp.item() == pytest.approx(expect, rel=1e-12)
+        (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero(), 1)
+        for i in range(2):
+            mu, ls = mean.value[i], log_std.value[i]
+            g = sample.gaussian[0, i]
+            expect = float(-0.5 * (((g - mu) / np.exp(ls)) ** 2).sum()
+                           - ls.sum() - 0.5 * g.size * np.log(2 * np.pi))
+            assert logp.value[0, i] == pytest.approx(expect, rel=1e-12)
 
     def test_env_action_feasible(self):
         cfg = medium_config()
         env = NetworkEnv(cfg, seed=0)
         policy = policy_for_env(env, PolicyConfig(), 0)
-        graph = env.comm_graph()
-        z = policy.embed(graph)
+        z = policy.embed([env.comm_graph()])
         sample_rng = np.random.default_rng(11)
-        samples = {}
-        for i, kind in enumerate(graph.node_kind):
-            samples[i], _, _ = policy.act(z[i], kind, policy.gru_zero(),
-                                          sample_rng)
-        power, on, phase = policy.env_action(samples)
+        sample, _, _ = policy.act(z, policy.gru_zero(), sample_rng)
+        power, on, phase = policy.env_action(sample)
         for m in range(cfg.num_aps):
             users = env.topo.users_of(m)
             assert power[users].sum() <= cfg.max_tx_power + 1e-12
@@ -177,21 +245,18 @@ class TestCritics:
         for name in policy.store.names():
             if name.startswith("critic."):
                 policy.store.get(name).value[:] = 0.0
-        z = policy.embed(graph)
-        for i, kind in enumerate(graph.node_kind):
-            assert policy.local_value(z[i], kind).item() == 0.0
+        z = policy.embed([graph])
+        assert np.all(policy.local_value(z).value == 0.0)
 
     def test_value_vector_permutes_with_agents(self):
         rng = np.random.default_rng(13)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
         perm = type_permutation(rng, 2, 2)
-        z = policy.embed(graph)
-        zp = policy.embed(graph.permuted(perm))
-        v = [policy.local_value(z[i], graph.node_kind[i]).item()
-             for i in range(4)]
-        vp = [policy.local_value(zp[i], graph.permuted(perm).node_kind[i]).item()
-              for i in range(4)]
+        z = policy.embed([graph])
+        zp = policy.embed([graph.permuted(perm)])
+        v = policy.local_value(z).value[0]
+        vp = policy.local_value(zp).value[0]
         for i in range(4):
             assert vp[perm[i]] == v[i]
 
@@ -200,30 +265,47 @@ class TestCritics:
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
         perm = type_permutation(rng, 2, 2)
-        z = policy.embed(graph)
-        zp = policy.embed(graph.permuted(perm))
-        for i, kind in enumerate(graph.node_kind):
-            post, _ = policy._trunk(z[i], kind, policy.gru_zero())
-            post_p, _ = policy._trunk(zp[perm[i]], kind, policy.gru_zero())
-            assert np.array_equal(post.value, post_p.value)
+        z = policy.embed([graph])
+        zp = policy.embed([graph.permuted(perm)])
+        gru = policy.gru_zero()
+        rows = {"ap": perm[:2], "ris": perm[2:] - 2}
+        for kind in ("ap", "ris"):
+            post, _ = policy._trunk(z[kind], kind, gru[kind], 1)
+            post_p, _ = policy._trunk(zp[kind], kind, gru[kind], 1)
+            for i in range(2):
+                assert np.array_equal(post.value[i],
+                                      post_p.value[rows[kind][i]])
 
     def test_mixing_monotone_and_gradient(self):
         rng = np.random.default_rng(15)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
-        digest = np.concatenate([f for f in graph.node_feat])
-        vals = list(rng.normal(size=4))
+        digest = state_digest(graph)
+        vals = rng.normal(size=4)
         base = policy.global_value(digest, vals).item()
         for i in range(4):
             up = vals.copy()
             up[i] += 1e-4
             assert (policy.global_value(digest, up).item() - base) >= -1e-8
 
+    @pytest.mark.parametrize("mode", ["mix", "central"])
+    def test_batched_global_value_is_slot_by_slot(self, mode):
+        rng = np.random.default_rng(23)
+        graph, dims = synthetic_graph(rng)
+        policy = make_policy(dims, critic_mode=mode)
+        digests = rng.normal(size=(5, policy.counts["digest_dim"]))
+        vals = rng.normal(size=(5, 4))
+        batch = policy.global_value(digests, vals).value
+        assert batch.shape == (5,)
+        for b in range(5):
+            assert batch[b] == pytest.approx(
+                policy.global_value(digests[b], vals[b]).item(), rel=1e-13)
+
     def test_central_mode_ignores_locals(self):
         rng = np.random.default_rng(16)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims, critic_mode="central")
-        digest = np.concatenate([f for f in graph.node_feat])
+        digest = state_digest(graph)
         a = policy.global_value(digest, [1.0, 2.0, 3.0, 4.0]).item()
         b = policy.global_value(digest, [0.0, 0.0, 0.0, 0.0]).item()
         assert a == b
@@ -236,23 +318,15 @@ class TestComposedGradients:
         policy = make_policy(dims, msg_dim=4, hidden=4, gru_hidden=4,
                              critic_hidden=4, mix_hidden=4)
         sample_rng = np.random.default_rng(18)
-        z0 = policy.embed(graph)
-        samples = {}
-        for i, kind in enumerate(graph.node_kind):
-            samples[i], _, _ = policy.act(z0[i], kind, policy.gru_zero(),
-                                          sample_rng)
-        digest = np.concatenate([f for f in graph.node_feat])
+        z0 = policy.embed([graph])
+        sample, _, _ = policy.act(z0, policy.gru_zero(), sample_rng)
+        digest = state_digest(graph)
 
         def build():
-            z = policy.embed(graph)
-            total = None
-            for i, kind in enumerate(graph.node_kind):
-                lp, _ = policy.log_prob(z[i], kind, policy.gru_zero(),
-                                        samples[i])
-                total = lp if total is None else total + lp
-            vals = [policy.local_value(z[i], kind)
-                    for i, kind in enumerate(graph.node_kind)]
-            return total + policy.global_value(digest, vals)
+            z = policy.embed([graph])
+            lp, _ = policy.log_prob(z, policy.gru_zero(), sample)
+            vals = policy.local_value(z)
+            return lp.sum() + policy.global_value(digest, vals[0])
 
         fd_check(build, policy.store)
 
@@ -264,5 +338,6 @@ class TestComposedGradients:
         none = make_policy(dims, embed_mode="none")
         assert none.exchange_volume(graph) == 0
         assert ge.exchange_volume(graph) == (ge.pcfg.n_layers
-                                             * len(graph.edges) * ge.pcfg.msg_dim)
-        assert ie.exchange_volume(graph) == sum(f.size for f in graph.edge_feat)
+                                             * graph.num_edges * ge.pcfg.msg_dim)
+        assert ie.exchange_volume(graph) == sum(
+            f.size for f in graph.edge_feat.values())
