@@ -24,6 +24,13 @@ def channel_correlation(h1: np.ndarray, h2: np.ndarray) -> float:
     return float(np.abs(np.vdot(h1, h2)) / (n1 * n2))
 
 
+def _correlation_or_zero(h1: np.ndarray, h2: np.ndarray) -> float:
+    try:
+        return channel_correlation(h1, h2)
+    except ValueError:  # a zero channel correlates with nothing
+        return 0.0
+
+
 def cluster_users(h_own: np.ndarray, se_ids, iot_ids, max_cluster_size: int):
     """Greedy QoS clustering: SE users head the clusters, IoT users join
     the head with the highest spatial correlation (ties to the lowest
@@ -33,10 +40,8 @@ def cluster_users(h_own: np.ndarray, se_ids, iot_ids, max_cluster_size: int):
     if not se_ids:
         raise ValueError("need at least one SE user per AP")
     clusters = [[head] for head in se_ids]
-    zero = ~np.any(h_own, axis=1)
     for u in iot_ids:
-        corr = np.array([0.0 if zero[u] or zero[head]
-                         else channel_correlation(h_own[u], h_own[head])
+        corr = np.array([_correlation_or_zero(h_own[u], h_own[head])
                          for head in se_ids])
         order = np.argsort(-corr, kind="stable")  # ties keep lowest index
         placed = False
