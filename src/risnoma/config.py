@@ -75,7 +75,6 @@ class NetworkConfig:
     episode_slots: int = 200
 
     # beamforming numerics
-    zf_on_effective: bool = True     # compose cluster centers with analog beams
     zf_cond_threshold: float = 1e8   # diagonal loading kicks in above this
 
     # cluster sizing; 0 means ceil(K_U/N_R)+1
@@ -182,8 +181,6 @@ def _parse(typename: str, text: str):
         return float(text)
     if typename == "complex":
         return complex(text.replace(" ", ""))
-    if typename == "bool":
-        return text.lower() in ("1", "true", "yes")
     return text
 
 

@@ -19,8 +19,7 @@ import numpy as np
 from . import linklayer
 from .channel import EpisodeChannel, ris_phase_diag
 from .config import NetworkConfig, config_dict
-from .graphs import (AgentObservation, CommGraph, FeatureScale, ap_observation,
-                     build_comm_graph, ris_observation, state_digest)
+from .graphs import CommGraph, build_comm_graph, state_digest
 from .queueing import QueueState, rate_violation
 from .topology import SE, Topology, build_topology
 
@@ -48,7 +47,7 @@ class StepOutcome:
     q: np.ndarray                  # Gbit, post-update
     y: np.ndarray                  # Gbit, post-update
     outage: np.ndarray             # bool per user
-    sic_fail: dict
+    sic_fail: dict                 # IoT user id -> 1 if its SIC failed
     zf_loaded: bool
 
 
@@ -72,7 +71,11 @@ class NetworkEnv:
             config.arrival_cap_factor)
         self._minima = np.where(kind == SE, config.rmin_se_gbps,
                                 config.rmin_iot_gbps)
-        self._scale = FeatureScale(config)
+        self._users_of = [self.topo.users_of(m) for m in range(config.num_aps)]
+        self._ap_users = [  # per AP: (SE ids, IoT ids)
+            (users[kind[users] == SE].tolist(), users[kind[users] != SE].tolist())
+            for users in self._users_of]
+        self._iot_ids = np.flatnonzero(kind != SE).tolist()
         self._rng = None
         self._episode = -1
         self.t = 0
@@ -99,8 +102,7 @@ class NetworkEnv:
         if alloc.shape != (self.config.total_users,):
             raise ValueError("power allocation must be one entry per user")
         out = alloc.copy()
-        for m in range(self.config.num_aps):
-            users = self.topo.users_of(m)
+        for users in self._users_of:
             total = out[users].sum()
             if total > self.config.max_tx_power and total > 0:
                 out[users] *= self.config.max_tx_power / total
@@ -118,24 +120,16 @@ class NetworkEnv:
     # -- core pipeline --------------------------------------------------------
     def _evaluate(self, power: np.ndarray, on: np.ndarray, phase: np.ndarray):
         """Plan + score the slot under the given action; no state mutation."""
-        cfg, topo = self.config, self.topo
+        cfg = self.config
         h_eff = self._parts.effective(
             ris_phase_diag(on, phase, cfg.ris_phase_bits))
-        plans = []
-        with warnings.catch_warnings():
+        with warnings.catch_warnings():  # zf_loaded reports the regularization
             warnings.simplefilter("ignore", RuntimeWarning)
-            for m in range(cfg.num_aps):
-                users = topo.users_of(m)
-                se = [int(u) for u in users if topo.user_kind[u] == SE]
-                iot = [int(u) for u in users if topo.user_kind[u] != SE]
-                plans.append(linklayer.derive_plan(h_eff[m], se, iot, cfg))
-        fail = linklayer.sic_feasibility(h_eff, plans, power, cfg.noise_power,
-                                         topo.ap_of_user)
-        for plan in plans:
-            plan.sic_fail = {u: fail[u] for u in fail
-                             if u in plan.position and plan.position[u] > 1}
-        gamma = linklayer.sinr_all(h_eff, plans, power, cfg.noise_power,
-                                   topo.ap_of_user)
+            plans = [linklayer.derive_plan(h_eff[m], se, iot, cfg)
+                     for m, (se, iot) in enumerate(self._ap_users)]
+        links = linklayer.slot_links(h_eff, plans)
+        fail = linklayer.sic_feasibility(links, power, cfg.noise_power)
+        gamma = linklayer.sinr_all(links, power, cfg.noise_power, fail)
         rates = linklayer.rates_gbps(gamma, cfg.bandwidth)
         p_total = linklayer.power_consumption(power, on, cfg)
         eta = linklayer.energy_efficiency(rates, p_total)
@@ -145,7 +139,7 @@ class NetworkEnv:
                                cfg.xi_penalty)
         return dict(reward=reward, eta=eta, delta=delta, rates=rates,
                     gamma=gamma, power=p_total, weights=weights,
-                    fail=fail, plans=plans, h_eff=h_eff)
+                    fail=fail, plans=plans)
 
     def peek_reward(self, power: np.ndarray, on: np.ndarray,
                     phase: np.ndarray) -> float:
@@ -173,7 +167,8 @@ class NetworkEnv:
             reward=ev["reward"], eta=ev["eta"], delta=ev["delta"],
             rates=ev["rates"], sinr=ev["gamma"], power=ev["power"],
             weights=ev["weights"], arrivals=arrivals, q=q, y=y,
-            outage=outage, sic_fail=ev["fail"],
+            outage=outage,
+            sic_fail=dict(zip(self._iot_ids, ev["fail"][self._iot_ids].tolist())),
             zf_loaded=any(p.zf_loaded for p in ev["plans"]),
         )
 
@@ -182,18 +177,6 @@ class NetworkEnv:
         """Channels composed under the previous slot's RIS action."""
         return self._parts.effective(ris_phase_diag(
             self._last_on, self._last_phase, self.config.ris_phase_bits))
-
-    def observe(self, agent_kind: str, index: int) -> AgentObservation:
-        if agent_kind == "ap":
-            return ap_observation(index, self._parts.direct,
-                                  self._queues.weights(), self._last_power,
-                                  self.topo, self._scale)
-        if agent_kind == "ris":
-            return ris_observation(index, self._parts.ris_user,
-                                   self._parts.ap_ris, self._last_on[index],
-                                   self._last_phase[index], self.topo,
-                                   self._scale)
-        raise ValueError(f"unknown agent kind: {agent_kind}")
 
     def comm_graph(self) -> CommGraph:
         return build_comm_graph(

@@ -1,4 +1,4 @@
-"""Agent observations and the typed communication graph fed to the actors.
+"""The typed communication graph fed to the actors and critics.
 
 Complex blocks are flattened as [real..., imag...] and divided by a reference
 channel amplitude, that of an AP-side path (antenna gain included) over half
@@ -25,22 +25,6 @@ import numpy as np
 from .channel import _amp
 from .config import NetworkConfig
 from .topology import Topology
-
-
-def cvec(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z).ravel()
-    return np.concatenate([z.real, z.imag])
-
-
-@dataclass
-class AgentObservation:
-    kind: str                      # "ap" | "ris"
-    blocks: dict                   # named feature blocks, in a fixed order
-
-    @property
-    def vector(self) -> np.ndarray:
-        parts = [np.asarray(v, dtype=float).ravel() for v in self.blocks.values()]
-        return np.concatenate(parts) if parts else np.zeros(0)
 
 
 NODE_TYPES = ("ap", "ris")
@@ -134,39 +118,9 @@ class FeatureScale:
         self.phase = 1.0 / max(1, 2 ** config.ris_phase_bits - 1)
 
 
-def ap_observation(ap: int, direct: np.ndarray, weights: np.ndarray,
-                   last_power: np.ndarray, topo: Topology,
-                   scale: FeatureScale) -> AgentObservation:
-    """Own/neighbor direct channels, own queue weights, own last power action."""
-    own = topo.users_of(ap)
-    qinv = np.where(topo.user_kind[own] == 0, scale.qinv_se, scale.qinv_iot)
-    blocks = {
-        "own_direct": cvec(direct[ap, own]) * scale.chan,
-        "weights": weights[own] * qinv,
-        "last_action": last_power[own] * scale.power,
-    }
-    for m in topo.ap_neighbor_ap[ap]:
-        blocks[f"direct_to_ap{m}"] = cvec(direct[ap, topo.users_of(m)]) * scale.chan
-    return AgentObservation("ap", blocks)
-
-
-def ris_observation(ris: int, ris_user: np.ndarray, ap_ris: np.ndarray,
-                    last_on: np.ndarray, last_phase: np.ndarray,
-                    topo: Topology, scale: FeatureScale) -> AgentObservation:
-    """Neighboring-AP channel blocks and the RIS's own last action; no queues."""
-    blocks = {}
-    for m in topo.ris_neighbor_ap[ris]:
-        blocks[f"to_users_ap{m}"] = cvec(ris_user[ris, topo.users_of(m)]) * scale.chan
-        blocks[f"from_ap{m}"] = cvec(ap_ris[m, ris]) * scale.chan
-    blocks["last_action"] = np.concatenate([
-        np.asarray(last_on, dtype=float),
-        np.asarray(last_phase, dtype=float) * scale.phase,
-    ])
-    return AgentObservation("ris", blocks)
-
-
 def _rows(z: np.ndarray) -> np.ndarray:
-    """``cvec`` of every leading-axis slice: (n, ...) -> (n, 2 * size)."""
+    """Every leading-axis slice flattened as [real..., imag...]:
+    (n, ...) -> (n, 2 * size)."""
     flat = z.reshape(z.shape[0], math.prod(z.shape[1:]))
     return np.concatenate([flat.real, flat.imag], axis=1)
 

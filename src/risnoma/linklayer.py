@@ -5,11 +5,23 @@ IoT members in descending effective-gain order.  A user at position k is
 interfered by every position below k (the head's own signal is decoded
 last, so it always interferes with IoT members), while the head only sees
 IoT signals it failed to cancel.
+
+Array layout of a slot with M APs, N_R clusters per AP and U users:
+
+- ``LinkPlan.clusters`` lists each cluster's members by decode position,
+  head first.  It is the single source of membership and decode order;
+  everything below is read off it.
+- ``SlotLinks.gains`` is the (U, M·N_R) matrix |h_u^(m) V^(m) w_n^(m)|²:
+  column ``m·N_R + n`` is cluster n of AP m.
+- ``SlotLinks.slot`` (U,) is the column of each user's own cluster and
+  ``SlotLinks.position`` (U,) its 1-based decode position (head = 1).
+- SIC flags are a (U,) 0/1 array, 1 where the head fails to cancel that
+  user's signal; heads get 0.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +36,6 @@ def channel_correlation(h1: np.ndarray, h2: np.ndarray) -> float:
     return float(np.abs(np.vdot(h1, h2)) / (n1 * n2))
 
 
-def _correlation_or_zero(h1: np.ndarray, h2: np.ndarray) -> float:
-    try:
-        return channel_correlation(h1, h2)
-    except ValueError:  # a zero channel correlates with nothing
-        return 0.0
-
-
 def cluster_users(h_own: np.ndarray, se_ids, iot_ids, max_cluster_size: int):
     """Greedy QoS clustering: SE users head the clusters, IoT users join
     the head with the highest spatial correlation (ties to the lowest
@@ -39,19 +44,22 @@ def cluster_users(h_own: np.ndarray, se_ids, iot_ids, max_cluster_size: int):
     se_ids, iot_ids = list(se_ids), sorted(iot_ids)  # id order: input-order invariant
     if not se_ids:
         raise ValueError("need at least one SE user per AP")
+    # one Gram of the SE and IoT channels: norms on its diagonal, inner
+    # products in its IoT x SE block
+    s = len(se_ids)
+    sub = h_own[se_ids + iot_ids]
+    gram = sub.conj() @ sub.T
+    norm = np.sqrt(gram.diagonal().real)
+    norms = norm[s:, None] * norm[:s]
+    # a zero channel has zero inner products: dividing them by 1 gives 0
+    corr = np.abs(gram[s:, :s]) / np.where(norms > 0, norms, 1.0)
+    ranks = np.argsort(-corr, axis=1, kind="stable")  # ties keep lowest index
     clusters = [[head] for head in se_ids]
-    for u in iot_ids:
-        corr = np.array([_correlation_or_zero(h_own[u], h_own[head])
-                         for head in se_ids])
-        order = np.argsort(-corr, kind="stable")  # ties keep lowest index
-        placed = False
-        for n in order:
-            if len(clusters[n]) < max_cluster_size:
-                clusters[n].append(int(u))
-                placed = True
-                break
-        if not placed:
+    for u, order in zip(iot_ids, ranks.tolist()):  # one at a time: seats run out
+        n = next((n for n in order if len(clusters[n]) < max_cluster_size), None)
+        if n is None:
             raise ValueError("cluster capacity too small for the IoT load")
+        clusters[n].append(int(u))
     return clusters
 
 
@@ -63,24 +71,19 @@ def analog_beamformer(head_channels: np.ndarray, n_sub: int, bits: int) -> np.nd
     product steers real-positive.  Zero entries default to phase 0.
     """
     n_r = head_channels.shape[0]
-    n_a = n_r * n_sub
     grid = np.exp(1j * 2.0 * np.pi * np.arange(2 ** bits) / 2 ** bits)
-    v = np.zeros((n_a, n_r), dtype=complex)
-    scale = 1.0 / np.sqrt(n_sub)
-    for n in range(n_r):
-        sl = head_channels[n, n * n_sub:(n + 1) * n_sub]
-        for i in range(n_sub):
-            if sl[i] == 0:
-                v[n * n_sub + i, n] = scale
-                continue
-            target = sl[i] / np.abs(sl[i])
-            best = int(np.argmin(np.abs(grid - target)))
-            v[n * n_sub + i, n] = scale * np.conj(grid[best])
-    return v
+    diag = np.arange(n_r)
+    served = head_channels.reshape(n_r, n_r, n_sub)[diag, diag]  # (N_R, n_sub)
+    mag = np.abs(served)
+    # a zero entry keeps target 0, equidistant from the grid: phase 0 wins
+    target = np.divide(served, mag, out=np.zeros_like(served), where=mag > 0)
+    best = np.argmin(np.abs(grid - target[..., None]), axis=-1)
+    v = np.zeros((n_r, n_sub, n_r), dtype=complex)
+    v[diag, :, diag] = (1.0 / np.sqrt(n_sub)) * np.conj(grid[best])
+    return v.reshape(n_r * n_sub, n_r)
 
 
 def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
-                          on_effective: bool = True,
                           cond_threshold: float = 1e8):
     """Zero-forcing across cluster centers with unit ``||V w||`` columns.
 
@@ -89,7 +92,7 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
     all-zero Gram (every center a zero channel) has no scale to load by; it
     gets unit loading, which yields zero beams.
     """
-    h_eff = centers @ v if on_effective else centers
+    h_eff = centers @ v
     gram = h_eff @ h_eff.conj().T
     n_r = gram.shape[0]
     loaded = False
@@ -100,11 +103,8 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
         warnings.warn("ill-conditioned cluster centers; ZF regularized",
                       RuntimeWarning, stacklevel=2)
     w = h_eff.conj().T @ np.linalg.inv(gram)
-    for n in range(n_r):
-        norm = np.linalg.norm(v @ w[:, n])
-        if norm > 0:
-            w[:, n] = w[:, n] / norm
-    return w, loaded
+    norms = np.linalg.norm(v @ w, axis=0)
+    return w / np.where(norms > 0, norms, 1.0), loaded
 
 
 def decoding_order(members, gains) -> list:
@@ -116,113 +116,111 @@ def decoding_order(members, gains) -> list:
 
 @dataclass
 class LinkPlan:
-    """Everything one AP derives for a slot, before power-dependent terms."""
-    clusters: list                 # per cluster: [head, iot...] global user ids
-    position: dict                 # user -> 1-based cluster position (head = 1)
-    cluster_of: dict               # user -> cluster index
+    """Everything one AP derives for a slot, before power-dependent terms.
+
+    ``position`` and ``cluster_of`` restate ``clusters`` per user id, for
+    inspection: any mapping indexed by id will do, and ``derive_plan`` gives
+    (U,) arrays with 0 and -1 for users of other APs.  The slot path reads
+    ``clusters`` only.
+    """
+    clusters: list                 # per cluster: members by position, head first
+    position: np.ndarray           # user -> 1-based cluster position (head = 1)
+    cluster_of: np.ndarray         # user -> cluster index
     v: np.ndarray                  # (N_A, N_R) analog
     w: np.ndarray                  # (N_R, N_R) digital columns
     zf_loaded: bool = False
-    sic_fail: dict = field(default_factory=dict)  # iot user -> 0/1
 
 
 def derive_plan(h_own: np.ndarray, se_ids, iot_ids, config: NetworkConfig) -> LinkPlan:
-    """Cluster, beamform, and fix decode positions for one AP."""
-    se_ids = list(se_ids)
+    """Cluster, beamform, and fix decode positions for one AP.
+
+    ``h_own`` is the AP's (U, N_A) channel to every user of the slot."""
     if len(se_ids) > config.rf_chains:
         raise ValueError("more clusters than RF chains")
     clusters = cluster_users(h_own, se_ids, iot_ids, config.cluster_cap)
-    heads = np.stack([h_own[c[0]] for c in clusters])
-    v = analog_beamformer(heads, config.n_sub, config.analog_phase_bits)
-    centers = np.stack([h_own[c].mean(axis=0) for c in clusters])
-    w, loaded = zf_digital_beamformer(
-        centers, v, on_effective=config.zf_on_effective,
-        cond_threshold=config.zf_cond_threshold)
-    position, cluster_of, ordered = {}, {}, []
-    for n, members in enumerate(clusters):
-        gains = {u: float(np.abs(h_own[u] @ v @ w[:, n]) ** 2) for u in members}
-        order = decoding_order(members, gains)
-        ranked = [order[-1]] + order[:-1]  # head first = position 1
-        ordered.append(ranked)
-        for pos, u in enumerate(ranked, start=1):
-            position[u] = pos
-            cluster_of[u] = n
-    return LinkPlan(ordered, position, cluster_of, v, w, loaded)
+    v = analog_beamformer(h_own[[c[0] for c in clusters]], config.n_sub,
+                          config.analog_phase_bits)
+    sizes = np.array([[len(c)] for c in clusters])
+    centers = np.array([h_own[c].sum(axis=0) for c in clusters]) / sizes
+    w, loaded = zf_digital_beamformer(centers, v,
+                                      cond_threshold=config.zf_cond_threshold)
+    gains = np.abs(h_own @ (v @ w)) ** 2                      # (U, N_R)
+    ranked = [members[:1] + decoding_order(members, gains[:, n])[:-1]
+              for n, members in enumerate(clusters)]
+    position = np.zeros(len(h_own), dtype=int)
+    cluster_of = np.full(len(h_own), -1)
+    for n, members in enumerate(ranked):
+        position[members] = np.arange(1, len(members) + 1)
+        cluster_of[members] = n
+    return LinkPlan(ranked, position, cluster_of, v, w, loaded)
 
 
-def _beam_gains(h_eff: np.ndarray, plans) -> np.ndarray:
-    """|h_u^(m') V^(m') w_n'|^2 for every (user, AP, cluster) triple."""
-    m, u, _ = h_eff.shape
-    n_r = plans[0].w.shape[1]
-    gains = np.zeros((u, m, n_r))
-    for mp in range(m):
-        beams = plans[mp].v @ plans[mp].w          # (N_A, N_R)
-        gains[:, mp, :] = np.abs(h_eff[mp] @ beams) ** 2
-    return gains
+@dataclass
+class SlotLinks:
+    """The slot's beam gains and cluster layout (see the module docstring)."""
+    gains: np.ndarray              # (U, M·N_R)
+    slot: np.ndarray               # (U,) own cluster column m·N_R + n
+    position: np.ndarray           # (U,) 1-based decode position
+    head: np.ndarray               # (U,) head of the user's cluster
+    own: np.ndarray                # (U,) gain in the own cluster column
 
 
-def _cluster_powers(plans, alpha: np.ndarray) -> np.ndarray:
-    m = len(plans)
-    n_r = plans[0].w.shape[1]
-    p = np.zeros((m, n_r))
-    for mp, plan in enumerate(plans):
-        for n, members in enumerate(plan.clusters):
-            p[mp, n] = alpha[members].sum()
-    return p
+def slot_links(h_eff: np.ndarray, plans) -> SlotLinks:
+    """Gains from the stacked ``V @ W`` and the layout of ``plans``' ranked
+    clusters; every user must sit in exactly one cluster."""
+    n_users = h_eff.shape[1]
+    beams = np.array([p.v @ p.w for p in plans])              # (M, N_A, N_R)
+    gains = (np.abs(h_eff @ beams) ** 2).transpose(1, 0, 2).reshape(n_users, -1)
+    clusters = [c for p in plans for c in p.clusters]
+    sizes = np.array([len(c) for c in clusters])
+    members = np.concatenate(clusters)
+    if len(clusters) != gains.shape[1]:
+        raise ValueError("need one cluster per digital beam")
+    firsts = sizes.cumsum() - sizes
+    slot, position, head = np.zeros((3, n_users), dtype=int)
+    slot[members] = np.repeat(np.arange(len(clusters)), sizes)
+    position[members] = np.arange(1, len(members) + 1) - np.repeat(firsts, sizes)
+    head[members] = np.repeat(members[firsts], sizes)
+    if len(members) != n_users or (position == 0).any():
+        raise ValueError("every user must sit in exactly one cluster")
+    return SlotLinks(gains, slot, position, head,
+                     gains[np.arange(n_users), slot])
 
 
-def _inter_cluster(gains: np.ndarray, powers: np.ndarray, user: int,
-                   own_ap: int, own_cluster: int) -> float:
-    """Interference from every (AP, cluster) other than the user's own."""
-    total = float((gains[user] * powers).sum())
-    return total - float(gains[user, own_ap, own_cluster] * powers[own_ap, own_cluster])
+def _power_terms(links: SlotLinks, alpha: np.ndarray):
+    """Per user: inter-cluster interference and the power of the members
+    decoded before it in its cluster."""
+    # alpha by (cluster, position), behind a zero column: its running sum at
+    # position p - 1 is the power of positions 1..p-1, its last the cluster's
+    table = np.zeros((links.gains.shape[1], links.position.max() + 1))
+    table[links.slot, links.position] = alpha
+    before = table.cumsum(axis=1)
+    powers = before[:, -1]
+    inter = links.gains @ powers - links.own * powers[links.slot]
+    return inter, before[links.slot, links.position - 1]
 
 
-def sic_feasibility(h_eff: np.ndarray, plans, alpha: np.ndarray,
-                    sigma2: float, ap_of_user: np.ndarray) -> dict:
+def sic_feasibility(links: SlotLinks, alpha: np.ndarray,
+                    sigma2: float) -> np.ndarray:
     """Per-IoT-user cancellation test: the head's decode SINR for that
-    user's signal must reach the user's own decode SINR."""
-    gains = _beam_gains(h_eff, plans)
-    powers = _cluster_powers(plans, alpha)
-    fail = {}
-    for m, plan in enumerate(plans):
-        for n, members in enumerate(plan.clusters):
-            head = members[0]
-            g_head = gains[head, m, n]
-            inter_head = _inter_cluster(gains, powers, head, m, n)
-            for u in members[1:]:
-                g_self = gains[u, m, n]
-                earlier = [x for x in members if plan.position[x] < plan.position[u]]
-                intra_head = g_head * alpha[earlier].sum()
-                intra_self = g_self * alpha[earlier].sum()
-                inter_self = _inter_cluster(gains, powers, u, m, n)
-                at_head = g_head * alpha[u] / (intra_head + inter_head + sigma2)
-                at_self = g_self * alpha[u] / (intra_self + inter_self + sigma2)
-                fail[u] = 0 if at_head >= at_self else 1
-    return fail
+    user's signal must reach the user's own decode SINR.  Returns (U,)
+    0/1 flags, 1 where SIC fails; heads get 0."""
+    inter, earlier = _power_terms(links, alpha)
+    own, head = links.own, links.head
+    at_head = own[head] * alpha / (own[head] * earlier + inter[head] + sigma2)
+    at_self = own * alpha / (own * earlier + inter + sigma2)
+    return ((links.position > 1) & ~(at_head >= at_self)).astype(int)  # NaN fails
 
 
-def sinr_all(h_eff: np.ndarray, plans, alpha: np.ndarray, sigma2: float,
-             ap_of_user: np.ndarray) -> np.ndarray:
-    """SINR per user under the given plans (SIC flags already in the plans)."""
-    gains = _beam_gains(h_eff, plans)
-    powers = _cluster_powers(plans, alpha)
-    out = np.zeros(len(ap_of_user))
-    for m, plan in enumerate(plans):
-        for n, members in enumerate(plan.clusters):
-            for u in members:
-                g = gains[u, m, n]
-                inter = _inter_cluster(gains, powers, u, m, n)
-                if plan.position[u] == 1:  # SE head: only failed-SIC residue
-                    residue = sum(alpha[x] * plan.sic_fail.get(x, 0)
-                                  for x in members[1:])
-                    den = g * residue + inter + sigma2
-                else:
-                    earlier = [x for x in members
-                               if plan.position[x] < plan.position[u]]
-                    den = g * alpha[earlier].sum() + inter + sigma2
-                out[u] = g * alpha[u] / den
-    return out
+def sinr_all(links: SlotLinks, alpha: np.ndarray, sigma2: float,
+             sic_fail: np.ndarray) -> np.ndarray:
+    """SINR per user given the (U,) SIC flags: a head sees the residue of
+    the IoT signals it failed to cancel, an IoT member every earlier one."""
+    inter, earlier = _power_terms(links, alpha)
+    residue = np.bincount(links.slot, weights=alpha * sic_fail,
+                          minlength=links.gains.shape[1])
+    intra = np.where(links.position == 1, residue[links.slot], earlier)
+    return links.own * alpha / (links.own * intra + inter + sigma2)
 
 
 def rates_gbps(gamma: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Traffic queues, virtual deficit queues, and one-step drift bookkeeping.
+"""Traffic queues, virtual deficit queues, rate shortfall and outage stats.
+
+Each user's reward weight y + 2q (``QueueState.weights``) is the factor of
+service in the quadratic Lyapunov drift bound, drift <= const + ... +
+(y + 2q) * (arrival - service), so the shaped reward pays most for serving
+long and over-budget queues.
 
 Units: queue lengths, arrivals and per-slot service are all Gbit.  A user
 served at R Gbps drains R * slot_seconds Gbit per slot, so the dynamics are
@@ -6,8 +11,6 @@ invariant to the slot length as long as caps and arrival means are quoted
 in Gbps and scaled by the same slot.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,37 +29,6 @@ def update_virtual_queue(y: float, q_next: float, q_max: float, eps: float):
     if np.any(y < 0) or np.any(q_next < 0):
         raise ValueError("queue quantities must be non-negative")
     return np.maximum(y + q_next - np.asarray(q_max) * eps, 0.0)
-
-
-@dataclass
-class DriftTerms:
-    """Pieces of the quadratic-drift upper bound for one user.
-
-    drift <= constant + slot_value + weight * (arrival - service), where the
-    weight Y + 2q is what the shaped reward pays per Gbit actually served.
-    """
-    constant: float
-    slot_value: float
-    weight: float
-
-
-def drift_terms(q: float, y: float, arrival: float, *, a_max: float,
-                r_max: float, budget: float) -> DriftTerms:
-    """Bound terms for state (q, y) with caps a_max/r_max and budget q_max*eps."""
-    if min(a_max, r_max) <= 0 or not np.isfinite(a_max + r_max):
-        raise ValueError("drift caps must be finite and positive")
-    c_q = 0.5 * a_max ** 2 + 0.5 * r_max ** 2
-    c_y = 0.5 * budget ** 2
-    constant = 2.0 * c_q + c_y
-    slot_value = 0.5 * q ** 2 + y * (arrival + q)
-    weight = y + 2.0 * q
-    return DriftTerms(constant, slot_value, weight)
-
-
-def lyapunov_value(q, y) -> float:
-    q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(0.5 * (np.sum(q * q) + np.sum(y * y)))
 
 
 def rate_violation(rates, minima) -> float:

@@ -276,6 +276,11 @@ class TestTopology:
         with pytest.raises(ValueError):
             medium_config(**override)
 
+    def test_zf_on_effective_is_gone(self):
+        # ZF is always taken on the analog-composed centers
+        with pytest.raises(TypeError):
+            medium_config(zf_on_effective=False)
+
 
 def episode_state(cfg, topo, seed):
     chan = EpisodeChannel(cfg, topo)

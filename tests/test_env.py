@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from risnoma.env import NetworkEnv, shaped_reward
-from risnoma.graphs import EDGE_ENDS, feature_dims, stack_graphs, state_digest
+from risnoma.graphs import (EDGE_ENDS, build_comm_graph, feature_dims,
+                            stack_graphs, state_digest)
 from risnoma.presets import default_config, medium_config, tiny_config
 from risnoma.topology import SE
 
@@ -105,31 +106,48 @@ class TestStepSemantics:
 
 class TestObservations:
     def test_ris_observation_has_no_queue_data(self):
+        # queue weights reach the AP nodes only: RIS nodes and every edge
+        # kind are blind to them
         cfg = medium_config()
         env = NetworkEnv(cfg, seed=0)
-        obs = env.observe("ris", 0)
-        assert not any("weight" in k or "queue" in k for k in obs.blocks)
+        parts, rng = env._parts, np.random.default_rng(3)
+        graphs = [build_comm_graph(
+            parts.direct, env.observed_effective(), parts.ris_user,
+            parts.ap_ris, rng.uniform(0, 0.05, cfg.total_users),
+            np.zeros(cfg.total_users), np.zeros((cfg.num_ris, cfg.ris_elements)),
+            np.zeros((cfg.num_ris, cfg.ris_elements)), env.topo, cfg)
+            for _ in range(2)]
+        a, b = graphs
+        assert not np.array_equal(a.nodes["ap"], b.nodes["ap"])
+        assert np.array_equal(a.nodes["ris"], b.nodes["ris"])
+        for kind in EDGE_ENDS:
+            assert np.array_equal(a.edge_feat[kind], b.edge_feat[kind])
 
     def test_ap_observation_blocks(self):
         cfg = medium_config(neighbor_radius=1e-6)  # isolate every agent
-        env = NetworkEnv(cfg, seed=0)
-        obs = env.observe("ap", 0)
-        assert set(obs.blocks) == {"own_direct", "weights", "last_action"}
+        graph = NetworkEnv(cfg, seed=0).comm_graph()
+        assert graph.num_edges == 0
 
     def test_observation_dims_match_formula(self):
+        # an agent's node row plus what it sends its neighbours of the other
+        # kind's observation: AP -> AP direct channels, RIS -> AP blocks
         cfg = medium_config()
         env = NetworkEnv(cfg, seed=0)
+        graph = env.comm_graph()
         k, n_a, n_el = cfg.users_per_ap, cfg.antennas, cfg.ris_elements
+
+        def width(node_type, kind, i):
+            sent = graph.edge_feat[kind][graph.src[kind] == i]
+            return graph.nodes[node_type].shape[1] + sent.shape[0] * sent.shape[1]
+
         for i in range(cfg.num_aps):
-            obs = env.observe("ap", i)
             n_neighbors = len(env.topo.ap_neighbor_ap[i])
             expect = 2 * k * n_a * (1 + n_neighbors) + 2 * k
-            assert obs.vector.size == expect
+            assert width("ap", "ap_ap", i) == expect
         for r in range(cfg.num_ris):
-            obs = env.observe("ris", r)
             n_ap = len(env.topo.ris_neighbor_ap[r])
             expect = n_ap * (2 * k * n_el + 2 * n_el * n_a) + 2 * n_el
-            assert obs.vector.size == expect
+            assert width("ris", "ris_ap", r) == expect
 
 
 class TestCommGraph:

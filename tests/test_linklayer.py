@@ -1,8 +1,13 @@
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 
 from risnoma import linklayer as ll
-from risnoma.presets import medium_config, tiny_config
+from risnoma.channel import EpisodeChannel, ris_phase_diag
+from risnoma.presets import default_config, medium_config, tiny_config
+from risnoma.topology import SE, build_topology
 
 from literal_link import literal_sic_and_sinr, random_instance
 
@@ -65,6 +70,28 @@ class TestClustering:
         h[0] = 0.0           # a zero head attracts nobody either
         assert ll.cluster_users(h, [0, 1], [3, 4], 3) == [[0, 3, 4], [1]]
 
+    def test_strong_head_does_not_win_on_raw_inner_product(self):
+        h = np.zeros((3, 2), dtype=complex)
+        h[0] = [10, 0]        # strong head, |<h2, h0>| = 10, correlation 0.78
+        h[1] = [0.1, 0.1]     # weak head, |<h2, h1>| = 0.18, correlation 0.99
+        h[2] = [1, 0.8]
+        assert ll.cluster_users(h, [0, 1], [2], 2) == [[0], [1, 2]]
+
+    def test_matches_pairwise_greedy(self):
+        # reference: the greedy rule written out with channel_correlation
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            h = rng.normal(size=(10, 8)) + 1j * rng.normal(size=(10, 8))
+            se, iot = [0, 1, 2], list(range(3, 10))
+            clusters = [[head] for head in se]
+            for u in iot:
+                corr = [ll.channel_correlation(h[u], h[head]) for head in se]
+                for n in sorted(range(3), key=lambda n: (-corr[n], n)):
+                    if len(clusters[n]) < 4:
+                        clusters[n].append(u)
+                        break
+            assert ll.cluster_users(h, se, iot, 4) == clusters
+
     def test_input_order_invariant(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
@@ -80,18 +107,25 @@ class TestAnalogBeamformer:
         nz = v[v != 0]
         assert np.allclose(nz, 1 / np.sqrt(4))
 
-    def test_one_bit_matches_two_candidate_brute_force(self):
-        rng = np.random.default_rng(2)
+    @staticmethod
+    def _brute_force_check(bits, seed):
+        rng = np.random.default_rng(seed)
         heads = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        v = ll.analog_beamformer(heads, 4, 1)
+        v = ll.analog_beamformer(heads, 4, bits)
+        cands = [np.exp(2j * np.pi * k / 2 ** bits) for k in range(2 ** bits)]
         for n in range(2):
             for i in range(4):
                 entry = v[n * 4 + i, n] * np.sqrt(4)
                 target = heads[n, n * 4 + i]
                 target = target / abs(target)
-                cands = [1.0, -1.0]
                 best = min(cands, key=lambda c: abs(c - target))
                 assert entry == pytest.approx(np.conj(best))
+
+    def test_one_bit_matches_two_candidate_brute_force(self):
+        self._brute_force_check(1, seed=2)
+
+    def test_three_bit_matches_eight_candidate_brute_force(self):
+        self._brute_force_check(3, seed=14)
 
     def test_block_diagonal_structure(self):
         rng = np.random.default_rng(3)
@@ -168,77 +202,139 @@ class TestDecodeOrder:
         assert ll.decoding_order([0, 7, 3], gains) == [3, 7, 0]
 
 
-def _flagged(plans, fail):
-    for plan in plans:
-        plan.sic_fail = {u: fail[u] for u in fail if u in plan.position
-                         and plan.position[u] > 1}
-    return plans
+def _sic_and_sinr(h_eff, plans, alpha, sigma2):
+    links = ll.slot_links(h_eff, plans)
+    fail = ll.sic_feasibility(links, alpha, sigma2)
+    return fail, ll.sinr_all(links, alpha, sigma2, fail)
+
+
+def _oracle_flags(lit_fail, n_users):
+    """The oracle's {IoT user: flag} as the (U,) array; heads get 0."""
+    flags = np.zeros(n_users, dtype=int)
+    flags[list(lit_fail)] = list(lit_fail.values())
+    return flags
+
+
+def _slot_plans(cfg, chan, rng, ris_off):
+    """One slot of ``chan`` under a random (or all-off) RIS action, planned
+    per AP by ``derive_plan``."""
+    parts = chan.slot_parts(rng)
+    shape = (cfg.num_ris, cfg.ris_elements)
+    on = np.zeros(shape, dtype=int) if ris_off else rng.integers(0, 2, shape)
+    phase = rng.integers(0, 2 ** cfg.ris_phase_bits, shape)
+    h_eff = parts.effective(ris_phase_diag(on, phase, cfg.ris_phase_bits))
+    kind, topo = chan.topo.user_kind, chan.topo
+    plans = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for m in range(cfg.num_aps):
+            users = topo.users_of(m)
+            plans.append(ll.derive_plan(h_eff[m], users[kind[users] == SE],
+                                        users[kind[users] != SE], cfg))
+    return h_eff, plans
 
 
 class TestSicAndSinr:
     def test_identical_channels_equality_means_success(self):
         rng = np.random.default_rng(6)
-        h_eff, plans, alpha, ap_of = random_instance(rng, m=1, n_r=1,
-                                                     extra_users=1)
+        h_eff, plans, alpha, _ = random_instance(rng, m=1, n_r=1,
+                                                 extra_users=1)
         h_eff[0, 1] = h_eff[0, 0]  # IoT user sees exactly the head's channel
         alpha[:] = 0.2
-        fail = ll.sic_feasibility(h_eff, plans, alpha, 1e-3, ap_of)
+        fail = ll.sic_feasibility(ll.slot_links(h_eff, plans), alpha, 1e-3)
         assert fail[1] == 0
 
     def test_zeroed_head_channel_fails(self):
         rng = np.random.default_rng(7)
-        h_eff, plans, alpha, ap_of = random_instance(rng, m=1, n_r=1,
-                                                     extra_users=2)
+        h_eff, plans, alpha, _ = random_instance(rng, m=1, n_r=1,
+                                                 extra_users=2)
         h_eff[0, 0] = 0.0
         alpha[:] = 0.2
-        fail = ll.sic_feasibility(h_eff, plans, alpha, 1e-3, ap_of)
+        fail = ll.sic_feasibility(ll.slot_links(h_eff, plans), alpha, 1e-3)
         assert all(fail[u] == 1 for u in (1, 2))
 
     def test_matches_literal_transcription(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            h_eff, plans, alpha, ap_of = random_instance(
-                rng, m=int(rng.integers(1, 3)), n_r=int(rng.integers(1, 3)),
-                extra_users=int(rng.integers(0, 3)))
+            h_eff, plans, alpha, _ = random_instance(
+                rng, m=int(rng.integers(1, 4)), n_r=int(rng.integers(1, 5)),
+                extra_users=int(rng.integers(0, 5)))
             sigma2 = 10.0 ** rng.uniform(-4, 0)
             lit_fail, lit_sinr = literal_sic_and_sinr(h_eff, plans, alpha, sigma2)
-            fail = ll.sic_feasibility(h_eff, plans, alpha, sigma2, ap_of)
-            assert fail == lit_fail
-            _flagged(plans, fail)
-            got = ll.sinr_all(h_eff, plans, alpha, sigma2, ap_of)
+            fail, got = _sic_and_sinr(h_eff, plans, alpha, sigma2)
+            assert np.array_equal(fail, _oracle_flags(lit_fail, len(alpha)))
             np.testing.assert_allclose(got, lit_sinr, rtol=1e-12)
+
+    @pytest.mark.parametrize("make_config, ris_off", [
+        (tiny_config, False), (medium_config, False), (default_config, False),
+        (partial(tiny_config, num_nlos_paths=0), True)],
+        ids=["tiny", "medium", "default", "tiny-no-reflections-ris-off"])
+    def test_derived_plans_match_literal_transcription(self, make_config,
+                                                       ris_off):
+        # plans derive_plan builds from sampled channels, not synthetic ones
+        cfg = make_config()
+        chan = EpisodeChannel(cfg, build_topology(cfg, np.random.default_rng(1)))
+        rng = np.random.default_rng(2)
+        chan.new_episode(rng)
+        for _ in range(20):
+            h_eff, plans = _slot_plans(cfg, chan, rng, ris_off)
+            alpha = rng.uniform(0, cfg.max_tx_power / cfg.users_per_ap,
+                                cfg.total_users)
+            lit_fail, lit_sinr = literal_sic_and_sinr(h_eff, plans, alpha,
+                                                      cfg.noise_power)
+            fail, got = _sic_and_sinr(h_eff, plans, alpha, cfg.noise_power)
+            assert np.array_equal(fail, _oracle_flags(lit_fail, len(alpha)))
+            np.testing.assert_allclose(got, lit_sinr, rtol=1e-12)
+
+    def test_layout_follows_ranked_clusters(self):
+        rng = np.random.default_rng(15)
+        h_eff, plans, _, _ = random_instance(rng, m=2, n_r=3, extra_users=4)
+        links = ll.slot_links(h_eff, plans)
+        n_r = 3
+        for m, plan in enumerate(plans):
+            for n, members in enumerate(plan.clusters):
+                for pos, u in enumerate(members, start=1):
+                    assert links.slot[u] == m * n_r + n
+                    assert links.head[u] == members[0]
+                    assert links.position[u] == pos == plan.position[u]
+                    g = abs(h_eff[m, u] @ plan.v @ plan.w[:, n]) ** 2
+                    assert links.gains[u, m * n_r + n] == pytest.approx(g, rel=1e-12)
+                    assert links.own[u] == links.gains[u, m * n_r + n]
+
+    def test_user_outside_every_cluster_rejected(self):
+        rng = np.random.default_rng(16)
+        h_eff, plans, _, _ = random_instance(rng, m=1, n_r=2, extra_users=1)
+        plans[0].clusters[0] = plans[0].clusters[0][:1]  # drop the IoT member
+        with pytest.raises(ValueError):
+            ll.slot_links(h_eff, plans)
 
     def test_single_user_no_interference(self):
         rng = np.random.default_rng(9)
-        h_eff, plans, alpha, ap_of = random_instance(rng, m=1, n_r=1,
-                                                     extra_users=0)
+        h_eff, plans, alpha, _ = random_instance(rng, m=1, n_r=1,
+                                                 extra_users=0)
         sigma2 = 1e-2
-        _flagged(plans, {})
-        got = ll.sinr_all(h_eff, plans, alpha, sigma2, ap_of)
+        got = ll.sinr_all(ll.slot_links(h_eff, plans), alpha, sigma2,
+                          np.zeros(len(alpha), dtype=int))
         g = abs(h_eff[0, 0] @ plans[0].v @ plans[0].w[:, 0]) ** 2
         assert got[0] == pytest.approx(g * alpha[0] / sigma2, rel=1e-12)
 
     def test_zero_power_zero_sinr(self):
         rng = np.random.default_rng(10)
-        h_eff, plans, alpha, ap_of = random_instance(rng)
+        h_eff, plans, alpha, _ = random_instance(rng)
         alpha[3] = 0.0
-        fail = ll.sic_feasibility(h_eff, plans, alpha, 1e-2, ap_of)
-        _flagged(plans, fail)
-        assert ll.sinr_all(h_eff, plans, alpha, 1e-2, ap_of)[3] == 0
+        assert _sic_and_sinr(h_eff, plans, alpha, 1e-2)[1][3] == 0
 
     def test_own_power_monotone(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            h_eff, plans, alpha, ap_of = random_instance(rng)
+            h_eff, plans, alpha, _ = random_instance(rng)
             u = int(rng.integers(0, len(alpha)))
             sigma2 = 1e-2
 
             def gamma_of(a_u):
                 a = alpha.copy()
                 a[u] = a_u
-                fail = ll.sic_feasibility(h_eff, plans, a, sigma2, ap_of)
-                _flagged(plans, fail)
-                return ll.sinr_all(h_eff, plans, a, sigma2, ap_of)[u]
+                return _sic_and_sinr(h_eff, plans, a, sigma2)[1][u]
 
             lo, hi = sorted(rng.uniform(0, 1, 2))
             assert gamma_of(hi) >= gamma_of(lo) - 1e-15
@@ -302,9 +398,12 @@ class TestDerivePlan:
         n_a = cfg.antennas
         h = rng.normal(size=(6, n_a)) + 1j * rng.normal(size=(6, n_a))
         plan = ll.derive_plan(h, [0, 1], [2, 3, 4, 5], cfg)
-        for members in plan.clusters:
+        for n, members in enumerate(plan.clusters):
             assert plan.position[members[0]] == 1
-            gains = [abs(h[u] @ plan.v @ plan.w[:, plan.cluster_of[u]]) ** 2
+            assert [plan.position[u] for u in members] == list(
+                range(1, len(members) + 1))
+            assert all(plan.cluster_of[u] == n for u in members)
+            gains = [abs(h[u] @ plan.v @ plan.w[:, n]) ** 2
                      for u in members[1:]]
             assert gains == sorted(gains, reverse=True)
 
@@ -314,7 +413,8 @@ class TestDerivePlan:
         h = rng.normal(size=(6, cfg.antennas)) + 1j * rng.normal(size=(6, cfg.antennas))
         p1 = ll.derive_plan(h, [0, 1], [2, 3, 4, 5], cfg)
         p2 = ll.derive_plan(h, [0, 1], [5, 4, 3, 2], cfg)
-        assert p1.clusters == p2.clusters and p1.position == p2.position
+        assert p1.clusters == p2.clusters
+        assert np.array_equal(p1.position, p2.position)
         assert np.array_equal(p1.v, p2.v) and np.array_equal(p1.w, p2.w)
 
     def test_too_many_heads_rejected(self):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from risnoma.queueing import (DriftTerms, drift_terms, lyapunov_value,
-                              outage_stats, rate_violation, update_queue,
+from risnoma.queueing import (outage_stats, rate_violation, update_queue,
                               update_virtual_queue, QueueState)
 
 
@@ -39,53 +38,6 @@ class TestVirtualQueue:
             y = rng.uniform(0, 5)
             got = update_virtual_queue(y, rng.uniform(0, 3), 25.0, 0.1)
             assert got >= 0
-
-
-class TestDriftTerms:
-    def test_zero_state(self):
-        dt = drift_terms(0.0, 0.0, 0.0, a_max=1.0, r_max=2.0, budget=0.5)
-        assert dt.weight == 0.0 and dt.slot_value == 0.0
-        assert dt.constant == pytest.approx(2 * (0.5 + 2.0) + 0.125)
-
-    def test_weight_definition(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            q, y = rng.uniform(0, 10, 2)
-            dt = drift_terms(q, y, 0.1, a_max=1.0, r_max=2.0, budget=0.5)
-            assert dt.weight == y + 2 * q
-
-    def test_bound_holds_when_queue_not_emptied(self):
-        # the regime the derivation covers: service never exceeds backlog
-        rng = np.random.default_rng(2)
-        a_max, r_max, budget = 0.05, 0.35, 0.0025
-        for _ in range(2000):
-            q = rng.uniform(0.0, 0.2)
-            y = rng.uniform(0.0, 5.0)
-            a = rng.uniform(0.0, a_max)
-            r = rng.uniform(0.0, min(r_max, q))
-            dt = drift_terms(q, y, a, a_max=a_max, r_max=r_max, budget=budget)
-            q2 = float(update_queue(q, r, a))
-            y2 = float(update_virtual_queue(y, q2, budget / 0.1, 0.1))
-            dl = lyapunov_value(q2, y2) - lyapunov_value(q, y)
-            bound = dt.constant + dt.slot_value + dt.weight * (a - r)
-            assert dl <= bound + 1e-9
-
-    def test_bound_can_fail_once_queue_empties_with_large_deficit(self):
-        # boundary of validity: overserving a small backlog while the deficit
-        # queue is huge escapes the bound (its derivation substitutes the
-        # unclamped recursion, valid only for a nonempty queue)
-        q, y, a, r = 10.0, 1000.0, 10.0, 100.0
-        dt = drift_terms(q, y, a, a_max=50.0, r_max=100.0, budget=2.5)
-        q2 = float(update_queue(q, r, a))
-        assert q2 == a  # queue emptied
-        y2 = float(update_virtual_queue(y, q2, 25.0, 0.1))
-        dl = lyapunov_value(q2, y2) - lyapunov_value(q, y)
-        bound = dt.constant + dt.slot_value + dt.weight * (a - r)
-        assert dl > bound  # documented caveat, not a code defect
-
-    def test_caps_must_be_finite(self):
-        with pytest.raises(ValueError):
-            drift_terms(1.0, 1.0, 0.0, a_max=np.inf, r_max=1.0, budget=0.5)
 
 
 class TestRateViolation:
@@ -147,6 +99,14 @@ class TestQueueState:
         qs.q[:] = [0.5, 0.1]
         qs.y[:] = [0.2, 0.0]
         assert np.allclose(qs.weights(), [1.2, 0.2])
+
+    def test_weight_definition(self):
+        qs = self._qs()
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            q, y = rng.uniform(0, 10, (2, 2))
+            qs.q[:], qs.y[:] = q, y
+            assert qs.weights().tolist() == [y[i] + 2 * q[i] for i in range(2)]
 
     def test_step_applies_both_updates(self):
         qs = self._qs()
