@@ -3,7 +3,19 @@
 Every op builds a Tensor holding its value, its parents, and a closure that
 scatters the output gradient back to those parents that require one;
 ``backward()`` walks the tape in reverse topological order.  No graph
-reuse, no in-place tricks.
+reuse, no in-place tricks.  Once ``backward()`` returns, only the leaves
+(tensors without parents, such as parameters) keep a ``.grad``: each
+interior node's gradient is dropped as soon as it has been pushed to its
+parents, and nothing but the caller's own references keeps the tape alive.
+
+Inference mode.  Every op takes ndarrays, Python scalars and Tensors alike.
+It returns a Tensor when at least one input is a Tensor and a plain ndarray
+otherwise, computed by the same expression, so both give bitwise-equal
+values.  Inside ``with store.no_grad():`` that ``ParamStore``'s ``param``
+hands out the raw parameter arrays, so a forward pass built from its
+parameters and ndarrays runs on plain numpy and records no tape.  A Tensor never hides inside a numpy
+expression: ``__array_ufunc__ = None`` makes ``ndarray (op) Tensor`` defer to
+the Tensor's reflected operator, which tapes it.
 
 Ops, all batched over leading axes where that makes sense:
   arithmetic   ``+ - * /`` (numpy broadcasting), ``@`` (1-D or 2-D operands)
@@ -17,12 +29,13 @@ from __future__ import annotations
 
 import json
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
-
 class Tensor:
     __slots__ = ("value", "grad", "_parents", "_push", "requires")
+    __array_ufunc__ = None  # ndarray (op) Tensor calls the reflected op
 
     def __init__(self, value, requires=False, parents=(), push=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -45,46 +58,37 @@ class Tensor:
             if self.value.size != 1:
                 raise ValueError("backward() without seed needs a scalar root")
             seed = np.ones_like(self.value)
-        order, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen or not t.requires:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            order.append(t)
-
-        visit(self)
+        order = _post_order(self)
         for t in order:  # drop leftovers from any earlier pass over this graph
             t.grad = None
         self._accum(np.asarray(seed, dtype=np.float64))
         for t in reversed(order):
             if t._push is not None and t.grad is not None:
                 t._push(t.grad)
+                t.grad = None  # interior: pushed on, only leaves keep theirs
 
     # -- operators ---------------------------------------------------------
     def __add__(self, other):
-        other = as_tensor(other)
+        b = _val(other)
 
         def push(g):
             if self.requires:
                 self._accum(_unbroadcast(g, self.shape))
-            if other.requires:
-                other._accum(_unbroadcast(g, other.shape))
-        return Tensor(self.value + other.value, parents=(self, other), push=push)
+            if _requires(other):
+                other._accum(_unbroadcast(g, b.shape))
+        return _out(self.value + b, (self, other), push)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        b = _val(other)
 
         def push(g):
             if self.requires:
-                self._accum(_unbroadcast(g * other.value, self.shape))
-            if other.requires:
-                other._accum(_unbroadcast(g * self.value, other.shape))
-        return Tensor(self.value * other.value, parents=(self, other), push=push)
+                self._accum(_unbroadcast(g * b, self.shape))
+            if _requires(other):
+                other._accum(_unbroadcast(g * self.value, b.shape))
+        return _out(self.value * b, (self, other), push)
 
     __rmul__ = __mul__
 
@@ -92,10 +96,10 @@ class Tensor:
         return self * (-1.0)
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return (-self) + other
 
     def __truediv__(self, scalar):
         if isinstance(scalar, Tensor):
@@ -103,24 +107,10 @@ class Tensor:
         return self * (1.0 / scalar)
 
     def __matmul__(self, other):
-        other = as_tensor(other)
-        a, b = self.value, other.value
-        if a.ndim > 2 or b.ndim > 2:
-            raise ValueError("matmul takes 1-D or 2-D operands")
+        return _matmul(self, other)
 
-        def push(g):
-            g = np.asarray(g)
-            if self.requires:
-                if b.ndim == 2:
-                    self._accum(g @ b.T)
-                else:
-                    self._accum(np.outer(g, b) if a.ndim == 2 else g * b)
-            if other.requires:
-                if a.ndim == 2:
-                    other._accum(a.T @ g)
-                else:
-                    other._accum(np.outer(a, g) if b.ndim == 2 else g * a)
-        return Tensor(a @ b, parents=(self, other), push=push)
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
 
     def __getitem__(self, key):
         def push(g):
@@ -146,8 +136,45 @@ class Tensor:
         return float(self.value)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _post_order(root: Tensor) -> list:
+    """Every node ``root`` depends on through nodes that require a gradient,
+    each after its parents; a depth-first post-order, built without
+    recursion so that no closure keeps the list (and the tape) alive."""
+    if not root.requires:
+        return []
+    order, seen = [], {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for p in parents:
+            if p.requires and id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def value_of(x) -> np.ndarray:
+    """The array behind ``x``: a Tensor's value, or ``x`` itself."""
+    return x.value if isinstance(x, Tensor) else x
+
+
+def _val(x) -> np.ndarray:
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _requires(x) -> bool:
+    return isinstance(x, Tensor) and x.requires
+
+
+def _out(value, inputs, push):
+    """An op's result: a Tensor recording ``push`` when any input is a
+    Tensor, else the plain array."""
+    parents = [x for x in inputs if isinstance(x, Tensor)]
+    return Tensor(value, parents=tuple(parents), push=push) if parents else value
 
 
 def _unbroadcast(g, shape):
@@ -160,98 +187,112 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _unary(x, value, local_grad):
-    x = as_tensor(x)
+def _matmul(x, y):
+    a, b = _val(x), _val(y)
+    if a.ndim > 2 or b.ndim > 2:
+        raise ValueError("matmul takes 1-D or 2-D operands")
 
     def push(g):
-        x._accum(g * local_grad)
-    return Tensor(value, parents=(x,), push=push)
+        g = np.asarray(g)
+        if _requires(x):
+            if b.ndim == 2:
+                x._accum(g @ b.T)
+            else:
+                x._accum(np.outer(g, b) if a.ndim == 2 else g * b)
+        if _requires(y):
+            if a.ndim == 2:
+                y._accum(a.T @ g)
+            else:
+                y._accum(np.outer(a, g) if b.ndim == 2 else g * a)
+    return _out(a @ b, (x, y), push)
+
+
+def _unary(x, y, dydx):
+    """y = f(x); ``dydx()`` gives the local derivative, on backward only."""
+    def push(g):
+        x._accum(g * dydx())
+    return _out(y, (x,), push)
 
 
 def tanh(x):
-    x = as_tensor(x)
-    y = np.tanh(x.value)
-    return _unary(x, y, 1.0 - y * y)
+    y = np.tanh(_val(x))
+    return _unary(x, y, lambda: 1.0 - y * y)
 
 
 def sigmoid(x):
-    x = as_tensor(x)
-    y = 1.0 / (1.0 + np.exp(-np.clip(x.value, -500, 500)))
-    return _unary(x, y, y * (1.0 - y))
+    y = 1.0 / (1.0 + np.exp(-np.clip(_val(x), -500, 500)))
+    return _unary(x, y, lambda: y * (1.0 - y))
 
 
 def relu(x):
-    x = as_tensor(x)
-    return _unary(x, np.maximum(x.value, 0.0), (x.value > 0).astype(float))
+    v = _val(x)
+    return _unary(x, np.maximum(v, 0.0), lambda: (v > 0).astype(float))
 
 
 def elu(x):
-    x = as_tensor(x)
-    neg = np.exp(np.minimum(x.value, 0.0)) - 1.0
-    y = np.where(x.value > 0, x.value, neg)
-    return _unary(x, y, np.where(x.value > 0, 1.0, neg + 1.0))
+    v = _val(x)
+    neg = np.exp(np.minimum(v, 0.0)) - 1.0
+    return _unary(x, np.where(v > 0, v, neg),
+                  lambda: np.where(v > 0, 1.0, neg + 1.0))
 
 
 def exp(x):
-    x = as_tensor(x)
-    y = np.exp(x.value)
-    return _unary(x, y, y)
+    y = np.exp(_val(x))
+    return _unary(x, y, lambda: y)
 
 
 def log(x):
-    x = as_tensor(x)
-    return _unary(x, np.log(x.value), 1.0 / x.value)
+    v = _val(x)
+    return _unary(x, np.log(v), lambda: 1.0 / v)
 
 
 def absolute(x):
-    x = as_tensor(x)
-    return _unary(x, np.abs(x.value), np.sign(x.value))
+    v = _val(x)
+    return _unary(x, np.abs(v), lambda: np.sign(v))
 
 
 def square(x):
-    x = as_tensor(x)
     return x * x
 
 
 def softplus(x):
-    x = as_tensor(x)
-    return _unary(x, np.logaddexp(0.0, x.value),
-                  1.0 / (1.0 + np.exp(-np.clip(x.value, -500, 500))))
+    v = _val(x)
+    return _unary(x, np.logaddexp(0.0, v),
+                  lambda: 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500))))
 
 
 def clip(x, lo, hi):
-    x = as_tensor(x)
-    inside = ((x.value > lo) & (x.value < hi)).astype(float)
-    return _unary(x, np.clip(x.value, lo, hi), inside)
+    v = _val(x)
+    return _unary(x, np.clip(v, lo, hi),
+                  lambda: ((v > lo) & (v < hi)).astype(float))
 
 
 def concat(parts, axis=-1):
-    """Join tensors along an existing axis."""
-    parts = [as_tensor(p) for p in parts]
-    value = np.concatenate([p.value for p in parts], axis=axis)
-    bounds = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
+    """Join arrays or tensors along an existing axis."""
+    parts = list(parts)
+    values = [_val(p) for p in parts]
 
     def push(g):
+        bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
         for p, piece in zip(parts, np.split(np.asarray(g), bounds, axis=axis)):
-            if p.requires:
+            if _requires(p):
                 p._accum(piece)
-    return Tensor(value, parents=tuple(parts), push=push)
+    return _out(np.concatenate(values, axis=axis), parts, push)
 
 
 def log_softmax(x):
     """Log-probabilities over the last axis."""
-    x = as_tensor(x)
-    shifted = x.value - x.value.max(axis=-1, keepdims=True)
+    v = _val(x)
+    shifted = v - v.max(axis=-1, keepdims=True)
     lse = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    probs = np.exp(lse)
 
     def push(g):
         g = np.asarray(g)
-        x._accum(g - probs * g.sum(axis=-1, keepdims=True))
-    return Tensor(lse, parents=(x,), push=push)
+        x._accum(g - np.exp(lse) * g.sum(axis=-1, keepdims=True))
+    return _out(lse, (x,), push)
 
 
-def segment_reduce(kind: str, msgs, dst, n: int) -> Tensor:
+def segment_reduce(kind: str, msgs, dst, n: int):
     """Reduce the rows of ``msgs`` (E, d) into ``n`` segments, row e into
     segment ``dst[e]``; returns (n, d) and an empty segment gives zeros.
 
@@ -262,8 +303,7 @@ def segment_reduce(kind: str, msgs, dst, n: int) -> Tensor:
     """
     if kind not in ("sum", "mean", "max"):
         raise ValueError(f"unknown aggregation kind: {kind}")
-    msgs = as_tensor(msgs)
-    vals = msgs.value
+    vals = _val(msgs)
     dst = np.asarray(dst, dtype=np.intp)
     if vals.ndim != 2 or dst.shape != vals.shape[:1]:
         raise ValueError("segment_reduce needs (E, d) rows and E segment ids")
@@ -302,7 +342,7 @@ def segment_reduce(kind: str, msgs, dst, n: int) -> Tensor:
         else:
             full = g[dst]
         msgs._accum(full)
-    return Tensor(out, parents=(msgs,), push=push)
+    return _out(out, (msgs,), push)
 
 
 class ParamStore:
@@ -311,13 +351,28 @@ class ParamStore:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._params: dict[str, Tensor] = {}
+        self._taping = True
 
-    def param(self, name: str, shape, kind: str = "fan_in") -> Tensor:
-        if name in self._params:
-            t = self._params[name]
-            if t.value.shape != tuple(shape):
-                raise ValueError(f"shape clash for parameter {name}")
-            return t
+    @contextmanager
+    def no_grad(self):
+        """Inference mode: inside, ``param`` hands out the raw arrays."""
+        before, self._taping = self._taping, False
+        try:
+            yield
+        finally:
+            self._taping = before
+
+    def param(self, name: str, shape, kind: str = "fan_in"):
+        """The parameter's Tensor, created on first use; inside
+        ``no_grad()`` its raw value array instead."""
+        if name not in self._params:
+            self._params[name] = self._init(name, shape, kind)
+        t = self._params[name]
+        if t.value.shape != tuple(shape):
+            raise ValueError(f"shape clash for parameter {name}")
+        return t if self._taping else t.value
+
+    def _init(self, name: str, shape, kind: str) -> Tensor:
         rng = np.random.default_rng([self.seed, zlib.crc32(name.encode())])
         if kind == "zeros":
             value = np.zeros(shape)
@@ -325,9 +380,7 @@ class ParamStore:
             fan_in = shape[0] if len(shape) > 1 else max(1, shape[0])
             bound = 1.0 / np.sqrt(fan_in)
             value = rng.uniform(-bound, bound, shape)
-        t = Tensor(value, requires=True)
-        self._params[name] = t
-        return t
+        return Tensor(value, requires=True)
 
     def names(self):
         return sorted(self._params)
@@ -337,12 +390,11 @@ class ParamStore:
             self._params[name].grad = None
 
     def gradients(self) -> dict:
-        out = {}
-        for name in self.names():
-            t = self._params[name]
-            out[name] = (np.zeros_like(t.value) if t.grad is None
-                         else t.grad.copy())
-        return out
+        """Each parameter's gradient array, zeros where none arrived.  These
+        are the leaves' own arrays, not copies: ``zero_grads`` and the next
+        ``backward`` replace them rather than write into them."""
+        return {name: (np.zeros_like(t.value) if t.grad is None else t.grad)
+                for name, t in sorted(self._params.items())}
 
     def get(self, name: str) -> Tensor:
         return self._params[name]

@@ -97,9 +97,11 @@ class NetworkConfig:
         if min(self.room_x, self.room_y, self.room_z) <= 0:
             raise ValueError("room dimensions must be positive")
         for name in ("max_tx_power", "p_bb", "p_rf", "p_ps", "p_a", "p_d",
-                     "p_ris_element", "noise_power"):
+                     "p_ris_element"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if not self.noise_power > 0:  # a zero channel would give SINR 0/0
+            raise ValueError("noise_power must be positive")
 
     # -- derived counts ----------------------------------------------------
     @property

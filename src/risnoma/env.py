@@ -128,8 +128,9 @@ class NetworkEnv:
             plans = [linklayer.derive_plan(h_eff[m], se, iot, cfg)
                      for m, (se, iot) in enumerate(self._ap_users)]
         links = linklayer.slot_links(h_eff, plans)
-        fail = linklayer.sic_feasibility(links, power, cfg.noise_power)
-        gamma = linklayer.sinr_all(links, power, cfg.noise_power, fail)
+        terms = linklayer.power_terms(links, power)
+        fail = linklayer.sic_feasibility(links, power, cfg.noise_power, terms)
+        gamma = linklayer.sinr_all(links, power, cfg.noise_power, fail, terms)
         rates = linklayer.rates_gbps(gamma, cfg.bandwidth)
         p_total = linklayer.power_consumption(power, on, cfg)
         eta = linklayer.energy_efficiency(rates, p_total)

@@ -3,6 +3,10 @@
 Collection runs the decentralized pipeline per slot (observe, message
 passing, per-agent sampling, env step), each stage one batched call over
 all agents, and records everything needed to replay exact log-probabilities.
+It runs without a tape: embedding and sampling run under the parameter
+store's ``no_grad()``, so they are plain numpy over the parameter arrays and
+bitwise equal to the taped forward; only the replay in ``update`` builds a
+tape.
 Training replays each trajectory on the tape in one batched pass: the T
 slot graphs plus the final one are embedded together, critics and the mixer
 run over all T+1 slots at once, and only the actors' GRU steps through the
@@ -91,13 +95,14 @@ def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
     steps = []
     for _ in range(horizon):
         graph = env.comm_graph()
-        z = policy.embed([graph])
-        sample, logp, h = policy.act(z, gru, rng, deterministic=deterministic)
-        gru = {t: state.value for t, state in h.items()}
+        with policy.store.no_grad():
+            z = policy.embed([graph])
+            sample, logp, gru = policy.act(z, gru, rng,
+                                           deterministic=deterministic)
         out = env.step(*policy.env_action(sample))
         steps.append(StepRecord(
             graph=graph, digest=state_digest(graph), sample=sample,
-            logps=logp.value[0], reward=out.reward, eta=out.eta,
+            logps=logp[0], reward=out.reward, eta=out.eta,
             delta=out.delta, rates=out.rates, outage=out.outage, q=out.q,
             y=out.y, weights=out.weights,
             exchange=policy.exchange_volume(graph)))

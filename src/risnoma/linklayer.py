@@ -17,6 +17,9 @@ Array layout of a slot with M APs, N_R clusters per AP and U users:
   ``SlotLinks.position`` (U,) its 1-based decode position (head = 1).
 - SIC flags are a (U,) 0/1 array, 1 where the head fails to cancel that
   user's signal; heads get 0.
+- ``power_terms`` gives, per user, the inter-cluster interference and the
+  power decoded before it in its cluster; a slot builds them once and
+  hands them to both ``sic_feasibility`` and ``sinr_all``.
 """
 from __future__ import annotations
 
@@ -88,15 +91,19 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
     """Zero-forcing across cluster centers with unit ``||V w||`` columns.
 
     Near-singular Gram matrices get diagonal loading (1e-8 x mean eigenvalue)
-    and raise a RuntimeWarning so degenerate clustering is visible.  An
-    all-zero Gram (every center a zero channel) has no scale to load by; it
-    gets unit loading, which yields zero beams.
+    and raise a RuntimeWarning so degenerate clustering is visible.  The
+    Gram is Hermitian and positive semi-definite, so its condition number is
+    its largest eigenvalue over its smallest; a smallest eigenvalue at or
+    below 0 counts as singular.  An all-zero Gram (every center a zero
+    channel) has no scale to load by; it gets unit loading, which yields
+    zero beams.
     """
     h_eff = centers @ v
     gram = h_eff @ h_eff.conj().T
     n_r = gram.shape[0]
     loaded = False
-    if np.linalg.cond(gram) > cond_threshold:
+    eig = np.linalg.eigvalsh(gram)  # ascending
+    if eig[0] <= 0 or eig[-1] / eig[0] > cond_threshold:
         mean_eig = np.trace(gram).real / n_r
         gram = gram + (1e-8 * mean_eig if mean_eig > 0 else 1.0) * np.eye(n_r)
         loaded = True
@@ -187,9 +194,9 @@ def slot_links(h_eff: np.ndarray, plans) -> SlotLinks:
                      gains[np.arange(n_users), slot])
 
 
-def _power_terms(links: SlotLinks, alpha: np.ndarray):
+def power_terms(links: SlotLinks, alpha: np.ndarray):
     """Per user: inter-cluster interference and the power of the members
-    decoded before it in its cluster."""
+    decoded before it in its cluster, as two (U,) arrays."""
     # alpha by (cluster, position), behind a zero column: its running sum at
     # position p - 1 is the power of positions 1..p-1, its last the cluster's
     table = np.zeros((links.gains.shape[1], links.position.max() + 1))
@@ -200,12 +207,13 @@ def _power_terms(links: SlotLinks, alpha: np.ndarray):
     return inter, before[links.slot, links.position - 1]
 
 
-def sic_feasibility(links: SlotLinks, alpha: np.ndarray,
-                    sigma2: float) -> np.ndarray:
+def sic_feasibility(links: SlotLinks, alpha: np.ndarray, sigma2: float,
+                    terms) -> np.ndarray:
     """Per-IoT-user cancellation test: the head's decode SINR for that
-    user's signal must reach the user's own decode SINR.  Returns (U,)
-    0/1 flags, 1 where SIC fails; heads get 0."""
-    inter, earlier = _power_terms(links, alpha)
+    user's signal must reach the user's own decode SINR.  ``terms`` is
+    ``power_terms(links, alpha)``.  Returns (U,) 0/1 flags, 1 where SIC
+    fails; heads get 0."""
+    inter, earlier = terms
     own, head = links.own, links.head
     at_head = own[head] * alpha / (own[head] * earlier + inter[head] + sigma2)
     at_self = own * alpha / (own * earlier + inter + sigma2)
@@ -213,10 +221,11 @@ def sic_feasibility(links: SlotLinks, alpha: np.ndarray,
 
 
 def sinr_all(links: SlotLinks, alpha: np.ndarray, sigma2: float,
-             sic_fail: np.ndarray) -> np.ndarray:
-    """SINR per user given the (U,) SIC flags: a head sees the residue of
-    the IoT signals it failed to cancel, an IoT member every earlier one."""
-    inter, earlier = _power_terms(links, alpha)
+             sic_fail: np.ndarray, terms) -> np.ndarray:
+    """SINR per user given the (U,) SIC flags and ``power_terms(links,
+    alpha)``: a head sees the residue of the IoT signals it failed to
+    cancel, an IoT member every earlier one."""
+    inter, earlier = terms
     residue = np.bincount(links.slot, weights=alpha * sic_fail,
                           minlength=links.gains.shape[1])
     intra = np.where(links.position == 1, residue[links.slot], earlier)

@@ -1,41 +1,39 @@
 """Network blocks on top of the tape: dense layers, a GRU cell and the
 hypernetwork value mixer.  Each works on a single input vector or on a
-batch of them stacked as rows."""
+batch of them stacked as rows, and takes ndarrays or Tensors: it returns
+whatever the autodiff ops return (a plain array inside ``no_grad``)."""
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor
+from .autodiff import ParamStore
 
 _ACTS = {"linear": lambda x: x, "tanh": ad.tanh, "relu": ad.relu,
          "elu": ad.elu, "sigmoid": ad.sigmoid}
 
 
 def dense(store: ParamStore, name: str, x, in_dim: int, out_dim: int,
-          activation: str = "linear") -> Tensor:
-    x = ad.as_tensor(x)
+          activation: str = "linear"):
     w = store.param(f"{name}.w", (in_dim, out_dim))
     b = store.param(f"{name}.b", (out_dim,), kind="zeros")
     return _ACTS[activation](x @ w + b)
 
 
 def gru_step(store: ParamStore, name: str, x, h, in_dim: int,
-             hidden: int) -> Tensor:
+             hidden: int):
     """h' = (1 - z) * h + z * candidate; z -> 0 freezes the carried state."""
-    x, h = ad.as_tensor(x), ad.as_tensor(h)
     z = ad.sigmoid(dense(store, f"{name}.zx", x, in_dim, hidden)
                    + dense(store, f"{name}.zh", h, hidden, hidden))
     r = ad.sigmoid(dense(store, f"{name}.rx", x, in_dim, hidden)
                    + dense(store, f"{name}.rh", h, hidden, hidden))
     cand = ad.tanh(dense(store, f"{name}.cx", x, in_dim, hidden)
                    + r * dense(store, f"{name}.ch", h, hidden, hidden))
-    one = Tensor(np.ones(hidden))
-    return (one - z) * h + z * cand
+    return (1.0 - z) * h + z * cand
 
 
 def hyper_mixing(store: ParamStore, prefix: str, state, values,
-                 state_dim: int, hidden: int) -> Tensor:
+                 state_dim: int, hidden: int):
     """Monotone two-layer mix of local values with state-generated weights.
 
     ``state`` is (..., state_dim) and ``values`` (..., n) over the same
@@ -44,13 +42,13 @@ def hyper_mixing(store: ParamStore, prefix: str, state, values,
     has a non-negative slope; biases are unconstrained and the final bias is
     itself a small network of the state.
     """
-    state = ad.as_tensor(state)
-    v = ad.as_tensor(values)
-    lead, n = v.shape[:-1], v.shape[-1]
+    if not isinstance(values, ad.Tensor):
+        values = np.asarray(values, dtype=np.float64)
+    lead, n = values.shape[:-1], values.shape[-1]
     w1 = ad.absolute(dense(store, f"{prefix}.hw1", state, state_dim,
                            n * hidden)).reshape(*lead, n, hidden)
     b1 = dense(store, f"{prefix}.hb1", state, state_dim, hidden)
-    mixed = ad.elu((v.reshape(*lead, n, 1) * w1).sum(axis=-2) + b1)
+    mixed = ad.elu((values.reshape(*lead, n, 1) * w1).sum(axis=-2) + b1)
     w2 = ad.absolute(dense(store, f"{prefix}.hw2", state, state_dim, hidden))
     b2 = dense(store, f"{prefix}.hb2a", state, state_dim, hidden,
                activation="relu")
@@ -59,8 +57,8 @@ def hyper_mixing(store: ParamStore, prefix: str, state, values,
 
 
 def mlp(store: ParamStore, name: str, x, dims, activation: str = "tanh",
-        final: str = "linear") -> Tensor:
-    out = ad.as_tensor(x)
+        final: str = "linear"):
+    out = x
     for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
         act = final if i == len(dims) - 2 else activation
         out = dense(store, f"{name}.l{i}", out, a, b, activation=act)

@@ -13,7 +13,8 @@ graph b.  Each message layer is one dense op per edge kind over all edges of
 the batch, aggregation is one ``segment_reduce`` per receiving type, and each
 combine layer is one dense op per node type.  The trunk, heads and critics
 then run on those rows; only the GRU steps through the slots in order, one
-dense op per gate for all agents of a type.  Shapes, for n_t agents of type t
+dense op per gate for all agents of a type.  Under ``self.store.no_grad()``
+the same code runs on plain arrays and returns them in place of Tensors.  Shapes, for n_t agents of type t
 (M APs, J RISs, K users per AP, L elements, P phase levels):
 
   embed        {t: (B * n_t, ztilde_dim(t))}
@@ -183,13 +184,13 @@ class GEVDACPolicy:
         batch of graphs: {type: (B * n_type, ztilde_dim) rows}."""
         p = self.pcfg
         g = stack_graphs(graphs)
-        x = {t: Tensor(g.nodes[t]) for t in NODE_TYPES}
+        x = g.nodes
         z = x
         if p.n_layers == 0:
             z = {t: nn.dense(self.store, f"emb.{t}.proj", x[t],
                              self._node_dim[t], p.hidden, "tanh")
                  for t in NODE_TYPES}
-        feat = {kind: Tensor(g.edge_feat[kind]) for kind in EDGE_ENDS}
+        feat = g.edge_feat
         msgs = {}
         for layer in range(1, p.n_layers + 1):
             if p.embed_mode == "mpgnn":
@@ -208,7 +209,7 @@ class GEVDACPolicy:
             for t in NODE_TYPES:
                 inbound = [k for k in msgs if EDGE_ENDS[k][1] == t]
                 rows = (ad.concat([msgs[k] for k in inbound], axis=0)
-                        if inbound else Tensor(np.zeros((0, p.msg_dim))))
+                        if inbound else np.zeros((0, p.msg_dim)))
                 dst = np.concatenate([g.dst[k] for k in inbound]
                                      + [np.zeros(0, dtype=np.intp)])
                 agg = ad.segment_reduce(p.aggregation, rows, dst,
@@ -230,7 +231,7 @@ class GEVDACPolicy:
         n = self._count[kind]
         pre = nn.dense(self.store, f"act.{kind}.pre", z_tilde,
                        self.ztilde_dim(kind), p.gru_hidden, "tanh")
-        h, states = ad.as_tensor(gru_state), []
+        h, states = gru_state, []
         for t in range(steps):
             h = nn.gru_step(self.store, f"act.{kind}.gru",
                             pre[t * n:(t + 1) * n], h, p.gru_hidden,
@@ -262,7 +263,7 @@ class GEVDACPolicy:
         """Sample (or take the mode of) every agent's action in one slot;
         returns (ActionSample, log-probs (1, M + J), next GRU states)."""
         heads, h = self._heads(z_tilde, gru_state, 1)
-        mean, log_std, onoff, phase = (t.value for t in heads)
+        mean, log_std, onoff, phase = (ad.value_of(t) for t in heads)
         if deterministic:
             draw = mean.copy()
             on = (onoff > 0).astype(int)
@@ -283,16 +284,16 @@ class GEVDACPolicy:
         return self._score(sample, *heads), h
 
     def _score(self, sample: ActionSample, mean, log_std, onoff,
-               phase) -> Tensor:
+               phase):
         """Log-probabilities (T, M + J) of ``sample`` under the heads."""
         steps = sample.steps
         gauss = sample.gaussian.reshape(mean.shape)
-        zed = (Tensor(gauss) - mean) * ad.exp(-log_std)
+        zed = (gauss - mean) * ad.exp(-log_std)
         ap = (ad.square(zed).sum(axis=1) * (-0.5) - log_std.sum(axis=1)
               - 0.5 * LOG2PI * gauss.shape[1])
         on = sample.on_off.reshape(onoff.shape).astype(float)
-        bern = (Tensor(on) * (-ad.softplus(-onoff))
-                + Tensor(1.0 - on) * (-ad.softplus(onoff))).sum(axis=1)
+        bern = (on * (-ad.softplus(-onoff))
+                + (1.0 - on) * (-ad.softplus(onoff))).sum(axis=1)
         rows, n_el = on.shape
         picked = ad.log_softmax(phase)[np.arange(rows)[:, None],
                                        np.arange(n_el),

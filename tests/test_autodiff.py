@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,83 @@ class TestTapeBasics:
         expect = -probs
         expect[2] += 1
         assert np.allclose(x.grad, expect)
+
+
+class TestTapeLifetime:
+    def test_backward_leaves_no_cycle_and_only_leaf_grads(self):
+        # the tape must die by reference counting once the root is dropped
+        store = ParamStore(2)
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            h = nn.dense(store, "a", x, 3, 4, "tanh")
+            inner = ad.log_softmax(nn.gru_step(store, "g", h, h, 4, 4))
+            root = (ad.concat([inner, h]) * 0.5).sum()
+            root.backward()
+            del root
+            gc.collect()
+            found = list(gc.garbage)
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(0)
+            gc.enable()
+        assert not [o for o in found if isinstance(o, Tensor)]
+        assert found == []
+        assert h.grad is None and inner.grad is None
+        for name in store.names():
+            assert store.get(name).grad is not None, name
+
+    def test_gradients_hand_out_leaf_arrays_that_survive_the_next_pass(self):
+        store = ParamStore(1)
+        w = store.param("w", (2,))
+        (w * 3.0).sum().backward()
+        first = store.gradients()["w"]
+        assert first is w.grad
+        store.zero_grads()
+        (w * 5.0).sum().backward()
+        assert np.array_equal(first, [3.0, 3.0])
+        assert np.array_equal(store.gradients()["w"], [5.0, 5.0])
+
+    def test_deep_chain_needs_no_recursion(self):
+        x = Tensor(np.ones(2), requires=True)
+        y = x
+        for _ in range(5 * sys.getrecursionlimit()):
+            y = y * 1.0
+        y.sum().backward()
+        assert np.array_equal(x.grad, [1.0, 1.0])
+
+
+class TestInferenceOps:
+    def test_arrays_in_array_out_and_mixed_inputs_tape(self):
+        a = np.array([[0.3, -1.2], [2.0, 0.1]])
+        w = Tensor(np.array([[1.0, 2.0], [-0.5, 0.25]]), requires=True)
+        for op in (ad.tanh, ad.sigmoid, ad.relu, ad.elu, ad.exp, ad.absolute,
+                   ad.square, ad.softplus, ad.log_softmax,
+                   lambda v: ad.clip(v, -0.5, 0.5),
+                   lambda v: ad.concat([v, v], axis=0),
+                   lambda v: ad.segment_reduce("max", v, [1, 1], 2)):
+            free = op(a)
+            assert isinstance(free, np.ndarray)
+            taped = op(Tensor(a))
+            assert isinstance(taped, Tensor)
+            assert np.array_equal(free, taped.value)
+        for mixed in (a @ w, a + w, a * w, a - w, w - a):
+            assert isinstance(mixed, Tensor) and mixed.requires
+        (a @ w).sum().backward()
+        assert np.array_equal(w.grad, np.broadcast_to(a.sum(axis=0)[:, None],
+                                                       (2, 2)))
+
+    def test_no_grad_hands_out_parameter_arrays(self):
+        store = ParamStore(0)
+        w = store.param("w", (3, 2))
+        with store.no_grad():
+            raw = store.param("w", (3, 2))
+            out = nn.dense(store, "d", np.ones((4, 3)), 3, 2, "tanh")
+        assert raw is w.value
+        assert isinstance(out, np.ndarray)
+        assert isinstance(store.param("w", (3, 2)), Tensor)
 
 
 class TestUnaryGradients:
@@ -189,7 +269,7 @@ class TestAggregate:
 
     def test_empty_set_zeros(self):
         out = ad.segment_reduce("mean", np.zeros((0, 3)), [], 2)
-        assert np.array_equal(out.value, np.zeros((2, 3)))
+        assert np.array_equal(out, np.zeros((2, 3)))  # arrays in, array out
         # a segment no row reaches is empty too
         rows = Tensor(np.ones((2, 3)))
         for kind in ("sum", "mean", "max"):
@@ -201,10 +281,10 @@ class TestAggregate:
         vecs = rng.normal(size=(9, 4))
         dst = np.array([0, 1, 0, 2, 0, 1, 0, 2, 0])
         for kind in ("sum", "mean", "max"):
-            base = ad.segment_reduce(kind, vecs, dst, 4).value
+            base = ad.segment_reduce(kind, vecs, dst, 4)
             for _ in range(20):
                 perm = rng.permutation(9)
-                got = ad.segment_reduce(kind, vecs[perm], dst[perm], 4).value
+                got = ad.segment_reduce(kind, vecs[perm], dst[perm], 4)
                 assert np.array_equal(got, base)
 
     def test_mean_gradients_over_seven_vectors(self):

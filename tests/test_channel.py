@@ -276,6 +276,12 @@ class TestTopology:
         with pytest.raises(ValueError):
             medium_config(**override)
 
+    @pytest.mark.parametrize("noise_power", [0.0, -1e-12])
+    def test_nonpositive_noise_power_rejected(self, noise_power):
+        # with no reflection and a blocked LoS a zero channel gives SINR 0/0
+        with pytest.raises(ValueError, match="noise_power"):
+            tiny_config(num_nlos_paths=0, noise_power=noise_power)
+
     def test_zf_on_effective_is_gone(self):
         # ZF is always taken on the analog-composed centers
         with pytest.raises(TypeError):

@@ -4,8 +4,9 @@ import pytest
 from fd import fd_check
 
 from risnoma.env import NetworkEnv, shaped_reward
-from risnoma.learner import (TrainConfig, advantage, n_step_return, rollout,
-                             train, update, _replay_values)
+from risnoma.autodiff import Tensor
+from risnoma.learner import (TrainConfig, advantage, evaluate, n_step_return,
+                             rollout, train, update, _replay_values)
 from risnoma.policy import PolicyConfig, policy_for_env
 from risnoma.presets import medium_config, tiny_config
 
@@ -84,6 +85,26 @@ class TestRollout:
             for t, rec in enumerate(traj.steps):
                 assert logp_sums[t].item() == pytest.approx(
                     sum(rec.logps), rel=1e-12)
+
+
+    def test_collection_builds_no_tape(self, monkeypatch):
+        # rollout and evaluate run without a tape; update still builds one
+        made = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        env = NetworkEnv(medium_config(), seed=1)
+        policy = small_policy(env)
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        rng = np.random.default_rng(4)
+        traj = rollout(env, policy, 4, rng)
+        evaluate(env, policy, 3, 1, rng)
+        assert len(made) == 0
+        update(policy, [traj], TrainConfig(), reward_scale=0.02)
+        assert len(made) > 0
 
 
 class TestUpdate:

@@ -188,6 +188,35 @@ class TestZF:
             w, loaded = ll.zf_digital_beamformer(centers, np.eye(2, dtype=complex))
         assert loaded and np.all(np.isfinite(w))
 
+    def test_loading_decision_matches_condition_number(self):
+        # the eigenvalue test loads exactly where cond(Gram) > threshold
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(300):
+            n_r = int(rng.integers(1, 5))
+            shape = (n_r, 3 * n_r)
+            centers = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            kind = rng.integers(4)
+            if kind == 1 and n_r > 1:  # nearly dependent rows, cond ~ 1/eps^2
+                eps = 10.0 ** rng.uniform(-8, -1)
+                centers[1] = centers[0] + eps * centers[1]
+            elif kind == 2 and n_r > 1:  # exactly dependent rows
+                centers[1] = (1.5 - 0.5j) * centers[0]
+            elif kind == 3:  # all-zero Gram, or one zero center
+                centers[rng.integers(n_r) if rng.random() < 0.5 else ...] = 0
+            cases.append(centers)
+        decisions = []
+        for centers in cases:
+            v = np.eye(centers.shape[1], dtype=complex)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                _, loaded = ll.zf_digital_beamformer(centers, v,
+                                                     cond_threshold=1e8)
+            gram = centers @ centers.conj().T
+            assert loaded == (np.linalg.cond(gram) > 1e8)
+            decisions.append(loaded)
+        assert 0 < sum(decisions) < len(decisions)
+
 
 class TestDecodeOrder:
     def test_sorted_descending(self):
@@ -204,8 +233,9 @@ class TestDecodeOrder:
 
 def _sic_and_sinr(h_eff, plans, alpha, sigma2):
     links = ll.slot_links(h_eff, plans)
-    fail = ll.sic_feasibility(links, alpha, sigma2)
-    return fail, ll.sinr_all(links, alpha, sigma2, fail)
+    terms = ll.power_terms(links, alpha)
+    fail = ll.sic_feasibility(links, alpha, sigma2, terms)
+    return fail, ll.sinr_all(links, alpha, sigma2, fail, terms)
 
 
 def _oracle_flags(lit_fail, n_users):
@@ -241,7 +271,7 @@ class TestSicAndSinr:
                                                  extra_users=1)
         h_eff[0, 1] = h_eff[0, 0]  # IoT user sees exactly the head's channel
         alpha[:] = 0.2
-        fail = ll.sic_feasibility(ll.slot_links(h_eff, plans), alpha, 1e-3)
+        fail, _ = _sic_and_sinr(h_eff, plans, alpha, 1e-3)
         assert fail[1] == 0
 
     def test_zeroed_head_channel_fails(self):
@@ -250,7 +280,7 @@ class TestSicAndSinr:
                                                  extra_users=2)
         h_eff[0, 0] = 0.0
         alpha[:] = 0.2
-        fail = ll.sic_feasibility(ll.slot_links(h_eff, plans), alpha, 1e-3)
+        fail, _ = _sic_and_sinr(h_eff, plans, alpha, 1e-3)
         assert all(fail[u] == 1 for u in (1, 2))
 
     def test_matches_literal_transcription(self):
@@ -313,8 +343,9 @@ class TestSicAndSinr:
         h_eff, plans, alpha, _ = random_instance(rng, m=1, n_r=1,
                                                  extra_users=0)
         sigma2 = 1e-2
-        got = ll.sinr_all(ll.slot_links(h_eff, plans), alpha, sigma2,
-                          np.zeros(len(alpha), dtype=int))
+        links = ll.slot_links(h_eff, plans)
+        got = ll.sinr_all(links, alpha, sigma2, np.zeros(len(alpha), dtype=int),
+                          ll.power_terms(links, alpha))
         g = abs(h_eff[0, 0] @ plans[0].v @ plans[0].w[:, 0]) ** 2
         assert got[0] == pytest.approx(g * alpha[0] / sigma2, rel=1e-12)
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from risnoma.autodiff import Tensor
 from risnoma.env import NetworkEnv
 from risnoma.graphs import CommGraph, state_digest
 from risnoma.policy import GEVDACPolicy, PolicyConfig, policy_for_env
-from risnoma.presets import medium_config, tiny_config
+from risnoma.presets import default_config, medium_config, tiny_config
 
 from fd import fd_check
 
@@ -341,3 +342,58 @@ class TestComposedGradients:
                                              * graph.num_edges * ge.pcfg.msg_dim)
         assert ie.exchange_volume(graph) == sum(
             f.size for f in graph.edge_feat.values())
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestInference:
+    """``no_grad`` runs the same forward on plain arrays: every sample,
+    log-prob and GRU state is bitwise equal to the taped one."""
+
+    @pytest.mark.parametrize("make", [tiny_config, medium_config,
+                                      default_config],
+                             ids=["tiny", "medium", "default"])
+    @pytest.mark.parametrize("embed_mode, aggregation, critic_mode", [
+        ("mpgnn", "mean", "mix"), ("mpgnn", "sum", "central"),
+        ("mpgnn", "max", "mix"), ("raw", "sum", "central"),
+        ("none", "max", "mix")])
+    def test_embed_and_act_bitwise_equal_to_taped(self, make, embed_mode,
+                                                  aggregation, critic_mode):
+        env = NetworkEnv(make(), seed=3)
+        policy = policy_for_env(env, PolicyConfig(
+            embed_mode=embed_mode, aggregation=aggregation,
+            critic_mode=critic_mode), seed=4)
+        gru = policy.gru_zero()
+        for slot in range(3):
+            graph = env.comm_graph()
+            for deterministic in (False, True):
+                z = policy.embed([graph])
+                taped = policy.act(z, gru, np.random.default_rng(slot),
+                                   deterministic=deterministic)
+                with policy.store.no_grad():
+                    z_free = policy.embed([graph])
+                    free = policy.act(z_free, gru, np.random.default_rng(slot),
+                                      deterministic=deterministic)
+                for t in z:
+                    assert isinstance(z_free[t], np.ndarray)
+                    assert _bits(z_free[t]) == _bits(z[t].value)
+                (sample, logp, h), (sample_f, logp_f, h_f) = taped, free
+                for f in ("gaussian", "on_off", "phase"):
+                    assert (_bits(getattr(sample_f, f))
+                            == _bits(getattr(sample, f)))
+                assert _bits(logp_f) == _bits(logp.value)
+                for t in h:
+                    assert _bits(h_f[t]) == _bits(h[t].value)
+            gru = h_f
+            env.step(*policy.env_action(sample_f))
+
+    def test_tape_is_back_after_the_block(self):
+        graph, dims = synthetic_graph(np.random.default_rng(1))
+        policy = make_policy(dims)
+        with policy.store.no_grad():
+            assert isinstance(policy.store.param("act.ap.pre.b", (32,)),
+                              np.ndarray)
+        assert isinstance(policy.embed([graph])["ap"], Tensor)
