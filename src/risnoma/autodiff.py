@@ -13,9 +13,10 @@ It returns a Tensor when at least one input is a Tensor and a plain ndarray
 otherwise, computed by the same expression, so both give bitwise-equal
 values.  Inside ``with store.no_grad():`` that ``ParamStore``'s ``param``
 hands out the raw parameter arrays, so a forward pass built from its
-parameters and ndarrays runs on plain numpy and records no tape.  A Tensor never hides inside a numpy
-expression: ``__array_ufunc__ = None`` makes ``ndarray (op) Tensor`` defer to
-the Tensor's reflected operator, which tapes it.
+parameters and ndarrays runs on plain numpy and records no tape.  A Tensor
+never hides inside a numpy expression: ``__array_ufunc__ = None`` makes
+``ndarray (op) Tensor`` defer to the Tensor's reflected operator, which
+tapes it.
 
 Ops, all batched over leading axes where that makes sense:
   arithmetic   ``+ - * /`` (numpy broadcasting), ``@`` (1-D or 2-D operands)
@@ -32,6 +33,7 @@ import zlib
 from contextlib import contextmanager
 
 import numpy as np
+
 
 class Tensor:
     __slots__ = ("value", "grad", "_parents", "_push", "requires")
@@ -366,21 +368,18 @@ class ParamStore:
         """The parameter's Tensor, created on first use; inside
         ``no_grad()`` its raw value array instead."""
         if name not in self._params:
-            self._params[name] = self._init(name, shape, kind)
+            rng = np.random.default_rng([self.seed, zlib.crc32(name.encode())])
+            if kind == "zeros":
+                value = np.zeros(shape)
+            else:
+                fan_in = shape[0] if len(shape) > 1 else max(1, shape[0])
+                bound = 1.0 / np.sqrt(fan_in)
+                value = rng.uniform(-bound, bound, shape)
+            self._params[name] = Tensor(value, requires=True)
         t = self._params[name]
         if t.value.shape != tuple(shape):
             raise ValueError(f"shape clash for parameter {name}")
         return t if self._taping else t.value
-
-    def _init(self, name: str, shape, kind: str) -> Tensor:
-        rng = np.random.default_rng([self.seed, zlib.crc32(name.encode())])
-        if kind == "zeros":
-            value = np.zeros(shape)
-        else:
-            fan_in = shape[0] if len(shape) > 1 else max(1, shape[0])
-            bound = 1.0 / np.sqrt(fan_in)
-            value = rng.uniform(-bound, bound, shape)
-        return Tensor(value, requires=True)
 
     def names(self):
         return sorted(self._params)
