@@ -109,8 +109,7 @@ class TestTapeLifetime:
             gc.garbage.clear()
             gc.set_debug(0)
             gc.enable()
-        assert not [o for o in found if isinstance(o, Tensor)]
-        assert found == []
+        assert found == []  # no Tensor, closure or order list left over
         assert h.grad is None and inner.grad is None
         for name in store.names():
             assert store.get(name).grad is not None, name
