@@ -25,6 +25,8 @@ Ops, all batched over leading axes where that makes sense:
   elementwise  ``tanh sigmoid relu elu exp log absolute square softplus clip``
   rows         ``log_softmax`` (last axis), ``segment_reduce`` (sum, mean or
                max of the rows sent to each segment)
+  recurrent    ``gru_scan`` (a GRU over T steps of stacked rows, one node
+               whose backward pass is backpropagation through time)
 """
 from __future__ import annotations
 
@@ -51,9 +53,13 @@ class Tensor:
         return self.value.shape
 
     def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+        if self.grad is None:  # + 0.0 makes a fresh array and -0.0 into +0.0
+            g = np.asarray(g)
+            if g.shape != self.value.shape:
+                g = np.broadcast_to(g, self.value.shape)
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
     def backward(self, seed=None):
         if seed is None:
@@ -221,8 +227,12 @@ def tanh(x):
     return _unary(x, y, lambda: 1.0 - y * y)
 
 
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+
+
 def sigmoid(x):
-    y = 1.0 / (1.0 + np.exp(-np.clip(_val(x), -500, 500)))
+    y = _sigmoid(_val(x))
     return _unary(x, y, lambda: y * (1.0 - y))
 
 
@@ -314,13 +324,14 @@ def segment_reduce(kind: str, msgs, dst, n: int):
     counts = np.bincount(dst, minlength=n)
     rank = np.arange(dst.size) - (np.cumsum(counts) - counts)[seg]
     out = np.zeros((n, vals.shape[1]))
-    winner = np.full(out.shape, -1)
+    winner = np.full(out.shape, -1) if kind == "max" else None
     for k in range(counts.max(initial=0)):
         at = rank == k  # at most one row per segment
         rows, segs = order[at], seg[at]
         if k == 0:
             out[segs] = vals[rows]
-            winner[segs] = rows[:, None]
+            if winner is not None:
+                winner[segs] = rows[:, None]
         elif kind == "max":
             better = vals[rows] > out[segs]
             out[segs] = np.where(better, vals[rows], out[segs])
@@ -345,6 +356,84 @@ def segment_reduce(kind: str, msgs, dst, n: int):
             full = g[dst]
         msgs._accum(full)
     return _out(out, (msgs,), push)
+
+
+def gru_scan(x, h0, weights):
+    """GRU states after each of T steps, recorded as one tape node.
+
+    ``h0`` is the (rows, hidden) state before the first step and ``x`` the
+    (T * rows, in) inputs, step-major: rows ``t * rows`` to
+    ``(t + 1) * rows`` feed step t (a 1-D ``x`` and ``h0`` are one row).
+    ``weights`` is (w, b) of the gates zx, zh, rx, rh, cx, ch in turn:
+    ``w_zx, b_zx, w_zh, b_zh, ..., w_ch, b_ch``.  Each step evaluates
+
+        z  = sigmoid((x @ w_zx + b_zx) + (h @ w_zh + b_zh))
+        r  = sigmoid((x @ w_rx + b_rx) + (h @ w_rh + b_rh))
+        c  = tanh((x @ w_cx + b_cx) + r * (h @ w_ch + b_ch))
+        h' = (1 - z) * h + z * c
+
+    with the same expressions as the composed ops, so one step is bitwise
+    the value of ``dense``, ``sigmoid`` and ``tanh`` written out.  Returns
+    the states after every step, shaped like ``x`` with ``hidden`` columns.
+    The backward pass runs backpropagation through time over the gate
+    activations kept here, and each weight's gradient is one product over
+    all steps.
+    """
+    xv, hv = _val(x), _val(h0)
+    (w_zx, b_zx, w_zh, b_zh, w_rx, b_rx,
+     w_rh, b_rh, w_cx, b_cx, w_ch, b_ch) = (_val(w) for w in weights)
+    hidden = hv.shape[-1]
+    rows = hv.size // hidden
+    xs = xv.reshape(-1, rows, xv.shape[-1])
+    steps = len(xs)
+    hs = np.empty((steps + 1, rows, hidden))  # hs[t]: the state into step t
+    hs[0] = hv.reshape(rows, hidden)
+    z, r, c, hc = (np.empty((steps, rows, hidden)) for _ in range(4))
+    for t in range(steps):
+        x_t, h = xs[t], hs[t]
+        z[t] = _sigmoid((x_t @ w_zx + b_zx) + (h @ w_zh + b_zh))
+        r[t] = _sigmoid((x_t @ w_rx + b_rx) + (h @ w_rh + b_rh))
+        hc[t] = h @ w_ch + b_ch
+        c[t] = np.tanh((x_t @ w_cx + b_cx) + r[t] * hc[t])
+        hs[t + 1] = (1.0 - z[t]) * h + z[t] * c[t]
+
+    def push(g):
+        g = np.asarray(g).reshape(steps, rows, hidden)
+        # slopes that do not depend on the incoming gradient, for all steps
+        via_c = z * (1.0 - c * c)                # d(c pre-activation)/dh'
+        via_z = (c - hs[:-1]) * (z * (1.0 - z))  # d(z pre-activation)/dh'
+        via_r = hc * (r * (1.0 - r))             # d(r pre-act.)/d(c pre-act.)
+        keep = 1.0 - z                           # dh'/dh, the direct path
+        w_h = np.concatenate([w_zh, w_rh, w_ch], axis=1).T
+        da_c = np.empty((steps, rows, hidden))
+        da_h = np.empty((steps, rows, 3, hidden))  # into z, r and c via h
+        dh = np.zeros((rows, hidden))
+        for t in reversed(range(steps)):
+            dh = dh + g[t]  # into the state after step t
+            da_c[t] = dh * via_c[t]
+            da_h[t, :, 0] = dh * via_z[t]
+            da_h[t, :, 1] = da_c[t] * via_r[t]
+            da_h[t, :, 2] = da_c[t] * r[t]
+            dh = dh * keep[t] + da_h[t].reshape(rows, 3 * hidden) @ w_h
+        xf = xs.reshape(steps * rows, -1)
+        hf = hs[:-1].reshape(steps * rows, hidden)
+        da_c = da_c.reshape(steps * rows, hidden)
+        da_z, da_r, da_hc = (da_h[:, :, k].reshape(steps * rows, hidden)
+                             for k in range(3))
+        gates = ((xf, da_z), (hf, da_z), (xf, da_r), (hf, da_r), (xf, da_c),
+                 (hf, da_hc))
+        for (inp, da), w, b in zip(gates, weights[::2], weights[1::2]):
+            if _requires(w):
+                w._accum(inp.T @ da)
+            if _requires(b):
+                b._accum(da.sum(axis=0))
+        if _requires(x):
+            x._accum((da_z @ w_zx.T + da_r @ w_rx.T + da_c @ w_cx.T)
+                     .reshape(xv.shape))
+        if _requires(h0):
+            h0._accum(dh.reshape(hv.shape))
+    out = hs[1:].reshape(xv.shape[:-1] + (hidden,))
+    return _out(out, (x, h0, *weights), push)
 
 
 class ParamStore:
@@ -429,7 +518,5 @@ class ParamStore:
 
 
 def gradient_norm(grads: dict) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g) ** 2))
-    return float(np.sqrt(total))
+    """The Euclidean norm of all the arrays in ``grads`` together."""
+    return float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))

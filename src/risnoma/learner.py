@@ -125,80 +125,101 @@ def advantage(reward: float, v_now: float, v_next: float, gamma: float) -> float
     return reward + gamma * v_next - v_now
 
 
-def _replay_values(policy: GEVDACPolicy, traj: Trajectory):
-    """One batched tape pass over a trajectory of T slots: V_tot (T+1,),
-    the bootstrap V(s_H) last, and the per-slot sums (T,) of the agents'
-    log-probabilities."""
-    steps = len(traj)
-    z = policy.embed([rec.graph for rec in traj.steps] + [traj.final_graph])
-    digests = np.stack([rec.digest for rec in traj.steps]
-                       + [traj.final_digest])
-    v_tot = policy.global_value(digests, policy.local_value(z))
-    gru = policy.gru_zero()
+def _replay_values(policy: GEVDACPolicy, trajectories):
+    """One tape pass over a batch of R trajectories of T slots each, side by
+    side: V_tot (T+1, R), the bootstrap V(s_H) in the last row, and the
+    per-slot sums (T, R) of the agents' log-probabilities; column r is
+    trajectory r.
+
+    The (T+1) * R graphs are embedded together, slot-major (slot t of every
+    trajectory, then slot t + 1), the critics and the mixer run over all of
+    them at once, and the actors' GRU steps T times over the agents of all
+    R trajectories."""
+    trajs = list(trajectories)
+    steps, width = len(trajs[0]), len(trajs)
+    slots = [[rec.graph for rec in tr.steps] + [tr.final_graph] for tr in trajs]
+    digests = [[rec.digest for rec in tr.steps] + [tr.final_digest]
+               for tr in trajs]
+    z = policy.embed(slots[r][t] for t in range(steps + 1)
+                     for r in range(width))
+    digest = np.stack([digests[r][t] for t in range(steps + 1)
+                       for r in range(width)])
+    v_tot = policy.global_value(digest, policy.local_value(z))
+    gru = policy.gru_zero(width)
     played = {t: z[t][:steps * len(gru[t])] for t in z}  # drop the final slot
-    logp, _ = policy.log_prob(
-        played, gru, ActionSample.stack(rec.sample for rec in traj.steps))
-    return v_tot, logp.sum(axis=1)
+    logp, _ = policy.log_prob(played, gru, ActionSample.stack(
+        tr.steps[t].sample for t in range(steps) for tr in trajs))
+    return (v_tot.reshape(steps + 1, width),
+            logp.sum(axis=1).reshape(steps, width))
 
 
-def _clip_block(grads: dict, max_norm: float) -> dict:
-    if max_norm <= 0:
-        return grads
-    norm = gradient_norm(grads)
-    if norm <= max_norm:
-        return grads
-    scale = max_norm / norm
-    return {n: np.asarray(g) * scale for n, g in grads.items()}
+def _reached(store, names) -> dict:
+    """The gradients that reached ``names``, leaving out parameters that
+    received none."""
+    grads = {n: store.get(n).grad for n in names}
+    return {n: g for n, g in grads.items() if g is not None}
+
+
+def _clip(norm: float, max_norm: float) -> tuple:
+    """(the block's norm after clipping, the factor that clips it); a
+    clipped block reports exactly ``max_norm``."""
+    if 0 < max_norm < norm:
+        return max_norm, max_norm / norm
+    return norm, 1.0
 
 
 def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
            reward_scale: float = 1.0) -> dict:
-    """One combined parameter update over a batch of trajectories."""
+    """One combined parameter update over a batch of equal-length
+    trajectories, all replayed in one tape pass."""
+    trajs = list(trajectories)
+    if len({len(tr) for tr in trajs}) > 1:
+        raise ValueError("a batch needs trajectories of equal length, got "
+                         f"{sorted(len(tr) for tr in trajs)}")
     store = policy.store
-    loss_pi, loss_v = None, None
-    for traj in trajectories:
-        v_tot, logp_sums = _replay_values(policy, traj)
-        if traj.values is None:
-            traj.values = v_tot.value.copy()
-        v_num = traj.values
-        rewards = [rec.reward * reward_scale for rec in traj.steps]
-        horizon = len(traj)
-        adv = np.array([advantage(rewards[t], v_num[t], v_num[t + 1],
-                                  tcfg.gamma) for t in range(horizon)])
-        target = np.array([n_step_return(rewards, v_num, t, tcfg.gamma,
-                                         tcfg.nstep) for t in range(horizon)])
-        term_pi = (logp_sums * adv).sum()
-        err = v_tot[:horizon] - target
-        term_v = (err * err).sum()
-        loss_pi = term_pi if loss_pi is None else loss_pi + term_pi
-        loss_v = term_v if loss_v is None else loss_v + term_v
+    v_tot, logp_sums = _replay_values(policy, trajs)
+    for r, tr in enumerate(trajs):
+        if tr.values is None:
+            tr.values = v_tot.value[:, r].copy()
+    values = np.stack([tr.values for tr in trajs], axis=1)      # (T+1, R)
+    rewards = np.array([[rec.reward * reward_scale for rec in tr.steps]
+                        for tr in trajs]).T                     # (T, R)
+    horizon = len(rewards)
+    adv = advantage(rewards, values[:-1], values[1:], tcfg.gamma)
+    target = np.array([n_step_return(rewards, values, t, tcfg.gamma,
+                                     tcfg.nstep) for t in range(horizon)])
+    loss_pi = (logp_sums * adv).sum()
+    err = v_tot[:horizon] - target
+    loss_v = (err * err).sum()
 
     blocks = policy.parameter_blocks()
     store.zero_grads()
     loss_pi.backward()
-    g_pi = _clip_block({n: g for n, g in store.gradients().items()
-                        if n in set(blocks["policy"])}, tcfg.grad_clip)
+    g_pi = _reached(store, blocks["policy"])
     store.zero_grads()
     loss_v.backward()
-    g_v = store.gradients()
-    g_v_theta = _clip_block({n: g_v[n] for n in blocks["policy"]
-                             + blocks["critic"]}, tcfg.grad_clip)
-    g_v_mix = _clip_block({n: g_v[n] for n in blocks["mix"]}, tcfg.grad_clip)
+    g_v = _reached(store, blocks["policy"] + blocks["critic"])
+    g_mix = _reached(store, blocks["mix"])
 
-    if blocks["mix"]:
-        store.apply_update({n: -g_v_mix[n] for n in blocks["mix"]},
-                           tcfg.lr_mix)
-    deltas = {}
-    for n in blocks["policy"] + blocks["critic"]:
-        deltas[n] = (tcfg.lr_pi * g_pi.get(n, 0.0)
-                     - tcfg.lr_v * np.asarray(g_v_theta[n]))
+    grad_pi, pi_scale = _clip(gradient_norm(g_pi), tcfg.grad_clip)
+    _, v_scale = _clip(gradient_norm(g_v), tcfg.grad_clip)
+    grad_mix, mix_scale = _clip(gradient_norm(g_mix), tcfg.grad_clip)
+    grad_v = gradient_norm({n: g_v[n] for n in blocks["critic"]
+                            if n in g_v}) * v_scale
+
+    if g_mix:
+        store.apply_update(g_mix, -tcfg.lr_mix * mix_scale)
+    deltas = {n: (tcfg.lr_pi * pi_scale) * g for n, g in g_pi.items()}
+    for n, g in g_v.items():
+        step = (-tcfg.lr_v * v_scale) * g
+        deltas[n] = deltas[n] + step if n in deltas else step
     store.apply_update(deltas, 1.0)
 
     return {
         "loss_v": loss_v.item(),
-        "grad_pi": gradient_norm(g_pi),
-        "grad_v": gradient_norm({n: g_v_theta[n] for n in blocks["critic"]}),
-        "grad_mix": gradient_norm(g_v_mix),
+        "grad_pi": grad_pi,
+        "grad_v": grad_v,
+        "grad_mix": grad_mix,
     }
 
 

@@ -1,7 +1,8 @@
-"""Network blocks on top of the tape: dense layers, a GRU cell and the
-hypernetwork value mixer.  Each works on a single input vector or on a
-batch of them stacked as rows, and takes ndarrays or Tensors: it returns
-whatever the autodiff ops return (a plain array inside ``no_grad``)."""
+"""Network blocks on top of the tape: dense layers, a GRU cell (the
+``ad.gru_scan`` op, one tape node however many steps it runs) and the
+hypernetwork value mixer.  Each works on a single input vector or on a batch
+of them stacked as rows, and takes ndarrays or Tensors: it returns whatever
+the autodiff ops return (a plain array inside ``no_grad``)."""
 from __future__ import annotations
 
 import numpy as np
@@ -20,16 +21,22 @@ def dense(store: ParamStore, name: str, x, in_dim: int, out_dim: int,
     return _ACTS[activation](x @ w + b)
 
 
+def gru_params(store: ParamStore, name: str, in_dim: int, hidden: int):
+    """(w, b) of the gates zx, zh, rx, rh, cx, ch in turn, the ``weights``
+    of ``ad.gru_scan``: the x gates read the input, the h gates the state."""
+    out = []
+    for gate in ("zx", "zh", "rx", "rh", "cx", "ch"):
+        rows = in_dim if gate.endswith("x") else hidden
+        out += [store.param(f"{name}.{gate}.w", (rows, hidden)),
+                store.param(f"{name}.{gate}.b", (hidden,), kind="zeros")]
+    return out
+
+
 def gru_step(store: ParamStore, name: str, x, h, in_dim: int,
              hidden: int):
-    """h' = (1 - z) * h + z * candidate; z -> 0 freezes the carried state."""
-    z = ad.sigmoid(dense(store, f"{name}.zx", x, in_dim, hidden)
-                   + dense(store, f"{name}.zh", h, hidden, hidden))
-    r = ad.sigmoid(dense(store, f"{name}.rx", x, in_dim, hidden)
-                   + dense(store, f"{name}.rh", h, hidden, hidden))
-    cand = ad.tanh(dense(store, f"{name}.cx", x, in_dim, hidden)
-                   + r * dense(store, f"{name}.ch", h, hidden, hidden))
-    return (1.0 - z) * h + z * cand
+    """h' = (1 - z) * h + z * candidate; z -> 0 freezes the carried state.
+    The one-step case of ``ad.gru_scan``."""
+    return ad.gru_scan(x, h, gru_params(store, name, in_dim, hidden))
 
 
 def hyper_mixing(store: ParamStore, prefix: str, state, values,

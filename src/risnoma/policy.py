@@ -6,21 +6,26 @@ distribution heads (Gaussian allocation logits for APs, Bernoulli + categorical
 element controls for RISs).  Critics read the same embedded state, so the
 embedding trunk is shared between policy and value losses; heads are disjoint.
 
-Everything runs batched.  ``embed`` takes a batch of B graphs (one slot, or a
-whole trajectory) and returns, per node type, the embedded states of all its
-agents as rows, slot-major: row ``b * n_t + i`` is agent i of that type in
-graph b.  Each message layer is one dense op per edge kind over all edges of
-the batch, aggregation is one ``segment_reduce`` per receiving type, and each
-combine layer is one dense op per node type.  The trunk, heads and critics
-then run on those rows; only the GRU steps through the slots in order, one
-dense op per gate for all agents of a type.  Under ``self.store.no_grad()``
-the same code runs on plain arrays and returns them in place of Tensors.  Shapes, for n_t agents of type t
-(M APs, J RISs, K users per AP, L elements, P phase levels):
+Everything runs batched.  ``embed`` takes a batch of B graphs (one slot, or
+every slot of a batch of episodes) and returns, per node type, the embedded
+states of all its agents as rows, graph-major: row ``b * n_t + i`` is agent i
+of that type in graph b.  Each message layer is one dense op per edge kind
+over all edges of the batch, aggregation is one ``segment_reduce`` per
+receiving type, and each combine layer is one dense op per node type.  The
+trunk, heads and critics then run on those rows.  The GRU is one
+``ad.gru_scan`` op per agent type: it steps through the slots in order, each
+step over the agents of that slot in every episode side by side, and records
+a single tape node.  A replay of E episodes of T slots therefore lays its
+graphs out slot-major (slot t of every episode, then slot t + 1) and starts
+from ``gru_zero(E)``.  Under ``self.store.no_grad()`` the same code runs on
+plain arrays and returns them in place of Tensors.  Shapes, for n_t agents
+of type t (M APs, J RISs, K users per AP, L elements, P phase levels):
 
   embed        {t: (B * n_t, ztilde_dim(t))}
   act          ActionSample with slot axis 1, log-probs (1, M + J), next GRU
                states {t: (n_t, gru_hidden)}
-  log_prob     log-probs (T, M + J) of T stored slots and the final states
+  log_prob     log-probs (T * E, M + J) of T stored slots of E episodes,
+               slot-major, and the final states
   local_value  (B, M + J), agents in node order
   global_value (B,) from (B, digest_dim) digests and (B, M + J) local values
 
@@ -173,9 +178,11 @@ class GEVDACPolicy:
     def ztilde_dim(self, kind: str) -> int:
         return self._node_dim[kind] + self.pcfg.hidden
 
-    def gru_zero(self) -> dict:
-        """GRU states of every agent at the start of an episode."""
-        return {t: np.zeros((n, self.pcfg.gru_hidden))
+    def gru_zero(self, episodes: int = 1) -> dict:
+        """GRU states of every agent at the start of an episode, for
+        ``episodes`` episodes side by side: {type: (episodes * n_type,
+        gru_hidden)}, row ``e * n_type + i`` for agent i of episode e."""
+        return {t: np.zeros((episodes * n, self.pcfg.gru_hidden))
                 for t, n in self._count.items()}
 
     # -- graph embedding ------------------------------------------------------
@@ -223,32 +230,28 @@ class GEVDACPolicy:
         return {t: ad.concat([x[t], z[t]]) for t in NODE_TYPES}
 
     # -- action trunk and heads -------------------------------------------------
-    def _trunk(self, z_tilde, kind: str, gru_state, steps: int):
-        """pre/post dense layers on all (steps * n, .) rows, the GRU slot by
-        slot from ``gru_state`` (n, gru_hidden); returns post and the state
-        after the last slot."""
+    def _trunk(self, z_tilde, kind: str, gru_state):
+        """pre/post dense layers on all rows, and between them the GRU as
+        one ``gru_scan`` from ``gru_state``: each step takes as many rows as
+        the state has (the agents of one slot, of every episode side by
+        side).  Returns post and the state after the last step."""
         p = self.pcfg
-        n = self._count[kind]
+        rows = gru_state.shape[0]
         pre = nn.dense(self.store, f"act.{kind}.pre", z_tilde,
                        self.ztilde_dim(kind), p.gru_hidden, "tanh")
-        h, states = gru_state, []
-        for t in range(steps):
-            h = nn.gru_step(self.store, f"act.{kind}.gru",
-                            pre[t * n:(t + 1) * n], h, p.gru_hidden,
-                            p.gru_hidden)
-            states.append(h)
-        post = nn.dense(self.store, f"act.{kind}.post",
-                        ad.concat(states, axis=0), p.gru_hidden,
+        states = ad.gru_scan(pre, gru_state, nn.gru_params(
+            self.store, f"act.{kind}.gru", p.gru_hidden, p.gru_hidden))
+        post = nn.dense(self.store, f"act.{kind}.post", states, p.gru_hidden,
                         p.gru_hidden, "tanh")
-        return post, h
+        return post, states[-rows:]
 
-    def _heads(self, z_tilde: dict, gru_state: dict, steps: int):
+    def _heads(self, z_tilde: dict, gru_state: dict):
         """Trunks and distribution heads of both agent types."""
         g, k = self.pcfg.gru_hidden, self.counts["users_per_ap"]
         n_el, n_ph = self.counts["ris_elements"], self.counts["n_phase"]
         post, h = {}, {}
         for t in NODE_TYPES:
-            post[t], h[t] = self._trunk(z_tilde[t], t, gru_state[t], steps)
+            post[t], h[t] = self._trunk(z_tilde[t], t, gru_state[t])
         mean = nn.dense(self.store, "act.ap.mean", post["ap"], g, k + 1)
         log_std = ad.clip(
             nn.dense(self.store, "act.ap.logstd", post["ap"], g, k + 1)
@@ -262,7 +265,7 @@ class GEVDACPolicy:
             deterministic: bool = False):
         """Sample (or take the mode of) every agent's action in one slot;
         returns (ActionSample, log-probs (1, M + J), next GRU states)."""
-        heads, h = self._heads(z_tilde, gru_state, 1)
+        heads, h = self._heads(z_tilde, gru_state)
         mean, log_std, onoff, phase = (ad.value_of(t) for t in heads)
         if deterministic:
             draw = mean.copy()
@@ -278,9 +281,14 @@ class GEVDACPolicy:
         return sample, self._score(sample, *heads), h
 
     def log_prob(self, z_tilde: dict, gru_state: dict, sample: ActionSample):
-        """Replay path: exact log-probabilities (T, M + J) of T stored slots
-        whose embedded states are ``z_tilde``, and the final GRU states."""
-        heads, h = self._heads(z_tilde, gru_state, sample.steps)
+        """Replay path: exact log-probabilities of stored slots whose
+        embedded states are ``z_tilde``, and the final GRU states.
+
+        For E episodes side by side (``gru_state`` from ``gru_zero(E)``) and
+        T slots, ``z_tilde`` rows and ``sample`` are slot-major, episode
+        within slot: ``sample`` holds T * E one-slot samples along its slot
+        axis, and the log-probs are (T * E, M + J) in that order."""
+        heads, h = self._heads(z_tilde, gru_state)
         return self._score(sample, *heads), h
 
     def _score(self, sample: ActionSample, mean, log_std, onoff,

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import sys
 
@@ -87,6 +88,33 @@ class TestTapeBasics:
         expect = -probs
         expect[2] += 1
         assert np.allclose(x.grad, expect)
+
+
+class TestFirstArrival:
+    @pytest.mark.parametrize("shape, g", [
+        ((3,), [-0.0, 1.5, -2.0]),
+        ((2, 3), [[-0.0, 0.0, 4.0], [1e-300, -1e-300, -0.0]]),
+        ((2, 3), [-0.0, 2.0, -7.5]),        # broadcast over rows
+        ((), -0.0),
+    ])
+    def test_matches_zeros_plus_gradient_bitwise(self, shape, g):
+        x = Tensor(np.ones(shape), requires=True)
+        g = np.asarray(g, dtype=float)
+        old = np.zeros(shape)
+        old += g
+        x._accum(g)
+        assert x.grad.shape == old.shape
+        assert np.array_equal(x.grad, old)
+        assert np.array_equal(np.signbit(x.grad), np.signbit(old))
+        assert not np.any(np.signbit(x.grad[x.grad == 0]))  # -0.0 -> +0.0
+
+    def test_first_gradient_is_a_fresh_array(self):
+        x = Tensor(np.zeros(2), requires=True)
+        g = np.array([1.0, 2.0])
+        x._accum(g)
+        x._accum(g)
+        assert np.array_equal(g, [1.0, 2.0])  # the caller's array untouched
+        assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 class TestTapeLifetime:
@@ -257,6 +285,89 @@ class TestGru:
             return h.sum()
 
         fd_check(build, store)
+
+
+def _composed_gru_step(store, name, x, h, in_dim, hidden):
+    """The GRU cell written out in dense, sigmoid and tanh ops."""
+    def gate(g, inp, rows):
+        return nn.dense(store, f"{name}.{g}", inp, rows, hidden)
+    z = ad.sigmoid(gate("zx", x, in_dim) + gate("zh", h, hidden))
+    r = ad.sigmoid(gate("rx", x, in_dim) + gate("rh", h, hidden))
+    cand = ad.tanh(gate("cx", x, in_dim) + r * gate("ch", h, hidden))
+    return (1.0 - z) * h + z * cand
+
+
+class TestGruScan:
+    STEPS, ROWS, IN, HIDDEN = 5, 3, 2, 4
+
+    def _setup(self, seed=19):
+        store = ParamStore(seed)
+        rng = np.random.default_rng(seed)
+        weights = nn.gru_params(store, "g", self.IN, self.HIDDEN)
+        for name in store.names():  # nonzero biases reach every term
+            store.get(name).value[:] = rng.normal(
+                scale=0.8, size=store.get(name).shape)
+        xs = rng.normal(size=(self.STEPS * self.ROWS, self.IN))
+        h0 = rng.normal(size=(self.ROWS, self.HIDDEN))
+        return store, weights, xs, h0
+
+    def test_gradients_of_inputs_state_and_every_weight(self):
+        store, weights, xs, h0 = self._setup()
+        x = store.param("x", xs.shape)
+        x.value[:] = xs
+        h = store.param("h0", h0.shape)
+        h.value[:] = h0
+        probe = np.random.default_rng(3).normal(
+            size=(self.STEPS * self.ROWS, self.HIDDEN))
+
+        def build():
+            return (ad.gru_scan(x, h, weights) * probe).sum()
+
+        assert len(store.names()) == 14  # x, h0, six weights, six biases
+        fd_check(build, store)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_forward_is_stepping_the_cell_bitwise(self, taped):
+        store, _, xs, h0 = self._setup()
+        with contextlib.nullcontext() if taped else store.no_grad():
+            states = ad.gru_scan(xs, h0, nn.gru_params(store, "g", self.IN,
+                                                       self.HIDDEN))
+            h, composed = h0, h0
+            for t in range(self.STEPS):
+                rows = xs[t * self.ROWS:(t + 1) * self.ROWS]
+                h = nn.gru_step(store, "g", rows, h, self.IN, self.HIDDEN)
+                composed = _composed_gru_step(store, "g", rows, composed,
+                                              self.IN, self.HIDDEN)
+                block = ad.value_of(states)[t * self.ROWS:(t + 1) * self.ROWS]
+                assert np.array_equal(block, ad.value_of(h))
+                assert np.array_equal(block, ad.value_of(composed))
+        assert isinstance(states, Tensor) == taped
+
+    def test_gradients_match_the_composed_cell(self):
+        store, weights, xs, h0 = self._setup()
+        x = Tensor(xs, requires=True)
+        h = Tensor(h0, requires=True)
+        probe = np.random.default_rng(4).normal(
+            size=(self.STEPS * self.ROWS, self.HIDDEN))
+
+        def composed():
+            state, out = h, []
+            for t in range(self.STEPS):
+                state = _composed_gru_step(
+                    store, "g", x[t * self.ROWS:(t + 1) * self.ROWS], state,
+                    self.IN, self.HIDDEN)
+                out.append(state)
+            return ad.concat(out, axis=0)
+
+        grads = []
+        for run in (lambda: ad.gru_scan(x, h, weights), composed):
+            store.zero_grads()
+            x.grad = h.grad = None
+            (run() * probe).sum().backward()
+            grads.append([x.grad, h.grad] + [store.get(n).grad
+                                             for n in store.names()])
+        for a, b in zip(*grads):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
 class TestAggregate:

@@ -15,6 +15,12 @@ def tiny_env(seed=0):
     return NetworkEnv(tiny_config(), seed=seed)
 
 
+def replay_one(policy, traj):
+    """V_tot and log-prob sums of one trajectory, replayed on its own."""
+    v_tot, logp_sums = _replay_values(policy, [traj])
+    return v_tot[:, 0], logp_sums[:, 0]
+
+
 def small_policy(env, seed=0, **pkw):
     pkw.setdefault("msg_dim", 4)
     pkw.setdefault("hidden", 4)
@@ -81,7 +87,7 @@ class TestRollout:
             env = NetworkEnv(make(), seed=0)
             policy = small_policy(env)
             traj = rollout(env, policy, 5, np.random.default_rng(5))
-            _, logp_sums = _replay_values(policy, traj)
+            _, logp_sums = replay_one(policy, traj)
             for t, rec in enumerate(traj.steps):
                 assert logp_sums[t].item() == pytest.approx(
                     sum(rec.logps), rel=1e-12)
@@ -129,7 +135,7 @@ class TestUpdate:
         env = tiny_env()
         policy = small_policy(env)
         traj = rollout(env, policy, 4, np.random.default_rng(2))
-        vtots, logp_sums = _replay_values(policy, traj)
+        vtots, logp_sums = replay_one(policy, traj)
         loss_pi = None
         for t in range(len(traj)):
             term = logp_sums[t] * 1.7  # arbitrary nonzero advantage
@@ -146,7 +152,7 @@ class TestUpdate:
         env = tiny_env()
         policy = small_policy(env)
         traj = rollout(env, policy, 4, np.random.default_rng(3))
-        vtots, _ = _replay_values(policy, traj)
+        vtots, _ = replay_one(policy, traj)
         loss_v = None
         for v in vtots:
             sq = (v - 1.0) * (v - 1.0)
@@ -171,7 +177,7 @@ class TestUpdate:
                                      np.random.default_rng(4))
         policy.store.zero_grads()
         logp[0, 0].backward()  # the AP's term
-        (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero(), 1)
+        (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero())
         expect = ((sample.gaussian[0, 0] - mean.value[0])
                   / np.exp(2 * log_std.value[0]))
         got = policy.store.get("act.ap.mean.b").grad
@@ -208,14 +214,14 @@ class TestUpdate:
         cfg = TrainConfig(lr_pi=0.0, lr_v=2e-3, lr_mix=2e-3)
         traj = rollout(env, policy, 5, rng)
         assert traj.values is None
-        before, _ = _replay_values(policy, traj)
+        before, _ = replay_one(policy, traj)
         update(policy, [traj], cfg)
         held = traj.values.copy()
         np.testing.assert_array_equal(held, [v.item() for v in before])
 
         # the critic has moved, yet the second update regresses on the
         # targets built from the held values, not from the moved critic
-        now, _ = _replay_values(policy, traj)
+        now, _ = replay_one(policy, traj)
         now = [v.item() for v in now]
         assert not np.array_equal(now, held)
         rewards = [rec.reward for rec in traj.steps]
@@ -227,7 +233,7 @@ class TestUpdate:
         assert loss == pytest.approx(expect, rel=1e-12)
 
         fresh = rollout(env, policy, 5, rng)
-        own, _ = _replay_values(policy, fresh)
+        own, _ = replay_one(policy, fresh)
         update(policy, [fresh], cfg)
         np.testing.assert_array_equal(fresh.values, [v.item() for v in own])
         np.testing.assert_array_equal(traj.values, held)
@@ -246,7 +252,7 @@ class TestUpdate:
         target = np.array([0.2, -0.5, 1.1])
 
         def build():
-            v_tot, logp_sums = _replay_values(policy, traj)
+            v_tot, logp_sums = replay_one(policy, traj)
             if loss == "pi":
                 return (logp_sums * weights).sum()
             err = v_tot[:3] - target
@@ -261,7 +267,7 @@ class TestUpdate:
         env = tiny_env()
         policy = small_policy(env)
         traj = rollout(env, policy, 3, np.random.default_rng(6))
-        vtots, _ = _replay_values(policy, traj)
+        vtots, _ = replay_one(policy, traj)
         loss_v = None
         for v in vtots:
             err = v - v.item()  # target equals current estimate
@@ -272,6 +278,55 @@ class TestUpdate:
         loss_v.backward()
         for name, g in policy.store.gradients().items():
             assert np.all(g == 0), name
+
+
+class TestBatchedReplay:
+    @pytest.mark.parametrize("make", [tiny_config, medium_config])
+    def test_batch_matches_each_trajectory_replayed_alone(self, make):
+        env = NetworkEnv(make(), seed=2)
+        policy = small_policy(env)
+        rng = np.random.default_rng(9)
+        batch = [rollout(env, policy, 4, rng) for _ in range(3)]
+        v_tot, logp_sums = _replay_values(policy, batch)
+        assert v_tot.shape == (5, 3) and logp_sums.shape == (4, 3)
+        for r, traj in enumerate(batch):
+            own_v, own_logp = replay_one(policy, traj)
+            np.testing.assert_allclose(v_tot.value[:, r], own_v.value,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(logp_sums.value[:, r], own_logp.value,
+                                       rtol=1e-12)
+
+    def test_tape_size_is_independent_of_horizon_and_batch(self, monkeypatch):
+        made = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        counts = {}
+        for horizon, rollouts in ((5, 1), (40, 1), (5, 3), (40, 3)):
+            env = tiny_env(seed=1)
+            policy = policy_for_env(env, PolicyConfig(), 1)
+            rng = np.random.default_rng(2)
+            batch = [rollout(env, policy, horizon, rng)
+                     for _ in range(rollouts)]
+            made.clear()
+            monkeypatch.setattr(Tensor, "__init__", counting)
+            update(policy, batch, TrainConfig(), reward_scale=0.02)
+            monkeypatch.setattr(Tensor, "__init__", init)
+            counts[horizon, rollouts] = len(made)
+        assert len(set(counts.values())) == 1, counts
+        assert 0 < counts[5, 1] <= 300
+
+    def test_unequal_lengths_rejected(self):
+        env = tiny_env()
+        policy = small_policy(env)
+        rng = np.random.default_rng(3)
+        batch = [rollout(env, policy, 4, rng), rollout(env, policy, 5, rng)]
+        with pytest.raises(ValueError, match="equal length"):
+            update(policy, batch, TrainConfig())
+        assert all(traj.values is None for traj in batch)
 
 
 class TestTrain:

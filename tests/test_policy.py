@@ -180,7 +180,7 @@ class TestActionHeads:
         policy = make_policy(dims)
         policy.store.get("act.ris.phase.b").value[:] = rng.normal(size=8)
         z = policy.embed([graph])
-        heads, _ = policy._heads(z, policy.gru_zero(), 1)
+        heads, _ = policy._heads(z, policy.gru_zero())
         logits = heads[3].value
         for seed in range(20):
             sample, _, _ = policy.act(z, policy.gru_zero(),
@@ -214,7 +214,7 @@ class TestActionHeads:
         sample_rng = np.random.default_rng(10)
         sample, logp, _ = policy.act(z, policy.gru_zero(), sample_rng)
         # recompute the density from the head outputs by hand
-        (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero(), 1)
+        (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero())
         for i in range(2):
             mu, ls = mean.value[i], log_std.value[i]
             g = sample.gaussian[0, i]
@@ -271,8 +271,8 @@ class TestCritics:
         gru = policy.gru_zero()
         rows = {"ap": perm[:2], "ris": perm[2:] - 2}
         for kind in ("ap", "ris"):
-            post, _ = policy._trunk(z[kind], kind, gru[kind], 1)
-            post_p, _ = policy._trunk(zp[kind], kind, gru[kind], 1)
+            post, _ = policy._trunk(z[kind], kind, gru[kind])
+            post_p, _ = policy._trunk(zp[kind], kind, gru[kind])
             for i in range(2):
                 assert np.array_equal(post.value[i],
                                       post_p.value[rows[kind][i]])
