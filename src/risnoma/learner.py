@@ -7,10 +7,12 @@ It runs without a tape: embedding and sampling run under the parameter
 store's ``no_grad()``, so they are plain numpy over the parameter arrays and
 bitwise equal to the taped forward; only the replay in ``update`` builds a
 tape.
-Training replays each trajectory on the tape in one batched pass: the T
-slot graphs plus the final one are embedded together, critics and the mixer
-run over all T+1 slots at once, and only the actors' GRU steps through the
-slots.  It scores one-step advantages for the policy term and n-step returns
+Training replays the whole batch of R equal-length trajectories on the tape
+in one pass, side by side: the (T+1) * R slot graphs (each trajectory's T
+slots plus its final one) are embedded together, critics and the mixer run
+over all of them at once, and the actors' GRU is a single ``gru_scan`` node
+that steps T times over the agents of all R trajectories.  So the tape holds
+the same few nodes whatever T and R are.  It scores one-step advantages for the policy term and n-step returns
 for the critics, and applies one combined update per training episode:
 
     mixer     <- mixer - lr_mix * dL_V/dmixer
@@ -110,9 +112,10 @@ def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
     return Trajectory(steps, final_graph, state_digest(final_graph))
 
 
-def n_step_return(rewards, values, t: int, gamma: float, n: int) -> float:
+def n_step_return(rewards, values, t: int, gamma: float, n: int):
     """Discounted n-step return from slot t, bootstrapped from values[t+m];
-    truncated with a terminal bootstrap when fewer than n slots remain."""
+    truncated with a terminal bootstrap when fewer than n slots remain.
+    Rows of (T, R) ``rewards`` and (T+1, R) ``values`` give R returns."""
     horizon = len(rewards)
     m = min(n, horizon - t)
     total = 0.0
@@ -121,7 +124,8 @@ def n_step_return(rewards, values, t: int, gamma: float, n: int) -> float:
     return total + gamma ** m * values[t + m]
 
 
-def advantage(reward: float, v_now: float, v_next: float, gamma: float) -> float:
+def advantage(reward, v_now, v_next, gamma: float):
+    """One-step TD advantage; scalars or equal-shaped arrays."""
     return reward + gamma * v_next - v_now
 
 
@@ -137,14 +141,11 @@ def _replay_values(policy: GEVDACPolicy, trajectories):
     R trajectories."""
     trajs = list(trajectories)
     steps, width = len(trajs[0]), len(trajs)
-    slots = [[rec.graph for rec in tr.steps] + [tr.final_graph] for tr in trajs]
-    digests = [[rec.digest for rec in tr.steps] + [tr.final_digest]
-               for tr in trajs]
-    z = policy.embed(slots[r][t] for t in range(steps + 1)
-                     for r in range(width))
-    digest = np.stack([digests[r][t] for t in range(steps + 1)
-                       for r in range(width)])
-    v_tot = policy.global_value(digest, policy.local_value(z))
+    z = policy.embed(tr.steps[t].graph if t < steps else tr.final_graph
+                     for t in range(steps + 1) for tr in trajs)
+    digests = np.stack([tr.steps[t].digest if t < steps else tr.final_digest
+                        for t in range(steps + 1) for tr in trajs])
+    v_tot = policy.global_value(digests, policy.local_value(z))
     gru = policy.gru_zero(width)
     played = {t: z[t][:steps * len(gru[t])] for t in z}  # drop the final slot
     logp, _ = policy.log_prob(played, gru, ActionSample.stack(
