@@ -19,7 +19,7 @@ import numpy as np
 from . import linklayer
 from .channel import EpisodeChannel, ris_phase_diag
 from .config import NetworkConfig, config_dict
-from .graphs import CommGraph, build_comm_graph, state_digest
+from .graphs import CommGraph, build_comm_graph, graph_layout, state_digest
 from .queueing import QueueState, rate_violation
 from .topology import SE, Topology, build_topology
 
@@ -48,7 +48,7 @@ class StepOutcome:
     y: np.ndarray                  # Gbit, post-update
     outage: np.ndarray             # bool per user
     sic_fail: dict                 # IoT user id -> 1 if its SIC failed
-    zf_loaded: bool
+    zf_loaded: bool                # any AP's ZF Gram was diagonally loaded
 
 
 class NetworkEnv:
@@ -71,10 +71,11 @@ class NetworkEnv:
             config.arrival_cap_factor)
         self._minima = np.where(kind == SE, config.rmin_se_gbps,
                                 config.rmin_iot_gbps)
-        self._users_of = [self.topo.users_of(m) for m in range(config.num_aps)]
-        self._ap_users = [  # per AP: (SE ids, IoT ids)
-            (users[kind[users] == SE].tolist(), users[kind[users] != SE].tolist())
-            for users in self._users_of]
+        self._layout = graph_layout(self.topo, config)
+        users = self._layout.users                      # (M, K), id order
+        m = config.num_aps
+        self._ap_se = users[kind[users] == SE].reshape(m, -1)    # (M, S)
+        self._ap_iot = users[kind[users] != SE].reshape(m, -1)    # (M, I)
         self._iot_ids = np.flatnonzero(kind != SE).tolist()
         self._rng = None
         self._episode = -1
@@ -93,6 +94,8 @@ class NetworkEnv:
         self._last_power = np.zeros(cfg.total_users)
         self._last_on = np.zeros((cfg.num_ris, cfg.ris_elements), dtype=int)
         self._last_phase = np.zeros((cfg.num_ris, cfg.ris_elements), dtype=int)
+        self._last_theta = ris_phase_diag(self._last_on, self._last_phase,
+                                          cfg.ris_phase_bits)
         self.t = 0
 
     # -- action plumbing ------------------------------------------------------
@@ -101,12 +104,13 @@ class NetworkEnv:
         alloc = np.maximum(np.asarray(alloc, dtype=float), 0.0)
         if alloc.shape != (self.config.total_users,):
             raise ValueError("power allocation must be one entry per user")
-        out = alloc.copy()
-        for users in self._users_of:
-            total = out[users].sum()
-            if total > self.config.max_tx_power and total > 0:
-                out[users] *= self.config.max_tx_power / total
-        return out
+        budget = self.config.max_tx_power            # validated >= 0
+        per_ap = alloc.reshape(self.config.num_aps, -1)  # users are contiguous
+        totals = np.add.reduce(per_ap, axis=1)
+        over = totals > budget
+        if np.count_nonzero(over):
+            per_ap[over] *= budget / totals[over, None]
+        return alloc
 
     def _check_ris(self, on: np.ndarray, phase: np.ndarray):
         cfg = self.config
@@ -118,16 +122,14 @@ class NetworkEnv:
         return on, phase
 
     # -- core pipeline --------------------------------------------------------
-    def _evaluate(self, power: np.ndarray, on: np.ndarray, phase: np.ndarray):
-        """Plan + score the slot under the given action; no state mutation."""
+    def _evaluate(self, power: np.ndarray, on: np.ndarray, theta: np.ndarray):
+        """Plan + score the slot under the given action (power split, RIS
+        on/off and reflection diagonals); no state mutation."""
         cfg = self.config
-        h_eff = self._parts.effective(
-            ris_phase_diag(on, phase, cfg.ris_phase_bits))
+        h_eff = self._parts.effective(theta)
         with warnings.catch_warnings():  # zf_loaded reports the regularization
             warnings.simplefilter("ignore", RuntimeWarning)
-            plans = [linklayer.derive_plan(h_eff[m], se, iot, cfg)
-                     for m, (se, iot) in enumerate(self._ap_users)]
-        links = linklayer.slot_links(h_eff, plans)
+            links = linklayer.derive_plan(h_eff, self._ap_se, self._ap_iot, cfg)
         terms = linklayer.power_terms(links, power)
         fail = linklayer.sic_feasibility(links, power, cfg.noise_power, terms)
         gamma = linklayer.sinr_all(links, power, cfg.noise_power, fail, terms)
@@ -140,19 +142,21 @@ class NetworkEnv:
                                cfg.xi_penalty)
         return dict(reward=reward, eta=eta, delta=delta, rates=rates,
                     gamma=gamma, power=p_total, weights=weights,
-                    fail=fail, plans=plans)
+                    fail=fail, links=links)
 
     def peek_reward(self, power: np.ndarray, on: np.ndarray,
                     phase: np.ndarray) -> float:
         """One-step reward of an action at the current state, no side effects."""
         on, phase = self._check_ris(on, phase)
-        return self._evaluate(self.project_power(power), on, phase)["reward"]
+        theta = ris_phase_diag(on, phase, self.config.ris_phase_bits)
+        return self._evaluate(self.project_power(power), on, theta)["reward"]
 
     def step(self, power: np.ndarray, on: np.ndarray,
              phase: np.ndarray) -> StepOutcome:
         on, phase = self._check_ris(on, phase)
         power = self.project_power(power)
-        ev = self._evaluate(power, on, phase)
+        theta = ris_phase_diag(on, phase, self.config.ris_phase_bits)
+        ev = self._evaluate(power, on, theta)
 
         arrivals = self._queues.sample_arrivals(self._rng)
         served = ev["rates"] * self.config.slot_seconds
@@ -161,6 +165,7 @@ class NetworkEnv:
 
         self._last_power = power
         self._last_on, self._last_phase = on, phase
+        self._last_theta = theta
         self.t += 1
         self._parts = self._channel.slot_parts(self._rng)
 
@@ -170,21 +175,19 @@ class NetworkEnv:
             weights=ev["weights"], arrivals=arrivals, q=q, y=y,
             outage=outage,
             sic_fail=dict(zip(self._iot_ids, ev["fail"][self._iot_ids].tolist())),
-            zf_loaded=any(p.zf_loaded for p in ev["plans"]),
+            zf_loaded=bool(np.count_nonzero(ev["links"].zf_loaded)),
         )
 
     # -- agent-facing views ---------------------------------------------------
     def observed_effective(self) -> np.ndarray:
         """Channels composed under the previous slot's RIS action."""
-        return self._parts.effective(ris_phase_diag(
-            self._last_on, self._last_phase, self.config.ris_phase_bits))
+        return self._parts.effective(self._last_theta)
 
     def comm_graph(self) -> CommGraph:
         return build_comm_graph(
             self._parts.direct, self.observed_effective(),
             self._parts.ris_user, self._parts.ap_ris, self._queues.weights(),
-            self._last_power, self._last_on, self._last_phase,
-            self.topo, self.config)
+            self._last_power, self._last_on, self._last_phase, self._layout)
 
     def state_digest(self) -> np.ndarray:
         return state_digest(self.comm_graph())

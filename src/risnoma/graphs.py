@@ -132,20 +132,53 @@ def _pairs(neighbors) -> tuple:
     return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
 
 
+@dataclass(frozen=True)
+class GraphLayout:
+    """The parts of a comm graph that topology and config fix: the input
+    scales, the (M, K) users of each AP, the queue-weight scales of those
+    users, every edge's sender and receiver, and the gather indices that
+    read an edge's features off the slot's channels.  An env builds it
+    once."""
+    scale: FeatureScale
+    users: np.ndarray              # (M, K) user ids of each AP, id order
+    qinv: np.ndarray               # (M, K) reciprocal outage caps
+    src: dict                      # edge kind -> (E,) sender rows
+    dst: dict                      # edge kind -> (E,) receiver rows
+    near: np.ndarray               # (E_ap_ris * M, 1) AP slot inside r's neighborhood
+    ris_users: np.ndarray          # (E_ris_ap, K) users of each RIS->AP receiver
+
+
+def graph_layout(topo: Topology, config: NetworkConfig) -> GraphLayout:
+    scale = FeatureScale(config)
+    m, j = config.num_aps, config.num_ris
+    users = np.stack([topo.users_of(i) for i in range(m)])   # (M, K)
+    qinv = np.where(topo.user_kind[users] == 0, scale.qinv_se, scale.qinv_iot)
+    src, dst = {}, {}
+    src["ap_ap"], dst["ap_ap"] = _pairs(topo.ap_neighbor_ap)
+    src["ap_ris"], dst["ap_ris"] = _pairs(topo.ap_neighbor_ris)
+    src["ris_ap"], dst["ris_ap"] = _pairs(topo.ris_neighbor_ap)
+    near = np.zeros((j, m), dtype=bool)
+    for r, aps in enumerate(topo.ris_neighbor_ap):
+        near[r, aps] = True
+    layout = GraphLayout(scale, users, qinv, src, dst,
+                         near[dst["ap_ris"]].reshape(-1, 1),
+                         users[dst["ris_ap"]])
+    for arr in (users, qinv, layout.near, layout.ris_users,
+                *src.values(), *dst.values()):
+        arr.flags.writeable = False   # every graph of the env shares them
+    return layout
+
+
 def build_comm_graph(direct: np.ndarray, effective: np.ndarray,
                      ris_user: np.ndarray, ap_ris: np.ndarray,
                      weights: np.ndarray, last_power: np.ndarray,
                      last_on: np.ndarray, last_phase: np.ndarray,
-                     topo: Topology, config: NetworkConfig) -> CommGraph:
-    scale = FeatureScale(config)
-    m, j = config.num_aps, config.num_ris
-    users = np.stack([topo.users_of(i) for i in range(m)])   # (M, K)
-    own = np.arange(m)
-
-    qinv = np.where(topo.user_kind[users] == 0, scale.qinv_se, scale.qinv_iot)
+                     layout: GraphLayout) -> CommGraph:
+    scale, users, src, dst = layout.scale, layout.users, layout.src, layout.dst
+    m = len(users)
     ap_nodes = np.concatenate([
-        _rows(direct[own[:, None], users]) * scale.chan,   # own channels
-        weights[users] * qinv,
+        _rows(direct[np.arange(m)[:, None], users]) * scale.chan,   # own channels
+        weights[users] * layout.qinv,
         last_power[users] * scale.power,
     ], axis=1)
     ris_nodes = np.concatenate([
@@ -153,31 +186,25 @@ def build_comm_graph(direct: np.ndarray, effective: np.ndarray,
         np.asarray(last_phase, dtype=float) * scale.phase,
     ], axis=1)
 
-    src, dst, feat = {}, {}, {}
+    feat = {}
     # AP i -> AP i2: i's channels to the users of i2
-    src["ap_ap"], dst["ap_ap"] = _pairs(topo.ap_neighbor_ap)
     feat["ap_ap"] = _rows(direct[src["ap_ap"][:, None], users[dst["ap_ap"]]]
                           ) * scale.chan
     # AP i -> RIS r: i's effective channels to every AP's users, one slot
     # per AP (zero-filled outside r's neighborhood keeps the width fixed)
-    src["ap_ris"], dst["ap_ris"] = _pairs(topo.ap_neighbor_ris)
-    near = np.zeros((j, m), dtype=bool)
-    for r, aps in enumerate(topo.ris_neighbor_ap):
-        near[r, aps] = True
     blocks = effective[src["ap_ris"]][:, users]       # (E, M, K, N_A)
     e = len(blocks)
     slots = _rows(blocks.reshape((e * m,) + blocks.shape[2:]))
-    slots = np.where(near[dst["ap_ris"]].reshape(e * m, 1),
-                     slots * scale.chan, 0.0)
+    slots = np.where(layout.near, slots * scale.chan, 0.0)
     feat["ap_ris"] = slots.reshape(e, m * slots.shape[1])
     # RIS r -> AP i: the AP->RIS block and the RIS's channels to i's users
-    src["ris_ap"], dst["ris_ap"] = _pairs(topo.ris_neighbor_ap)
     r_, i_ = src["ris_ap"], dst["ris_ap"]
     feat["ris_ap"] = np.concatenate([
         _rows(ap_ris[i_, r_]) * scale.chan,
-        _rows(ris_user[r_[:, None], users[i_]]) * scale.chan,
+        _rows(ris_user[r_[:, None], layout.ris_users]) * scale.chan,
     ], axis=1)
-    return CommGraph({"ap": ap_nodes, "ris": ris_nodes}, src, dst, feat)
+    return CommGraph({"ap": ap_nodes, "ris": ris_nodes}, dict(src), dict(dst),
+                     feat)
 
 
 def state_digest(graph: CommGraph) -> np.ndarray:

@@ -112,16 +112,25 @@ def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
     return Trajectory(steps, final_graph, state_digest(final_graph))
 
 
-def n_step_return(rewards, values, t: int, gamma: float, n: int):
+def n_step_return(rewards, values, t, gamma: float, n: int):
     """Discounted n-step return from slot t, bootstrapped from values[t+m];
     truncated with a terminal bootstrap when fewer than n slots remain.
-    Rows of (T, R) ``rewards`` and (T+1, R) ``values`` give R returns."""
+    Rows of (T, R) ``rewards`` and (T+1, R) ``values`` give R returns, and
+    an array of slots ``t`` gives one return per slot.
+
+    Every slot adds gamma^i * rewards[t+i] for i = 0, 1, ... in turn, so an
+    array ``t`` sums each return in the same order as a scalar one."""
+    rewards, values = np.asarray(rewards), np.asarray(values)
+    t = np.asarray(t)
     horizon = len(rewards)
-    m = min(n, horizon - t)
+    m = np.minimum(n, horizon - t)
+    lead = t.shape + (1,) * (rewards.ndim - 1)    # slot axis, then the rest
     total = 0.0
-    for i in range(m):
-        total += gamma ** i * rewards[t + i]
-    return total + gamma ** m * values[t + m]
+    for i in range(min(n, horizon)):
+        step = gamma ** i * rewards[np.minimum(t + i, horizon - 1)]
+        total += np.where((i < m).reshape(lead), step, 0.0)
+    discount = np.array([gamma ** i for i in range(n + 1)])
+    return total + discount[m].reshape(lead) * values[t + m]
 
 
 def advantage(reward, v_now, v_next, gamma: float):
@@ -187,8 +196,8 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
                         for tr in trajs]).T                     # (T, R)
     horizon = len(rewards)
     adv = advantage(rewards, values[:-1], values[1:], tcfg.gamma)
-    target = np.array([n_step_return(rewards, values, t, tcfg.gamma,
-                                     tcfg.nstep) for t in range(horizon)])
+    target = n_step_return(rewards, values, np.arange(horizon), tcfg.gamma,
+                           tcfg.nstep)
     loss_pi = (logp_sums * adv).sum()
     err = v_tot[:horizon] - target
     loss_v = (err * err).sum()

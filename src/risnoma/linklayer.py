@@ -6,15 +6,23 @@ interfered by every position below k (the head's own signal is decoded
 last, so it always interferes with IoT members), while the head only sees
 IoT signals it failed to cancel.
 
-Array layout of a slot with M APs, N_R clusters per AP and U users:
+One ``derive_plan`` call plans every AP of a slot over stacked arrays.
+With M APs, S SE users per AP (one cluster and one RF chain each), I IoT
+users per AP, N_A antennas and U users:
 
-- ``LinkPlan.clusters`` lists each cluster's members by decode position,
-  head first.  It is the single source of membership and decode order;
-  everything below is read off it.
-- ``SlotLinks.gains`` is the (U, M·N_R) matrix |h_u^(m) V^(m) w_n^(m)|²:
-  column ``m·N_R + n`` is cluster n of AP m.
-- ``SlotLinks.slot`` (U,) is the column of each user's own cluster and
-  ``SlotLinks.position`` (U,) its 1-based decode position (head = 1).
+- The inputs are the (M, U, N_A) effective channels and the (M, S) SE and
+  (M, I) IoT user ids of each AP; every user appears once.
+- Cluster n of AP m is headed by SE user ``se_ids[m, n]`` and is column
+  ``m·S + n`` of the slot.  IoT users join one at a time in ascending id
+  order, and a cluster centre sums its members in that join order, head
+  first.
+- ``SlotLinks.gains`` is the (U, M·S) matrix |h_u^(m) V^(m) w_n^(m)|²;
+  ``slot`` (U,) is the column of each user's own cluster, ``position``
+  (U,) its 1-based decode position (head = 1), ``head`` (U,) its cluster's
+  head and ``own`` (U,) its gain in its own column.
+- ``SlotLinks.v`` (M, N_A, S) and ``w`` (M, S, S) are the stacked analog
+  and digital stages, and ``zf_loaded`` (M,) flags the APs whose ZF Gram
+  was diagonally loaded.
 - SIC flags are a (U,) 0/1 array, 1 where the head fails to cancel that
   user's signal; heads get 0.
 - ``power_terms`` gives, per user, the inter-cluster interference and the
@@ -25,70 +33,93 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import NetworkConfig
 
 
-def channel_correlation(h1: np.ndarray, h2: np.ndarray) -> float:
-    """|<h1, h2>| normalized to [0, 1]; rejects zero vectors."""
-    n1, n2 = np.linalg.norm(h1), np.linalg.norm(h2)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("correlation undefined for a zero channel")
-    return float(np.abs(np.vdot(h1, h2)) / (n1 * n2))
+def cluster_users(h_eff: np.ndarray, se_ids, iot_ids, max_cluster_size: int):
+    """Greedy QoS clustering of every AP at once: SE users head the
+    clusters, and IoT users join, in ascending id order, the head with the
+    highest spatial correlation (ties to the lowest cluster index,
+    capacity-limited).  A zero channel (no reflected path and a blocked LoS)
+    correlates with nothing: it counts as 0.
 
-
-def cluster_users(h_own: np.ndarray, se_ids, iot_ids, max_cluster_size: int):
-    """Greedy QoS clustering: SE users head the clusters, IoT users join
-    the head with the highest spatial correlation (ties to the lowest
-    cluster index, capacity-limited).  A zero channel (no reflected path
-    and a blocked LoS) correlates with nothing: it counts as 0."""
-    se_ids, iot_ids = list(se_ids), sorted(iot_ids)  # id order: input-order invariant
-    if not se_ids:
+    ``h_eff`` is (M, U, N_A), ``se_ids`` (M, S) and ``iot_ids`` (M, I).
+    Returns the IoT ids sorted per AP and the cluster each one joined, both
+    (M, I), and the (M, S) cluster sizes, heads included."""
+    se_ids = np.asarray(se_ids, dtype=np.intp)
+    iot_ids = np.array(iot_ids, dtype=np.intp)
+    iot_ids.sort(axis=1)                    # join order: input-order invariant
+    m, s = se_ids.shape
+    if s == 0:
         raise ValueError("need at least one SE user per AP")
-    # one Gram of the SE and IoT channels: norms on its diagonal, inner
-    # products in its IoT x SE block
-    s = len(se_ids)
-    sub = h_own[se_ids + iot_ids]
-    gram = sub.conj() @ sub.T
-    norm = np.sqrt(gram.diagonal().real)
-    norms = norm[s:, None] * norm[:s]
+    # one Gram per AP of its SE and IoT channels: norms on its diagonal,
+    # inner products in its IoT x SE block
+    ap = np.arange(m)
+    sub = h_eff[ap[:, None], np.concatenate((se_ids, iot_ids), axis=1)]
+    gram = sub.conj() @ sub.transpose(0, 2, 1)
+    norm = np.sqrt(gram.diagonal(0, 1, 2).real)
+    norms = norm[:, s:, None] * norm[:, None, :s]
     # a zero channel has zero inner products: dividing them by 1 gives 0
-    corr = np.abs(gram[s:, :s]) / np.where(norms > 0, norms, 1.0)
-    ranks = np.argsort(-corr, axis=1, kind="stable")  # ties keep lowest index
-    clusters = [[head] for head in se_ids]
-    for u, order in zip(iot_ids, ranks.tolist()):  # one at a time: seats run out
-        n = next((n for n in order if len(clusters[n]) < max_cluster_size), None)
-        if n is None:
-            raise ValueError("cluster capacity too small for the IoT load")
-        clusters[n].append(int(u))
-    return clusters
+    corr = np.abs(gram[:, s:, :s]) / np.where(norms > 0, norms, 1.0)
+    ranks = (-corr).argsort(axis=2, kind="stable")  # ties keep lowest index
+    # the greedy walk itself is a few list steps per user: cheaper in
+    # Python than any numpy call at these sizes
+    cluster, sizes = [], []
+    for per_user in ranks.tolist():        # one AP's IoT users, in id order
+        seats = [max_cluster_size - 1] * s
+        for order in per_user:             # one at a time: seats run out
+            n = next((n for n in order if seats[n]), None)
+            if n is None:
+                raise ValueError("cluster capacity too small for the IoT load")
+            seats[n] -= 1
+            cluster.append(n)
+        sizes += [max_cluster_size - left for left in seats]
+    cluster = np.array(cluster, dtype=np.intp).reshape(iot_ids.shape)
+    sizes = np.array(sizes, dtype=np.intp).reshape(m, s)
+    return iot_ids, cluster, sizes
+
+
+@lru_cache(maxsize=None)
+def _phase_grid(bits: int, n_sub: int):
+    """The quantizer's grid and the analog entry of each grid point:
+    conj(point) / sqrt(n_sub)."""
+    grid = np.exp(1j * 2.0 * np.pi * np.arange(2 ** bits) / 2 ** bits)
+    entries = (1.0 / np.sqrt(n_sub)) * np.conj(grid)
+    grid.flags.writeable = entries.flags.writeable = False
+    return grid, entries
 
 
 def analog_beamformer(head_channels: np.ndarray, n_sub: int, bits: int) -> np.ndarray:
-    """Block-diagonal sub-connected analog matrix, one subarray per head.
+    """Block-diagonal sub-connected analog matrices, one subarray per head:
+    (M, N_R, N_A) head channels give (M, N_A, N_R).
 
     Each phase shifter is quantized to the head-channel entry it serves:
     the grid point closest to the entry's unit phasor, conjugated so the
     product steers real-positive.  Zero entries default to phase 0.
     """
-    n_r = head_channels.shape[0]
-    grid = np.exp(1j * 2.0 * np.pi * np.arange(2 ** bits) / 2 ** bits)
+    m, n_r = head_channels.shape[:2]
+    grid, entries = _phase_grid(bits, n_sub)
     diag = np.arange(n_r)
-    served = head_channels.reshape(n_r, n_r, n_sub)[diag, diag]  # (N_R, n_sub)
+    served = head_channels.reshape(m, n_r, n_r, n_sub)[:, diag, diag]  # (M, N_R, n_sub)
     mag = np.abs(served)
     # a zero entry keeps target 0, equidistant from the grid: phase 0 wins
-    target = np.divide(served, mag, out=np.zeros_like(served), where=mag > 0)
-    best = np.argmin(np.abs(grid - target[..., None]), axis=-1)
-    v = np.zeros((n_r, n_sub, n_r), dtype=complex)
-    v[diag, :, diag] = (1.0 / np.sqrt(n_sub)) * np.conj(grid[best])
-    return v.reshape(n_r * n_sub, n_r)
+    target = served / np.where(mag > 0, mag, 1.0)
+    best = np.abs(grid - target[..., None]).argmin(axis=-1)
+    v = np.zeros((m, n_r, n_sub, n_r), dtype=complex)
+    # the two diagonal indices lead the assigned block: (N_R, M, n_sub)
+    v[:, diag, :, diag] = entries[best.swapaxes(0, 1)]
+    return v.reshape(m, n_r * n_sub, n_r)
 
 
 def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
                           cond_threshold: float = 1e8):
-    """Zero-forcing across cluster centers with unit ``||V w||`` columns.
+    """Zero-forcing across each AP's cluster centers with unit ``||V w||``
+    columns: (M, N_R, N_A) centers and (M, N_A, N_R) analog matrices give
+    the (M, N_R, N_R) digital matrices and the (M,) loading flags.
 
     Near-singular Gram matrices get diagonal loading (1e-8 x mean eigenvalue)
     and raise a RuntimeWarning so degenerate clustering is visible.  The
@@ -96,39 +127,37 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
     its largest eigenvalue over its smallest; a smallest eigenvalue at or
     below 0 counts as singular.  An all-zero Gram (every center a zero
     channel) has no scale to load by; it gets unit loading, which yields
-    zero beams.
+    zero beams.  Each AP decides on its own.
     """
     h_eff = centers @ v
-    gram = h_eff @ h_eff.conj().T
-    n_r = gram.shape[0]
-    loaded = False
+    h_adj = h_eff.conj().swapaxes(1, 2)
+    gram = h_eff @ h_adj
+    n_r = gram.shape[1]
     eig = np.linalg.eigvalsh(gram)  # ascending
-    if eig[0] <= 0 or eig[-1] / eig[0] > cond_threshold:
-        mean_eig = np.trace(gram).real / n_r
-        gram = gram + (1e-8 * mean_eig if mean_eig > 0 else 1.0) * np.eye(n_r)
-        loaded = True
+    low, high = eig[:, 0], eig[:, -1]
+    loaded = (low <= 0) | (high / np.where(low > 0, low, 1.0) > cond_threshold)
+    if np.count_nonzero(loaded):
+        mean_eig = np.trace(gram, 0, 1, 2).real / n_r
+        load = np.where(mean_eig > 0, 1e-8 * mean_eig, 1.0)
+        gram[loaded] = (gram + load[:, None, None] * np.eye(n_r))[loaded]
         warnings.warn("ill-conditioned cluster centers; ZF regularized",
                       RuntimeWarning, stacklevel=2)
-    w = h_eff.conj().T @ np.linalg.inv(gram)
-    norms = np.linalg.norm(v @ w, axis=0)
-    return w / np.where(norms > 0, norms, 1.0), loaded
-
-
-def decoding_order(members, gains) -> list:
-    """IoT members by descending gain (ties by user id), SE head last."""
-    head, iot = members[0], list(members[1:])
-    ranked = sorted(iot, key=lambda u: (-gains[u], u))
-    return ranked + [head]
+    w = h_adj @ np.linalg.inv(gram)
+    beams = v @ w
+    # ||V w_n||, formed as np.linalg.norm(beams, axis=1) forms it
+    norms = np.sqrt(np.add.reduce((beams.conj() * beams).real, axis=1))
+    return w / np.where(norms > 0, norms, 1.0)[:, None, :], loaded
 
 
 @dataclass
 class LinkPlan:
-    """Everything one AP derives for a slot, before power-dependent terms.
+    """One AP's plan in per-user form: clusters as lists of user ids.
 
-    ``position`` and ``cluster_of`` restate ``clusters`` per user id, for
-    inspection: any mapping indexed by id will do, and ``derive_plan`` gives
-    (U,) arrays with 0 and -1 for users of other APs.  The slot path reads
-    ``clusters`` only.
+    The slot path does not use it; it states an AP's part of a ``SlotLinks``
+    in the form the loop-by-loop SINR transcription reads.
+    ``clusters`` lists each cluster's members by decode position, head
+    first; ``position`` and ``cluster_of`` restate them per user id (any
+    mapping indexed by id will do).
     """
     clusters: list                 # per cluster: members by position, head first
     position: np.ndarray           # user -> 1-based cluster position (head = 1)
@@ -138,60 +167,79 @@ class LinkPlan:
     zf_loaded: bool = False
 
 
-def derive_plan(h_own: np.ndarray, se_ids, iot_ids, config: NetworkConfig) -> LinkPlan:
-    """Cluster, beamform, and fix decode positions for one AP.
-
-    ``h_own`` is the AP's (U, N_A) channel to every user of the slot."""
-    if len(se_ids) > config.rf_chains:
-        raise ValueError("more clusters than RF chains")
-    clusters = cluster_users(h_own, se_ids, iot_ids, config.cluster_cap)
-    v = analog_beamformer(h_own[[c[0] for c in clusters]], config.n_sub,
-                          config.analog_phase_bits)
-    sizes = np.array([[len(c)] for c in clusters])
-    centers = np.array([h_own[c].sum(axis=0) for c in clusters]) / sizes
-    w, loaded = zf_digital_beamformer(centers, v,
-                                      cond_threshold=config.zf_cond_threshold)
-    gains = np.abs(h_own @ (v @ w)) ** 2                      # (U, N_R)
-    ranked = [members[:1] + decoding_order(members, gains[:, n])[:-1]
-              for n, members in enumerate(clusters)]
-    position = np.zeros(len(h_own), dtype=int)
-    cluster_of = np.full(len(h_own), -1)
-    for n, members in enumerate(ranked):
-        position[members] = np.arange(1, len(members) + 1)
-        cluster_of[members] = n
-    return LinkPlan(ranked, position, cluster_of, v, w, loaded)
-
-
 @dataclass
 class SlotLinks:
-    """The slot's beam gains and cluster layout (see the module docstring)."""
-    gains: np.ndarray              # (U, M·N_R)
-    slot: np.ndarray               # (U,) own cluster column m·N_R + n
+    """The slot's beams, gains and cluster layout (see the module
+    docstring)."""
+    gains: np.ndarray              # (U, M·S)
+    slot: np.ndarray               # (U,) own cluster column m·S + n
     position: np.ndarray           # (U,) 1-based decode position
     head: np.ndarray               # (U,) head of the user's cluster
     own: np.ndarray                # (U,) gain in the own cluster column
+    v: np.ndarray                  # (M, N_A, S) analog
+    w: np.ndarray                  # (M, S, S) digital columns
+    zf_loaded: np.ndarray          # (M,) bool: ZF Gram diagonally loaded
 
 
-def slot_links(h_eff: np.ndarray, plans) -> SlotLinks:
-    """Gains from the stacked ``V @ W`` and the layout of ``plans``' ranked
-    clusters; every user must sit in exactly one cluster."""
+def decode_layout(se_ids: np.ndarray, iot_ids: np.ndarray,
+                  cluster: np.ndarray, sizes: np.ndarray, gains: np.ndarray):
+    """Cluster column, decode position and head of every user.
+
+    ``iot_ids`` (M, I) are each AP's IoT users in ascending id order,
+    ``cluster`` (M, I) the cluster each joined, ``sizes`` (M, S) the cluster
+    sizes and ``gains`` (M, U, S) the per-AP beam gains.  Within a cluster
+    the head comes first, then IoT members by descending gain in that
+    cluster, ties by user id.  Returns (U,) ``slot``, ``position`` and
+    ``head``; a user that no AP lists keeps position 0."""
+    m, s = se_ids.shape
+    ap = np.arange(m)[:, None]
+    # each AP's IoT users by cluster, then by descending gain; lexsort is
+    # stable, so ties stay in id order
+    order = np.lexsort((-gains[ap, iot_ids, cluster], cluster))
+    joined = sizes - 1
+    ahead = joined.cumsum(axis=1) - joined      # IoT users in lower clusters
+    slot, position, head = np.zeros((3, gains.shape[1]), dtype=np.intp)
+    slot[se_ids] = s * ap + np.arange(s)
+    slot[iot_ids] = s * ap + cluster
+    head[se_ids] = se_ids
+    head[iot_ids] = se_ids[ap, cluster]
+    position[se_ids] = 1
+    position[iot_ids[ap, order]] = (np.arange(2, iot_ids.shape[1] + 2)
+                                    - ahead[ap, cluster[ap, order]])
+    return slot, position, head
+
+
+def derive_plan(h_eff: np.ndarray, se_ids, iot_ids,
+                config: NetworkConfig) -> SlotLinks:
+    """Cluster, beamform and fix decode positions for every AP of a slot.
+
+    ``h_eff`` is the (M, U, N_A) channel of every AP to every user;
+    ``se_ids`` (M, S) and ``iot_ids`` (M, I) list each AP's users, and every
+    user must appear exactly once."""
+    se_ids = np.asarray(se_ids, dtype=np.intp)
+    m, s = se_ids.shape
+    if s > config.rf_chains:
+        raise ValueError("more clusters than RF chains")
+    iot_ids, cluster, sizes = cluster_users(h_eff, se_ids, iot_ids,
+                                            config.cluster_cap)
+    ap = np.arange(m)[:, None]
+    centers = h_eff[ap, se_ids]                               # (M, S, N_A)
+    v = analog_beamformer(centers, config.n_sub, config.analog_phase_bits)
+    # a cluster's center sums its members in join order: the head, then
+    # IoT members by id
+    np.add.at(centers, (ap, cluster), h_eff[ap, iot_ids])
+    w, loaded = zf_digital_beamformer(centers / sizes[..., None], v,
+                                      cond_threshold=config.zf_cond_threshold)
+    per_ap = np.abs(h_eff @ (v @ w)) ** 2                     # (M, U, S)
+    slot, position, head = decode_layout(se_ids, iot_ids, cluster, sizes,
+                                         per_ap)
     n_users = h_eff.shape[1]
-    beams = np.array([p.v @ p.w for p in plans])              # (M, N_A, N_R)
-    gains = (np.abs(h_eff @ beams) ** 2).transpose(1, 0, 2).reshape(n_users, -1)
-    clusters = [c for p in plans for c in p.clusters]
-    sizes = np.array([len(c) for c in clusters])
-    members = np.concatenate(clusters)
-    if len(clusters) != gains.shape[1]:
-        raise ValueError("need one cluster per digital beam")
-    firsts = sizes.cumsum() - sizes
-    slot, position, head = np.zeros((3, n_users), dtype=int)
-    slot[members] = np.repeat(np.arange(len(clusters)), sizes)
-    position[members] = np.arange(1, len(members) + 1) - np.repeat(firsts, sizes)
-    head[members] = np.repeat(members[firsts], sizes)
-    if len(members) != n_users or (position == 0).any():
+    listed = se_ids.size + iot_ids.size
+    if listed != n_users or np.count_nonzero(position) < n_users:
         raise ValueError("every user must sit in exactly one cluster")
+    gains = per_ap.transpose(1, 0, 2).reshape(n_users, m * s)
     return SlotLinks(gains, slot, position, head,
-                     gains[np.arange(n_users), slot])
+                     gains[np.arange(n_users), slot], v, w, loaded)
 
 
 def power_terms(links: SlotLinks, alpha: np.ndarray):

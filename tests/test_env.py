@@ -3,7 +3,7 @@ import pytest
 
 from risnoma.env import NetworkEnv, shaped_reward
 from risnoma.graphs import (EDGE_ENDS, build_comm_graph, feature_dims,
-                            stack_graphs, state_digest)
+                            graph_layout, stack_graphs, state_digest)
 from risnoma.presets import default_config, medium_config, tiny_config
 from risnoma.topology import SE
 
@@ -65,6 +65,23 @@ class TestStepSemantics:
         scaled = env.project_power(heavy)
         assert scaled.sum() == pytest.approx(cfg.max_tx_power)
 
+    @pytest.mark.parametrize("make_config", [tiny_config, default_config])
+    def test_power_projection_matches_per_ap_loop(self, make_config):
+        # default has K = 8 users per AP, where numpy's sum turns pairwise
+        cfg = make_config()
+        env = NetworkEnv(cfg, seed=0)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            alloc = rng.uniform(-0.1, 2.5 * cfg.max_tx_power / cfg.users_per_ap,
+                                cfg.total_users)
+            want = np.maximum(alloc, 0.0)
+            for ap in range(cfg.num_aps):
+                users = env.topo.users_of(ap)
+                total = want[users].sum()
+                if total > cfg.max_tx_power and total > 0:
+                    want[users] *= cfg.max_tx_power / total
+            assert env.project_power(alloc).tobytes() == want.tobytes()
+
     def test_malformed_action_rejected(self):
         cfg = tiny_config()
         env = NetworkEnv(cfg, seed=0)
@@ -115,7 +132,8 @@ class TestObservations:
             parts.direct, env.observed_effective(), parts.ris_user,
             parts.ap_ris, rng.uniform(0, 0.05, cfg.total_users),
             np.zeros(cfg.total_users), np.zeros((cfg.num_ris, cfg.ris_elements)),
-            np.zeros((cfg.num_ris, cfg.ris_elements)), env.topo, cfg)
+            np.zeros((cfg.num_ris, cfg.ris_elements)),
+            graph_layout(env.topo, cfg))
             for _ in range(2)]
         a, b = graphs
         assert not np.array_equal(a.nodes["ap"], b.nodes["ap"])

@@ -46,6 +46,25 @@ class TestReturns:
         got = n_step_return([1.0, 1.0], [0.0, 0.0, 2.0], 1, 0.5, 8)
         assert got == pytest.approx(1.0 + 0.5 * 2.0)
 
+    @pytest.mark.parametrize("horizon", [3, 8, 13])
+    def test_all_slots_at_once_match_per_slot_loop(self, horizon):
+        # nstep = 8: fewer, as many and more slots than the return's reach
+        def per_slot(rewards, values, t, gamma, n):
+            m = min(n, len(rewards) - t)
+            total = 0.0
+            for i in range(m):
+                total += gamma ** i * rewards[t + i]
+            return total + gamma ** m * values[t + m]
+
+        rng = np.random.default_rng(horizon)
+        for gamma in (0.99, 0.9, 0.5):
+            rewards = rng.normal(0.0, 30.0, (horizon, 3))
+            values = rng.normal(0.0, 30.0, (horizon + 1, 3))
+            got = n_step_return(rewards, values, np.arange(horizon), gamma, 8)
+            want = np.array([per_slot(rewards, values, t, gamma, 8)
+                             for t in range(horizon)])
+            assert got.tobytes() == want.tobytes()
+
     def test_advantage_hand_case(self):
         assert advantage(1.0, 1.0, 2.0, 0.99) == pytest.approx(1.98)
 

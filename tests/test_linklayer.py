@@ -9,46 +9,114 @@ from risnoma.channel import EpisodeChannel, ris_phase_diag
 from risnoma.presets import default_config, medium_config, tiny_config
 from risnoma.topology import SE, build_topology
 
+import reference_link as ref
 from literal_link import literal_sic_and_sinr, random_instance
+
+
+def channel_correlation(h1: np.ndarray, h2: np.ndarray) -> float:
+    """|<h1, h2>| normalized to [0, 1]; rejects zero vectors.  The
+    pairwise form of the correlation that clustering reads off its Gram."""
+    n1, n2 = np.linalg.norm(h1), np.linalg.norm(h2)
+    if n1 == 0 or n2 == 0:
+        raise ValueError("correlation undefined for a zero channel")
+    return float(np.abs(np.vdot(h1, h2)) / (n1 * n2))
+
+
+def _clusters(h, se, iot, cap):
+    """``ll.cluster_users`` on one AP's (U, N_A) channels, as each
+    cluster's members in join order, head first."""
+    iot_sorted, joined, _ = ll.cluster_users(h[None], [se], [iot], cap)
+    clusters = [[head] for head in se]
+    for u, n in zip(iot_sorted[0].tolist(), joined[0].tolist()):
+        clusters[n].append(u)
+    return clusters
+
+
+def _analog(heads, n_sub, bits):
+    """``ll.analog_beamformer`` on one AP's (N_R, N_A) head channels."""
+    return ll.analog_beamformer(heads[None], n_sub, bits)[0]
+
+
+def _zf(centers, v, **kw):
+    """``ll.zf_digital_beamformer`` on one AP: its w and loading flag."""
+    w, loaded = ll.zf_digital_beamformer(centers[None], v[None], **kw)
+    return w[0], bool(loaded[0])
+
+
+def _decoding_order(members, gains) -> list:
+    """One cluster's IoT members in the decode order ``ll.decode_layout``
+    gives them under ``gains`` (indexed by user id), head last."""
+    head, iot = members[0], sorted(members[1:])
+    per_user = np.zeros((1, max(members) + 1, 1))
+    for u in members:
+        per_user[0, u, 0] = gains[u]
+    _, position, _ = ll.decode_layout(
+        np.array([[head]]), np.array([iot], dtype=np.intp),
+        np.zeros((1, len(iot)), dtype=np.intp), np.array([[len(members)]]),
+        per_user)
+    return sorted(iot, key=lambda u: position[u]) + [head]
+
+
+def _link_plans(links) -> list:
+    """Per-AP ``LinkPlan``s restating a ``SlotLinks``: each cluster's
+    members by decode position, head first."""
+    m, _, s = links.v.shape
+    plans = []
+    for ap in range(m):
+        mine = links.slot // s == ap
+        clusters = []
+        for column in range(ap * s, (ap + 1) * s):
+            members = np.flatnonzero(links.slot == column)
+            clusters.append(members[np.argsort(links.position[members])].tolist())
+        plans.append(ll.LinkPlan(clusters, np.where(mine, links.position, 0),
+                                 np.where(mine, links.slot % s, -1),
+                                 links.v[ap], links.w[ap],
+                                 bool(links.zf_loaded[ap])))
+    return plans
+
+
+def _plan(h, se, iot, cfg):
+    """``ll.derive_plan`` on one AP's (U, N_A) channels, as its LinkPlan."""
+    return _link_plans(ll.derive_plan(h[None], [se], [iot], cfg))[0]
 
 
 class TestCorrelation:
     def test_identical_is_one(self):
         h = np.array([1 + 2j, -0.5j, 3.0])
-        assert ll.channel_correlation(h, h) == pytest.approx(1.0)
+        assert channel_correlation(h, h) == pytest.approx(1.0)
 
     def test_orthogonal_is_zero(self):
-        assert ll.channel_correlation(np.array([1.0, 0]), np.array([0, 1.0])) == 0
+        assert channel_correlation(np.array([1.0, 0]), np.array([0, 1.0])) == 0
 
     def test_complex_scale_invariant(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=6) + 1j * rng.normal(size=6)
         c = 0.3 - 1.7j
-        assert ll.channel_correlation(h, c * h) == pytest.approx(1.0)
+        assert channel_correlation(h, c * h) == pytest.approx(1.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            ll.channel_correlation(np.zeros(3), np.ones(3))
+            channel_correlation(np.zeros(3), np.ones(3))
 
 
 class TestClustering:
     def test_no_iot_singleton_clusters(self):
         h = np.eye(3, dtype=complex)
-        assert ll.cluster_users(h, [0, 1], [], 3) == [[0], [1]]
+        assert _clusters(h, [0, 1], [], 3) == [[0], [1]]
 
     def test_parallel_channel_joins_matching_head(self):
         h = np.zeros((3, 4), dtype=complex)
         h[0] = [1, 0, 0, 0]
         h[1] = [0, 1, 0, 0]
         h[2] = 2j * h[1]  # parallel to head 1
-        assert ll.cluster_users(h, [0, 1], [2], 3) == [[0], [1, 2]]
+        assert _clusters(h, [0, 1], [2], 3) == [[0], [1, 2]]
 
     def test_equal_correlation_lowest_index_wins(self):
         h = np.zeros((3, 4), dtype=complex)
         h[0] = [1, 0, 0, 0]
         h[1] = [0, 1, 0, 0]
         h[2] = [1, 1, 0, 0]  # same correlation with both heads
-        assert ll.cluster_users(h, [0, 1], [2], 3) == [[0, 2], [1]]
+        assert _clusters(h, [0, 1], [2], 3) == [[0, 2], [1]]
 
     def test_capacity_spills_to_next_best(self):
         h = np.zeros((4, 4), dtype=complex)
@@ -56,7 +124,7 @@ class TestClustering:
         h[1] = [0, 1, 0, 0]
         h[2] = [1, 0.1, 0, 0]
         h[3] = [1, 0.2, 0, 0]
-        got = ll.cluster_users(h, [0, 1], [2, 3], 2)
+        got = _clusters(h, [0, 1], [2, 3], 2)
         assert got == [[0, 2], [1, 3]]
 
     def test_zero_channel_joins_lowest_index_head_with_room(self):
@@ -64,18 +132,18 @@ class TestClustering:
         h[0] = [1, 0, 0, 0]
         h[1] = [0, 1, 0, 0]
         # users 3 and 4 have zero channels: correlation 0 with every head
-        assert ll.cluster_users(h, [0, 1], [3, 4], 3) == [[0, 3, 4], [1]]
+        assert _clusters(h, [0, 1], [3, 4], 3) == [[0, 3, 4], [1]]
         h[2] = [1, 0, 0, 0]  # fills head 0 first, so user 3 spills to head 1
-        assert ll.cluster_users(h, [0, 1], [2, 3], 2) == [[0, 2], [1, 3]]
+        assert _clusters(h, [0, 1], [2, 3], 2) == [[0, 2], [1, 3]]
         h[0] = 0.0           # a zero head attracts nobody either
-        assert ll.cluster_users(h, [0, 1], [3, 4], 3) == [[0, 3, 4], [1]]
+        assert _clusters(h, [0, 1], [3, 4], 3) == [[0, 3, 4], [1]]
 
     def test_strong_head_does_not_win_on_raw_inner_product(self):
         h = np.zeros((3, 2), dtype=complex)
         h[0] = [10, 0]        # strong head, |<h2, h0>| = 10, correlation 0.78
         h[1] = [0.1, 0.1]     # weak head, |<h2, h1>| = 0.18, correlation 0.99
         h[2] = [1, 0.8]
-        assert ll.cluster_users(h, [0, 1], [2], 2) == [[0], [1, 2]]
+        assert _clusters(h, [0, 1], [2], 2) == [[0], [1, 2]]
 
     def test_matches_pairwise_greedy(self):
         # reference: the greedy rule written out with channel_correlation
@@ -85,25 +153,25 @@ class TestClustering:
             se, iot = [0, 1, 2], list(range(3, 10))
             clusters = [[head] for head in se]
             for u in iot:
-                corr = [ll.channel_correlation(h[u], h[head]) for head in se]
+                corr = [channel_correlation(h[u], h[head]) for head in se]
                 for n in sorted(range(3), key=lambda n: (-corr[n], n)):
                     if len(clusters[n]) < 4:
                         clusters[n].append(u)
                         break
-            assert ll.cluster_users(h, se, iot, 4) == clusters
+            assert _clusters(h, se, iot, 4) == clusters
 
     def test_input_order_invariant(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
-        a = ll.cluster_users(h, [0, 1], [2, 3, 4, 5], 3)
-        b = ll.cluster_users(h, [0, 1], [5, 3, 2, 4], 3)
+        a = _clusters(h, [0, 1], [2, 3, 4, 5], 3)
+        b = _clusters(h, [0, 1], [5, 3, 2, 4], 3)
         assert a == b
 
 
 class TestAnalogBeamformer:
     def test_real_positive_heads_give_flat_phases(self):
         heads = np.abs(np.random.default_rng(0).normal(size=(2, 8))) + 0.1
-        v = ll.analog_beamformer(heads, 4, 3)
+        v = _analog(heads, 4, 3)
         nz = v[v != 0]
         assert np.allclose(nz, 1 / np.sqrt(4))
 
@@ -111,7 +179,7 @@ class TestAnalogBeamformer:
     def _brute_force_check(bits, seed):
         rng = np.random.default_rng(seed)
         heads = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        v = ll.analog_beamformer(heads, 4, bits)
+        v = _analog(heads, 4, bits)
         cands = [np.exp(2j * np.pi * k / 2 ** bits) for k in range(2 ** bits)]
         for n in range(2):
             for i in range(4):
@@ -130,7 +198,7 @@ class TestAnalogBeamformer:
     def test_block_diagonal_structure(self):
         rng = np.random.default_rng(3)
         heads = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
-        v = ll.analog_beamformer(heads, 4, 2)
+        v = _analog(heads, 4, 2)
         for n in range(3):
             for i in range(3):
                 block = v[i * 4:(i + 1) * 4, n]
@@ -141,14 +209,14 @@ class TestAnalogBeamformer:
 
     def test_zero_entry_defaults_to_phase_zero(self):
         heads = np.zeros((1, 4), dtype=complex)
-        v = ll.analog_beamformer(heads, 4, 2)
+        v = _analog(heads, 4, 2)
         assert np.allclose(v[:, 0], 1 / np.sqrt(4))
 
 
 class TestZF:
     def test_orthonormal_centers_give_adjoint(self):
         centers = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        w, loaded = ll.zf_digital_beamformer(centers, np.eye(2, dtype=complex))
+        w, loaded = _zf(centers, np.eye(2, dtype=complex))
         assert not loaded
         assert np.allclose(w, centers.conj().T, atol=1e-12)
         assert np.allclose(centers @ w, np.eye(2), atol=1e-12)
@@ -158,9 +226,9 @@ class TestZF:
         for _ in range(100):
             n_r, n_sub = 3, 4
             heads = rng.normal(size=(n_r, 12)) + 1j * rng.normal(size=(n_r, 12))
-            v = ll.analog_beamformer(heads, n_sub, 3)
+            v = _analog(heads, n_sub, 3)
             centers = rng.normal(size=(n_r, 12)) + 1j * rng.normal(size=(n_r, 12))
-            w, _ = ll.zf_digital_beamformer(centers, v)
+            w, _ = _zf(centers, v)
             for i in range(n_r):
                 for n in range(n_r):
                     if i != n:
@@ -170,22 +238,22 @@ class TestZF:
     def test_unit_composed_norm(self):
         rng = np.random.default_rng(5)
         heads = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        v = ll.analog_beamformer(heads, 4, 2)
+        v = _analog(heads, 4, 2)
         centers = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        w, _ = ll.zf_digital_beamformer(centers, v)
+        w, _ = _zf(centers, v)
         for n in range(2):
             assert np.linalg.norm(v @ w[:, n]) == pytest.approx(1.0, rel=1e-12)
 
     def test_all_zero_centers_give_zero_beams(self):
         centers = np.zeros((2, 2), dtype=complex)
         with pytest.warns(RuntimeWarning):
-            w, loaded = ll.zf_digital_beamformer(centers, np.eye(2, dtype=complex))
+            w, loaded = _zf(centers, np.eye(2, dtype=complex))
         assert loaded and np.array_equal(w, np.zeros((2, 2)))
 
     def test_near_singular_loads_and_warns(self):
         centers = np.array([[1.0, 0.0], [1.0, 1e-13]], dtype=complex)
         with pytest.warns(RuntimeWarning):
-            w, loaded = ll.zf_digital_beamformer(centers, np.eye(2, dtype=complex))
+            w, loaded = _zf(centers, np.eye(2, dtype=complex))
         assert loaded and np.all(np.isfinite(w))
 
     def test_loading_decision_matches_condition_number(self):
@@ -210,8 +278,7 @@ class TestZF:
             v = np.eye(centers.shape[1], dtype=complex)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                _, loaded = ll.zf_digital_beamformer(centers, v,
-                                                     cond_threshold=1e8)
+                _, loaded = _zf(centers, v, cond_threshold=1e8)
             gram = centers @ centers.conj().T
             assert loaded == (np.linalg.cond(gram) > 1e8)
             decisions.append(loaded)
@@ -221,18 +288,21 @@ class TestZF:
 class TestDecodeOrder:
     def test_sorted_descending(self):
         gains = {10: 3.0, 11: 1.0, 12: 2.0, 0: 9.0}
-        assert ll.decoding_order([0, 10, 11, 12], gains) == [10, 12, 11, 0]
+        assert _decoding_order([0, 10, 11, 12], gains) == [10, 12, 11, 0]
 
     def test_singleton(self):
-        assert ll.decoding_order([0, 5], {0: 1.0, 5: 2.0}) == [5, 0]
+        assert _decoding_order([0, 5], {0: 1.0, 5: 2.0}) == [5, 0]
 
     def test_ties_by_user_index(self):
         gains = {7: 1.0, 3: 1.0, 0: 5.0}
-        assert ll.decoding_order([0, 7, 3], gains) == [3, 7, 0]
+        assert _decoding_order([0, 7, 3], gains) == [3, 7, 0]
 
 
 def _sic_and_sinr(h_eff, plans, alpha, sigma2):
-    links = ll.slot_links(h_eff, plans)
+    return _links_sic_and_sinr(ref.slot_links(h_eff, plans), alpha, sigma2)
+
+
+def _links_sic_and_sinr(links, alpha, sigma2):
     terms = ll.power_terms(links, alpha)
     fail = ll.sic_feasibility(links, alpha, sigma2, terms)
     return fail, ll.sinr_all(links, alpha, sigma2, fail, terms)
@@ -247,21 +317,25 @@ def _oracle_flags(lit_fail, n_users):
 
 def _slot_plans(cfg, chan, rng, ris_off):
     """One slot of ``chan`` under a random (or all-off) RIS action, planned
-    per AP by ``derive_plan``."""
+    by ``derive_plan``: the channels and the slot's ``SlotLinks``."""
     parts = chan.slot_parts(rng)
     shape = (cfg.num_ris, cfg.ris_elements)
     on = np.zeros(shape, dtype=int) if ris_off else rng.integers(0, 2, shape)
     phase = rng.integers(0, 2 ** cfg.ris_phase_bits, shape)
     h_eff = parts.effective(ris_phase_diag(on, phase, cfg.ris_phase_bits))
-    kind, topo = chan.topo.user_kind, chan.topo
-    plans = []
+    se, iot = _ap_ids(chan.topo)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for m in range(cfg.num_aps):
-            users = topo.users_of(m)
-            plans.append(ll.derive_plan(h_eff[m], users[kind[users] == SE],
-                                        users[kind[users] != SE], cfg))
-    return h_eff, plans
+        links = ll.derive_plan(h_eff, se, iot, cfg)
+    return h_eff, links
+
+
+def _ap_ids(topo):
+    """(M, S) SE and (M, I) IoT ids of every AP."""
+    kind, m = topo.user_kind, len(topo.ap_positions)
+    users = np.stack([topo.users_of(ap) for ap in range(m)])
+    return (users[kind[users] == SE].reshape(m, -1),
+            users[kind[users] != SE].reshape(m, -1))
 
 
 class TestSicAndSinr:
@@ -307,19 +381,23 @@ class TestSicAndSinr:
         rng = np.random.default_rng(2)
         chan.new_episode(rng)
         for _ in range(20):
-            h_eff, plans = _slot_plans(cfg, chan, rng, ris_off)
+            h_eff, links = _slot_plans(cfg, chan, rng, ris_off)
             alpha = rng.uniform(0, cfg.max_tx_power / cfg.users_per_ap,
                                 cfg.total_users)
-            lit_fail, lit_sinr = literal_sic_and_sinr(h_eff, plans, alpha,
-                                                      cfg.noise_power)
-            fail, got = _sic_and_sinr(h_eff, plans, alpha, cfg.noise_power)
+            lit_fail, lit_sinr = literal_sic_and_sinr(
+                h_eff, _link_plans(links), alpha, cfg.noise_power)
+            fail, got = _links_sic_and_sinr(links, alpha, cfg.noise_power)
             assert np.array_equal(fail, _oracle_flags(lit_fail, len(alpha)))
             np.testing.assert_allclose(got, lit_sinr, rtol=1e-12)
 
     def test_layout_follows_ranked_clusters(self):
         rng = np.random.default_rng(15)
-        h_eff, plans, _, _ = random_instance(rng, m=2, n_r=3, extra_users=4)
-        links = ll.slot_links(h_eff, plans)
+        h_eff, _, _, _ = random_instance(rng, m=2, n_r=3, extra_users=4)
+        cfg = tiny_config(num_aps=2, se_users_per_ap=3, rf_chains=3,
+                          iot_users_per_ap=4, antennas=6)
+        ids = np.arange(cfg.total_users).reshape(2, 7)
+        links = ll.derive_plan(h_eff, ids[:, :3], ids[:, 3:], cfg)
+        plans = _link_plans(links)
         n_r = 3
         for m, plan in enumerate(plans):
             for n, members in enumerate(plan.clusters):
@@ -333,17 +411,17 @@ class TestSicAndSinr:
 
     def test_user_outside_every_cluster_rejected(self):
         rng = np.random.default_rng(16)
-        h_eff, plans, _, _ = random_instance(rng, m=1, n_r=2, extra_users=1)
-        plans[0].clusters[0] = plans[0].clusters[0][:1]  # drop the IoT member
-        with pytest.raises(ValueError):
-            ll.slot_links(h_eff, plans)
+        h_eff, _, _, _ = random_instance(rng, m=1, n_r=2, extra_users=1)
+        cfg = tiny_config(se_users_per_ap=2, rf_chains=2, antennas=4)
+        with pytest.raises(ValueError, match="every user"):  # user 2 is left out
+            ll.derive_plan(h_eff, [[0, 1]], [[]], cfg)
 
     def test_single_user_no_interference(self):
         rng = np.random.default_rng(9)
         h_eff, plans, alpha, _ = random_instance(rng, m=1, n_r=1,
                                                  extra_users=0)
         sigma2 = 1e-2
-        links = ll.slot_links(h_eff, plans)
+        links = ref.slot_links(h_eff, plans)
         got = ll.sinr_all(links, alpha, sigma2, np.zeros(len(alpha), dtype=int),
                           ll.power_terms(links, alpha))
         g = abs(h_eff[0, 0] @ plans[0].v @ plans[0].w[:, 0]) ** 2
@@ -428,7 +506,7 @@ class TestDerivePlan:
         rng = np.random.default_rng(12)
         n_a = cfg.antennas
         h = rng.normal(size=(6, n_a)) + 1j * rng.normal(size=(6, n_a))
-        plan = ll.derive_plan(h, [0, 1], [2, 3, 4, 5], cfg)
+        plan = _plan(h, [0, 1], [2, 3, 4, 5], cfg)
         for n, members in enumerate(plan.clusters):
             assert plan.position[members[0]] == 1
             assert [plan.position[u] for u in members] == list(
@@ -442,8 +520,8 @@ class TestDerivePlan:
         cfg = medium_config()
         rng = np.random.default_rng(13)
         h = rng.normal(size=(6, cfg.antennas)) + 1j * rng.normal(size=(6, cfg.antennas))
-        p1 = ll.derive_plan(h, [0, 1], [2, 3, 4, 5], cfg)
-        p2 = ll.derive_plan(h, [0, 1], [5, 4, 3, 2], cfg)
+        p1 = _plan(h, [0, 1], [2, 3, 4, 5], cfg)
+        p2 = _plan(h, [0, 1], [5, 4, 3, 2], cfg)
         assert p1.clusters == p2.clusters
         assert np.array_equal(p1.position, p2.position)
         assert np.array_equal(p1.v, p2.v) and np.array_equal(p1.w, p2.w)
@@ -452,4 +530,65 @@ class TestDerivePlan:
         cfg = medium_config()
         h = np.ones((4, cfg.antennas), dtype=complex)
         with pytest.raises(ValueError):
-            ll.derive_plan(h, [0, 1, 2], [3], cfg)
+            _plan(h, [0, 1, 2], [3], cfg)
+
+
+class TestStackedPlanner:
+    """Cases of one ``derive_plan`` over every AP of a slot, each against
+    the per-AP reference planner."""
+
+    @staticmethod
+    def _channels(rng, m, u, n_a):
+        return rng.normal(size=(m, u, n_a)) + 1j * rng.normal(size=(m, u, n_a))
+
+    def test_no_iot_users(self):
+        cfg = tiny_config(num_aps=2, se_users_per_ap=2, rf_chains=2,
+                          iot_users_per_ap=0, antennas=4)
+        h = self._channels(np.random.default_rng(20), 2, 4, 4)
+        se = np.array([[0, 1], [2, 3]])
+        want = ref.reference_links(h, se, np.empty((2, 0), dtype=int), cfg)
+        # an empty id list reads as a float array: it must still index
+        for iot in (np.empty((2, 0), dtype=np.intp), [[], []]):
+            links = ll.derive_plan(h, se, iot, cfg)
+            ref.assert_same_links(links, want)
+            assert np.array_equal(links.position, np.ones(4))
+
+    def test_one_loaded_ap_among_unloaded(self):
+        cfg = tiny_config(num_aps=3, se_users_per_ap=2, rf_chains=2,
+                          iot_users_per_ap=1, antennas=4)
+        h = self._channels(np.random.default_rng(21), 3, 9, 4)
+        ids = np.arange(9).reshape(3, 3)
+        # AP 1's heads are parallel and its IoT user has a zero channel, so
+        # its cluster centers are parallel: a singular Gram
+        h[1, 4] = (1.5 - 0.5j) * h[1, 3]
+        h[1, 5] = 0.0
+        with pytest.warns(RuntimeWarning):
+            links = ll.derive_plan(h, ids[:, :2], ids[:, 2:], cfg)
+        assert links.zf_loaded.tolist() == [False, True, False]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = ref.reference_links(h, ids[:, :2], ids[:, 2:], cfg)
+        ref.assert_same_links(links, want)
+
+    def test_all_zero_gram(self):
+        cfg = tiny_config(num_aps=2, se_users_per_ap=2, rf_chains=2,
+                          iot_users_per_ap=1, antennas=4)
+        h = self._channels(np.random.default_rng(22), 2, 6, 4)
+        h[0] = 0.0                      # AP 0 reaches no user at all
+        ids = np.arange(6).reshape(2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            links = ll.derive_plan(h, ids[:, :2], ids[:, 2:], cfg)
+            want = ref.reference_links(h, ids[:, :2], ids[:, 2:], cfg)
+        ref.assert_same_links(links, want)
+        assert links.zf_loaded.tolist() == [True, False]
+        assert not links.w[0].any() and not links.gains[:, :2].any()
+
+    def test_capacity_error(self):
+        h = self._channels(np.random.default_rng(23), 2, 10, 4)
+        ids = np.arange(10).reshape(2, 5)
+        # two clusters of at most 2 seat two IoT users, not three
+        with pytest.raises(ValueError, match="capacity"):
+            ll.cluster_users(h, ids[:, :2], ids[:, 2:], 2)
+        with pytest.raises(ValueError, match="capacity"):
+            ref.cluster_users(h[1], [5, 6], [7, 8, 9], 2)
