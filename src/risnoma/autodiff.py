@@ -228,7 +228,7 @@ def tanh(x):
 
 
 def _sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(v, -500), 500)))
 
 
 def sigmoid(x):
@@ -270,12 +270,15 @@ def square(x):
 def softplus(x):
     v = _val(x)
     return _unary(x, np.logaddexp(0.0, v),
-                  lambda: 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500))))
+                  lambda: _sigmoid(v))
 
 
 def clip(x, lo, hi):
+    """Entries clipped to [lo, hi]: the bits of ``np.clip``, NaN included,
+    at about half its call cost.  An entry equal to a bound is kept, so
+    only at a zero bound can the sign of a zero differ from ``np.clip``."""
     v = _val(x)
-    return _unary(x, np.clip(v, lo, hi),
+    return _unary(x, np.minimum(np.maximum(v, lo), hi),
                   lambda: ((v > lo) & (v < hi)).astype(float))
 
 
@@ -312,6 +315,15 @@ def segment_reduce(kind: str, msgs, dst, n: int):
     their values, so relabelling the rows (with their ``dst``) gives a
     bitwise-identical result.  ``max`` ties route the gradient to the first
     row in that order.
+
+    When no segment holds two rows there is nothing to fold: the rows are
+    scattered into place.  Otherwise the rows are ordered by segment and
+    first column, and by all columns only when two rows of a segment tie
+    in the first one (without such ties the two orders are the same).  The
+    k-th row of every segment then goes into slab k of a (depth, n, d)
+    array padded with the fold's identity, -0.0 for a sum (``x + -0.0``
+    is ``x`` bit for bit) and -inf for ``max`` (which never wins), and the
+    slabs are folded in rank order, one whole-array step per rank.
     """
     if kind not in ("sum", "mean", "max"):
         raise ValueError(f"unknown aggregation kind: {kind}")
@@ -319,37 +331,53 @@ def segment_reduce(kind: str, msgs, dst, n: int):
     dst = np.asarray(dst, dtype=np.intp)
     if vals.ndim != 2 or dst.shape != vals.shape[:1]:
         raise ValueError("segment_reduce needs (E, d) rows and E segment ids")
-    order = np.lexsort((*vals.T[::-1], dst))  # by segment, then by value
-    seg = dst[order]
     counts = np.bincount(dst, minlength=n)
+    depth = counts.max(initial=0)
+    if depth <= 1 or not vals.shape[1]:  # nothing to fold
+        out = np.zeros((n, vals.shape[1]))
+        out[dst] = vals
+
+        def push(g):  # every row is its segment's mean, sum and max
+            msgs._accum(np.asarray(g)[dst])
+        return _out(out, (msgs,), push)
+    order = np.lexsort((vals[:, 0], dst))
+    seg, first = dst[order], vals[order, 0]
+    if not ((seg[1:] != seg[:-1]) | (first[1:] > first[:-1])).all():
+        order = np.lexsort((*vals.T[::-1], dst))  # a tie: sort on every column
+        seg = dst[order]
     rank = np.arange(dst.size) - (np.cumsum(counts) - counts)[seg]
-    out = np.zeros((n, vals.shape[1]))
-    winner = np.full(out.shape, -1) if kind == "max" else None
-    for k in range(counts.max(initial=0)):
-        at = rank == k  # at most one row per segment
-        rows, segs = order[at], seg[at]
-        if k == 0:
-            out[segs] = vals[rows]
+    slab = np.full((depth, n, vals.shape[1]),
+                   -np.inf if kind == "max" else -0.0)
+    slab[rank, seg] = vals[order]
+    out = slab[0]
+    winner = None
+    if kind == "max":
+        if _requires(msgs):
+            winner = np.zeros(out.shape, dtype=np.intp)  # rank of the max
+        for k in range(1, depth):
+            better = slab[k] > out
+            np.copyto(out, slab[k], where=better)
             if winner is not None:
-                winner[segs] = rows[:, None]
-        elif kind == "max":
-            better = vals[rows] > out[segs]
-            out[segs] = np.where(better, vals[rows], out[segs])
-            winner[segs] = np.where(better, rows[:, None], winner[segs])
-        else:
-            out[segs] += vals[rows]
+                np.copyto(winner, k, where=better)
+    else:
+        for k in range(1, depth):
+            out += slab[k]
+    if not counts.all():
+        out[counts == 0] = 0.0
     scale = None
-    if kind == "mean":
-        scale = np.zeros(n)
-        scale[counts > 0] = 1.0 / counts[counts > 0]
+    if kind == "mean":  # an empty segment's scale meets only zeros
+        scale = 1.0 / np.maximum(counts, 1)
         out *= scale[:, None]
 
     def push(g):
         g = np.asarray(g)
         if kind == "max":
             full = np.zeros_like(vals)
-            hit = winner >= 0
-            full[winner[hit], np.nonzero(hit)[1]] = g[hit]
+            held = np.nonzero(counts)[0]
+            at = np.empty((depth, n), dtype=np.intp)  # the row at each rank
+            at[rank, seg] = order
+            full[at[winner[held], held[:, None]],
+                 np.arange(vals.shape[1])] = g[held]
         elif kind == "mean":
             full = (g * scale[:, None])[dst]
         else:

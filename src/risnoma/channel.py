@@ -90,9 +90,9 @@ def ris_phase_diag(on_off: np.ndarray, phase_idx: np.ndarray, bits: int) -> np.n
     phase_idx = np.asarray(phase_idx)
     if on_off.shape != phase_idx.shape:
         raise ValueError("on/off and phase index vectors must share a shape")
-    if np.any((on_off != 0) & (on_off != 1)):
+    if ((on_off != 0) & (on_off != 1)).any():
         raise ValueError("on/off entries must be binary")
-    if np.any(phase_idx < 0) or np.any(phase_idx > 2 ** bits - 1):
+    if (phase_idx < 0).any() or (phase_idx > 2 ** bits - 1).any():
         raise ValueError(f"phase index out of range for {bits}-bit control")
     return on_off * np.exp(1j * (2.0 ** (1 - bits)) * np.pi * phase_idx)
 

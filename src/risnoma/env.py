@@ -19,7 +19,7 @@ import numpy as np
 from . import linklayer
 from .channel import EpisodeChannel, ris_phase_diag
 from .config import NetworkConfig, config_dict
-from .graphs import CommGraph, build_comm_graph, graph_layout, state_digest
+from .graphs import CommGraph, build_comm_graph, graph_layout
 from .queueing import QueueState, rate_violation
 from .topology import SE, Topology, build_topology
 
@@ -188,9 +188,6 @@ class NetworkEnv:
             self._parts.direct, self.observed_effective(),
             self._parts.ris_user, self._parts.ap_ris, self._queues.weights(),
             self._last_power, self._last_on, self._last_phase, self._layout)
-
-    def state_digest(self) -> np.ndarray:
-        return state_digest(self.comm_graph())
 
     @property
     def queues(self) -> QueueState:

@@ -283,7 +283,7 @@ def sinr_all(links: SlotLinks, alpha: np.ndarray, sigma2: float,
 def rates_gbps(gamma: np.ndarray, bandwidth: float) -> np.ndarray:
     """Shannon rate over the full band, in Gbps."""
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0):
+    if (gamma < 0).any():
         raise ValueError("SINR must be non-negative")
     return bandwidth * np.log2(1.0 + gamma) / 1e9
 
@@ -293,10 +293,10 @@ def power_consumption(alpha: np.ndarray, ris_on: np.ndarray,
     """Transmit power (with PA inefficiency) plus all circuit terms, W."""
     p_ap = (config.p_bb + config.rf_chains * config.p_rf
             + config.antennas * (config.p_ps + config.p_a))
-    total = (config.pa_inefficiency * float(np.sum(alpha))
+    total = (config.pa_inefficiency * float(alpha.sum())
              + config.total_users * config.p_d
              + config.num_aps * p_ap
-             + float(np.sum(ris_on)) * config.p_ris_element)
+             + float(ris_on.sum()) * config.p_ris_element)
     return total
 
 
@@ -304,4 +304,4 @@ def energy_efficiency(rates: np.ndarray, power_w: float) -> float:
     """Sum rate over consumed power: Gbit per Joule."""
     if power_w <= 0:
         raise ValueError("power must be positive")
-    return float(np.sum(rates) / power_w)
+    return float(rates.sum() / power_w)

@@ -198,28 +198,33 @@ class GEVDACPolicy:
                              self._node_dim[t], p.hidden, "tanh")
                  for t in NODE_TYPES}
         feat = g.edge_feat
+        sends = p.embed_mode in ("mpgnn", "raw")
+        kinds = [k for k in EDGE_ENDS if sends and len(g.src[k])]  # non-empty
+        inbound = {t: [k for k in kinds if EDGE_ENDS[k][1] == t]
+                   for t in NODE_TYPES}
+        dst = {t: np.concatenate([g.dst[k] for k in inbound[t]]
+                                 + [np.zeros(0, dtype=np.intp)])
+               for t in NODE_TYPES}
         msgs = {}
         for layer in range(1, p.n_layers + 1):
             if p.embed_mode == "mpgnn":
-                for kind, (sender, _) in EDGE_ENDS.items():
+                for kind in kinds:
+                    sender = EDGE_ENDS[kind][0]
                     z_dim = self._node_dim[sender] if layer == 1 else p.hidden
                     msgs[kind] = nn.dense(
                         self.store, f"emb.{kind}.l{layer}",
                         ad.concat([z[sender][g.src[kind]], feat[kind]]),
                         z_dim + self.dims[kind], p.msg_dim, "tanh")
-            elif p.embed_mode == "raw" and not msgs:  # the same every layer
-                for kind in EDGE_ENDS:
+            elif p.embed_mode == "raw" and layer == 1:  # the same every layer
+                for kind in kinds:
                     msgs[kind] = nn.dense(self.store, f"emb.{kind}.raw",
                                           feat[kind], self.dims[kind],
                                           p.msg_dim, "tanh")
             new_z = {}
             for t in NODE_TYPES:
-                inbound = [k for k in msgs if EDGE_ENDS[k][1] == t]
-                rows = (ad.concat([msgs[k] for k in inbound], axis=0)
-                        if inbound else np.zeros((0, p.msg_dim)))
-                dst = np.concatenate([g.dst[k] for k in inbound]
-                                     + [np.zeros(0, dtype=np.intp)])
-                agg = ad.segment_reduce(p.aggregation, rows, dst,
+                rows = (ad.concat([msgs[k] for k in inbound[t]], axis=0)
+                        if inbound[t] else np.zeros((0, p.msg_dim)))
+                agg = ad.segment_reduce(p.aggregation, rows, dst[t],
                                         len(g.nodes[t]))
                 z_dim = self._node_dim[t] if layer == 1 else p.hidden
                 new_z[t] = nn.dense(
@@ -384,7 +389,7 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500), 500)))
 
 
 def policy_for_env(env, pcfg: PolicyConfig, seed: int) -> GEVDACPolicy:

@@ -1,4 +1,4 @@
-"""Traffic queues, virtual deficit queues, rate shortfall and outage stats.
+"""Traffic queues, virtual deficit queues and rate shortfall.
 
 Each user's reward weight y + 2q (``QueueState.weights``) is the factor of
 service in the quadratic Lyapunov drift bound, drift <= const + ... +
@@ -18,7 +18,7 @@ import numpy as np
 def update_queue(q: float, served: float, arrival: float):
     """Backlog after serving then adding this slot's arrivals."""
     q, served, arrival = (np.asarray(x, dtype=float) for x in (q, served, arrival))
-    if np.any(q < 0) or np.any(served < 0) or np.any(arrival < 0):
+    if (q < 0).any() or (served < 0).any() or (arrival < 0).any():
         raise ValueError("queue quantities must be non-negative")
     return arrival + np.maximum(q - served, 0.0)
 
@@ -26,7 +26,7 @@ def update_queue(q: float, served: float, arrival: float):
 def update_virtual_queue(y: float, q_next: float, q_max: float, eps: float):
     """Deficit accumulation toward the average-backlog budget q_max * eps."""
     y, q_next = (np.asarray(x, dtype=float) for x in (y, q_next))
-    if np.any(y < 0) or np.any(q_next < 0):
+    if (y < 0).any() or (q_next < 0).any():
         raise ValueError("queue quantities must be non-negative")
     return np.maximum(y + q_next - np.asarray(q_max) * eps, 0.0)
 
@@ -36,17 +36,6 @@ def rate_violation(rates, minima) -> float:
     rates = np.asarray(rates, dtype=float)
     minima = np.asarray(minima, dtype=float)
     return float(np.maximum(minima - rates, 0.0).sum())
-
-
-def outage_stats(q_history: np.ndarray, q_max) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical Pr(q >= q_max) per user and the mean-backlog Markov bound."""
-    q_history = np.asarray(q_history, dtype=float)
-    if q_history.size == 0:
-        raise ValueError("need at least one logged slot")
-    q_max = np.asarray(q_max, dtype=float)
-    empirical = (q_history >= q_max).mean(axis=0)
-    bound = q_history.mean(axis=0) / q_max
-    return empirical, bound
 
 
 class QueueState:

@@ -370,6 +370,34 @@ class TestGruScan:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
+class TestClipWithoutNpClip:
+    """The activations clip with ``np.minimum(np.maximum(...))``, which
+    must give the bits ``np.clip`` gave at every bound in use."""
+    EDGES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300,
+             1e308, -1e308, 0.5, -3.0]
+
+    def _values(self, lo, hi):
+        return np.array(self.EDGES + [lo, hi, np.nextafter(lo, -np.inf),
+                                      np.nextafter(hi, np.inf), lo - 1.0,
+                                      hi + 1.0])
+
+    @pytest.mark.parametrize("lo, hi", [(-20.0, 2.0), (-500, 500)])
+    def test_clip_matches_np_clip(self, lo, hi):
+        v = self._values(lo, hi)
+        assert ad.clip(v, lo, hi).tobytes() == np.clip(v, lo, hi).tobytes()
+
+    def test_sigmoids_match_np_clip_form(self):
+        from risnoma.policy import _sigmoid
+        v = self._values(-500, 500)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+            assert ad.sigmoid(v).tobytes() == want.tobytes()
+            assert _sigmoid(v).tobytes() == want.tobytes()
+            x = Tensor(v, requires=True)
+            ad.softplus(x).backward(np.ones_like(v))
+        assert x.grad.tobytes() == (want + 0.0).tobytes()
+
+
 class TestAggregate:
     def test_singleton_identity(self):
         v = Tensor(np.array([[1.0, -2.0]]))

@@ -170,6 +170,16 @@ class TestRisPhase:
         with pytest.raises(ValueError):
             ris_phase_diag(np.array([1]), np.array([2]), 1)
 
+    @pytest.mark.parametrize("on, phase", [
+        ([[1, 2]], [[0, 1]]),      # on/off not binary
+        ([[1, -1]], [[0, 1]]),
+        ([[0, 1]], [[-1, 0]]),     # negative phase index
+        ([[0, 1]], [[0, 4]]),      # past the 2-bit range
+    ])
+    def test_bad_action_entries_rejected(self, on, phase):
+        with pytest.raises(ValueError):
+            ris_phase_diag(np.array(on), np.array(phase), 2)
+
 
 def cplx(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)

@@ -264,10 +264,10 @@ class TestCommGraph:
                                               g.edge_feat[kind])
 
     def test_digest_is_node_concat(self):
-        cfg = tiny_config()
-        env = NetworkEnv(cfg, seed=0)
-        graph = env.comm_graph()
-        assert np.array_equal(env.state_digest(), state_digest(graph))
+        graph = NetworkEnv(medium_config(), seed=0).comm_graph()
+        rows = np.concatenate([graph.nodes["ap"].ravel(),
+                               graph.nodes["ris"].ravel()])
+        assert np.array_equal(state_digest(graph), rows)
 
 
 class TestFeatureScale:

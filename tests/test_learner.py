@@ -1,10 +1,16 @@
+import copy
+import types
+
 import numpy as np
 import pytest
 
 from fd import fd_check
 
+from risnoma import autodiff as ad
+from risnoma import nn
 from risnoma.env import NetworkEnv, shaped_reward
 from risnoma.autodiff import Tensor
+from risnoma.graphs import EDGE_ENDS, NODE_TYPES, stack_graphs
 from risnoma.learner import (TrainConfig, advantage, evaluate, n_step_return,
                              rollout, train, update, _replay_values)
 from risnoma.policy import PolicyConfig, policy_for_env
@@ -19,6 +25,37 @@ def replay_one(policy, traj):
     """V_tot and log-prob sums of one trajectory, replayed on its own."""
     v_tot, logp_sums = _replay_values(policy, [traj])
     return v_tot[:, 0], logp_sums[:, 0]
+
+
+def embed_every_kind(self, graphs) -> dict:
+    """``GEVDACPolicy.embed`` as it was when it ran every edge kind, one
+    without edges included (a dense layer on a (0, d) matrix), and built
+    each receiving type's ``dst`` in every layer."""
+    p = self.pcfg
+    g = stack_graphs(graphs)
+    x = g.nodes
+    z = x
+    feat = g.edge_feat
+    msgs = {}
+    for layer in range(1, p.n_layers + 1):
+        for kind, (sender, _) in EDGE_ENDS.items():
+            z_dim = self._node_dim[sender] if layer == 1 else p.hidden
+            msgs[kind] = nn.dense(
+                self.store, f"emb.{kind}.l{layer}",
+                ad.concat([z[sender][g.src[kind]], feat[kind]]),
+                z_dim + self.dims[kind], p.msg_dim, "tanh")
+        new_z = {}
+        for t in NODE_TYPES:
+            inbound = [k for k in msgs if EDGE_ENDS[k][1] == t]
+            rows = ad.concat([msgs[k] for k in inbound], axis=0)
+            dst = np.concatenate([g.dst[k] for k in inbound])
+            agg = ad.segment_reduce(p.aggregation, rows, dst, len(g.nodes[t]))
+            z_dim = self._node_dim[t] if layer == 1 else p.hidden
+            new_z[t] = nn.dense(
+                self.store, f"emb.{t}.comb.l{layer}", ad.concat([z[t], agg]),
+                z_dim + p.msg_dim, p.hidden, "tanh")
+        z = new_z
+    return {t: ad.concat([x[t], z[t]]) for t in NODE_TYPES}
 
 
 def small_policy(env, seed=0, **pkw):
@@ -297,6 +334,31 @@ class TestUpdate:
         loss_v.backward()
         for name, g in policy.store.gradients().items():
             assert np.all(g == 0), name
+
+    def test_edge_kind_without_edges_takes_no_step(self):
+        # tiny has one AP, so no AP->AP edge: embed skips that kind, whose
+        # parameters get no gradient and keep their bits, while every other
+        # parameter takes the step it took when the empty kind still ran
+        env = tiny_env()
+        policy, twin = small_policy(env), small_policy(env)
+        twin.embed = types.MethodType(embed_every_kind, twin)
+        traj = rollout(env, policy, 5, np.random.default_rng(8))
+        assert not any(len(rec.graph.src["ap_ap"]) for rec in traj.steps)
+        before = {n: policy.store.get(n).value.copy()
+                  for n in policy.store.names()}
+        update(policy, [traj], TrainConfig())
+        update(twin, [copy.deepcopy(traj)], TrainConfig())
+        empty = [n for n in before if n.startswith("emb.ap_ap.")]
+        assert empty
+        for n, v in before.items():
+            got = policy.store.get(n).value
+            if n in empty:
+                assert policy.store.get(n).grad is None, n
+                assert got.tobytes() == v.tobytes(), n
+            else:
+                assert got.tobytes() == twin.store.get(n).value.tobytes(), n
+        assert any(not np.array_equal(policy.store.get(n).value, before[n])
+                   for n in before if n.startswith("emb.ap."))
 
 
 class TestBatchedReplay:

@@ -459,6 +459,10 @@ class TestRates:
     def test_three_sinr(self):
         assert ll.rates_gbps(np.array([3.0]), 10e9)[0] == pytest.approx(20.0)
 
+    def test_negative_sinr_rejected(self):
+        with pytest.raises(ValueError):
+            ll.rates_gbps(np.array([1.0, -1e-3]), 10e9)
+
 
 class TestPowerAndEfficiency:
     def test_idle_network_is_circuit_only(self):

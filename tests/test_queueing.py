@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from risnoma.queueing import (outage_stats, rate_violation, update_queue,
+from risnoma.queueing import (rate_violation, update_queue,
                               update_virtual_queue, QueueState)
 
 
@@ -19,6 +19,13 @@ class TestQueueUpdate:
         with pytest.raises(ValueError):
             update_queue(-1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_negative_service_or_arrival_rejected(self, bad):
+        args = [np.ones(3), np.ones(3), np.ones(3)]
+        args[bad][1] = -0.5
+        with pytest.raises(ValueError):
+            update_queue(*args)
+
 
 class TestVirtualQueue:
     def test_hand_case(self):
@@ -31,6 +38,12 @@ class TestVirtualQueue:
         y = 3.0
         got = update_virtual_queue(y, 4.0, 25.0, 0.1)
         assert got == y + 4.0 - 2.5
+
+    @pytest.mark.parametrize("y, q_next", [(-1.0, 0.0), (0.0, -1.0),
+                                           ([0.0, -0.1], [1.0, 1.0])])
+    def test_negative_rejected(self, y, q_next):
+        with pytest.raises(ValueError):
+            update_virtual_queue(y, q_next, 25.0, 0.1)
 
     def test_never_negative(self):
         rng = np.random.default_rng(0)
@@ -56,30 +69,6 @@ class TestRateViolation:
             k = rng.integers(0, 3)
             bump[k] += rng.uniform(0, 1)
             assert rate_violation(bump, minima) <= rate_violation(r, minima)
-
-
-class TestOutageStats:
-    def test_never_exceeds(self):
-        hist = np.full((50, 2), 3.0)
-        emp, bound = outage_stats(hist, np.array([10.0, 10.0]))
-        assert np.all(emp == 0.0)
-
-    def test_always_at_cap(self):
-        hist = np.full((50, 1), 10.0)
-        emp, bound = outage_stats(hist, np.array([10.0]))
-        assert emp[0] == 1.0 and bound[0] >= 1.0
-
-    def test_markov_bound_dominates_on_random_traces(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            hist = rng.exponential(2.0, size=(400, 3))
-            qmax = rng.uniform(4, 12, 3)
-            emp, bound = outage_stats(hist, qmax)
-            assert np.all(emp <= bound + 1e-12)
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            outage_stats(np.zeros((0, 2)), np.ones(2))
 
 
 class TestQueueState:
