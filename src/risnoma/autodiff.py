@@ -275,8 +275,8 @@ def softplus(x):
 
 def clip(x, lo, hi):
     """Entries clipped to [lo, hi]: the bits of ``np.clip``, NaN included,
-    at about half its call cost.  An entry equal to a bound is kept, so
-    only at a zero bound can the sign of a zero differ from ``np.clip``."""
+    at a lower call cost.  An entry equal to a bound is kept, so only at a
+    zero bound can the sign of a zero differ from ``np.clip``."""
     v = _val(x)
     return _unary(x, np.minimum(np.maximum(v, lo), hi),
                   lambda: ((v > lo) & (v < hi)).astype(float))

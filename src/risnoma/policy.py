@@ -10,9 +10,10 @@ Everything runs batched.  ``embed`` takes a batch of B graphs (one slot, or
 every slot of a batch of episodes) and returns, per node type, the embedded
 states of all its agents as rows, graph-major: row ``b * n_t + i`` is agent i
 of that type in graph b.  Each message layer is one dense op per edge kind
-over all edges of the batch, aggregation is one ``segment_reduce`` per
-receiving type, and each combine layer is one dense op per node type.  The
-trunk, heads and critics then run on those rows.  The GRU is one
+over all edges of the batch (a kind with no edges in the batch is skipped,
+and its parameters get no gradient), aggregation is one ``segment_reduce``
+per receiving type, and each combine layer is one dense op per node type.
+The trunk, heads and critics then run on those rows.  The GRU is one
 ``ad.gru_scan`` op per agent type: it steps through the slots in order, each
 step over the agents of that slot in every episode side by side, and records
 a single tape node.  A replay of E episodes of T slots therefore lays its
@@ -199,7 +200,7 @@ class GEVDACPolicy:
                  for t in NODE_TYPES}
         feat = g.edge_feat
         sends = p.embed_mode in ("mpgnn", "raw")
-        kinds = [k for k in EDGE_ENDS if sends and len(g.src[k])]  # non-empty
+        kinds = [k for k in EDGE_ENDS if sends and len(g.src[k])]
         inbound = {t: [k for k in kinds if EDGE_ENDS[k][1] == t]
                    for t in NODE_TYPES}
         dst = {t: np.concatenate([g.dst[k] for k in inbound[t]]
