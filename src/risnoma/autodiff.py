@@ -20,9 +20,11 @@ tapes it.
 
 Ops, all batched over leading axes where that makes sense:
   arithmetic   ``+ - * /`` (numpy broadcasting), ``@`` (1-D or 2-D operands)
+  layers       ``linear(parts, w, b)`` (a dense layer over input parts laid
+               side by side; only the parts that need it get a gradient)
   indexing     ``x[key]`` (basic or advanced; repeated indices accumulate)
   shape        ``reshape``, ``sum(axis)``, ``concat(parts, axis)``
-  elementwise  ``tanh sigmoid relu elu exp log absolute square softplus clip``
+  elementwise  ``tanh sigmoid relu elu exp absolute square softplus clip``
   rows         ``log_softmax`` (last axis), ``segment_reduce`` (sum, mean or
                max of the rows sent to each segment)
   recurrent    ``gru_scan`` (a GRU over T steps of stacked rows, one node
@@ -253,11 +255,6 @@ def exp(x):
     return _unary(x, y, lambda: y)
 
 
-def log(x):
-    v = _val(x)
-    return _unary(x, np.log(v), lambda: 1.0 / v)
-
-
 def absolute(x):
     v = _val(x)
     return _unary(x, np.abs(v), lambda: np.sign(v))
@@ -293,6 +290,36 @@ def concat(parts, axis=-1):
             if _requires(p):
                 p._accum(piece)
     return _out(np.concatenate(values, axis=axis), parts, push)
+
+
+def linear(parts, w, b):
+    """``concat(parts, axis=-1) @ w + b`` as one tape node.
+
+    The value is that expression, bit for bit.  The backward pass gives
+    ``w`` and ``b`` the gradients of the matmul and the add, and a part
+    that requires a gradient the product with its own rows of ``w``;
+    ndarray parts, such as constant feature columns, cost nothing.  Parts
+    are 1-D or 2-D, all with the same leading shape.
+    """
+    parts = list(parts)
+    values = [_val(p) for p in parts]
+    a, wv = np.concatenate(values, axis=-1), _val(w)
+    if a.ndim > 2 or wv.ndim != 2:
+        raise ValueError("linear takes 1-D or 2-D parts and a 2-D weight")
+
+    def push(g):
+        g = np.asarray(g)
+        if _requires(w):
+            w._accum(a.T @ g if a.ndim == 2 else np.outer(a, g))
+        if _requires(b):
+            b._accum(_unbroadcast(g, b.shape))
+        lo = 0
+        for p, v in zip(parts, values):
+            hi = lo + v.shape[-1]
+            if _requires(p):
+                p._accum(g @ wv[lo:hi].T)
+            lo = hi
+    return _out(a @ wv + _val(b), (*parts, w, b), push)
 
 
 def log_softmax(x):
@@ -518,13 +545,14 @@ class ParamStore:
     def __contains__(self, name):
         return name in self._params
 
-    def apply_update(self, deltas: dict, rate: float) -> None:
-        """theta <- theta + rate * delta; aborts on non-finite components."""
+    def apply_update(self, deltas: dict) -> None:
+        """theta <- theta + delta for each named delta, added as given;
+        aborts on non-finite components before changing any parameter."""
         for name in sorted(deltas):
-            delta = deltas[name]
-            if not np.all(np.isfinite(delta)):
+            if not np.isfinite(deltas[name]).all():
                 raise FloatingPointError(f"non-finite update for {name}")
-            self._params[name].value += rate * np.asarray(delta)
+        for name in sorted(deltas):
+            self._params[name].value += deltas[name]
 
     # -- checkpointing ------------------------------------------------------
     def save(self, path, extra_meta: dict | None = None) -> None:

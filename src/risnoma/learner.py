@@ -12,8 +12,9 @@ in one pass, side by side: the (T+1) * R slot graphs (each trajectory's T
 slots plus its final one) are embedded together, critics and the mixer run
 over all of them at once, and the actors' GRU is a single ``gru_scan`` node
 that steps T times over the agents of all R trajectories.  So the tape holds
-the same few nodes whatever T and R are.  It scores one-step advantages for the policy term and n-step returns
-for the critics, and applies one combined update per training episode:
+the same few nodes whatever T and R are.  It scores one-step advantages for
+the policy term and n-step returns for the critics, and applies one
+combined update per training episode:
 
     mixer     <- mixer - lr_mix * dL_V/dmixer
     theta     <- theta + lr_pi * d(sum logpi * A)/dtheta - lr_v * dL_V/dtheta
@@ -217,13 +218,13 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
     grad_v = gradient_norm({n: g_v[n] for n in blocks["critic"]
                             if n in g_v}) * v_scale
 
-    if g_mix:
-        store.apply_update(g_mix, -tcfg.lr_mix * mix_scale)
-    deltas = {n: (tcfg.lr_pi * pi_scale) * g for n, g in g_pi.items()}
+    deltas = {n: (-tcfg.lr_mix * mix_scale) * g for n, g in g_mix.items()}
+    for n, g in g_pi.items():
+        deltas[n] = (tcfg.lr_pi * pi_scale) * g
     for n, g in g_v.items():
         step = (-tcfg.lr_v * v_scale) * g
         deltas[n] = deltas[n] + step if n in deltas else step
-    store.apply_update(deltas, 1.0)
+    store.apply_update(deltas)
 
     return {
         "loss_v": loss_v.item(),

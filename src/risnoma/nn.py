@@ -1,4 +1,5 @@
-"""Network blocks on top of the tape: dense layers, a GRU cell (the
+"""Network blocks on top of the tape: dense layers (over one input, or over a
+list of input parts as one ``ad.linear`` node), a GRU cell (the
 ``ad.gru_scan`` op, one tape node however many steps it runs) and the
 hypernetwork value mixer.  Each works on a single input vector or on a batch
 of them stacked as rows, and takes ndarrays or Tensors: it returns whatever
@@ -16,9 +17,13 @@ _ACTS = {"linear": lambda x: x, "tanh": ad.tanh, "relu": ad.relu,
 
 def dense(store: ParamStore, name: str, x, in_dim: int, out_dim: int,
           activation: str = "linear"):
+    """activation(x @ w + b).  ``x`` is one input, or a list of parts that
+    together make the ``in_dim`` input columns, side by side: one
+    ``ad.linear`` node, which sends no gradient to constant parts."""
     w = store.param(f"{name}.w", (in_dim, out_dim))
     b = store.param(f"{name}.b", (out_dim,), kind="zeros")
-    return _ACTS[activation](x @ w + b)
+    y = ad.linear(x, w, b) if isinstance(x, list) else x @ w + b
+    return _ACTS[activation](y)
 
 
 def gru_params(store: ParamStore, name: str, in_dim: int, hidden: int):

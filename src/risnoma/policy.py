@@ -13,6 +13,9 @@ of that type in graph b.  Each message layer is one dense op per edge kind
 over all edges of the batch (a kind with no edges in the batch is skipped,
 and its parameters get no gradient), aggregation is one ``segment_reduce``
 per receiving type, and each combine layer is one dense op per node type.
+Message and combine layers read their input as parts, [sender state, edge
+features] and [own state, aggregate], so the backward pass never forms a
+gradient for the raw feature columns.
 The trunk, heads and critics then run on those rows.  The GRU is one
 ``ad.gru_scan`` op per agent type: it steps through the slots in order, each
 step over the agents of that slot in every episode side by side, and records
@@ -214,7 +217,7 @@ class GEVDACPolicy:
                     z_dim = self._node_dim[sender] if layer == 1 else p.hidden
                     msgs[kind] = nn.dense(
                         self.store, f"emb.{kind}.l{layer}",
-                        ad.concat([z[sender][g.src[kind]], feat[kind]]),
+                        [z[sender][g.src[kind]], feat[kind]],
                         z_dim + self.dims[kind], p.msg_dim, "tanh")
             elif p.embed_mode == "raw" and layer == 1:  # the same every layer
                 for kind in kinds:
@@ -223,15 +226,15 @@ class GEVDACPolicy:
                                           p.msg_dim, "tanh")
             new_z = {}
             for t in NODE_TYPES:
-                rows = (ad.concat([msgs[k] for k in inbound[t]], axis=0)
-                        if inbound[t] else np.zeros((0, p.msg_dim)))
+                parts = ([msgs[k] for k in inbound[t]]
+                         or [np.zeros((0, p.msg_dim))])
+                rows = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
                 agg = ad.segment_reduce(p.aggregation, rows, dst[t],
                                         len(g.nodes[t]))
                 z_dim = self._node_dim[t] if layer == 1 else p.hidden
                 new_z[t] = nn.dense(
-                    self.store, f"emb.{t}.comb.l{layer}",
-                    ad.concat([z[t], agg]), z_dim + p.msg_dim, p.hidden,
-                    "tanh")
+                    self.store, f"emb.{t}.comb.l{layer}", [z[t], agg],
+                    z_dim + p.msg_dim, p.hidden, "tanh")
             z = new_z
         return {t: ad.concat([x[t], z[t]]) for t in NODE_TYPES}
 

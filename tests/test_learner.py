@@ -398,7 +398,7 @@ class TestBatchedReplay:
             monkeypatch.setattr(Tensor, "__init__", init)
             counts[horizon, rollouts] = len(made)
         assert len(set(counts.values())) == 1, counts
-        assert 0 < counts[5, 1] <= 300
+        assert 0 < counts[5, 1] <= 126
 
     def test_unequal_lengths_rejected(self):
         env = tiny_env()
