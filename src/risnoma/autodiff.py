@@ -1,4 +1,4 @@
-"""Reverse-mode tape over float64 numpy arrays: just the ops the nets need.
+"""Reverse-mode tape over floating numpy arrays: just the ops the nets need.
 
 Every op builds a Tensor holding its value, its parents, and a closure that
 scatters the output gradient back to those parents that require one;
@@ -7,6 +7,14 @@ reuse, no in-place tricks.  Once ``backward()`` returns, only the leaves
 (tensors without parents, such as parameters) keep a ``.grad``: each
 interior node's gradient is dropped as soon as it has been pushed to its
 parents, and nothing but the caller's own references keeps the tape alive.
+
+Dtype.  A Tensor keeps the dtype of the floating array it is given (other
+input becomes float64).  An op computes in the dtype of its Tensor operands,
+and ``linear`` and ``gru_scan`` in that of their (first) weight: the
+ndarrays and constants that enter an op are cast to that dtype, so a float32
+tape stays float32 end to end.  With no Tensor operand numpy's own
+promotion applies.  The dtype of a net is that of its ``ParamStore``, fixed
+when the store is built.
 
 Inference mode.  Every op takes ndarrays, Python scalars and Tensors alike.
 It returns a Tensor when at least one input is a Tensor and a plain ndarray
@@ -44,7 +52,8 @@ class Tensor:
     __array_ufunc__ = None  # ndarray (op) Tensor calls the reflected op
 
     def __init__(self, value, requires=False, parents=(), push=None):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        self.value = value if value.dtype.kind == "f" else value.astype(float)
         self.grad = None
         self.requires = requires or any(p.requires for p in parents)
         self._parents = parents if self.requires else ()
@@ -71,7 +80,7 @@ class Tensor:
         order = _post_order(self)
         for t in order:  # drop leftovers from any earlier pass over this graph
             t.grad = None
-        self._accum(np.asarray(seed, dtype=np.float64))
+        self._accum(np.asarray(seed, dtype=self.value.dtype))
         for t in reversed(order):
             if t._push is not None and t.grad is not None:
                 t._push(t.grad)
@@ -79,7 +88,7 @@ class Tensor:
 
     # -- operators ---------------------------------------------------------
     def __add__(self, other):
-        b = _val(other)
+        b = _val(other, self.value.dtype)
 
         def push(g):
             if self.requires:
@@ -91,7 +100,7 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other):
-        b = _val(other)
+        b = _val(other, self.value.dtype)
 
         def push(g):
             if self.requires:
@@ -172,8 +181,24 @@ def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Tensor) else x
 
 
-def _val(x) -> np.ndarray:
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+def _val(x, dtype=None) -> np.ndarray:
+    """The array behind ``x``, cast to ``dtype`` when one is given.  Without
+    one, a Tensor's value as it is and anything else as an array of its own
+    floating dtype (float64 if it has none)."""
+    if isinstance(x, Tensor):
+        v = x.value
+        return v if dtype is None or v.dtype == dtype else v.astype(dtype)
+    v = np.asarray(x, dtype=dtype)
+    return v if v.dtype.kind == "f" else v.astype(float)
+
+
+def _tensor_dtype(inputs):
+    """The dtype of the first Tensor among ``inputs``; None if there is
+    none."""
+    for x in inputs:
+        if isinstance(x, Tensor):
+            return x.value.dtype
+    return None
 
 
 def _requires(x) -> bool:
@@ -198,7 +223,8 @@ def _unbroadcast(g, shape):
 
 
 def _matmul(x, y):
-    a, b = _val(x), _val(y)
+    dtype = _tensor_dtype((x, y))
+    a, b = _val(x, dtype), _val(y, dtype)
     if a.ndim > 2 or b.ndim > 2:
         raise ValueError("matmul takes 1-D or 2-D operands")
 
@@ -240,7 +266,7 @@ def sigmoid(x):
 
 def relu(x):
     v = _val(x)
-    return _unary(x, np.maximum(v, 0.0), lambda: (v > 0).astype(float))
+    return _unary(x, np.maximum(v, 0.0), lambda: (v > 0).astype(v.dtype))
 
 
 def elu(x):
@@ -276,13 +302,14 @@ def clip(x, lo, hi):
     zero bound can the sign of a zero differ from ``np.clip``."""
     v = _val(x)
     return _unary(x, np.minimum(np.maximum(v, lo), hi),
-                  lambda: ((v > lo) & (v < hi)).astype(float))
+                  lambda: ((v > lo) & (v < hi)).astype(v.dtype))
 
 
 def concat(parts, axis=-1):
     """Join arrays or tensors along an existing axis."""
     parts = list(parts)
-    values = [_val(p) for p in parts]
+    dtype = _tensor_dtype(parts)
+    values = [_val(p, dtype) for p in parts]
 
     def push(g):
         bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
@@ -299,11 +326,13 @@ def linear(parts, w, b):
     ``w`` and ``b`` the gradients of the matmul and the add, and a part
     that requires a gradient the product with its own rows of ``w``;
     ndarray parts, such as constant feature columns, cost nothing.  Parts
-    are 1-D or 2-D, all with the same leading shape.
+    are 1-D or 2-D, all with the same leading shape.  The layer computes in
+    the dtype of ``w``, its parameter: parts and ``b`` are cast to it.
     """
     parts = list(parts)
-    values = [_val(p) for p in parts]
-    a, wv = np.concatenate(values, axis=-1), _val(w)
+    wv = _val(w)
+    values = [_val(p, wv.dtype) for p in parts]
+    a = np.concatenate(values, axis=-1)
     if a.ndim > 2 or wv.ndim != 2:
         raise ValueError("linear takes 1-D or 2-D parts and a 2-D weight")
 
@@ -319,7 +348,7 @@ def linear(parts, w, b):
             if _requires(p):
                 p._accum(g @ wv[lo:hi].T)
             lo = hi
-    return _out(a @ wv + _val(b), (*parts, w, b), push)
+    return _out(a @ wv + _val(b, wv.dtype), (*parts, w, b), push)
 
 
 def log_softmax(x):
@@ -361,7 +390,7 @@ def segment_reduce(kind: str, msgs, dst, n: int):
     counts = np.bincount(dst, minlength=n)
     depth = counts.max(initial=0)
     if depth <= 1 or not vals.shape[1]:  # nothing to fold
-        out = np.zeros((n, vals.shape[1]))
+        out = np.zeros((n, vals.shape[1]), dtype=vals.dtype)
         out[dst] = vals
 
         def push(g):  # every row is its segment's mean, sum and max
@@ -374,7 +403,7 @@ def segment_reduce(kind: str, msgs, dst, n: int):
         seg = dst[order]
     rank = np.arange(dst.size) - (np.cumsum(counts) - counts)[seg]
     slab = np.full((depth, n, vals.shape[1]),
-                   -np.inf if kind == "max" else -0.0)
+                   -np.inf if kind == "max" else -0.0, dtype=vals.dtype)
     slab[rank, seg] = vals[order]
     out = slab[0]
     winner = None
@@ -393,7 +422,7 @@ def segment_reduce(kind: str, msgs, dst, n: int):
         out[counts == 0] = 0.0
     scale = None
     if kind == "mean":  # an empty segment's scale meets only zeros
-        scale = 1.0 / np.maximum(counts, 1)
+        scale = 1.0 / np.maximum(counts, 1).astype(vals.dtype)
         out *= scale[:, None]
 
     def push(g):
@@ -432,18 +461,20 @@ def gru_scan(x, h0, weights):
     the states after every step, shaped like ``x`` with ``hidden`` columns.
     The backward pass runs backpropagation through time over the gate
     activations kept here, and each weight's gradient is one product over
-    all steps.
+    all steps.  The scan computes in the dtype of ``w_zx``: the inputs, the
+    state and the other weights are cast to it.
     """
-    xv, hv = _val(x), _val(h0)
+    dtype = _val(weights[0]).dtype
+    xv, hv = _val(x, dtype), _val(h0, dtype)
     (w_zx, b_zx, w_zh, b_zh, w_rx, b_rx,
-     w_rh, b_rh, w_cx, b_cx, w_ch, b_ch) = (_val(w) for w in weights)
+     w_rh, b_rh, w_cx, b_cx, w_ch, b_ch) = (_val(w, dtype) for w in weights)
     hidden = hv.shape[-1]
     rows = hv.size // hidden
     xs = xv.reshape(-1, rows, xv.shape[-1])
     steps = len(xs)
-    hs = np.empty((steps + 1, rows, hidden))  # hs[t]: the state into step t
+    hs = np.empty((steps + 1, rows, hidden), dtype)  # the state into step t
     hs[0] = hv.reshape(rows, hidden)
-    z, r, c, hc = (np.empty((steps, rows, hidden)) for _ in range(4))
+    z, r, c, hc = (np.empty((steps, rows, hidden), dtype) for _ in range(4))
     for t in range(steps):
         x_t, h = xs[t], hs[t]
         z[t] = _sigmoid((x_t @ w_zx + b_zx) + (h @ w_zh + b_zh))
@@ -460,9 +491,9 @@ def gru_scan(x, h0, weights):
         via_r = hc * (r * (1.0 - r))             # d(r pre-act.)/d(c pre-act.)
         keep = 1.0 - z                           # dh'/dh, the direct path
         w_h = np.concatenate([w_zh, w_rh, w_ch], axis=1).T
-        da_c = np.empty((steps, rows, hidden))
-        da_h = np.empty((steps, rows, 3, hidden))  # into z, r and c via h
-        dh = np.zeros((rows, hidden))
+        da_c = np.empty((steps, rows, hidden), dtype)
+        da_h = np.empty((steps, rows, 3, hidden), dtype)  # z, r, c via h
+        dh = np.zeros((rows, hidden), dtype)
         for t in reversed(range(steps)):
             dh = dh + g[t]  # into the state after step t
             da_c[t] = dh * via_c[t]
@@ -492,10 +523,22 @@ def gru_scan(x, h0, weights):
 
 
 class ParamStore:
-    """Named float64 parameters with deterministic per-name initialization."""
+    """Named parameters with deterministic per-name initialization.
 
-    def __init__(self, seed: int):
+    Every parameter has the store's floating ``dtype``, fixed at
+    construction (float64 unless given): initial values are drawn in
+    float64 and cast, so stores of one seed hold the same values up to that
+    cast, and a checkpoint keeps the dtype.  A net built from the store
+    computes in that dtype as long as its other inputs do too (see the
+    module docstring).
+    """
+
+    def __init__(self, seed: int, dtype=np.float64):
         self.seed = int(seed)
+        self.dtype = np.dtype(dtype)
+        if self.dtype.kind != "f":
+            raise ValueError(f"a parameter store needs a float dtype, got "
+                             f"{self.dtype}")
         self._params: dict[str, Tensor] = {}
         self._taping = True
 
@@ -519,7 +562,8 @@ class ParamStore:
                 fan_in = shape[0] if len(shape) > 1 else max(1, shape[0])
                 bound = 1.0 / np.sqrt(fan_in)
                 value = rng.uniform(-bound, bound, shape)
-            self._params[name] = Tensor(value, requires=True)
+            self._params[name] = Tensor(value.astype(self.dtype),
+                                        requires=True)
         t = self._params[name]
         if t.value.shape != tuple(shape):
             raise ValueError(f"shape clash for parameter {name}")
@@ -556,7 +600,8 @@ class ParamStore:
 
     # -- checkpointing ------------------------------------------------------
     def save(self, path, extra_meta: dict | None = None) -> None:
-        meta = {"seed": self.seed, "names": self.names()}
+        meta = {"seed": self.seed, "dtype": self.dtype.name,
+                "names": self.names()}
         meta.update(extra_meta or {})
         arrays = {f"param_{n}": self._params[n].value for n in self.names()}
         np.savez(path, __meta__=np.frombuffer(
@@ -567,12 +612,18 @@ class ParamStore:
     def load(cls, path) -> tuple["ParamStore", dict]:
         data = np.load(path)
         meta = json.loads(bytes(data["__meta__"]).decode())
-        store = cls(meta["seed"])
+        store = cls(meta["seed"], meta.get("dtype", "float64"))
         for name in meta["names"]:
-            store._params[name] = Tensor(data[f"param_{name}"], requires=True)
+            store._params[name] = Tensor(
+                data[f"param_{name}"].astype(store.dtype), requires=True)
         return store, meta
 
 
 def gradient_norm(grads: dict) -> float:
-    """The Euclidean norm of all the arrays in ``grads`` together."""
-    return float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
+    """The Euclidean norm of all the arrays in ``grads`` together, summed in
+    float64 whatever their dtype."""
+    total = 0.0
+    for g in grads.values():
+        g = np.asarray(g, dtype=np.float64)
+        total += float(np.vdot(g, g))
+    return float(np.sqrt(total))

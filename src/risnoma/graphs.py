@@ -76,16 +76,24 @@ class CommGraph:
         return CommGraph(nodes, src, dst, dict(self.edge_feat))
 
 
-def stack_graphs(graphs) -> CommGraph:
+def stack_graphs(graphs, dtype=None) -> CommGraph:
     """One graph holding ``graphs`` side by side: for every node type the
     rows of graph b follow those of graph b - 1, and edges follow their
-    nodes."""
+    nodes.  With a ``dtype``, node and edge features are cast to it as they
+    are stacked (one graph alone is cast, and returned as it is when it
+    already has that dtype)."""
     graphs = list(graphs)
     if len(graphs) == 1:
-        return graphs[0]
+        g = graphs[0]
+        if dtype is None:
+            return g
+        return CommGraph(
+            {t: v.astype(dtype, copy=False) for t, v in g.nodes.items()},
+            g.src, g.dst,
+            {k: v.astype(dtype, copy=False) for k, v in g.edge_feat.items()})
     sizes = {t: np.array([len(g.nodes[t]) for g in graphs]) for t in NODE_TYPES}
     offset = {t: np.cumsum(sizes[t]) - sizes[t] for t in NODE_TYPES}
-    nodes = {t: np.concatenate([g.nodes[t] for g in graphs])
+    nodes = {t: np.concatenate([g.nodes[t] for g in graphs], dtype=dtype)
              for t in NODE_TYPES}
     src, dst, feat = {}, {}, {}
     for kind, (sender, receiver) in EDGE_ENDS.items():
@@ -93,7 +101,8 @@ def stack_graphs(graphs) -> CommGraph:
                                     for b, g in enumerate(graphs)])
         dst[kind] = np.concatenate([g.dst[kind] + offset[receiver][b]
                                     for b, g in enumerate(graphs)])
-        feat[kind] = np.concatenate([g.edge_feat[kind] for g in graphs])
+        feat[kind] = np.concatenate([g.edge_feat[kind] for g in graphs],
+                                    dtype=dtype)
     return CommGraph(nodes, src, dst, feat)
 
 

@@ -25,6 +25,11 @@ computed once per trajectory, by the critic as it stands at the first update
 that uses it, and held on the trajectory for every later update on the same
 batch, so a repeated fit regresses onto fixed targets instead of chasing its
 own bootstrap (as PPO holds returns across epochs).
+
+The tape, the gradients and the update run in the dtype of the policy's
+parameter store, float32 by default; rewards, returns and advantages are
+float64 and are cast to it where they enter the losses.  The env, its
+rewards and its queues stay float64.
 """
 from __future__ import annotations
 
@@ -179,15 +184,11 @@ def _clip(norm: float, max_norm: float) -> tuple:
     return norm, 1.0
 
 
-def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
-           reward_scale: float = 1.0) -> dict:
-    """One combined parameter update over a batch of equal-length
-    trajectories, all replayed in one tape pass."""
-    trajs = list(trajectories)
-    if len({len(tr) for tr in trajs}) > 1:
-        raise ValueError("a batch needs trajectories of equal length, got "
-                         f"{sorted(len(tr) for tr in trajs)}")
-    store = policy.store
+def _losses(policy: GEVDACPolicy, trajs: list, tcfg: TrainConfig,
+            reward_scale: float) -> tuple:
+    """(loss_pi, loss_v) of a batch of equal-length trajectories, both on
+    the tape of one replay.  A trajectory without held values gets them
+    from this replay."""
     v_tot, logp_sums = _replay_values(policy, trajs)
     for r, tr in enumerate(trajs):
         if tr.values is None:
@@ -201,8 +202,19 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
                            tcfg.nstep)
     loss_pi = (logp_sums * adv).sum()
     err = v_tot[:horizon] - target
-    loss_v = (err * err).sum()
+    return loss_pi, (err * err).sum()
 
+
+def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
+           reward_scale: float = 1.0) -> dict:
+    """One combined parameter update over a batch of equal-length
+    trajectories, all replayed in one tape pass."""
+    trajs = list(trajectories)
+    if len({len(tr) for tr in trajs}) > 1:
+        raise ValueError("a batch needs trajectories of equal length, got "
+                         f"{sorted(len(tr) for tr in trajs)}")
+    store = policy.store
+    loss_pi, loss_v = _losses(policy, trajs, tcfg, reward_scale)
     blocks = policy.parameter_blocks()
     store.zero_grads()
     loss_pi.backward()

@@ -1,5 +1,5 @@
 """Network blocks on top of the tape: dense layers (over one input, or over a
-list of input parts as one ``ad.linear`` node), a GRU cell (the
+list of input parts as one ``ad.linear`` node), the GRU's parameters (for the
 ``ad.gru_scan`` op, one tape node however many steps it runs) and the
 hypernetwork value mixer.  Each works on a single input vector or on a batch
 of them stacked as rows, and takes ndarrays or Tensors: it returns whatever
@@ -37,13 +37,6 @@ def gru_params(store: ParamStore, name: str, in_dim: int, hidden: int):
     return out
 
 
-def gru_step(store: ParamStore, name: str, x, h, in_dim: int,
-             hidden: int):
-    """h' = (1 - z) * h + z * candidate; z -> 0 freezes the carried state.
-    The one-step case of ``ad.gru_scan``."""
-    return ad.gru_scan(x, h, gru_params(store, name, in_dim, hidden))
-
-
 def hyper_mixing(store: ParamStore, prefix: str, state, values,
                  state_dim: int, hidden: int):
     """Monotone two-layer mix of local values with state-generated weights.
@@ -52,10 +45,11 @@ def hyper_mixing(store: ParamStore, prefix: str, state, values,
     leading axes; returns one mixed value per leading index.  Both weight
     layers pass through |.| so every path from a local value to the output
     has a non-negative slope; biases are unconstrained and the final bias is
-    itself a small network of the state.
+    itself a small network of the state.  Local values given as an array
+    are cast to the store's dtype.
     """
     if not isinstance(values, ad.Tensor):
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=store.dtype)
     lead, n = values.shape[:-1], values.shape[-1]
     w1 = ad.absolute(dense(store, f"{prefix}.hw1", state, state_dim,
                            n * hidden)).reshape(*lead, n, hidden)

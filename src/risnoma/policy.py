@@ -33,6 +33,15 @@ of type t (M APs, J RISs, K users per AP, L elements, P phase levels):
   local_value  (B, M + J), agents in node order
   global_value (B,) from (B, digest_dim) digests and (B, M + J) local values
 
+Dtype.  The learner computes in the dtype of its ``ParamStore``, float32
+unless the policy is built with ``dtype=np.float64`` (kept for the
+finite-difference and exact-identity tests).  ``embed`` casts the graph
+features to it once per call, ``global_value`` the digests, and ``act`` its
+float64 random draws before it mixes them in, so every head, log-prob and
+stored Gaussian draw is in the store's dtype and a replay scores exactly
+what was drawn.  ``env_action`` hands the env float64 arrays: the physics,
+rewards and queues stay float64.
+
 Parameter name prefixes partition the update rules:
   emb.*     embedding nets           (policy + critic gradients)
   act.*     action trunk and heads   (policy gradient)
@@ -72,7 +81,7 @@ class PolicyConfig:
 class ActionSample:
     """Raw draws of every agent over T slots; enough to replay exact
     log-probabilities.  Arrays are (T, agents of the type, ...)."""
-    gaussian: np.ndarray       # (T, M, K+1) AP raw logits
+    gaussian: np.ndarray       # (T, M, K+1) AP raw logits, store dtype
     on_off: np.ndarray         # (T, J, L) RIS binaries
     phase: np.ndarray          # (T, J, L) RIS category picks
 
@@ -91,11 +100,12 @@ class ActionSample:
 class GEVDACPolicy:
     """Shared-parameter actor/critic stack over a communication graph."""
 
-    def __init__(self, dims: dict, counts: dict, pcfg: PolicyConfig, seed: int):
+    def __init__(self, dims: dict, counts: dict, pcfg: PolicyConfig, seed: int,
+                 dtype=np.float32):
         self.dims = dict(dims)                 # node/edge feature widths
         self.counts = dict(counts)             # num_aps, num_ris, users_per_ap,
         self.pcfg = pcfg                       # ris_elements, n_phase, max_power,
-        self.store = ParamStore(seed)          # digest_dim
+        self.store = ParamStore(seed, dtype)   # digest_dim
         self._node_dim = {"ap": dims["ap_node"], "ris": dims["ris_node"]}
         self._count = {"ap": counts["num_aps"], "ris": counts["num_ris"]}
         self._build_params()
@@ -186,7 +196,8 @@ class GEVDACPolicy:
         """GRU states of every agent at the start of an episode, for
         ``episodes`` episodes side by side: {type: (episodes * n_type,
         gru_hidden)}, row ``e * n_type + i`` for agent i of episode e."""
-        return {t: np.zeros((episodes * n, self.pcfg.gru_hidden))
+        return {t: np.zeros((episodes * n, self.pcfg.gru_hidden),
+                            self.store.dtype)
                 for t, n in self._count.items()}
 
     # -- graph embedding ------------------------------------------------------
@@ -194,7 +205,7 @@ class GEVDACPolicy:
         """Embedded states [own features, embedding] of every agent in a
         batch of graphs: {type: (B * n_type, ztilde_dim) rows}."""
         p = self.pcfg
-        g = stack_graphs(graphs)
+        g = stack_graphs(graphs, self.store.dtype)  # features cast here
         x = g.nodes
         z = x
         if p.n_layers == 0:
@@ -227,7 +238,7 @@ class GEVDACPolicy:
             new_z = {}
             for t in NODE_TYPES:
                 parts = ([msgs[k] for k in inbound[t]]
-                         or [np.zeros((0, p.msg_dim))])
+                         or [np.zeros((0, p.msg_dim), self.store.dtype)])
                 rows = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
                 agg = ad.segment_reduce(p.aggregation, rows, dst[t],
                                         len(g.nodes[t]))
@@ -281,7 +292,9 @@ class GEVDACPolicy:
             on = (onoff > 0).astype(int)
             picks = phase.argmax(axis=-1)
         else:
-            draw = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
+            noise = rng.standard_normal(mean.shape).astype(mean.dtype,
+                                                           copy=False)
+            draw = mean + np.exp(log_std) * noise
             # per RIS: L on/off uniforms, then L phase uniforms
             u = rng.random((self._count["ris"], 2, onoff.shape[-1]))
             on = (u[:, 0] < _sigmoid(onoff)).astype(int)
@@ -308,7 +321,8 @@ class GEVDACPolicy:
         zed = (gauss - mean) * ad.exp(-log_std)
         ap = (ad.square(zed).sum(axis=1) * (-0.5) - log_std.sum(axis=1)
               - 0.5 * LOG2PI * gauss.shape[1])
-        on = sample.on_off.reshape(onoff.shape).astype(float)
+        on = sample.on_off.reshape(onoff.shape).astype(
+            ad.value_of(onoff).dtype)
         bern = (on * (-ad.softplus(-onoff))
                 + (1.0 - on) * (-ad.softplus(onoff))).sum(axis=1)
         rows, n_el = on.shape
@@ -338,7 +352,7 @@ class GEVDACPolicy:
         (..., M + J) local values; returns one value per leading index."""
         p = self.pcfg
         d = self.counts["digest_dim"]
-        digest = np.asarray(digest)
+        digest = np.asarray(digest, dtype=self.store.dtype)
         if p.critic_mode == "mix":
             return nn.hyper_mixing(self.store, "mix", digest, values, d,
                                    p.mix_hidden)
@@ -348,9 +362,10 @@ class GEVDACPolicy:
 
     # -- env action assembly -----------------------------------------------------
     def env_action(self, sample: ActionSample):
-        """Map the last slot of ``sample`` onto (power, on, phase) env arrays."""
+        """Map the last slot of ``sample`` onto (power, on, phase) env arrays,
+        computed in float64 whatever the store's dtype."""
         k, p_max = self.counts["users_per_ap"], self.counts["max_power"]
-        draw = sample.gaussian[-1]
+        draw = sample.gaussian[-1].astype(np.float64, copy=False)
         split = _softmax(draw[:, :k])
         total = p_max * _sigmoid(draw[:, k])
         power = (split * total[:, None]).ravel()
@@ -396,7 +411,8 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500), 500)))
 
 
-def policy_for_env(env, pcfg: PolicyConfig, seed: int) -> GEVDACPolicy:
+def policy_for_env(env, pcfg: PolicyConfig, seed: int,
+                   dtype=np.float32) -> GEVDACPolicy:
     from .graphs import feature_dims
     cfg = env.config
     dims = feature_dims(cfg, env.topo)
@@ -407,4 +423,4 @@ def policy_for_env(env, pcfg: PolicyConfig, seed: int) -> GEVDACPolicy:
                   max_power=cfg.max_tx_power,
                   digest_dim=(cfg.num_aps * dims["ap_node"]
                               + cfg.num_ris * dims["ris_node"]))
-    return GEVDACPolicy(dims, counts, pcfg, seed)
+    return GEVDACPolicy(dims, counts, pcfg, seed, dtype)

@@ -1,5 +1,7 @@
 import contextlib
 import gc
+import json
+import math
 import sys
 
 import numpy as np
@@ -127,7 +129,8 @@ class TestTapeLifetime:
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             h = nn.dense(store, "a", x, 3, 4, "tanh")
-            inner = ad.log_softmax(nn.gru_step(store, "g", h, h, 4, 4))
+            inner = ad.log_softmax(
+                ad.gru_scan(h, h, nn.gru_params(store, "g", 4, 4)))
             root = (ad.concat([inner, h]) * 0.5).sum()
             root.backward()
             del root
@@ -319,17 +322,17 @@ class TestGru:
     def test_closed_update_gate_keeps_state(self):
         store = ParamStore(3)
         h = np.random.default_rng(0).normal(size=5)
-        nn.gru_step(store, "g", np.ones(4), h, 4, 5)  # create params
+        weights = nn.gru_params(store, "g", 4, 5)
         store.get("g.zx.b").value[:] = -40.0
-        out = nn.gru_step(store, "g", np.ones(4), h, 4, 5)
+        out = ad.gru_scan(np.ones(4), h, weights)
         assert np.allclose(out.value, h, atol=1e-12)
 
     def test_zero_params_zero_state_fixed_point(self):
         store = ParamStore(0)
-        out = nn.gru_step(store, "g", np.zeros(3), np.zeros(4), 3, 4)
+        weights = nn.gru_params(store, "g", 3, 4)
         for name in store.names():
             store.get(name).value[:] = 0.0
-        out = nn.gru_step(store, "g", np.zeros(3), np.zeros(4), 3, 4)
+        out = ad.gru_scan(np.zeros(3), np.zeros(4), weights)
         # gates sit at 1/2, candidate at tanh(0)=0, so h' = 0.5*0 + 0.5*0
         assert np.allclose(out.value, 0.0)
 
@@ -339,7 +342,7 @@ class TestGru:
         h = np.random.default_rng(5).normal(size=4)
 
         def build():
-            return nn.gru_step(store, "g", x, h, 3, 4).sum()
+            return ad.gru_scan(x, h, nn.gru_params(store, "g", 3, 4)).sum()
 
         fd_check(build, store)
 
@@ -351,7 +354,7 @@ class TestGru:
         def build():
             h = ad.Tensor(np.zeros(4))
             for t in range(5):
-                h = nn.gru_step(store, "g", xs[t], h, 3, 4)
+                h = ad.gru_scan(xs[t], h, nn.gru_params(store, "g", 3, 4))
             return h.sum()
 
         fd_check(build, store)
@@ -405,7 +408,8 @@ class TestGruScan:
             h, composed = h0, h0
             for t in range(self.STEPS):
                 rows = xs[t * self.ROWS:(t + 1) * self.ROWS]
-                h = nn.gru_step(store, "g", rows, h, self.IN, self.HIDDEN)
+                h = ad.gru_scan(rows, h, nn.gru_params(store, "g", self.IN,
+                                                       self.HIDDEN))
                 composed = _composed_gru_step(store, "g", rows, composed,
                                               self.IN, self.HIDDEN)
                 block = ad.value_of(states)[t * self.ROWS:(t + 1) * self.ROWS]
@@ -655,9 +659,135 @@ class TestUpdatesAndCheckpoints:
         for name in store.names():
             assert np.array_equal(loaded.get(name).value, store.get(name).value)
 
+    def test_float32_checkpoint_roundtrip_keeps_the_dtype(self, tmp_path):
+        store = ParamStore(31, np.float32)
+        store.param("a.w", (4, 3))
+        store.param("b", (7,), kind="zeros")
+        store.get("b").value[:] = np.pi * np.arange(7)
+        path = tmp_path / "ckpt.npz"
+        store.save(path)
+        loaded, meta = ParamStore.load(path)
+        assert meta["dtype"] == "float32"
+        assert loaded.dtype == np.float32
+        for name in store.names():
+            got = loaded.get(name).value
+            assert got.dtype == np.float32
+            assert got.tobytes() == store.get(name).value.tobytes()
+        assert loaded.param("c", (2,)).value.dtype == np.float32
+
+    def test_checkpoint_without_a_dtype_loads_as_float64(self, tmp_path):
+        path = tmp_path / "old.npz"
+        meta = json.dumps({"seed": 3, "names": ["w"]}).encode()
+        np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8),
+                 param_w=np.arange(3.0))
+        loaded, _ = ParamStore.load(path)
+        assert loaded.dtype == np.float64
+        assert loaded.get("w").value.tobytes() == np.arange(3.0).tobytes()
+
+    def test_dtype_is_fixed_at_construction(self):
+        wide, narrow = ParamStore(5), ParamStore(5, np.float32)
+        assert wide.dtype == np.float64
+        for kind in ("fan_in", "zeros"):
+            w = wide.param(kind, (4, 3), kind=kind).value
+            n = narrow.param(kind, (4, 3), kind=kind).value
+            assert n.dtype == np.float32
+            assert n.tobytes() == w.astype(np.float32).tobytes()
+        with pytest.raises(ValueError, match="float dtype"):
+            ParamStore(0, np.int64)
+
     def test_init_deterministic_per_name(self):
         a, b = ParamStore(5), ParamStore(5)
         assert np.array_equal(a.param("x", (4, 4)).value,
                               b.param("x", (4, 4)).value)
         assert not np.array_equal(a.param("x", (4, 4)).value,
                                   a.param("y", (4, 4)).value)
+
+
+class TestGradientNorm:
+    def test_sums_float32_gradients_in_float64(self):
+        # 1.2M float32 squares: a float32 sum drifts by about 1e-7 relative
+        rng = np.random.default_rng(12)
+        grads = {"a": rng.normal(size=(1000, 1000)).astype(np.float32),
+                 "b": rng.normal(size=200_000).astype(np.float32),
+                 "c": rng.normal(size=(3, 5))}
+        squares = [np.square(g.astype(np.float64)).ravel()
+                   for g in grads.values()]
+        want = math.sqrt(math.fsum(np.concatenate(squares)))
+        got = ad.gradient_norm(grads)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_float64_gradients_unchanged(self):
+        grads = {"w": np.array([[3.0, 0.0], [0.0, 4.0]]), "b": np.array([12.0])}
+        assert ad.gradient_norm(grads) == 13.0
+
+
+class TestDtype:
+    """An op computes in the dtype of its Tensor operands (``linear`` and
+    ``gru_scan`` in that of their weight); float64 arrays and constants that
+    meet a float32 Tensor are cast, not promoted."""
+
+    @staticmethod
+    def _ops():
+        rng = np.random.default_rng(8)
+        a64 = rng.normal(size=(4, 3))
+        w64 = rng.normal(size=(3, 3))
+        return [
+            ("add", lambda x: x + a64), ("radd", lambda x: a64 + x),
+            ("mul", lambda x: x * a64), ("sub", lambda x: a64 - x),
+            ("div", lambda x: x / 3.0), ("neg", lambda x: -x),
+            ("matmul", lambda x: x @ w64), ("rmatmul", lambda x: a64.T @ x),
+            ("relu", ad.relu), ("clip", lambda x: ad.clip(x, -0.5, 0.5)),
+            ("elu", ad.elu), ("softplus", ad.softplus),
+            ("sigmoid", ad.sigmoid), ("log_softmax", ad.log_softmax),
+            ("concat", lambda x: ad.concat([x, a64])),
+            ("linear", lambda x: ad.linear(  # the weight sets the dtype
+                [x, a64], np.vstack([w64, w64]).astype(ad.value_of(x).dtype),
+                np.zeros(3))),
+            ("mean", lambda x: ad.segment_reduce("mean", x, [0, 0, 1, 1], 2)),
+            ("max", lambda x: ad.segment_reduce("max", x, [0, 0, 0, 1], 3)),
+            ("sum", lambda x: ad.segment_reduce("sum", x, [1, 0, 1, 0], 2)),
+            ("getitem", lambda x: x[[0, 0, 2]]),
+            ("reshape", lambda x: x.reshape(3, 4)),
+        ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_taped_ops_keep_the_operand_dtype(self, dtype):
+        base = np.random.default_rng(9).normal(size=(4, 3))
+        for name, op in self._ops():
+            x = Tensor(base.astype(dtype), requires=True)
+            out = op(x)
+            assert out.value.dtype == dtype, name
+            out.sum().backward()
+            assert x.grad.dtype == dtype, name
+
+    def test_no_grad_ops_keep_float32_arrays(self):
+        base = np.random.default_rng(10).normal(size=(4, 3))
+        for name, op in self._ops():
+            if name in ("add", "radd", "mul", "sub", "matmul", "rmatmul",
+                        "concat"):
+                continue  # plain numpy between float32 and float64 arrays
+            assert op(base.astype(np.float32)).dtype == np.float32, name
+
+    def test_gru_scan_and_mixer_run_in_the_store_dtype(self):
+        store = ParamStore(4, np.float32)
+        weights = nn.gru_params(store, "g", 3, 5)
+        x = Tensor(np.random.default_rng(1).normal(size=(6, 3)),
+                   requires=True)  # float64 input, float32 weights
+        states = ad.gru_scan(x, np.zeros((2, 5)), weights)
+        assert states.value.dtype == np.float32
+        states.sum().backward()
+        assert x.grad.dtype == np.float32
+        assert all(w.grad.dtype == np.float32 for w in weights)
+        mixed = nn.hyper_mixing(store, "mix", np.ones((2, 4), np.float32),
+                                [[1.0, 2.0], [3.0, 4.0]], 4, 3)
+        assert mixed.value.dtype == np.float32
+        with store.no_grad():
+            free = nn.hyper_mixing(store, "mix", np.ones((2, 4), np.float32),
+                                   [[1.0, 2.0], [3.0, 4.0]], 4, 3)
+        assert free.dtype == np.float32
+
+    def test_tensor_keeps_a_float_input_and_widens_the_rest(self):
+        assert Tensor(np.ones(2, np.float32)).value.dtype == np.float32
+        assert Tensor(np.ones(2, np.int64)).value.dtype == np.float64
+        assert Tensor(3).value.dtype == np.float64

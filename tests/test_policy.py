@@ -32,11 +32,11 @@ def node_rows(z):
     return [*z["ap"].value, *z["ris"].value]
 
 
-def make_policy(dims, n_ap=2, n_ris=2, seed=0, **pkw):
+def make_policy(dims, n_ap=2, n_ris=2, seed=0, dtype=np.float32, **pkw):
     counts = dict(num_aps=n_ap, num_ris=n_ris, users_per_ap=3,
                   ris_elements=4, n_phase=2, max_power=1.0,
                   digest_dim=n_ap * dims["ap_node"] + n_ris * dims["ris_node"])
-    return GEVDACPolicy(dims, counts, PolicyConfig(**pkw), seed)
+    return GEVDACPolicy(dims, counts, PolicyConfig(**pkw), seed, dtype)
 
 
 def type_permutation(rng, n_ap, n_ris):
@@ -64,7 +64,7 @@ class TestEmbedding:
     def test_zero_layers_is_projection_passthrough(self):
         rng = np.random.default_rng(1)
         graph, dims = synthetic_graph(rng)
-        policy = make_policy(dims, n_layers=0)
+        policy = make_policy(dims, n_layers=0, dtype=np.float64)
         z = policy.embed([graph])
         for kind, feats in graph.nodes.items():
             width = feats.shape[1]
@@ -101,7 +101,8 @@ class TestEmbedding:
             graph.src[kind] = graph.src[kind][keep]
             graph.dst[kind] = graph.dst[kind][keep]
             graph.edge_feat[kind] = graph.edge_feat[kind][keep]
-        policy = make_policy(dims, n_ap=3, aggregation=aggregation)
+        policy = make_policy(dims, n_ap=3, aggregation=aggregation,
+                             dtype=np.float64)
         prm = {n: policy.store.get(n).value for n in policy.store.names()}
         ends = {"ap_ap": ("ap", "ap"), "ap_ris": ("ap", "ris"),
                 "ris_ap": ("ris", "ap")}
@@ -209,7 +210,7 @@ class TestActionHeads:
     def test_gaussian_log_prob_closed_form(self):
         rng = np.random.default_rng(9)
         graph, dims = synthetic_graph(rng)
-        policy = make_policy(dims)
+        policy = make_policy(dims, dtype=np.float64)
         z = policy.embed([graph])
         sample_rng = np.random.default_rng(10)
         sample, logp, _ = policy.act(z, policy.gru_zero(), sample_rng)
@@ -230,6 +231,8 @@ class TestActionHeads:
         sample_rng = np.random.default_rng(11)
         sample, _, _ = policy.act(z, policy.gru_zero(), sample_rng)
         power, on, phase = policy.env_action(sample)
+        assert sample.gaussian.dtype == np.float32
+        assert power.dtype == np.float64  # physics stays float64
         for m in range(cfg.num_aps):
             users = env.topo.users_of(m)
             assert power[users].sum() <= cfg.max_tx_power + 1e-12
@@ -293,7 +296,7 @@ class TestCritics:
     def test_batched_global_value_is_slot_by_slot(self, mode):
         rng = np.random.default_rng(23)
         graph, dims = synthetic_graph(rng)
-        policy = make_policy(dims, critic_mode=mode)
+        policy = make_policy(dims, critic_mode=mode, dtype=np.float64)
         digests = rng.normal(size=(5, policy.counts["digest_dim"]))
         vals = rng.normal(size=(5, 4))
         batch = policy.global_value(digests, vals).value
@@ -317,7 +320,7 @@ class TestComposedGradients:
         rng = np.random.default_rng(17)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims, msg_dim=4, hidden=4, gru_hidden=4,
-                             critic_hidden=4, mix_hidden=4)
+                             critic_hidden=4, mix_hidden=4, dtype=np.float64)
         sample_rng = np.random.default_rng(18)
         z0 = policy.embed([graph])
         sample, _, _ = policy.act(z0, policy.gru_zero(), sample_rng)
@@ -351,21 +354,36 @@ def _bits(a):
 
 class TestInference:
     """``no_grad`` runs the same forward on plain arrays: every sample,
-    log-prob and GRU state is bitwise equal to the taped one."""
+    log-prob and GRU state is bitwise equal to the taped one, in float32
+    as in float64."""
 
-    @pytest.mark.parametrize("make", [tiny_config, medium_config,
-                                      default_config],
-                             ids=["tiny", "medium", "default"])
-    @pytest.mark.parametrize("embed_mode, aggregation, critic_mode", [
-        ("mpgnn", "mean", "mix"), ("mpgnn", "sum", "central"),
-        ("mpgnn", "max", "mix"), ("raw", "sum", "central"),
-        ("none", "max", "mix")])
+    CASES = [("mpgnn", "mean", "mix"), ("mpgnn", "sum", "central"),
+             ("mpgnn", "max", "mix"), ("raw", "sum", "central"),
+             ("none", "max", "mix")]
+    CONFIGS = pytest.mark.parametrize("make", [tiny_config, medium_config,
+                                               default_config],
+                                      ids=["tiny", "medium", "default"])
+
+    @CONFIGS
+    @pytest.mark.parametrize("embed_mode, aggregation, critic_mode", CASES)
     def test_embed_and_act_bitwise_equal_to_taped(self, make, embed_mode,
                                                   aggregation, critic_mode):
+        self._check(make, PolicyConfig(embed_mode=embed_mode,
+                                       aggregation=aggregation,
+                                       critic_mode=critic_mode), np.float32)
+
+    @CONFIGS
+    @pytest.mark.parametrize("embed_mode, aggregation, critic_mode", CASES)
+    def test_float64_embed_and_act_bitwise_equal_to_taped(
+            self, make, embed_mode, aggregation, critic_mode):
+        self._check(make, PolicyConfig(embed_mode=embed_mode,
+                                       aggregation=aggregation,
+                                       critic_mode=critic_mode), np.float64)
+
+    @staticmethod
+    def _check(make, pcfg, dtype):
         env = NetworkEnv(make(), seed=3)
-        policy = policy_for_env(env, PolicyConfig(
-            embed_mode=embed_mode, aggregation=aggregation,
-            critic_mode=critic_mode), seed=4)
+        policy = policy_for_env(env, pcfg, seed=4, dtype=dtype)
         gru = policy.gru_zero()
         for slot in range(3):
             graph = env.comm_graph()
@@ -379,6 +397,7 @@ class TestInference:
                                       deterministic=deterministic)
                 for t in z:
                     assert isinstance(z_free[t], np.ndarray)
+                    assert z_free[t].dtype == dtype
                     assert _bits(z_free[t]) == _bits(z[t].value)
                 (sample, logp, h), (sample_f, logp_f, h_f) = taped, free
                 for f in ("gaussian", "on_off", "phase"):
