@@ -9,9 +9,8 @@ from fd import fd_check
 from risnoma import autodiff as ad
 from risnoma import nn
 from risnoma.env import NetworkEnv, shaped_reward
-from risnoma.autodiff import Tensor
-from risnoma.graphs import EDGE_ENDS, NODE_TYPES, stack_graphs
-from risnoma.graphs import state_digest
+from risnoma.autodiff import ParamStore, Tensor
+from risnoma.graphs import EDGE_ENDS, NODE_TYPES, stack_graphs, state_digest
 from risnoma.learner import (TrainConfig, advantage, evaluate, n_step_return,
                              rollout, train, update, _losses, _reached,
                              _replay_values)
@@ -576,7 +575,7 @@ class TestFloat32Learner:
         batch = [rollout(env, policy, 4, rng) for _ in range(2)]
         seen = []
         init, accum = Tensor.__init__, Tensor._accum
-        apply = type(policy.store).apply_update
+        apply = ParamStore.apply_update
 
         def record_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
@@ -592,7 +591,7 @@ class TestFloat32Learner:
 
         monkeypatch.setattr(Tensor, "__init__", record_init)
         monkeypatch.setattr(Tensor, "_accum", record_accum)
-        monkeypatch.setattr(type(policy.store), "apply_update", record_apply)
+        monkeypatch.setattr(ParamStore, "apply_update", record_apply)
         update(policy, batch, TrainConfig(), reward_scale=0.02)
         kinds = {kind for kind, _ in seen}
         assert kinds == {"value", "grad", "delta"}
