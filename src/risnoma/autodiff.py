@@ -461,8 +461,10 @@ def gru_scan(x, h0, weights):
     the states after every step, shaped like ``x`` with ``hidden`` columns.
     The backward pass runs backpropagation through time over the gate
     activations kept here, and each weight's gradient is one product over
-    all steps.  The scan computes in the dtype of ``w_zx``: the inputs, the
-    state and the other weights are cast to it.
+    all steps.  With no rows (a type without agents) it takes no step: the
+    states are (0, hidden) and every weight's gradient is zero.  The scan
+    computes in the dtype of ``w_zx``: the inputs, the state and the other
+    weights are cast to it.
     """
     dtype = _val(weights[0]).dtype
     xv, hv = _val(x, dtype), _val(h0, dtype)
@@ -470,7 +472,7 @@ def gru_scan(x, h0, weights):
      w_rh, b_rh, w_cx, b_cx, w_ch, b_ch) = (_val(w, dtype) for w in weights)
     hidden = hv.shape[-1]
     rows = hv.size // hidden
-    xs = xv.reshape(-1, rows, xv.shape[-1])
+    xs = xv.reshape(-1 if rows else 0, rows, xv.shape[-1])
     steps = len(xs)
     hs = np.empty((steps + 1, rows, hidden), dtype)  # the state into step t
     hs[0] = hv.reshape(rows, hidden)
@@ -501,7 +503,7 @@ def gru_scan(x, h0, weights):
             da_h[t, :, 1] = da_c[t] * via_r[t]
             da_h[t, :, 2] = da_c[t] * r[t]
             dh = dh * keep[t] + da_h[t].reshape(rows, 3 * hidden) @ w_h
-        xf = xs.reshape(steps * rows, -1)
+        xf = xs.reshape(steps * rows, xs.shape[-1])
         hf = hs[:-1].reshape(steps * rows, hidden)
         da_c = da_c.reshape(steps * rows, hidden)
         da_z, da_r, da_hc = (da_h[:, :, k].reshape(steps * rows, hidden)

@@ -48,10 +48,6 @@ class CommGraph:
     edge_feat: dict
 
     @property
-    def num_nodes(self) -> int:
-        return sum(len(self.nodes[t]) for t in NODE_TYPES)
-
-    @property
     def num_edges(self) -> int:
         return sum(len(self.src[kind]) for kind in EDGE_ENDS)
 
@@ -220,14 +216,3 @@ def state_digest(graph: CommGraph) -> np.ndarray:
     """Fixed-order concatenation of node features (the mixer's state input)."""
     return np.concatenate([graph.nodes[t].ravel() for t in NODE_TYPES])
 
-
-def feature_dims(config: NetworkConfig, topo: Topology) -> dict:
-    """Edge/node feature widths implied by the config (for net construction)."""
-    k, n_a, n_el = config.users_per_ap, config.antennas, config.ris_elements
-    return {
-        "ap_node": 2 * k * n_a + k + k,
-        "ris_node": 2 * n_el,
-        "ap_ap": 2 * k * n_a,
-        "ap_ris": config.num_aps * 2 * k * n_a,
-        "ris_ap": 2 * n_el * n_a + 2 * k * n_el,
-    }

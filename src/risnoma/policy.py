@@ -42,6 +42,15 @@ stored Gaussian draw is in the store's dtype and a replay scores exactly
 what was drawn.  ``env_action`` hands the env float64 arrays: the physics,
 rewards and queues stay float64.
 
+Parameters.  Each one is declared once, by the layer call that uses it
+(``nn.dense``, ``nn.gru_params``), which names it and gives its shape.
+Construction creates them all by one tape-free pass of ``embed``, ``act``
+(deterministic, so no random draw), ``local_value`` and ``global_value``
+over a zero graph of the policy's widths with one edge of every kind whose
+two ends exist.  ``ParamStore.param`` seeds each value from its name, so the
+order of creation does not matter.  A type without agents runs its nets on
+zero rows; edge kinds it would end have no parameters.
+
 Parameter name prefixes partition the update rules:
   emb.*     embedding nets           (policy + critic gradients)
   act.*     action trunk and heads   (policy gradient)
@@ -50,14 +59,15 @@ Parameter name prefixes partition the update rules:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
 from .autodiff import ParamStore, Tensor
-from .graphs import EDGE_ENDS, NODE_TYPES, CommGraph, stack_graphs
+from .graphs import (EDGE_ENDS, NODE_TYPES, CommGraph, stack_graphs,
+                     state_digest)
 
 LOG2PI = float(np.log(2.0 * np.pi))
 LOG_STD_OFFSET = -1.0
@@ -108,86 +118,24 @@ class GEVDACPolicy:
         self.store = ParamStore(seed, dtype)   # digest_dim
         self._node_dim = {"ap": dims["ap_node"], "ris": dims["ris_node"]}
         self._count = {"ap": counts["num_aps"], "ris": counts["num_ris"]}
-        self._build_params()
+        # -- parameter creation: one tape-free pass of every net over a zero
+        # graph creates each parameter at the call that uses it, so a
+        # checkpoint taken before any step already holds them all.
+        with self.store.no_grad():
+            z = self.embed([self._probe_graph()])
+            self.act(z, self.gru_zero(), None, deterministic=True)
+            self.global_value(np.zeros((1, counts["digest_dim"])),
+                              self.local_value(z))
 
-    # -- eager parameter creation (stable checkpoints, zero-lr identity) -----
-    def _build_params(self):
-        p, dims = self.pcfg, self.dims
-        for kind in EDGE_ENDS:
-            if p.embed_mode == "raw":
-                self.store.param(f"emb.{kind}.raw.w", (dims[kind], p.msg_dim))
-                self.store.param(f"emb.{kind}.raw.b", (p.msg_dim,), kind="zeros")
-            elif p.embed_mode == "mpgnn":
-                for layer in range(1, p.n_layers + 1):
-                    z_dim = (self._node_dim[EDGE_ENDS[kind][0]]
-                             if layer == 1 else p.hidden)
-                    self.store.param(f"emb.{kind}.l{layer}.w",
-                                     (z_dim + dims[kind], p.msg_dim))
-                    self.store.param(f"emb.{kind}.l{layer}.b", (p.msg_dim,),
-                                     kind="zeros")
-        for u in ("ap", "ris"):
-            if p.n_layers == 0:
-                self.store.param(f"emb.{u}.proj.w", (self._node_dim[u], p.hidden))
-                self.store.param(f"emb.{u}.proj.b", (p.hidden,), kind="zeros")
-            else:
-                for layer in range(1, p.n_layers + 1):
-                    z_dim = self._node_dim[u] if layer == 1 else p.hidden
-                    self.store.param(f"emb.{u}.comb.l{layer}.w",
-                                     (z_dim + p.msg_dim, p.hidden))
-                    self.store.param(f"emb.{u}.comb.l{layer}.b", (p.hidden,),
-                                     kind="zeros")
-            zt = self.ztilde_dim(u)
-            g = p.gru_hidden
-            self.store.param(f"act.{u}.pre.w", (zt, g))
-            self.store.param(f"act.{u}.pre.b", (g,), kind="zeros")
-            for gate in ("zx", "rx", "cx"):
-                self.store.param(f"act.{u}.gru.{gate}.w", (g, g))
-                self.store.param(f"act.{u}.gru.{gate}.b", (g,), kind="zeros")
-            for gate in ("zh", "rh", "ch"):
-                self.store.param(f"act.{u}.gru.{gate}.w", (g, g))
-                self.store.param(f"act.{u}.gru.{gate}.b", (g,), kind="zeros")
-            self.store.param(f"act.{u}.post.w", (g, g))
-            self.store.param(f"act.{u}.post.b", (g,), kind="zeros")
-            self.store.param(f"critic.{u}.h.w", (zt, p.critic_hidden))
-            self.store.param(f"critic.{u}.h.b", (p.critic_hidden,), kind="zeros")
-            self.store.param(f"critic.{u}.out.w", (p.critic_hidden, 1))
-            self.store.param(f"critic.{u}.out.b", (1,), kind="zeros")
-        k = self.counts["users_per_ap"]
-        g = p.gru_hidden
-        self.store.param("act.ap.mean.w", (g, k + 1))
-        self.store.param("act.ap.mean.b", (k + 1,), kind="zeros")
-        self.store.param("act.ap.logstd.w", (g, k + 1))
-        self.store.param("act.ap.logstd.b", (k + 1,), kind="zeros")
-        n_el, n_ph = self.counts["ris_elements"], self.counts["n_phase"]
-        self.store.param("act.ris.onoff.w", (g, n_el))
-        self.store.param("act.ris.onoff.b", (n_el,), kind="zeros")
-        self.store.param("act.ris.phase.w", (g, n_el * n_ph))
-        self.store.param("act.ris.phase.b", (n_el * n_ph,), kind="zeros")
-        d = self.counts["digest_dim"]
-        if p.critic_mode == "mix":
-            self.store.param("mix.hw1.w", (d, self._n_agents * p.mix_hidden))
-            self.store.param("mix.hw1.b", (self._n_agents * p.mix_hidden,),
-                             kind="zeros")
-            self.store.param("mix.hb1.w", (d, p.mix_hidden))
-            self.store.param("mix.hb1.b", (p.mix_hidden,), kind="zeros")
-            self.store.param("mix.hw2.w", (d, p.mix_hidden))
-            self.store.param("mix.hw2.b", (p.mix_hidden,), kind="zeros")
-            self.store.param("mix.hb2a.w", (d, p.mix_hidden))
-            self.store.param("mix.hb2a.b", (p.mix_hidden,), kind="zeros")
-            self.store.param("mix.hb2b.w", (p.mix_hidden, 1))
-            self.store.param("mix.hb2b.b", (1,), kind="zeros")
-        else:
-            c = p.critic_hidden
-            self.store.param("critic.central.l0.w", (d, c))
-            self.store.param("critic.central.l0.b", (c,), kind="zeros")
-            self.store.param("critic.central.l1.w", (c, c))
-            self.store.param("critic.central.l1.b", (c,), kind="zeros")
-            self.store.param("critic.central.l2.w", (c, 1))
-            self.store.param("critic.central.l2.b", (1,), kind="zeros")
-
-    @property
-    def _n_agents(self) -> int:
-        return self.counts["num_aps"] + self.counts["num_ris"]
+    def _probe_graph(self) -> CommGraph:
+        """A zero graph of this policy's widths and agent counts, with one
+        edge of every kind whose two ends exist."""
+        nodes = {t: np.zeros((n, self._node_dim[t]))
+                 for t, n in self._count.items()}
+        ends = {k: np.zeros(int(all(self._count[t] for t in EDGE_ENDS[k])),
+                            dtype=np.intp) for k in EDGE_ENDS}
+        feat = {k: np.zeros((len(ends[k]), self.dims[k])) for k in EDGE_ENDS}
+        return CommGraph(nodes, ends, ends, feat)
 
     def ztilde_dim(self, kind: str) -> int:
         return self._node_dim[kind] + self.pcfg.hidden
@@ -413,14 +361,16 @@ def _sigmoid(x):
 
 def policy_for_env(env, pcfg: PolicyConfig, seed: int,
                    dtype=np.float32) -> GEVDACPolicy:
-    from .graphs import feature_dims
+    """The policy for ``env``'s agents, its feature widths and digest width
+    read off the shapes of the env's comm graph."""
     cfg = env.config
-    dims = feature_dims(cfg, env.topo)
+    graph = env.comm_graph()
+    dims = {f"{t}_node": graph.nodes[t].shape[1] for t in NODE_TYPES}
+    dims.update((k, f.shape[1]) for k, f in graph.edge_feat.items())
     counts = dict(num_aps=cfg.num_aps, num_ris=cfg.num_ris,
                   users_per_ap=cfg.users_per_ap,
                   ris_elements=cfg.ris_elements,
                   n_phase=2 ** cfg.ris_phase_bits,
                   max_power=cfg.max_tx_power,
-                  digest_dim=(cfg.num_aps * dims["ap_node"]
-                              + cfg.num_ris * dims["ris_node"]))
+                  digest_dim=len(state_digest(graph)))
     return GEVDACPolicy(dims, counts, pcfg, seed, dtype)

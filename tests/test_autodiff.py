@@ -443,6 +443,26 @@ class TestGruScan:
         for a, b in zip(*grads):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
+    def test_no_rows_takes_no_step_and_gives_zero_weight_gradients(self):
+        # a type without agents: (0, in) inputs from a (0, hidden) state
+        store, weights, _, _ = self._setup()
+        x = Tensor(np.zeros((0, self.IN)), requires=True)
+        h = Tensor(np.zeros((0, self.HIDDEN)), requires=True)
+        states = ad.gru_scan(x, h, weights)
+        assert states.shape == (0, self.HIDDEN)
+        store.zero_grads()
+        states.sum().backward()
+        assert x.grad.shape == (0, self.IN)
+        assert h.grad.shape == (0, self.HIDDEN)
+        for name in store.names():
+            grad = store.get(name).grad
+            assert grad.shape == store.get(name).shape
+            assert not grad.any()
+        with store.no_grad():
+            weights = nn.gru_params(store, "g", self.IN, self.HIDDEN)
+            states = ad.gru_scan(x.value, h.value, weights)
+        assert states.shape == (0, self.HIDDEN)
+
 
 class TestClipWithoutNpClip:
     """The activations clip with ``np.minimum(np.maximum(...))``, which

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from risnoma.env import NetworkEnv, shaped_reward
-from risnoma.graphs import (EDGE_ENDS, build_comm_graph, feature_dims,
-                            graph_layout, stack_graphs, state_digest)
+from risnoma.graphs import (EDGE_ENDS, build_comm_graph, graph_layout,
+                            stack_graphs, state_digest)
+from risnoma.policy import PolicyConfig, policy_for_env
 from risnoma.presets import default_config, medium_config, tiny_config
 from risnoma.topology import SE
 
@@ -187,15 +188,21 @@ class TestCommGraph:
         assert graph.num_edges == expect
 
     def test_node_feature_dims(self):
-        cfg = medium_config()
-        env = NetworkEnv(cfg, seed=0)
-        graph = env.comm_graph()
-        dims = feature_dims(cfg, env.topo)
-        for kind, feat in graph.nodes.items():
-            assert feat.shape == (len(feat), dims[f"{kind}_node"])
-        for kind, feat in graph.edge_feat.items():
-            assert feat.shape == (len(graph.src[kind]), dims[kind])
-            assert len(graph.dst[kind]) == len(feat)
+        for cfg in (medium_config(), default_config()):
+            env = NetworkEnv(cfg, seed=0)
+            graph = env.comm_graph()
+            k, n_a, n_el = cfg.users_per_ap, cfg.antennas, cfg.ris_elements
+            dims = {"ap_node": 2 * k * n_a + 2 * k,   # channels, weight, power
+                    "ris_node": 2 * n_el,             # on/off, phase
+                    "ap_ap": 2 * k * n_a,
+                    "ap_ris": cfg.num_aps * 2 * k * n_a,
+                    "ris_ap": 2 * n_el * n_a + 2 * k * n_el}
+            for kind, feat in graph.nodes.items():
+                assert feat.shape == (len(feat), dims[f"{kind}_node"])
+            for kind, feat in graph.edge_feat.items():
+                assert feat.shape == (len(graph.src[kind]), dims[kind])
+                assert len(graph.dst[kind]) == len(feat)
+            assert policy_for_env(env, PolicyConfig(), 0).dims == dims
 
     def test_edges_follow_neighbor_sets(self):
         cfg = medium_config()
@@ -216,7 +223,7 @@ class TestCommGraph:
         env = NetworkEnv(cfg, seed=0)
         graph = env.comm_graph()
         m = cfg.num_aps
-        perm = np.arange(graph.num_nodes)
+        perm = np.arange(sum(len(v) for v in graph.nodes.values()))
         perm[m], perm[m + 1] = m + 1, m
         permuted = graph.permuted(perm)
         assert np.array_equal(permuted.nodes["ris"][1], graph.nodes["ris"][0])
@@ -234,7 +241,7 @@ class TestCommGraph:
 
     def test_relabel_across_types_rejected(self):
         graph = NetworkEnv(medium_config(), seed=0).comm_graph()
-        perm = np.arange(graph.num_nodes)
+        perm = np.arange(sum(len(v) for v in graph.nodes.values()))
         perm[0], perm[-1] = perm[-1], perm[0]
         with pytest.raises(ValueError):
             graph.permuted(perm)

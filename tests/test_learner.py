@@ -626,3 +626,17 @@ class TestTrain:
             for key in ("test_reward", "eta", "outage_se", "outage_iot",
                         "grad_pi", "grad_v", "grad_mix", "exchange_per_step"):
                 assert key in row
+
+    def test_trains_without_ris(self):
+        # an agent type with no agents: zero-row trunks, heads and critics
+        env_factory = lambda s: NetworkEnv(medium_config(num_ris=0), seed=s)
+        tcfg = TrainConfig(episodes=2, rollouts=2, horizon=5, seed=0)
+        policy, curves = train(env_factory, tcfg,
+                               PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6,
+                                            critic_hidden=6, mix_hidden=4))
+        assert len(curves) == 2
+        for row in curves:
+            assert all(np.isfinite(v) for v in row.values())
+        # no RIS ends an edge, so no RIS edge kind has parameters
+        assert not [n for n in policy.store.names()
+                    if n.startswith(("emb.ap_ris.", "emb.ris_ap."))]
