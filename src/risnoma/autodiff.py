@@ -24,12 +24,13 @@ hands out the raw parameter arrays, so a forward pass built from its
 parameters and ndarrays runs on plain numpy and records no tape.  A Tensor
 never hides inside a numpy expression: ``__array_ufunc__ = None`` makes
 ``ndarray (op) Tensor`` defer to the Tensor's reflected operator, which
-tapes it.
+tapes it (an operator the tape lacks, such as ``@``, raises TypeError).
 
 Ops, all batched over leading axes where that makes sense:
-  arithmetic   ``+ - * /`` (numpy broadcasting), ``@`` (1-D or 2-D operands)
-  layers       ``linear(parts, w, b)`` (a dense layer over input parts laid
-               side by side; only the parts that need it get a gradient)
+  arithmetic   ``+ - *`` (numpy broadcasting)
+  layers       ``linear(parts, w, b)`` (a dense layer over one input or over
+               input parts laid side by side, one node; only the parts that
+               need it get a gradient)
   indexing     ``x[key]`` (basic or advanced; repeated indices accumulate)
   shape        ``reshape``, ``sum(axis)``, ``concat(parts, axis)``
   elementwise  ``tanh sigmoid relu elu exp absolute square softplus clip``
@@ -119,17 +120,6 @@ class Tensor:
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("division only by python scalars")
-        return self * (1.0 / scalar)
-
-    def __matmul__(self, other):
-        return _matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return _matmul(other, self)
 
     def __getitem__(self, key):
         def push(g):
@@ -222,27 +212,6 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _matmul(x, y):
-    dtype = _tensor_dtype((x, y))
-    a, b = _val(x, dtype), _val(y, dtype)
-    if a.ndim > 2 or b.ndim > 2:
-        raise ValueError("matmul takes 1-D or 2-D operands")
-
-    def push(g):
-        g = np.asarray(g)
-        if _requires(x):
-            if b.ndim == 2:
-                x._accum(g @ b.T)
-            else:
-                x._accum(np.outer(g, b) if a.ndim == 2 else g * b)
-        if _requires(y):
-            if a.ndim == 2:
-                y._accum(a.T @ g)
-            else:
-                y._accum(np.outer(a, g) if b.ndim == 2 else g * a)
-    return _out(a @ b, (x, y), push)
-
-
 def _unary(x, y, dydx):
     """y = f(x); ``dydx()`` gives the local derivative, on backward only."""
     def push(g):
@@ -320,21 +289,27 @@ def concat(parts, axis=-1):
 
 
 def linear(parts, w, b):
-    """``concat(parts, axis=-1) @ w + b`` as one tape node.
+    """``concat(parts, axis=-1) @ w + b`` as one tape node: the tape's only
+    dense op.
 
-    The value is that expression, bit for bit.  The backward pass gives
-    ``w`` and ``b`` the gradients of the matmul and the add, and a part
-    that requires a gradient the product with its own rows of ``w``;
-    ndarray parts, such as constant feature columns, cost nothing.  Parts
-    are 1-D or 2-D, all with the same leading shape.  The layer computes in
-    the dtype of ``w``, its parameter: parts and ``b`` are cast to it.
+    The value is that expression, bit for bit; a single part is used as it
+    is, with no concatenated copy.  The backward pass gives ``w`` and ``b``
+    the gradients of the product and the sum, and a part that requires a
+    gradient the product with its own rows of ``w``; ndarray parts, such as
+    constant feature columns, cost nothing.  Parts are 1-D or 2-D, all with
+    the same leading shape.  The layer computes in the dtype of ``w``, its
+    parameter: parts and ``b`` are cast to it.
     """
     parts = list(parts)
     wv = _val(w)
     values = [_val(p, wv.dtype) for p in parts]
-    a = np.concatenate(values, axis=-1)
+    a = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
     if a.ndim > 2 or wv.ndim != 2:
         raise ValueError("linear takes 1-D or 2-D parts and a 2-D weight")
+    y = a @ wv + _val(b, wv.dtype)
+    parents = tuple(x for x in (*parts, w, b) if isinstance(x, Tensor))
+    if not parents:  # inference: no backward pass to prepare
+        return y
 
     def push(g):
         g = np.asarray(g)
@@ -348,7 +323,7 @@ def linear(parts, w, b):
             if _requires(p):
                 p._accum(g @ wv[lo:hi].T)
             lo = hi
-    return _out(a @ wv + _val(b, wv.dtype), (*parts, w, b), push)
+    return Tensor(y, parents=parents, push=push)
 
 
 def log_softmax(x):
@@ -587,9 +562,6 @@ class ParamStore:
 
     def get(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
 
     def apply_update(self, deltas: dict) -> None:
         """theta <- theta + delta for each named delta, added as given;

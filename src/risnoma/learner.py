@@ -47,7 +47,6 @@ from .topology import SE
 @dataclass
 class StepRecord:
     graph: CommGraph
-    digest: np.ndarray
     sample: ActionSample           # every agent's draws, slot axis 1
     logps: np.ndarray              # (M + J,) collection-time, node order
     reward: float
@@ -72,7 +71,6 @@ class Trajectory:
     """
     steps: list
     final_graph: CommGraph
-    final_digest: np.ndarray
     values: np.ndarray | None = None
 
     def __len__(self):
@@ -109,13 +107,11 @@ def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
                                            deterministic=deterministic)
         out = env.step(*policy.env_action(sample))
         steps.append(StepRecord(
-            graph=graph, digest=state_digest(graph), sample=sample,
-            logps=logp[0], reward=out.reward, eta=out.eta,
-            delta=out.delta, rates=out.rates, outage=out.outage, q=out.q,
-            y=out.y, weights=out.weights,
+            graph=graph, sample=sample, logps=logp[0], reward=out.reward,
+            eta=out.eta, delta=out.delta, rates=out.rates,
+            outage=out.outage, q=out.q, y=out.y, weights=out.weights,
             exchange=policy.exchange_volume(graph)))
-    final_graph = env.comm_graph()
-    return Trajectory(steps, final_graph, state_digest(final_graph))
+    return Trajectory(steps, env.comm_graph())
 
 
 def n_step_return(rewards, values, t, gamma: float, n: int):
@@ -156,10 +152,10 @@ def _replay_values(policy: GEVDACPolicy, trajectories):
     R trajectories."""
     trajs = list(trajectories)
     steps, width = len(trajs[0]), len(trajs)
-    z = policy.embed(tr.steps[t].graph if t < steps else tr.final_graph
-                     for t in range(steps + 1) for tr in trajs)
-    digests = np.stack([tr.steps[t].digest if t < steps else tr.final_digest
-                        for t in range(steps + 1) for tr in trajs])
+    graphs = [tr.steps[t].graph if t < steps else tr.final_graph
+              for t in range(steps + 1) for tr in trajs]
+    z = policy.embed(graphs)
+    digests = np.stack([state_digest(g) for g in graphs])
     v_tot = policy.global_value(digests, policy.local_value(z))
     gru = policy.gru_zero(width)
     played = {t: z[t][:steps * len(gru[t])] for t in z}  # drop the final slot
@@ -248,7 +244,8 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
 
 def evaluate(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
              rollouts: int, rng: np.random.Generator) -> dict:
-    """Deterministic-policy metrics over fresh episodes."""
+    """Deterministic-policy metrics over fresh episodes.  A config without
+    IoT users (``iot_users_per_ap=0``) reports an IoT outage of 0.0."""
     rewards, etas, se_out, iot_out = [], [], [], []
     for _ in range(rollouts):
         traj = rollout(env, policy, horizon, rng, deterministic=True)
@@ -257,7 +254,8 @@ def evaluate(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
         kind = env.topo.user_kind
         outages = np.stack([s.outage for s in traj.steps])
         se_out.append(outages[:, kind == SE].mean())
-        iot_out.append(outages[:, kind != SE].mean())
+        iot = outages[:, kind != SE]
+        iot_out.append(iot.mean() if iot.size else 0.0)
     return {"reward": float(np.mean(rewards)), "eta": float(np.mean(etas)),
             "outage_se": float(np.mean(se_out)),
             "outage_iot": float(np.mean(iot_out))}

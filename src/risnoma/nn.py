@@ -1,5 +1,5 @@
-"""Network blocks on top of the tape: dense layers (over one input, or over a
-list of input parts as one ``ad.linear`` node), the GRU's parameters (for the
+"""Network blocks on top of the tape: dense layers (each one ``ad.linear``
+node, over one input or a list of input parts), the GRU's parameters (for the
 ``ad.gru_scan`` op, one tape node however many steps it runs) and the
 hypernetwork value mixer.  Each works on a single input vector or on a batch
 of them stacked as rows, and takes ndarrays or Tensors: it returns whatever
@@ -11,19 +11,19 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore
 
-_ACTS = {"linear": lambda x: x, "tanh": ad.tanh, "relu": ad.relu,
-         "elu": ad.elu, "sigmoid": ad.sigmoid}
+_ACTS = {"linear": lambda x: x, "tanh": ad.tanh, "relu": ad.relu}
 
 
 def dense(store: ParamStore, name: str, x, in_dim: int, out_dim: int,
           activation: str = "linear"):
-    """activation(x @ w + b).  ``x`` is one input, or a list of parts that
-    together make the ``in_dim`` input columns, side by side: one
+    """activation(x @ w + b) with ``activation`` one of linear, tanh and
+    relu.  ``x`` is one input, or a list of parts that together make the
+    ``in_dim`` input columns, side by side; either way the layer is one
     ``ad.linear`` node, which sends no gradient to constant parts."""
     w = store.param(f"{name}.w", (in_dim, out_dim))
     b = store.param(f"{name}.b", (out_dim,), kind="zeros")
-    y = ad.linear(x, w, b) if isinstance(x, list) else x @ w + b
-    return _ACTS[activation](y)
+    parts = x if isinstance(x, list) else [x]
+    return _ACTS[activation](ad.linear(parts, w, b))
 
 
 def gru_params(store: ParamStore, name: str, in_dim: int, hidden: int):

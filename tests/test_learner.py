@@ -1,5 +1,6 @@
 import copy
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -121,7 +122,8 @@ class TestRollout:
         assert [s.reward for s in a.steps] == [s.reward for s in b.steps]
         for sa, sb in zip(a.steps, b.steps):
             assert np.array_equal(sa.logps, sb.logps)
-            assert np.array_equal(sa.digest, sb.digest)
+            assert np.array_equal(state_digest(sa.graph),
+                                  state_digest(sb.graph))
 
     def test_length_matches_horizon(self):
         env = tiny_env()
@@ -640,3 +642,18 @@ class TestTrain:
         # no RIS ends an edge, so no RIS edge kind has parameters
         assert not [n for n in policy.store.names()
                     if n.startswith(("emb.ap_ris.", "emb.ris_ap."))]
+
+    def test_trains_without_iot_users_and_reports_zero_iot_outage(self):
+        # no IoT user: the IoT outage is 0.0, not the NaN mean of no users
+        env_factory = lambda s: NetworkEnv(tiny_config(iot_users_per_ap=0),
+                                           seed=s)
+        tcfg = TrainConfig(episodes=2, rollouts=1, horizon=5, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, curves = train(env_factory, tcfg,
+                              PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6,
+                                           critic_hidden=6, mix_hidden=4))
+        assert len(curves) == 2
+        for row in curves:
+            assert all(np.isfinite(v) for v in row.values())
+            assert row["outage_iot"] == 0.0
