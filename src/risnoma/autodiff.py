@@ -37,7 +37,8 @@ Ops, all batched over leading axes where that makes sense:
   rows         ``log_softmax`` (last axis), ``segment_reduce`` (sum, mean or
                max of the rows sent to each segment)
   recurrent    ``gru_scan`` (a GRU over T steps of stacked rows, one node
-               whose backward pass is backpropagation through time)
+               whose backward pass is backpropagation through time; one
+               input product for all steps, one state product per step)
 """
 from __future__ import annotations
 
@@ -124,7 +125,10 @@ class Tensor:
     def __getitem__(self, key):
         def push(g):
             full = np.zeros_like(self.value)
-            np.add.at(full, key, g)  # a repeated index collects every copy
+            if _is_basic(key):  # each entry is picked at most once
+                full[key] = g
+            else:
+                np.add.at(full, key, g)  # a repeated index collects every copy
             self._accum(full)
         return Tensor(self.value[key], parents=(self,), push=push)
 
@@ -164,6 +168,17 @@ def _post_order(root: Tensor) -> list:
             stack.pop()
             order.append(node)
     return order
+
+
+def _is_basic(key) -> bool:
+    """Whether ``key`` is a basic index (integers, slices, None and
+    Ellipsis), which picks each entry at most once."""
+    for k in key if isinstance(key, tuple) else (key,):
+        if not (k is None or k is Ellipsis or isinstance(k, slice)
+                or (isinstance(k, (int, np.integer))
+                    and not isinstance(k, bool))):
+            return False
+    return True
 
 
 def value_of(x) -> np.ndarray:
@@ -301,6 +316,12 @@ def linear(parts, w, b):
     parameter: parts and ``b`` are cast to it.
     """
     parts = list(parts)
+    if len(parts) == 1:  # inference on one input of the weight's dtype
+        x = parts[0]
+        if (type(x) is np.ndarray and type(w) is np.ndarray
+                and type(b) is np.ndarray and x.dtype == w.dtype == b.dtype
+                and x.ndim <= 2 and w.ndim == 2):
+            return x @ w + b
     wv = _val(w)
     values = [_val(p, wv.dtype) for p in parts]
     a = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
@@ -423,51 +444,70 @@ def gru_scan(x, h0, weights):
     ``h0`` is the (rows, hidden) state before the first step and ``x`` the
     (T * rows, in) inputs, step-major: rows ``t * rows`` to
     ``(t + 1) * rows`` feed step t (a 1-D ``x`` and ``h0`` are one row).
-    ``weights`` is (w, b) of the gates zx, zh, rx, rh, cx, ch in turn:
-    ``w_zx, b_zx, w_zh, b_zh, ..., w_ch, b_ch``.  Each step evaluates
+    ``weights`` is ``(w_x, b_x, w_h, b_h)`` of ``nn.gru_params``: ``w_x``
+    is (in, 3 * hidden) and ``w_h`` (hidden, 3 * hidden), each with the
+    columns of the gates z, r and c side by side in that order.  With
+    ``a = x @ w_x + b_x`` and ``e = h @ w_h + b_h`` split into those three
+    column blocks, each step evaluates
 
-        z  = sigmoid((x @ w_zx + b_zx) + (h @ w_zh + b_zh))
-        r  = sigmoid((x @ w_rx + b_rx) + (h @ w_rh + b_rh))
-        c  = tanh((x @ w_cx + b_cx) + r * (h @ w_ch + b_ch))
+        z  = sigmoid(a_z + e_z)
+        r  = sigmoid(a_r + e_r)
+        c  = tanh(a_c + r * e_c)
         h' = (1 - z) * h + z * c
 
-    with the same expressions as the composed ops, so one step is bitwise
-    the value of ``dense``, ``sigmoid`` and ``tanh`` written out.  Returns
-    the states after every step, shaped like ``x`` with ``hidden`` columns.
-    The backward pass runs backpropagation through time over the gate
-    activations kept here, and each weight's gradient is one product over
-    all steps.  With no rows (a type without agents) it takes no step: the
-    states are (0, hidden) and every weight's gradient is zero.  The scan
-    computes in the dtype of ``w_zx``: the inputs, the state and the other
-    weights are cast to it.
+    with the same expressions as the composed ops.  The input products of
+    all T steps are one product, formed before the loop; each step then
+    takes one product of its state.  So a scan of one step is bitwise the
+    value of ``dense``, ``sigmoid`` and ``tanh`` written out, and a longer
+    one is too wherever BLAS rounds a block of rows of the input product
+    like the product of that block alone (not always: the shape of the
+    product picks its kernel).  Returns the states after every step, shaped
+    like ``x`` with ``hidden`` columns.  The backward pass runs
+    backpropagation through time over the gate activations kept here, and
+    each weight's gradient is one product over all steps; with no Tensor
+    among the inputs nothing is kept.  With no rows (a type without
+    agents) it takes no step: the states are (0, hidden) and every weight's
+    gradient is zero.  The scan computes in the dtype of ``w_x``: the
+    inputs, the state and the other weights are cast to it.
     """
     dtype = _val(weights[0]).dtype
     xv, hv = _val(x, dtype), _val(h0, dtype)
-    (w_zx, b_zx, w_zh, b_zh, w_rx, b_rx,
-     w_rh, b_rh, w_cx, b_cx, w_ch, b_ch) = (_val(w, dtype) for w in weights)
+    w_x, b_x, w_h, b_h = (_val(w, dtype) for w in weights)
     hidden = hv.shape[-1]
     rows = hv.size // hidden
     xs = xv.reshape(-1 if rows else 0, rows, xv.shape[-1])
     steps = len(xs)
+    xf = xs.reshape(steps * rows, xs.shape[-1])
+    a = (xf @ w_x + b_x).reshape(steps, rows, 3 * hidden)
+    taped = any(isinstance(v, Tensor) for v in (x, h0, *weights))
     hs = np.empty((steps + 1, rows, hidden), dtype)  # the state into step t
     hs[0] = hv.reshape(rows, hidden)
-    z, r, c, hc = (np.empty((steps, rows, hidden), dtype) for _ in range(4))
+    if taped:  # gate activations z | r, c and e_c of every step
+        zr, c, hc = (np.empty((steps, rows, n * hidden), dtype)
+                     for n in (2, 1, 1))
+    cut = 2 * hidden  # the z and r columns end here, c's begin
     for t in range(steps):
-        x_t, h = xs[t], hs[t]
-        z[t] = _sigmoid((x_t @ w_zx + b_zx) + (h @ w_zh + b_zh))
-        r[t] = _sigmoid((x_t @ w_rx + b_rx) + (h @ w_rh + b_rh))
-        hc[t] = h @ w_ch + b_ch
-        c[t] = np.tanh((x_t @ w_cx + b_cx) + r[t] * hc[t])
-        hs[t + 1] = (1.0 - z[t]) * h + z[t] * c[t]
+        h = hs[t]
+        e = h @ w_h + b_h
+        zr_t = _sigmoid(a[t, :, :cut] + e[:, :cut])
+        c_t = np.tanh(a[t, :, cut:] + zr_t[:, hidden:] * e[:, cut:])
+        z_t = zr_t[:, :hidden]
+        hs[t + 1] = (1.0 - z_t) * h + z_t * c_t
+        if taped:
+            zr[t], c[t], hc[t] = zr_t, c_t, e[:, cut:]
+    out = hs[1:].reshape(xv.shape[:-1] + (hidden,))
+    if not taped:
+        return out
 
     def push(g):
         g = np.asarray(g).reshape(steps, rows, hidden)
+        z, r = zr[..., :hidden], zr[..., hidden:]
         # slopes that do not depend on the incoming gradient, for all steps
         via_c = z * (1.0 - c * c)                # d(c pre-activation)/dh'
         via_z = (c - hs[:-1]) * (z * (1.0 - z))  # d(z pre-activation)/dh'
         via_r = hc * (r * (1.0 - r))             # d(r pre-act.)/d(c pre-act.)
         keep = 1.0 - z                           # dh'/dh, the direct path
-        w_h = np.concatenate([w_zh, w_rh, w_ch], axis=1).T
+        w_ht = w_h.T
         da_c = np.empty((steps, rows, hidden), dtype)
         da_h = np.empty((steps, rows, 3, hidden), dtype)  # z, r, c via h
         dh = np.zeros((rows, hidden), dtype)
@@ -477,25 +517,22 @@ def gru_scan(x, h0, weights):
             da_h[t, :, 0] = dh * via_z[t]
             da_h[t, :, 1] = da_c[t] * via_r[t]
             da_h[t, :, 2] = da_c[t] * r[t]
-            dh = dh * keep[t] + da_h[t].reshape(rows, 3 * hidden) @ w_h
-        xf = xs.reshape(steps * rows, xs.shape[-1])
+            dh = dh * keep[t] + da_h[t].reshape(rows, 3 * hidden) @ w_ht
+        da_x = da_h.copy()  # the input side of c is not scaled by r
+        da_x[:, :, 2] = da_c
+        da_x = da_x.reshape(steps * rows, 3 * hidden)
+        da_h = da_h.reshape(steps * rows, 3 * hidden)
         hf = hs[:-1].reshape(steps * rows, hidden)
-        da_c = da_c.reshape(steps * rows, hidden)
-        da_z, da_r, da_hc = (da_h[:, :, k].reshape(steps * rows, hidden)
-                             for k in range(3))
-        gates = ((xf, da_z), (hf, da_z), (xf, da_r), (hf, da_r), (xf, da_c),
-                 (hf, da_hc))
-        for (inp, da), w, b in zip(gates, weights[::2], weights[1::2]):
+        for inp, da, w, b in ((xf, da_x, *weights[:2]),
+                              (hf, da_h, *weights[2:])):
             if _requires(w):
                 w._accum(inp.T @ da)
             if _requires(b):
                 b._accum(da.sum(axis=0))
         if _requires(x):
-            x._accum((da_z @ w_zx.T + da_r @ w_rx.T + da_c @ w_cx.T)
-                     .reshape(xv.shape))
+            x._accum((da_x @ w_x.T).reshape(xv.shape))
         if _requires(h0):
             h0._accum(dh.reshape(hv.shape))
-    out = hs[1:].reshape(xv.shape[:-1] + (hidden,))
     return _out(out, (x, h0, *weights), push)
 
 
@@ -593,11 +630,16 @@ class ParamStore:
         return store, meta
 
 
+def squared_sums(grads: dict) -> dict:
+    """Each array's sum of squares, taken in float64 whatever its dtype."""
+    out = {}
+    for name, g in grads.items():
+        g = np.asarray(g, dtype=np.float64)
+        out[name] = float(np.vdot(g, g))
+    return out
+
+
 def gradient_norm(grads: dict) -> float:
     """The Euclidean norm of all the arrays in ``grads`` together, summed in
     float64 whatever their dtype."""
-    total = 0.0
-    for g in grads.values():
-        g = np.asarray(g, dtype=np.float64)
-        total += float(np.vdot(g, g))
-    return float(np.sqrt(total))
+    return float(np.sqrt(sum(squared_sums(grads).values())))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import gradient_norm
+from .autodiff import squared_sums
 from .env import NetworkEnv
 from .graphs import CommGraph, state_digest
 from .policy import ActionSample, GEVDACPolicy, PolicyConfig, policy_for_env
@@ -172,6 +172,11 @@ def _reached(store, names) -> dict:
     return {n: g for n, g in grads.items() if g is not None}
 
 
+def _norm(squares) -> float:
+    """The Euclidean norm of arrays whose sums of squares are given."""
+    return float(np.sqrt(sum(squares)))
+
+
 def _clip(norm: float, max_norm: float) -> tuple:
     """(the block's norm after clipping, the factor that clips it); a
     clipped block reports exactly ``max_norm``."""
@@ -220,11 +225,11 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
     g_v = _reached(store, blocks["policy"] + blocks["critic"])
     g_mix = _reached(store, blocks["mix"])
 
-    grad_pi, pi_scale = _clip(gradient_norm(g_pi), tcfg.grad_clip)
-    _, v_scale = _clip(gradient_norm(g_v), tcfg.grad_clip)
-    grad_mix, mix_scale = _clip(gradient_norm(g_mix), tcfg.grad_clip)
-    grad_v = gradient_norm({n: g_v[n] for n in blocks["critic"]
-                            if n in g_v}) * v_scale
+    sq_pi, sq_v, sq_mix = (squared_sums(g) for g in (g_pi, g_v, g_mix))
+    grad_pi, pi_scale = _clip(_norm(sq_pi.values()), tcfg.grad_clip)
+    _, v_scale = _clip(_norm(sq_v.values()), tcfg.grad_clip)
+    grad_mix, mix_scale = _clip(_norm(sq_mix.values()), tcfg.grad_clip)
+    grad_v = _norm(sq_v[n] for n in blocks["critic"] if n in sq_v) * v_scale
 
     deltas = {n: (-tcfg.lr_mix * mix_scale) * g for n, g in g_mix.items()}
     for n, g in g_pi.items():

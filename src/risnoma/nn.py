@@ -27,13 +27,14 @@ def dense(store: ParamStore, name: str, x, in_dim: int, out_dim: int,
 
 
 def gru_params(store: ParamStore, name: str, in_dim: int, hidden: int):
-    """(w, b) of the gates zx, zh, rx, rh, cx, ch in turn, the ``weights``
-    of ``ad.gru_scan``: the x gates read the input, the h gates the state."""
+    """``(w_x (in_dim, 3 * hidden), b_x, w_h (hidden, 3 * hidden), b_h)``,
+    the ``weights`` of ``ad.gru_scan``: the gates z, r and c side by side,
+    one dense layer (``{name}.x``) over the input and one (``{name}.h``)
+    over the state."""
     out = []
-    for gate in ("zx", "zh", "rx", "rh", "cx", "ch"):
-        rows = in_dim if gate.endswith("x") else hidden
-        out += [store.param(f"{name}.{gate}.w", (rows, hidden)),
-                store.param(f"{name}.{gate}.b", (hidden,), kind="zeros")]
+    for side, rows in (("x", in_dim), ("h", hidden)):
+        out += [store.param(f"{name}.{side}.w", (rows, 3 * hidden)),
+                store.param(f"{name}.{side}.b", (3 * hidden,), kind="zeros")]
     return out
 
 

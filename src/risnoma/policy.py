@@ -44,6 +44,11 @@ rewards and queues stay float64.
 
 Parameters.  Each one is declared once, by the layer call that uses it
 (``nn.dense``, ``nn.gru_params``), which names it and gives its shape.
+Sibling layers that read the same rows are one dense layer whose output
+columns are sliced: the GRU's z, r and c gates are one weight over the input
+(``act.{t}.gru.x``) and one over the state (``act.{t}.gru.h``), the AP head
+``act.ap.head`` gives the Gaussian means then the log-stds, and the RIS head
+``act.ris.head`` the L on/off logits then the L * P phase logits.
 Construction creates them all by one tape-free pass of ``embed``, ``act``
 (deterministic, so no random draw), ``local_value`` and ``global_value``
 over a zero graph of the policy's widths with one edge of every kind whose
@@ -220,13 +225,14 @@ class GEVDACPolicy:
         post, h = {}, {}
         for t in NODE_TYPES:
             post[t], h[t] = self._trunk(z_tilde[t], t, gru_state[t])
-        mean = nn.dense(self.store, "act.ap.mean", post["ap"], g, k + 1)
-        log_std = ad.clip(
-            nn.dense(self.store, "act.ap.logstd", post["ap"], g, k + 1)
-            + LOG_STD_OFFSET, LOG_STD_MIN, LOG_STD_MAX)
-        onoff = nn.dense(self.store, "act.ris.onoff", post["ris"], g, n_el)
-        phase = nn.dense(self.store, "act.ris.phase", post["ris"], g,
-                         n_el * n_ph).reshape(post["ris"].shape[0], n_el, n_ph)
+        ap = nn.dense(self.store, "act.ap.head", post["ap"], g, 2 * (k + 1))
+        mean = ap[:, :k + 1]
+        log_std = ad.clip(ap[:, k + 1:] + LOG_STD_OFFSET, LOG_STD_MIN,
+                          LOG_STD_MAX)
+        ris = nn.dense(self.store, "act.ris.head", post["ris"], g,
+                       n_el + n_el * n_ph)
+        onoff = ris[:, :n_el]
+        phase = ris[:, n_el:].reshape(ris.shape[0], n_el, n_ph)
         return (mean, log_std, onoff, phase), h
 
     def act(self, z_tilde: dict, gru_state: dict, rng: np.random.Generator,

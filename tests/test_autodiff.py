@@ -31,6 +31,19 @@ class TestTapeBasics:
         x[[0, 0, 1]].sum().backward()
         assert np.array_equal(x.grad, [2.0, 1.0])
 
+    @pytest.mark.parametrize("key", [
+        (slice(None), slice(1, 3)), (Ellipsis, slice(None, None, -2)),
+        (1,), (-1, slice(0, 4, 3)), (None, slice(2, None)), np.int64(2)])
+    def test_basic_key_gradient_is_the_add_at_scatter(self, key):
+        # a basic key picks each entry at most once, so assigning the
+        # gradient into zeros gives np.add.at's scatter, bit for bit
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires=True)
+        g = np.random.default_rng(7).normal(size=x.value[key].shape)
+        x[key].backward(g)
+        want = np.zeros((3, 4))
+        np.add.at(want, key, g)
+        assert np.array_equal(x.grad, want)
+
     def test_repeated_row_gather_gradients(self):
         # one source row feeding several edges, as the message layers gather
         store = ParamStore(3)
@@ -325,6 +338,37 @@ class TestLinear:
 
         fd_check(build, store)
 
+    @pytest.mark.parametrize("x_dtype, w_dtype, b_dtype", [
+        (np.float32, np.float32, np.float32),
+        (np.float64, np.float64, np.float64),
+        (np.float64, np.float32, np.float32),   # the part is cast
+        (np.float32, np.float32, np.float64),   # the bias is cast
+        (np.float32, np.float64, np.float64)])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_single_array_path_agrees_with_the_casting_path(
+            self, x_dtype, w_dtype, b_dtype, ndim, monkeypatch):
+        # one ndarray part of the weight's dtype skips every cast; any other
+        # mix casts to the weight's dtype; both give the same bits
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(5, 4)[2 - ndim:]).astype(x_dtype)
+        w = rng.normal(size=(4, 3)).astype(w_dtype)
+        b = rng.normal(size=3).astype(b_dtype)
+        want = x.astype(w_dtype) @ w + b.astype(w_dtype)
+        taped = ad.linear([Tensor(x)], w, b).value  # always casts
+        casts = []
+        val = ad._val
+
+        def counting(*args):
+            casts.append(1)
+            return val(*args)
+
+        monkeypatch.setattr(ad, "_val", counting)
+        free = ad.linear([x], w, b)
+        assert free.dtype == w_dtype
+        assert np.array_equal(free, want) and np.array_equal(taped, want)
+        fast = x_dtype == w_dtype == b_dtype
+        assert (casts == []) == fast
+
     def test_rejects_three_axes(self):
         with pytest.raises(ValueError, match="1-D or 2-D"):
             ad.linear([np.ones((2, 2, 3))], np.ones((3, 1)), np.zeros(1))
@@ -335,7 +379,7 @@ class TestGru:
         store = ParamStore(3)
         h = np.random.default_rng(0).normal(size=5)
         weights = nn.gru_params(store, "g", 4, 5)
-        store.get("g.zx.b").value[:] = -40.0
+        store.get("g.x.b").value[:5] = -40.0  # the z gate's columns
         out = ad.gru_scan(np.ones(4), h, weights)
         assert np.allclose(out.value, h, atol=1e-12)
 
@@ -373,12 +417,17 @@ class TestGru:
 
 
 def _composed_gru_step(store, name, x, h, in_dim, hidden):
-    """The GRU cell written out in dense, sigmoid and tanh ops."""
-    def gate(g, inp, rows):
-        return nn.dense(store, f"{name}.{g}", inp, rows, hidden)
-    z = ad.sigmoid(gate("zx", x, in_dim) + gate("zh", h, hidden))
-    r = ad.sigmoid(gate("rx", x, in_dim) + gate("rh", h, hidden))
-    cand = ad.tanh(gate("cx", x, in_dim) + r * gate("ch", h, hidden))
+    """The GRU cell written out in dense, sigmoid and tanh ops, over the
+    weights of ``nn.gru_params``: one dense layer over the input and one
+    over the state, each with the z, r and c columns side by side."""
+    a = nn.dense(store, f"{name}.x", x, in_dim, 3 * hidden)
+    e = nn.dense(store, f"{name}.h", h, hidden, 3 * hidden)
+
+    def gate(k, out):
+        return out[..., k * hidden:(k + 1) * hidden]
+    z = ad.sigmoid(gate(0, a) + gate(0, e))
+    r = ad.sigmoid(gate(1, a) + gate(1, e))
+    cand = ad.tanh(gate(2, a) + r * gate(2, e))
     return (1.0 - z) * h + z * cand
 
 
@@ -408,7 +457,7 @@ class TestGruScan:
         def build():
             return (ad.gru_scan(x, h, weights) * probe).sum()
 
-        assert len(store.names()) == 14  # x, h0, six weights, six biases
+        assert len(store.names()) == 6  # x, h0, two weights, two biases
         fd_check(build, store)
 
     @pytest.mark.parametrize("taped", [False, True])

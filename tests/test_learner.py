@@ -8,6 +8,7 @@ import pytest
 from fd import fd_check
 
 from risnoma import autodiff as ad
+from risnoma import learner
 from risnoma import nn
 from risnoma.env import NetworkEnv, shaped_reward
 from risnoma.autodiff import ParamStore, Tensor
@@ -254,7 +255,8 @@ class TestUpdate:
         (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero())
         expect = ((sample.gaussian[0, 0] - mean.value[0])
                   / np.exp(2 * log_std.value[0]))
-        got = policy.store.get("act.ap.mean.b").grad
+        # the mean's columns of the AP head's bias
+        got = policy.store.get("act.ap.head.b").grad[:mean.shape[1]]
         np.testing.assert_allclose(got, expect, rtol=1e-10)
 
     def test_score_gradient_matches_closed_form_in_float32(self):
@@ -270,10 +272,41 @@ class TestUpdate:
         (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero())
         draw, mu, ls = (a.astype(np.float64) for a in (
             sample.gaussian[0, 0], mean.value[0], log_std.value[0]))
-        got = policy.store.get("act.ap.mean.b").grad
+        got = policy.store.get("act.ap.head.b").grad[:mean.shape[1]]
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, (draw - mu) / np.exp(2 * ls),
                                    rtol=1e-5)
+
+    @pytest.mark.parametrize("clip", [10.0, 1e-3, 0.0])
+    def test_each_gradient_is_summed_once_into_the_block_norms(
+            self, clip, monkeypatch):
+        # one float64 sum of squares per gradient of each block; the norms
+        # and grad_v are those of gradient_norm over the block's arrays
+        env = tiny_env()
+        policy = small_policy(env)
+        batch = [rollout(env, policy, 4, np.random.default_rng(8))]
+        calls = []
+        sums = learner.squared_sums
+
+        def recording(grads):
+            calls.append(dict(grads))
+            return sums(grads)
+
+        monkeypatch.setattr(learner, "squared_sums", recording)
+        stats = update(policy, batch, TrainConfig(grad_clip=clip),
+                       reward_scale=0.02)
+        g_pi, g_v, g_mix = calls
+        critic = {n: g for n, g in g_v.items() if n.startswith("critic.")}
+        assert critic and len(calls) == 3
+
+        def clipped(norm):
+            return min(norm, clip) if clip > 0 else norm
+
+        norm_v = ad.gradient_norm(g_v)
+        v_scale = clip / norm_v if 0 < clip < norm_v else 1.0
+        assert stats["grad_pi"] == clipped(ad.gradient_norm(g_pi))
+        assert stats["grad_mix"] == clipped(ad.gradient_norm(g_mix))
+        assert stats["grad_v"] == ad.gradient_norm(critic) * v_scale
 
     def test_critic_fit_reduces_loss_on_frozen_batch(self):
         env = tiny_env()
@@ -491,6 +524,24 @@ class TestBatchedReplay:
             counts[horizon, rollouts] = len(made)
         assert len(set(counts.values())) == 1, counts
         assert 0 < counts[5, 1] <= 126
+
+    def test_tensors_per_update_are_pinned(self, monkeypatch):
+        # tiny, default nets, 2 rollouts of 40 slots: 109 Tensors with a
+        # dense layer per head, 111 with one per agent type and its slices
+        made = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        env = tiny_env(seed=1)
+        policy = policy_for_env(env, PolicyConfig(), 1)
+        rng = np.random.default_rng(2)
+        batch = [rollout(env, policy, 40, rng) for _ in range(2)]
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        update(policy, batch, TrainConfig(), reward_scale=0.02)
+        assert len(made) == 111
 
     def test_unequal_lengths_rejected(self):
         env = tiny_env()

@@ -149,7 +149,8 @@ class TestActionHeads:
         rng = np.random.default_rng(4)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
-        policy.store.get("act.ap.logstd.b").value[:] = -100.0  # clamps to floor
+        # the log-std columns of the AP head's bias: clamps to the floor
+        policy.store.get("act.ap.head.b").value[4:] = -100.0
         z = policy.embed([graph])
         s1, _, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(0))
         s2, _, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(1),
@@ -160,8 +161,8 @@ class TestActionHeads:
         rng = np.random.default_rng(5)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
-        for name in ("act.ris.onoff.w", "act.ris.onoff.b"):
-            policy.store.get(name).value[:] = 0.0
+        for name in ("act.ris.head.w", "act.ris.head.b"):
+            policy.store.get(name).value[..., :4] = 0.0  # on/off columns
         z = policy.embed([graph])
         draws = 5_000            # two RISs per draw
         ones = 0
@@ -179,7 +180,7 @@ class TestActionHeads:
         rng = np.random.default_rng(22)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
-        policy.store.get("act.ris.phase.b").value[:] = rng.normal(size=8)
+        policy.store.get("act.ris.head.b").value[4:] = rng.normal(size=8)
         z = policy.embed([graph])
         heads, _ = policy._heads(z, policy.gru_zero())
         logits = heads[3].value
@@ -195,6 +196,32 @@ class TestActionHeads:
                          for row in logits[r]]
                 assert np.array_equal(sample.on_off[0, r], on.astype(int))
                 assert np.array_equal(sample.phase[0, r], picks)
+
+    def test_sliced_heads_match_finite_differences(self):
+        # each head is one dense layer whose columns are sliced into the
+        # distribution parameters; the slices send their gradients back
+        rng = np.random.default_rng(23)
+        graph, dims = synthetic_graph(rng)
+        policy = make_policy(dims, msg_dim=4, hidden=4, gru_hidden=4,
+                             dtype=np.float64)
+        probes = [rng.normal(size=shape) for shape in
+                  ((2, 4), (2, 4), (2, 4), (2, 4, 2))]
+        z = {t: v.value for t, v in policy.embed([graph]).items()}
+        h0 = {t: rng.normal(size=v.shape) for t, v in policy.gru_zero().items()}
+
+        def build():
+            heads, _ = policy._heads(z, h0)
+            total = None
+            for head, probe in zip(heads, probes):
+                term = (head * probe).sum()
+                total = term if total is None else total + term
+            return total
+
+        names = [n for n in policy.store.names() if n.startswith("act.")]
+        assert {n for n in names if ".head." in n} == {
+            "act.ap.head.w", "act.ap.head.b", "act.ris.head.w",
+            "act.ris.head.b"}
+        fd_check(build, policy.store, names=names)
 
     def test_log_prob_matches_replay(self):
         rng = np.random.default_rng(7)
@@ -239,6 +266,40 @@ class TestActionHeads:
         assert np.all((on == 0) | (on == 1))
         assert np.all((phase >= 0) & (phase < 2 ** cfg.ris_phase_bits))
         env.step(power, on, phase)  # shapes accepted
+
+
+class TestParameterLayout:
+    """Sibling layers that read the same rows are one parameter each: the
+    GRU's gates side by side in one input and one state weight, and one
+    head layer per agent type."""
+
+    @pytest.mark.parametrize("make, scalars", [(tiny_config, 28_335),
+                                               (default_config, 1_185_105)],
+                             ids=["tiny", "default"])
+    def test_fused_arrays_hold_the_same_scalars(self, make, scalars):
+        env = NetworkEnv(make(), seed=0)
+        policy = policy_for_env(env, PolicyConfig(), 0)
+        store = policy.store
+        assert len(store.names()) == 58
+        assert sum(store.get(n).value.size for n in store.names()) == scalars
+        g, c = policy.pcfg.gru_hidden, policy.counts
+        heads = {"ap": 2 * (c["users_per_ap"] + 1),
+                 "ris": c["ris_elements"] * (1 + c["n_phase"])}
+        want = {}
+        for t, width in heads.items():
+            want.update({f"act.{t}.gru.x.w": (g, 3 * g),
+                         f"act.{t}.gru.x.b": (3 * g,),
+                         f"act.{t}.gru.h.w": (g, 3 * g),
+                         f"act.{t}.gru.h.b": (3 * g,),
+                         f"act.{t}.head.w": (g, width),
+                         f"act.{t}.head.b": (width,)})
+            for layer in ("pre", "post"):
+                want[f"act.{t}.{layer}.w"] = store.get(
+                    f"act.{t}.{layer}.w").shape
+                want[f"act.{t}.{layer}.b"] = (g,)
+        got = {n: store.get(n).shape for n in store.names()
+               if n.startswith("act.")}
+        assert got == want
 
 
 class TestCritics:
