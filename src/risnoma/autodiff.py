@@ -38,7 +38,7 @@ Ops, all batched over leading axes where that makes sense:
                max of the rows sent to each segment)
   recurrent    ``gru_scan`` (a GRU over T steps of stacked rows, one node
                whose backward pass is backpropagation through time; one
-               input product for all steps, one state product per step)
+               input and one state product per step)
 """
 from __future__ import annotations
 
@@ -125,10 +125,7 @@ class Tensor:
     def __getitem__(self, key):
         def push(g):
             full = np.zeros_like(self.value)
-            if _is_basic(key):  # each entry is picked at most once
-                full[key] = g
-            else:
-                np.add.at(full, key, g)  # a repeated index collects every copy
+            np.add.at(full, key, g)  # a repeated index collects every copy
             self._accum(full)
         return Tensor(self.value[key], parents=(self,), push=push)
 
@@ -168,17 +165,6 @@ def _post_order(root: Tensor) -> list:
             stack.pop()
             order.append(node)
     return order
-
-
-def _is_basic(key) -> bool:
-    """Whether ``key`` is a basic index (integers, slices, None and
-    Ellipsis), which picks each entry at most once."""
-    for k in key if isinstance(key, tuple) else (key,):
-        if not (k is None or k is Ellipsis or isinstance(k, slice)
-                or (isinstance(k, (int, np.integer))
-                    and not isinstance(k, bool))):
-            return False
-    return True
 
 
 def value_of(x) -> np.ndarray:
@@ -455,20 +441,17 @@ def gru_scan(x, h0, weights):
         c  = tanh(a_c + r * e_c)
         h' = (1 - z) * h + z * c
 
-    with the same expressions as the composed ops.  The input products of
-    all T steps are one product, formed before the loop; each step then
-    takes one product of its state.  So a scan of one step is bitwise the
-    value of ``dense``, ``sigmoid`` and ``tanh`` written out, and a longer
-    one is too wherever BLAS rounds a block of rows of the input product
-    like the product of that block alone (not always: the shape of the
-    product picks its kernel).  Returns the states after every step, shaped
-    like ``x`` with ``hidden`` columns.  The backward pass runs
-    backpropagation through time over the gate activations kept here, and
-    each weight's gradient is one product over all steps; with no Tensor
-    among the inputs nothing is kept.  With no rows (a type without
-    agents) it takes no step: the states are (0, hidden) and every weight's
-    gradient is zero.  The scan computes in the dtype of ``w_x``: the
-    inputs, the state and the other weights are cast to it.
+    with the same expressions as the composed ops: each step takes one
+    product of its input rows and one of its state, so a step is bitwise
+    the value of ``dense``, ``sigmoid`` and ``tanh`` written out.  Returns
+    the states after every step, shaped like ``x`` with ``hidden``
+    columns.  The backward pass runs backpropagation through time over the
+    gate activations kept here, and each weight's gradient is one product
+    over all steps; with no Tensor among the inputs nothing is kept.  With
+    no rows (a type without agents) it takes no step: the states are
+    (0, hidden) and every weight's gradient is zero.  The scan computes in
+    the dtype of ``w_x``: the inputs, the state and the other weights are
+    cast to it.
     """
     dtype = _val(weights[0]).dtype
     xv, hv = _val(x, dtype), _val(h0, dtype)
@@ -477,8 +460,6 @@ def gru_scan(x, h0, weights):
     rows = hv.size // hidden
     xs = xv.reshape(-1 if rows else 0, rows, xv.shape[-1])
     steps = len(xs)
-    xf = xs.reshape(steps * rows, xs.shape[-1])
-    a = (xf @ w_x + b_x).reshape(steps, rows, 3 * hidden)
     taped = any(isinstance(v, Tensor) for v in (x, h0, *weights))
     hs = np.empty((steps + 1, rows, hidden), dtype)  # the state into step t
     hs[0] = hv.reshape(rows, hidden)
@@ -488,9 +469,10 @@ def gru_scan(x, h0, weights):
     cut = 2 * hidden  # the z and r columns end here, c's begin
     for t in range(steps):
         h = hs[t]
+        a = xs[t] @ w_x + b_x
         e = h @ w_h + b_h
-        zr_t = _sigmoid(a[t, :, :cut] + e[:, :cut])
-        c_t = np.tanh(a[t, :, cut:] + zr_t[:, hidden:] * e[:, cut:])
+        zr_t = _sigmoid(a[:, :cut] + e[:, :cut])
+        c_t = np.tanh(a[:, cut:] + zr_t[:, hidden:] * e[:, cut:])
         z_t = zr_t[:, :hidden]
         hs[t + 1] = (1.0 - z_t) * h + z_t * c_t
         if taped:
@@ -522,6 +504,7 @@ def gru_scan(x, h0, weights):
         da_x[:, :, 2] = da_c
         da_x = da_x.reshape(steps * rows, 3 * hidden)
         da_h = da_h.reshape(steps * rows, 3 * hidden)
+        xf = xs.reshape(steps * rows, xs.shape[-1])
         hf = hs[:-1].reshape(steps * rows, hidden)
         for inp, da, w, b in ((xf, da_x, *weights[:2]),
                               (hf, da_h, *weights[2:])):
@@ -637,9 +620,3 @@ def squared_sums(grads: dict) -> dict:
         g = np.asarray(g, dtype=np.float64)
         out[name] = float(np.vdot(g, g))
     return out
-
-
-def gradient_norm(grads: dict) -> float:
-    """The Euclidean norm of all the arrays in ``grads`` together, summed in
-    float64 whatever their dtype."""
-    return float(np.sqrt(sum(squared_sums(grads).values())))

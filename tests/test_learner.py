@@ -281,7 +281,7 @@ class TestUpdate:
     def test_each_gradient_is_summed_once_into_the_block_norms(
             self, clip, monkeypatch):
         # one float64 sum of squares per gradient of each block; the norms
-        # and grad_v are those of gradient_norm over the block's arrays
+        # and grad_v are the Euclidean norms of the block's arrays
         env = tiny_env()
         policy = small_policy(env)
         batch = [rollout(env, policy, 4, np.random.default_rng(8))]
@@ -299,14 +299,21 @@ class TestUpdate:
         critic = {n: g for n, g in g_v.items() if n.startswith("critic.")}
         assert critic and len(calls) == 3
 
+        def norm(grads):  # float64 squares, summed array by array
+            total = 0.0
+            for g in grads.values():
+                g = np.asarray(g, dtype=np.float64)
+                total += float(np.vdot(g, g))
+            return float(np.sqrt(total))
+
         def clipped(norm):
             return min(norm, clip) if clip > 0 else norm
 
-        norm_v = ad.gradient_norm(g_v)
+        norm_v = norm(g_v)
         v_scale = clip / norm_v if 0 < clip < norm_v else 1.0
-        assert stats["grad_pi"] == clipped(ad.gradient_norm(g_pi))
-        assert stats["grad_mix"] == clipped(ad.gradient_norm(g_mix))
-        assert stats["grad_v"] == ad.gradient_norm(critic) * v_scale
+        assert stats["grad_pi"] == clipped(norm(g_pi))
+        assert stats["grad_mix"] == clipped(norm(g_mix))
+        assert stats["grad_v"] == norm(critic) * v_scale
 
     def test_critic_fit_reduces_loss_on_frozen_batch(self):
         env = tiny_env()
@@ -523,25 +530,8 @@ class TestBatchedReplay:
             monkeypatch.setattr(Tensor, "__init__", init)
             counts[horizon, rollouts] = len(made)
         assert len(set(counts.values())) == 1, counts
-        assert 0 < counts[5, 1] <= 126
-
-    def test_tensors_per_update_are_pinned(self, monkeypatch):
-        # tiny, default nets, 2 rollouts of 40 slots: 109 Tensors with a
-        # dense layer per head, 111 with one per agent type and its slices
-        made = []
-        init = Tensor.__init__
-
-        def counting(self, *args, **kwargs):
-            made.append(1)
-            init(self, *args, **kwargs)
-
-        env = tiny_env(seed=1)
-        policy = policy_for_env(env, PolicyConfig(), 1)
-        rng = np.random.default_rng(2)
-        batch = [rollout(env, policy, 40, rng) for _ in range(2)]
-        monkeypatch.setattr(Tensor, "__init__", counting)
-        update(policy, batch, TrainConfig(), reward_scale=0.02)
-        assert len(made) == 111
+        # one dense head layer per agent type, sliced into its outputs
+        assert counts[5, 1] == 111
 
     def test_unequal_lengths_rejected(self):
         env = tiny_env()
