@@ -302,12 +302,6 @@ def linear(parts, w, b):
     parameter: parts and ``b`` are cast to it.
     """
     parts = list(parts)
-    if len(parts) == 1:  # inference on one input of the weight's dtype
-        x = parts[0]
-        if (type(x) is np.ndarray and type(w) is np.ndarray
-                and type(b) is np.ndarray and x.dtype == w.dtype == b.dtype
-                and x.ndim <= 2 and w.ndim == 2):
-            return x @ w + b
     wv = _val(w)
     values = [_val(p, wv.dtype) for p in parts]
     a = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)

@@ -325,27 +325,6 @@ class TestLinear:
 
         fd_check(build, store)
 
-    @pytest.mark.parametrize("x_dtype, w_dtype, b_dtype", [
-        (np.float32, np.float32, np.float32),
-        (np.float64, np.float64, np.float64),
-        (np.float64, np.float32, np.float32),   # the part is cast
-        (np.float32, np.float32, np.float64),   # the bias is cast
-        (np.float32, np.float64, np.float64)])
-    @pytest.mark.parametrize("ndim", [1, 2])
-    def test_single_array_path_agrees_with_the_casting_path(
-            self, x_dtype, w_dtype, b_dtype, ndim):
-        # one ndarray part of the weight's dtype skips every cast; any other
-        # mix casts to the weight's dtype; both give the same bits
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(5, 4)[2 - ndim:]).astype(x_dtype)
-        w = rng.normal(size=(4, 3)).astype(w_dtype)
-        b = rng.normal(size=3).astype(b_dtype)
-        want = x.astype(w_dtype) @ w + b.astype(w_dtype)
-        taped = ad.linear([Tensor(x)], w, b).value  # always casts
-        free = ad.linear([x], w, b)
-        assert free.dtype == w_dtype
-        assert np.array_equal(free, want) and np.array_equal(taped, want)
-
     def test_rejects_three_axes(self):
         with pytest.raises(ValueError, match="1-D or 2-D"):
             ad.linear([np.ones((2, 2, 3))], np.ones((3, 1)), np.zeros(1))
