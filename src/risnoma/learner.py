@@ -2,7 +2,8 @@
 
 Collection runs the decentralized pipeline per slot (observe, message
 passing, per-agent sampling, env step), each stage one batched call over
-all agents, and records everything needed to replay exact log-probabilities.
+all agents, and records the graph, the draws and the env's outcome: enough
+to replay exact log-probabilities, which it does not compute itself.
 It runs without a tape: embedding and sampling run under the parameter
 store's ``no_grad()``, so they are plain numpy over the parameter arrays and
 bitwise equal to the taped forward; only the replay in ``update`` builds a
@@ -33,12 +34,12 @@ rewards and its queues stay float64.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import squared_sums
-from .env import NetworkEnv
+from .env import NetworkEnv, StepOutcome
 from .graphs import CommGraph, state_digest
 from .policy import ActionSample, GEVDACPolicy, PolicyConfig, policy_for_env
 from .topology import SE
@@ -46,18 +47,12 @@ from .topology import SE
 
 @dataclass
 class StepRecord:
+    """One collected slot: the graph the agents observed, their draws and
+    what the env returned for them.  The draws are not scored here; the
+    replay in ``update`` scores them."""
     graph: CommGraph
     sample: ActionSample           # every agent's draws, slot axis 1
-    logps: np.ndarray              # (M + J,) collection-time, node order
-    reward: float
-    eta: float
-    delta: float
-    rates: np.ndarray
-    outage: np.ndarray
-    q: np.ndarray
-    y: np.ndarray
-    weights: np.ndarray
-    exchange: int
+    outcome: StepOutcome
 
 
 @dataclass
@@ -95,22 +90,19 @@ class TrainConfig:
 
 def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
             rng: np.random.Generator, deterministic: bool = False) -> Trajectory:
-    """One episode of length ``horizon`` under the current parameters."""
+    """One episode of length ``horizon`` under the current parameters: per
+    slot the observed graph, the agents' draws (not scored) and the env's
+    ``StepOutcome``."""
     env.reset()
     gru = policy.gru_zero()
     steps = []
     for _ in range(horizon):
         graph = env.comm_graph()
         with policy.store.no_grad():
-            z = policy.embed([graph])
-            sample, logp, gru = policy.act(z, gru, rng,
-                                           deterministic=deterministic)
-        out = env.step(*policy.env_action(sample))
-        steps.append(StepRecord(
-            graph=graph, sample=sample, logps=logp[0], reward=out.reward,
-            eta=out.eta, delta=out.delta, rates=out.rates,
-            outage=out.outage, q=out.q, y=out.y, weights=out.weights,
-            exchange=policy.exchange_volume(graph)))
+            sample, gru = policy.act(policy.embed([graph]), gru, rng,
+                                     deterministic=deterministic)
+        steps.append(StepRecord(graph, sample,
+                                env.step(*policy.env_action(sample))))
     return Trajectory(steps, env.comm_graph())
 
 
@@ -195,7 +187,7 @@ def _losses(policy: GEVDACPolicy, trajs: list, tcfg: TrainConfig,
         if tr.values is None:
             tr.values = v_tot.value[:, r].copy()
     values = np.stack([tr.values for tr in trajs], axis=1)      # (T+1, R)
-    rewards = np.array([[rec.reward * reward_scale for rec in tr.steps]
+    rewards = np.array([[s.outcome.reward * reward_scale for s in tr.steps]
                         for tr in trajs]).T                     # (T, R)
     horizon = len(rewards)
     adv = advantage(rewards, values[:-1], values[1:], tcfg.gamma)
@@ -254,10 +246,10 @@ def evaluate(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
     rewards, etas, se_out, iot_out = [], [], [], []
     for _ in range(rollouts):
         traj = rollout(env, policy, horizon, rng, deterministic=True)
-        rewards.append(np.mean([s.reward for s in traj.steps]))
-        etas.append(np.mean([s.eta for s in traj.steps]))
+        rewards.append(np.mean([s.outcome.reward for s in traj.steps]))
+        etas.append(np.mean([s.outcome.eta for s in traj.steps]))
         kind = env.topo.user_kind
-        outages = np.stack([s.outage for s in traj.steps])
+        outages = np.stack([s.outcome.outage for s in traj.steps])
         se_out.append(outages[:, kind == SE].mean())
         iot = outages[:, kind != SE]
         iot_out.append(iot.mean() if iot.size else 0.0)
@@ -288,7 +280,7 @@ def train(env_factory, tcfg: TrainConfig, pcfg: PolicyConfig | None = None,
                  for _ in range(tcfg.rollouts)]
         if reward_scale == 0.0:  # freeze a scale from the first batch
             mean_abs = float(np.mean(
-                [abs(s.reward) for b in batch for s in b.steps]))
+                [abs(s.outcome.reward) for b in batch for s in b.steps]))
             reward_scale = 1.0 / max(mean_abs, 1e-9)
         try:
             stats = update(policy, batch, tcfg, reward_scale)
@@ -303,13 +295,14 @@ def train(env_factory, tcfg: TrainConfig, pcfg: PolicyConfig | None = None,
         row = {
             "episode": episode,
             "train_reward": float(np.mean(
-                [s.reward for b in batch for s in b.steps])),
+                [s.outcome.reward for b in batch for s in b.steps])),
             "test_reward": metrics["reward"],
             "eta": metrics["eta"],
             "outage_se": metrics["outage_se"],
             "outage_iot": metrics["outage_iot"],
-            "exchange_per_step": float(np.mean(
-                [s.exchange for b in batch for s in b.steps])),
+            # edges and feature widths are fixed by the env's layout
+            "exchange_per_step": float(
+                policy.exchange_volume(batch[0].final_graph)),
             **stats,
         }
         curves.append(row)

@@ -26,8 +26,8 @@ plain arrays and returns them in place of Tensors.  Shapes, for n_t agents
 of type t (M APs, J RISs, K users per AP, L elements, P phase levels):
 
   embed        {t: (B * n_t, ztilde_dim(t))}
-  act          ActionSample with slot axis 1, log-probs (1, M + J), next GRU
-               states {t: (n_t, gru_hidden)}
+  act          ActionSample with slot axis 1 and the next GRU states
+               {t: (n_t, gru_hidden)}; the draws are not scored
   log_prob     log-probs (T * E, M + J) of T stored slots of E episodes,
                slot-major, and the final states
   local_value  (B, M + J), agents in node order
@@ -117,10 +117,12 @@ class GEVDACPolicy:
 
     def __init__(self, dims: dict, counts: dict, pcfg: PolicyConfig, seed: int,
                  dtype=np.float32):
-        self.dims = dict(dims)                 # node/edge feature widths
-        self.counts = dict(counts)             # num_aps, num_ris, users_per_ap,
-        self.pcfg = pcfg                       # ris_elements, n_phase, max_power,
-        self.store = ParamStore(seed, dtype)   # digest_dim
+        self.dims = dict(dims)          # node/edge feature widths
+        # num_aps, num_ris, users_per_ap, ris_elements, n_phase, max_power,
+        # digest_dim
+        self.counts = dict(counts)
+        self.pcfg = pcfg
+        self.store = ParamStore(seed, dtype)
         self._node_dim = {"ap": dims["ap_node"], "ris": dims["ris_node"]}
         self._count = {"ap": counts["num_aps"], "ris": counts["num_ris"]}
         # -- parameter creation: one tape-free pass of every net over a zero
@@ -238,7 +240,8 @@ class GEVDACPolicy:
     def act(self, z_tilde: dict, gru_state: dict, rng: np.random.Generator,
             deterministic: bool = False):
         """Sample (or take the mode of) every agent's action in one slot;
-        returns (ActionSample, log-probs (1, M + J), next GRU states)."""
+        returns (ActionSample, next GRU states).  It does not score the
+        draw: ``log_prob`` does, on the replay that needs it."""
         heads, h = self._heads(z_tilde, gru_state)
         mean, log_std, onoff, phase = (ad.value_of(t) for t in heads)
         if deterministic:
@@ -251,10 +254,9 @@ class GEVDACPolicy:
             draw = mean + np.exp(log_std) * noise
             # per RIS: L on/off uniforms, then L phase uniforms
             u = rng.random((self._count["ris"], 2, onoff.shape[-1]))
-            on = (u[:, 0] < _sigmoid(onoff)).astype(int)
+            on = (u[:, 0] < ad.sigmoid(onoff)).astype(int)
             picks = _inverse_cdf(_softmax(phase), u[:, 1])
-        sample = ActionSample(draw[None], on[None], picks[None])
-        return sample, self._score(sample, *heads), h
+        return ActionSample(draw[None], on[None], picks[None]), h
 
     def log_prob(self, z_tilde: dict, gru_state: dict, sample: ActionSample):
         """Replay path: exact log-probabilities of stored slots whose
@@ -264,12 +266,7 @@ class GEVDACPolicy:
         T slots, ``z_tilde`` rows and ``sample`` are slot-major, episode
         within slot: ``sample`` holds T * E one-slot samples along its slot
         axis, and the log-probs are (T * E, M + J) in that order."""
-        heads, h = self._heads(z_tilde, gru_state)
-        return self._score(sample, *heads), h
-
-    def _score(self, sample: ActionSample, mean, log_std, onoff,
-               phase):
-        """Log-probabilities (T, M + J) of ``sample`` under the heads."""
+        (mean, log_std, onoff, phase), h = self._heads(z_tilde, gru_state)
         steps = sample.steps
         gauss = sample.gaussian.reshape(mean.shape)
         zed = (gauss - mean) * ad.exp(-log_std)
@@ -285,7 +282,7 @@ class GEVDACPolicy:
                                        sample.phase.reshape(rows, n_el)]
         ris = bern + picked.sum(axis=1)
         return ad.concat([ap.reshape(steps, self._count["ap"]),
-                          ris.reshape(steps, self._count["ris"])])
+                          ris.reshape(steps, self._count["ris"])]), h
 
     # -- critics ---------------------------------------------------------------
     def local_value(self, z_tilde: dict) -> Tensor:
@@ -321,7 +318,7 @@ class GEVDACPolicy:
         k, p_max = self.counts["users_per_ap"], self.counts["max_power"]
         draw = sample.gaussian[-1].astype(np.float64, copy=False)
         split = _softmax(draw[:, :k])
-        total = p_max * _sigmoid(draw[:, k])
+        total = p_max * ad.sigmoid(draw[:, k])
         power = (split * total[:, None]).ravel()
         return power, sample.on_off[-1].copy(), sample.phase[-1].copy()
 
@@ -359,10 +356,6 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(p, axis=-1)
     cdf /= cdf[..., -1:]
     return (cdf <= u[..., None]).sum(axis=-1)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500), 500)))
 
 
 def policy_for_env(env, pcfg: PolicyConfig, seed: int,

@@ -6,7 +6,6 @@ from risnoma.graphs import (EDGE_ENDS, build_comm_graph, graph_layout,
                             stack_graphs, state_digest)
 from risnoma.policy import PolicyConfig, policy_for_env
 from risnoma.presets import default_config, medium_config, tiny_config
-from risnoma.topology import SE
 
 
 def random_action(cfg, rng):

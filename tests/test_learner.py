@@ -16,7 +16,7 @@ from risnoma.graphs import EDGE_ENDS, NODE_TYPES, stack_graphs, state_digest
 from risnoma.learner import (TrainConfig, advantage, evaluate, n_step_return,
                              rollout, train, update, _losses, _reached,
                              _replay_values)
-from risnoma.policy import PolicyConfig, policy_for_env
+from risnoma.policy import GEVDACPolicy, PolicyConfig, policy_for_env
 from risnoma.presets import medium_config, tiny_config
 
 
@@ -28,6 +28,18 @@ def replay_one(policy, traj):
     """V_tot and log-prob sums of one trajectory, replayed on its own."""
     v_tot, logp_sums = _replay_values(policy, [traj])
     return v_tot[:, 0], logp_sums[:, 0]
+
+
+def slot_logps(policy, traj):
+    """Tape-free log-probs (1, M + J) of each collected slot of ``traj``,
+    scored one slot at a time with the GRU state carried."""
+    gru, out = policy.gru_zero(), []
+    with policy.store.no_grad():
+        for rec in traj.steps:
+            logp, gru = policy.log_prob(policy.embed([rec.graph]), gru,
+                                        rec.sample)
+            out.append(logp)
+    return out
 
 
 def embed_every_kind(self, graphs) -> dict:
@@ -120,9 +132,16 @@ class TestRollout:
             policy = small_policy(env, seed=1)
             trajs.append(rollout(env, policy, 6, np.random.default_rng(2)))
         a, b = trajs
-        assert [s.reward for s in a.steps] == [s.reward for s in b.steps]
+        assert ([s.outcome.reward for s in a.steps]
+                == [s.outcome.reward for s in b.steps])
         for sa, sb in zip(a.steps, b.steps):
-            assert np.array_equal(sa.logps, sb.logps)
+            for f in ("gaussian", "on_off", "phase"):
+                assert (getattr(sa.sample, f).tobytes()
+                        == getattr(sb.sample, f).tobytes())
+            for f in ("rates", "sinr", "weights", "arrivals", "q", "y",
+                      "outage"):
+                assert (getattr(sa.outcome, f).tobytes()
+                        == getattr(sb.outcome, f).tobytes())
             assert np.array_equal(state_digest(sa.graph),
                                   state_digest(sb.graph))
 
@@ -137,20 +156,22 @@ class TestRollout:
         cfg = env.config
         policy = small_policy(env)
         traj = rollout(env, policy, 8, np.random.default_rng(3))
-        for s in traj.steps:
-            again = shaped_reward(s.eta, s.delta, s.weights, s.rates,
+        for out in (s.outcome for s in traj.steps):
+            again = shaped_reward(out.eta, out.delta, out.weights, out.rates,
                                   cfg.zeta, cfg.xi_penalty)
-            assert again == s.reward
+            assert again == out.reward
 
     def test_replay_reproduces_collection_logps(self):
+        # the batched taped replay scores each collected slot as the
+        # tape-free log_prob does, slot by slot with the GRU state carried
         for make in (tiny_config, medium_config):
             env = NetworkEnv(make(), seed=0)
             policy = small_policy(env, dtype=np.float64)
             traj = rollout(env, policy, 5, np.random.default_rng(5))
             _, logp_sums = replay_one(policy, traj)
-            for t, rec in enumerate(traj.steps):
+            for t, logp in enumerate(slot_logps(policy, traj)):
                 assert logp_sums[t].item() == pytest.approx(
-                    sum(rec.logps), rel=1e-12)
+                    sum(logp[0]), rel=1e-12)
 
     def test_replay_reproduces_collection_logps_in_float32(self):
         # the float32 twin: draws are stored in the store's dtype, so the
@@ -162,11 +183,11 @@ class TestRollout:
             traj = rollout(env, policy, 5, np.random.default_rng(5))
             _, logp_sums = replay_one(policy, traj)
             assert logp_sums.value.dtype == np.float32
-            for t, rec in enumerate(traj.steps):
-                assert rec.logps.dtype == np.float32
-                assert rec.sample.gaussian.dtype == np.float32
+            for t, logp in enumerate(slot_logps(policy, traj)):
+                assert logp.dtype == np.float32
+                assert traj.steps[t].sample.gaussian.dtype == np.float32
                 assert logp_sums[t].item() == pytest.approx(
-                    sum(rec.logps), rel=1e-6)
+                    sum(logp[0]), rel=1e-6)
 
     def test_collection_builds_no_tape(self, monkeypatch):
         # rollout and evaluate run without a tape; update still builds one
@@ -187,6 +208,24 @@ class TestRollout:
         update(policy, [traj], TrainConfig(), reward_scale=0.02)
         assert len(made) > 0
 
+    def test_collection_scores_nothing(self, monkeypatch):
+        # rollout and evaluate only sample: neither log_prob nor the ops
+        # that score a draw (softplus, log_softmax) run on the collection
+        # path; the replay in update is the only scorer
+        def refuse(*args, **kwargs):
+            raise AssertionError("collection scored a draw")
+
+        env = NetworkEnv(medium_config(), seed=1)
+        policy = small_policy(env)
+        rng = np.random.default_rng(4)
+        with monkeypatch.context() as patch:
+            patch.setattr(GEVDACPolicy, "log_prob", refuse)
+            patch.setattr(ad, "softplus", refuse)
+            patch.setattr(ad, "log_softmax", refuse)
+            traj = rollout(env, policy, 4, rng)
+            evaluate(env, policy, 3, 1, rng)
+        update(policy, [traj], TrainConfig(), reward_scale=0.02)
+
 
 class TestUpdate:
     def test_zero_value_zero_reward_means_no_change(self):
@@ -199,7 +238,7 @@ class TestUpdate:
                 policy.store.get(name).value[:] = 0.0
         traj = rollout(env, policy, 4, np.random.default_rng(1))
         for rec in traj.steps:
-            rec.reward = 0.0
+            rec.outcome.reward = 0.0
         before = {n: policy.store.get(n).value.copy()
                   for n in policy.store.names()}
         update(policy, [traj], TrainConfig())
@@ -248,8 +287,8 @@ class TestUpdate:
         env = tiny_env()
         policy = small_policy(env, dtype=np.float64)
         z = policy.embed([env.comm_graph()])
-        sample, logp, _ = policy.act(z, policy.gru_zero(),
-                                     np.random.default_rng(4))
+        sample, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(4))
+        logp, _ = policy.log_prob(z, policy.gru_zero(), sample)
         policy.store.zero_grads()
         logp[0, 0].backward()  # the AP's term
         (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero())
@@ -265,8 +304,8 @@ class TestUpdate:
         env = tiny_env()
         policy = small_policy(env)
         z = policy.embed([env.comm_graph()])
-        sample, logp, _ = policy.act(z, policy.gru_zero(),
-                                     np.random.default_rng(4))
+        sample, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(4))
+        logp, _ = policy.log_prob(z, policy.gru_zero(), sample)
         policy.store.zero_grads()
         logp[0, 0].backward()
         (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero())
@@ -386,7 +425,7 @@ class TestUpdate:
         now, _ = replay_one(policy, traj)
         now = [v.item() for v in now]
         assert not np.array_equal(now, held)
-        rewards = [rec.reward for rec in traj.steps]
+        rewards = [rec.outcome.reward for rec in traj.steps]
         expect = sum((now[t] - n_step_return(rewards, held, t, cfg.gamma,
                                              cfg.nstep)) ** 2
                      for t in range(len(traj)))
@@ -418,7 +457,7 @@ class TestUpdate:
         now, _ = replay_one(policy, traj)
         now = [v.item() for v in now]
         assert not np.array_equal(now, held)
-        rewards = [rec.reward for rec in traj.steps]
+        rewards = [rec.outcome.reward for rec in traj.steps]
         expect = sum((now[t] - n_step_return(rewards, held, t, cfg.gamma,
                                              cfg.nstep)) ** 2
                      for t in range(len(traj)))
@@ -604,8 +643,9 @@ class TestFloat32Learner:
         graph = env.comm_graph()
         with policy.store.no_grad():
             z = policy.embed([graph])
-            sample, logp, gru = policy.act(z, policy.gru_zero(),
-                                           np.random.default_rng(0))
+            sample, gru = policy.act(z, policy.gru_zero(),
+                                     np.random.default_rng(0))
+            logp, _ = policy.log_prob(z, policy.gru_zero(), sample)
             local = policy.local_value(z)
             total = policy.global_value(state_digest(graph)[None], local)
         free = [*z.values(), sample.gaussian, logp, *gru.values(), local,
@@ -661,14 +701,17 @@ class TestTrain:
     def test_curve_rows_are_complete_and_ordered(self):
         env_factory = lambda s: NetworkEnv(tiny_config(), seed=s)
         tcfg = TrainConfig(episodes=3, rollouts=1, horizon=5, seed=0)
-        _, curves = train(env_factory, tcfg,
-                          PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6,
-                                       critic_hidden=6, mix_hidden=4))
+        policy, curves = train(env_factory, tcfg,
+                               PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6,
+                                            critic_hidden=6, mix_hidden=4))
         assert [c["episode"] for c in curves] == [0, 1, 2]
+        exchange = policy.exchange_volume(env_factory(0).comm_graph())
+        assert exchange > 0
         for row in curves:
             for key in ("test_reward", "eta", "outage_se", "outage_iot",
                         "grad_pi", "grad_v", "grad_mix", "exchange_per_step"):
                 assert key in row
+            assert row["exchange_per_step"] == exchange
 
     def test_trains_without_ris(self):
         # an agent type with no agents: zero-row trunks, heads and critics

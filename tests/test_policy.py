@@ -152,9 +152,9 @@ class TestActionHeads:
         # the log-std columns of the AP head's bias: clamps to the floor
         policy.store.get("act.ap.head.b").value[4:] = -100.0
         z = policy.embed([graph])
-        s1, _, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(0))
-        s2, _, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(1),
-                              deterministic=True)
+        s1, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(0))
+        s2, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(1),
+                           deterministic=True)
         assert np.allclose(s1.gaussian, s2.gaussian, atol=1e-6)
 
     def test_zero_logit_onoff_frequency_is_half(self):
@@ -168,7 +168,7 @@ class TestActionHeads:
         ones = 0
         sample_rng = np.random.default_rng(6)
         for _ in range(draws):
-            s, _, _ = policy.act(z, policy.gru_zero(), sample_rng)
+            s, _ = policy.act(z, policy.gru_zero(), sample_rng)
             ones += s.on_off.sum()
         total = draws * 2 * 4
         freq = ones / total
@@ -185,8 +185,8 @@ class TestActionHeads:
         heads, _ = policy._heads(z, policy.gru_zero())
         logits = heads[3].value
         for seed in range(20):
-            sample, _, _ = policy.act(z, policy.gru_zero(),
-                                      np.random.default_rng(seed))
+            sample, _ = policy.act(z, policy.gru_zero(),
+                                   np.random.default_rng(seed))
             ref = np.random.default_rng(seed)
             ref.standard_normal((2, 4))          # the AP draws come first
             for r in range(2):
@@ -223,24 +223,14 @@ class TestActionHeads:
             "act.ris.head.b"}
         fd_check(build, policy.store, names=names)
 
-    def test_log_prob_matches_replay(self):
-        rng = np.random.default_rng(7)
-        graph, dims = synthetic_graph(rng)
-        policy = make_policy(dims)
-        z = policy.embed([graph])
-        sample_rng = np.random.default_rng(8)
-        sample, logp, _ = policy.act(z, policy.gru_zero(), sample_rng)
-        assert np.all(np.isfinite(logp.value))
-        replay, _ = policy.log_prob(z, policy.gru_zero(), sample)
-        np.testing.assert_allclose(replay.value, logp.value, rtol=1e-12)
-
     def test_gaussian_log_prob_closed_form(self):
         rng = np.random.default_rng(9)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims, dtype=np.float64)
         z = policy.embed([graph])
         sample_rng = np.random.default_rng(10)
-        sample, logp, _ = policy.act(z, policy.gru_zero(), sample_rng)
+        sample, _ = policy.act(z, policy.gru_zero(), sample_rng)
+        logp, _ = policy.log_prob(z, policy.gru_zero(), sample)
         # recompute the density from the head outputs by hand
         (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero())
         for i in range(2):
@@ -256,7 +246,7 @@ class TestActionHeads:
         policy = policy_for_env(env, PolicyConfig(), 0)
         z = policy.embed([env.comm_graph()])
         sample_rng = np.random.default_rng(11)
-        sample, _, _ = policy.act(z, policy.gru_zero(), sample_rng)
+        sample, _ = policy.act(z, policy.gru_zero(), sample_rng)
         power, on, phase = policy.env_action(sample)
         assert sample.gaussian.dtype == np.float32
         assert power.dtype == np.float64  # physics stays float64
@@ -384,7 +374,7 @@ class TestComposedGradients:
                              critic_hidden=4, mix_hidden=4, dtype=np.float64)
         sample_rng = np.random.default_rng(18)
         z0 = policy.embed([graph])
-        sample, _, _ = policy.act(z0, policy.gru_zero(), sample_rng)
+        sample, _ = policy.act(z0, policy.gru_zero(), sample_rng)
         digest = state_digest(graph)
 
         def build():
@@ -460,10 +450,15 @@ class TestInference:
                     assert isinstance(z_free[t], np.ndarray)
                     assert z_free[t].dtype == dtype
                     assert _bits(z_free[t]) == _bits(z[t].value)
-                (sample, logp, h), (sample_f, logp_f, h_f) = taped, free
+                (sample, h), (sample_f, h_f) = taped, free
                 for f in ("gaussian", "on_off", "phase"):
                     assert (_bits(getattr(sample_f, f))
                             == _bits(getattr(sample, f)))
+                for t in h:
+                    assert _bits(h_f[t]) == _bits(h[t].value)
+                logp, h = policy.log_prob(z, gru, sample)
+                with policy.store.no_grad():
+                    logp_f, h_f = policy.log_prob(z_free, gru, sample_f)
                 assert _bits(logp_f) == _bits(logp.value)
                 for t in h:
                     assert _bits(h_f[t]) == _bits(h[t].value)
