@@ -19,12 +19,16 @@ when the store is built.
 Inference mode.  Every op takes ndarrays, Python scalars and Tensors alike.
 It returns a Tensor when at least one input is a Tensor and a plain ndarray
 otherwise, computed by the same expression, so both give bitwise-equal
-values.  Inside ``with store.no_grad():`` that ``ParamStore``'s ``param``
-hands out the raw parameter arrays, so a forward pass built from its
-parameters and ndarrays runs on plain numpy and records no tape.  A Tensor
-never hides inside a numpy expression: ``__array_ufunc__ = None`` makes
-``ndarray (op) Tensor`` defer to the Tensor's reflected operator, which
-tapes it (an operator the tape lacks, such as ``@``, raises TypeError).
+values.  An op computes its value once and, when no input is a Tensor,
+returns it before any tape bookkeeping: it builds no backward closure, no
+derivative, no parent list and no Tensor, so on plain arrays it costs what
+its numpy expression costs.  Inside ``with store.no_grad():`` that
+``ParamStore``'s ``param`` and ``layer`` hand out the raw parameter arrays,
+so a forward pass built from its parameters and ndarrays runs on plain
+numpy and records no tape.  A Tensor never hides inside a numpy
+expression: ``__array_ufunc__ = None`` makes ``ndarray (op) Tensor`` defer
+to the Tensor's reflected operator, which tapes it (an operator the tape
+lacks, such as ``@``, raises TypeError).
 
 Ops, all batched over leading axes where that makes sense:
   arithmetic   ``+ - *`` (numpy broadcasting)
@@ -176,6 +180,9 @@ def _val(x, dtype=None) -> np.ndarray:
     """The array behind ``x``, cast to ``dtype`` when one is given.  Without
     one, a Tensor's value as it is and anything else as an array of its own
     floating dtype (float64 if it has none)."""
+    if type(x) is np.ndarray and (x.dtype is dtype
+                                  or dtype is None and x.dtype.kind == "f"):
+        return x  # already what is asked for: the plain path's common case
     if isinstance(x, Tensor):
         v = x.value
         return v if dtype is None or v.dtype == dtype else v.astype(dtype)
@@ -214,15 +221,17 @@ def _unbroadcast(g, shape):
 
 
 def _unary(x, y, dydx):
-    """y = f(x); ``dydx()`` gives the local derivative, on backward only."""
+    """The tape node y = f(x) of a Tensor ``x``; ``dydx()`` gives the local
+    derivative, on backward only.  An elementwise op on a plain array
+    returns its ``y`` without coming here."""
     def push(g):
         x._accum(g * dydx())
-    return _out(y, (x,), push)
+    return Tensor(y, parents=(x,), push=push)
 
 
 def tanh(x):
     y = np.tanh(_val(x))
-    return _unary(x, y, lambda: 1.0 - y * y)
+    return _unary(x, y, lambda: 1.0 - y * y) if isinstance(x, Tensor) else y
 
 
 def _sigmoid(v):
@@ -231,29 +240,35 @@ def _sigmoid(v):
 
 def sigmoid(x):
     y = _sigmoid(_val(x))
-    return _unary(x, y, lambda: y * (1.0 - y))
+    return _unary(x, y, lambda: y * (1.0 - y)) if isinstance(x, Tensor) else y
 
 
 def relu(x):
     v = _val(x)
-    return _unary(x, np.maximum(v, 0.0), lambda: (v > 0).astype(v.dtype))
+    y = np.maximum(v, 0.0)
+    if not isinstance(x, Tensor):
+        return y
+    return _unary(x, y, lambda: (v > 0).astype(v.dtype))
 
 
 def elu(x):
     v = _val(x)
     neg = np.exp(np.minimum(v, 0.0)) - 1.0
-    return _unary(x, np.where(v > 0, v, neg),
-                  lambda: np.where(v > 0, 1.0, neg + 1.0))
+    y = np.where(v > 0, v, neg)
+    if not isinstance(x, Tensor):
+        return y
+    return _unary(x, y, lambda: np.where(v > 0, 1.0, neg + 1.0))
 
 
 def exp(x):
     y = np.exp(_val(x))
-    return _unary(x, y, lambda: y)
+    return _unary(x, y, lambda: y) if isinstance(x, Tensor) else y
 
 
 def absolute(x):
     v = _val(x)
-    return _unary(x, np.abs(v), lambda: np.sign(v))
+    y = np.abs(v)
+    return _unary(x, y, lambda: np.sign(v)) if isinstance(x, Tensor) else y
 
 
 def square(x):
@@ -262,8 +277,8 @@ def square(x):
 
 def softplus(x):
     v = _val(x)
-    return _unary(x, np.logaddexp(0.0, v),
-                  lambda: _sigmoid(v))
+    y = np.logaddexp(0.0, v)
+    return _unary(x, y, lambda: _sigmoid(v)) if isinstance(x, Tensor) else y
 
 
 def clip(x, lo, hi):
@@ -271,8 +286,10 @@ def clip(x, lo, hi):
     at a lower call cost.  An entry equal to a bound is kept, so only at a
     zero bound can the sign of a zero differ from ``np.clip``."""
     v = _val(x)
-    return _unary(x, np.minimum(np.maximum(v, lo), hi),
-                  lambda: ((v > lo) & (v < hi)).astype(v.dtype))
+    y = np.minimum(np.maximum(v, lo), hi)
+    if not isinstance(x, Tensor):
+        return y
+    return _unary(x, y, lambda: ((v > lo) & (v < hi)).astype(v.dtype))
 
 
 def concat(parts, axis=-1):
@@ -280,13 +297,16 @@ def concat(parts, axis=-1):
     parts = list(parts)
     dtype = _tensor_dtype(parts)
     values = [_val(p, dtype) for p in parts]
+    out = np.concatenate(values, axis=axis)
+    if dtype is None:  # no Tensor among the parts
+        return out
 
     def push(g):
         bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
         for p, piece in zip(parts, np.split(np.asarray(g), bounds, axis=axis)):
             if _requires(p):
                 p._accum(piece)
-    return _out(np.concatenate(values, axis=axis), parts, push)
+    return _out(out, parts, push)
 
 
 def linear(parts, w, b):
@@ -308,9 +328,10 @@ def linear(parts, w, b):
     if a.ndim > 2 or wv.ndim != 2:
         raise ValueError("linear takes 1-D or 2-D parts and a 2-D weight")
     y = a @ wv + _val(b, wv.dtype)
+    if not (isinstance(w, Tensor) or isinstance(b, Tensor)
+            or Tensor in map(type, parts)):
+        return y  # inference: no backward pass to prepare
     parents = tuple(x for x in (*parts, w, b) if isinstance(x, Tensor))
-    if not parents:  # inference: no backward pass to prepare
-        return y
 
     def push(g):
         g = np.asarray(g)
@@ -332,6 +353,8 @@ def log_softmax(x):
     v = _val(x)
     shifted = v - v.max(axis=-1, keepdims=True)
     lse = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    if not isinstance(x, Tensor):
+        return lse
 
     def push(g):
         g = np.asarray(g)
@@ -364,14 +387,17 @@ def segment_reduce(kind: str, msgs, dst, n: int):
     if vals.ndim != 2 or dst.shape != vals.shape[:1]:
         raise ValueError("segment_reduce needs (E, d) rows and E segment ids")
     counts = np.bincount(dst, minlength=n)
-    depth = counts.max(initial=0)
-    if depth <= 1 or not vals.shape[1]:  # nothing to fold
+    if np.count_nonzero(counts) == dst.size or not vals.shape[1]:
+        # no segment holds two rows: nothing to fold
         out = np.zeros((n, vals.shape[1]), dtype=vals.dtype)
         out[dst] = vals
+        if not isinstance(msgs, Tensor):
+            return out
 
         def push(g):  # every row is its segment's mean, sum and max
             msgs._accum(np.asarray(g)[dst])
-        return _out(out, (msgs,), push)
+        return Tensor(out, parents=(msgs,), push=push)
+    depth = counts.max()
     order = np.lexsort((vals[:, 0], dst))
     seg, first = dst[order], vals[order, 0]
     if not ((seg[1:] != seg[:-1]) | (first[1:] > first[:-1])).all():
@@ -400,6 +426,8 @@ def segment_reduce(kind: str, msgs, dst, n: int):
     if kind == "mean":  # an empty segment's scale meets only zeros
         scale = 1.0 / np.maximum(counts, 1).astype(vals.dtype)
         out *= scale[:, None]
+    if not isinstance(msgs, Tensor):
+        return out
 
     def push(g):
         g = np.asarray(g)
@@ -415,7 +443,7 @@ def segment_reduce(kind: str, msgs, dst, n: int):
         else:
             full = g[dst]
         msgs._accum(full)
-    return _out(out, (msgs,), push)
+    return Tensor(out, parents=(msgs,), push=push)
 
 
 def gru_scan(x, h0, weights):
@@ -454,7 +482,7 @@ def gru_scan(x, h0, weights):
     rows = hv.size // hidden
     xs = xv.reshape(-1 if rows else 0, rows, xv.shape[-1])
     steps = len(xs)
-    taped = any(isinstance(v, Tensor) for v in (x, h0, *weights))
+    taped = Tensor in map(type, (x, h0, *weights))
     hs = np.empty((steps + 1, rows, hidden), dtype)  # the state into step t
     hs[0] = hv.reshape(rows, hidden)
     if taped:  # gate activations z | r, c and e_c of every step
@@ -531,6 +559,7 @@ class ParamStore:
             raise ValueError(f"a parameter store needs a float dtype, got "
                              f"{self.dtype}")
         self._params: dict[str, Tensor] = {}
+        self._layers: dict[str, tuple] = {}  # layer name -> (w, b) Tensors
         self._taping = True
 
     @contextmanager
@@ -545,7 +574,8 @@ class ParamStore:
     def param(self, name: str, shape, kind: str = "fan_in"):
         """The parameter's Tensor, created on first use; inside
         ``no_grad()`` its raw value array instead."""
-        if name not in self._params:
+        t = self._params.get(name)
+        if t is None:
             rng = np.random.default_rng([self.seed, zlib.crc32(name.encode())])
             if kind == "zeros":
                 value = np.zeros(shape)
@@ -553,12 +583,26 @@ class ParamStore:
                 fan_in = shape[0] if len(shape) > 1 else max(1, shape[0])
                 bound = 1.0 / np.sqrt(fan_in)
                 value = rng.uniform(-bound, bound, shape)
-            self._params[name] = Tensor(value.astype(self.dtype),
-                                        requires=True)
-        t = self._params[name]
+            t = self._params[name] = Tensor(value.astype(self.dtype),
+                                            requires=True)
         if t.value.shape != tuple(shape):
             raise ValueError(f"shape clash for parameter {name}")
         return t if self._taping else t.value
+
+    def layer(self, name: str, in_dim: int, out_dim: int) -> tuple:
+        """``(w, b)`` of a dense layer, handed out as ``param`` hands them
+        out: ``{name}.w`` (in_dim, out_dim) and ``{name}.b`` (out_dim,),
+        zeros at first.  Once the layer exists one lookup finds both."""
+        pair = self._layers.get(name)
+        if pair is None:
+            self.param(f"{name}.w", (in_dim, out_dim))
+            self.param(f"{name}.b", (out_dim,), kind="zeros")
+            pair = self._layers[name] = (self._params[f"{name}.w"],
+                                         self._params[f"{name}.b"])
+        w, b = pair
+        if w.value.shape != (in_dim, out_dim) or b.value.shape != (out_dim,):
+            raise ValueError(f"shape clash for layer {name}")
+        return pair if self._taping else (w.value, b.value)
 
     def names(self):
         return sorted(self._params)

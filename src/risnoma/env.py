@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -100,13 +101,17 @@ class NetworkEnv:
 
     # -- action plumbing ------------------------------------------------------
     def project_power(self, alloc: np.ndarray) -> np.ndarray:
-        """Clip negatives and rescale each AP onto its power budget."""
+        """Clip negatives and rescale each AP onto its power budget.  A NaN
+        or +inf entry is rejected (-inf is a negative and clips to 0)."""
         alloc = np.maximum(np.asarray(alloc, dtype=float), 0.0)
         if alloc.shape != (self.config.total_users,):
             raise ValueError("power allocation must be one entry per user")
         budget = self.config.max_tx_power            # validated >= 0
         per_ap = alloc.reshape(self.config.num_aps, -1)  # users are contiguous
         totals = np.add.reduce(per_ap, axis=1)
+        # a NaN or +inf entry makes its AP's total non-finite
+        if not all(map(math.isfinite, totals.tolist())):
+            raise ValueError("power allocation must be finite")
         over = totals > budget
         if np.count_nonzero(over):
             per_ap[over] *= budget / totals[over, None]

@@ -76,17 +76,10 @@ def stack_graphs(graphs, dtype=None) -> CommGraph:
     """One graph holding ``graphs`` side by side: for every node type the
     rows of graph b follow those of graph b - 1, and edges follow their
     nodes.  With a ``dtype``, node and edge features are cast to it as they
-    are stacked (one graph alone is cast, and returned as it is when it
-    already has that dtype)."""
+    are stacked; without one, one graph alone is returned as it is."""
     graphs = list(graphs)
-    if len(graphs) == 1:
-        g = graphs[0]
-        if dtype is None:
-            return g
-        return CommGraph(
-            {t: v.astype(dtype, copy=False) for t, v in g.nodes.items()},
-            g.src, g.dst,
-            {k: v.astype(dtype, copy=False) for k, v in g.edge_feat.items()})
+    if len(graphs) == 1 and dtype is None:
+        return graphs[0]
     sizes = {t: np.array([len(g.nodes[t]) for g in graphs]) for t in NODE_TYPES}
     offset = {t: np.cumsum(sizes[t]) - sizes[t] for t in NODE_TYPES}
     nodes = {t: np.concatenate([g.nodes[t] for g in graphs], dtype=dtype)

@@ -85,7 +85,18 @@ class TrainConfig:
     seed: int = 0
     eval_rollouts: int = 1
     reward_scale: float = 0.0      # 0: freeze 1/mean|r| from the first batch
-    grad_clip: float = 10.0        # per-block gradient norm ceiling
+    grad_clip: float = 10.0        # per-block gradient norm ceiling; 0: none
+
+    def __post_init__(self):
+        for name in ("rollouts", "nstep", "eval_rollouts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("episodes", "horizon", "lr_pi", "lr_v", "lr_mix",
+                     "reward_scale", "grad_clip"):
+            if not getattr(self, name) >= 0:  # NaN is rejected too
+                raise ValueError(f"{name} must be non-negative")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
 
 
 def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,

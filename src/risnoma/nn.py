@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore
 
-_ACTS = {"linear": lambda x: x, "tanh": ad.tanh, "relu": ad.relu}
+_ACTS = {"tanh": ad.tanh, "relu": ad.relu}
 
 
 def dense(store: ParamStore, name: str, x, in_dim: int, out_dim: int,
@@ -20,10 +20,9 @@ def dense(store: ParamStore, name: str, x, in_dim: int, out_dim: int,
     relu.  ``x`` is one input, or a list of parts that together make the
     ``in_dim`` input columns, side by side; either way the layer is one
     ``ad.linear`` node, which sends no gradient to constant parts."""
-    w = store.param(f"{name}.w", (in_dim, out_dim))
-    b = store.param(f"{name}.b", (out_dim,), kind="zeros")
-    parts = x if isinstance(x, list) else [x]
-    return _ACTS[activation](ad.linear(parts, w, b))
+    w, b = store.layer(name, in_dim, out_dim)
+    y = ad.linear(x if isinstance(x, list) else [x], w, b)
+    return y if activation == "linear" else _ACTS[activation](y)
 
 
 def gru_params(store: ParamStore, name: str, in_dim: int, hidden: int):
@@ -31,11 +30,8 @@ def gru_params(store: ParamStore, name: str, in_dim: int, hidden: int):
     the ``weights`` of ``ad.gru_scan``: the gates z, r and c side by side,
     one dense layer (``{name}.x``) over the input and one (``{name}.h``)
     over the state."""
-    out = []
-    for side, rows in (("x", in_dim), ("h", hidden)):
-        out += [store.param(f"{name}.{side}.w", (rows, 3 * hidden)),
-                store.param(f"{name}.{side}.b", (3 * hidden,), kind="zeros")]
-    return out
+    return [*store.layer(f"{name}.x", in_dim, 3 * hidden),
+            *store.layer(f"{name}.h", hidden, 3 * hidden)]
 
 
 def hyper_mixing(store: ParamStore, prefix: str, state, values,

@@ -91,6 +91,20 @@ class PolicyConfig:
     embed_mode: str = "mpgnn"      # mpgnn | raw | none
     critic_mode: str = "mix"       # mix | central
 
+    def __post_init__(self):
+        for name, allowed in (("embed_mode", ("mpgnn", "raw", "none")),
+                              ("critic_mode", ("mix", "central")),
+                              ("aggregation", ("sum", "mean", "max"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got "
+                                 f"{getattr(self, name)!r}")
+        for name in ("msg_dim", "hidden", "gru_hidden", "critic_hidden",
+                     "mix_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.n_layers < 0:
+            raise ValueError("n_layers must be >= 0")
+
 
 @dataclass
 class ActionSample:
@@ -158,23 +172,25 @@ class GEVDACPolicy:
     # -- graph embedding ------------------------------------------------------
     def embed(self, graphs) -> dict:
         """Embedded states [own features, embedding] of every agent in a
-        batch of graphs: {type: (B * n_type, ztilde_dim) rows}."""
-        p = self.pcfg
-        g = stack_graphs(graphs, self.store.dtype)  # features cast here
-        x = g.nodes
+        list of graphs: {type: (B * n_type, ztilde_dim) rows}."""
+        p, dtype = self.pcfg, self.store.dtype
+        # a batch is cast as it is stacked; one graph is cast below, where
+        # only the features that are read get a copy
+        g = graphs[0] if len(graphs) == 1 else stack_graphs(graphs, dtype)
+        x = {t: g.nodes[t].astype(dtype, copy=False) for t in NODE_TYPES}
         z = x
         if p.n_layers == 0:
             z = {t: nn.dense(self.store, f"emb.{t}.proj", x[t],
                              self._node_dim[t], p.hidden, "tanh")
                  for t in NODE_TYPES}
-        feat = g.edge_feat
         sends = p.embed_mode in ("mpgnn", "raw")
         kinds = [k for k in EDGE_ENDS if sends and len(g.src[k])]
+        feat = {k: g.edge_feat[k].astype(dtype, copy=False) for k in kinds}
         inbound = {t: [k for k in kinds if EDGE_ENDS[k][1] == t]
                    for t in NODE_TYPES}
-        dst = {t: np.concatenate([g.dst[k] for k in inbound[t]]
-                                 + [np.zeros(0, dtype=np.intp)])
-               for t in NODE_TYPES}
+        dst = {t: g.dst[ks[0]] if len(ks) == 1 else np.concatenate(
+                   [g.dst[k] for k in ks] + [np.zeros(0, dtype=np.intp)])
+               for t, ks in inbound.items()}
         msgs = {}
         for layer in range(1, p.n_layers + 1):
             if p.embed_mode == "mpgnn":
@@ -193,7 +209,7 @@ class GEVDACPolicy:
             new_z = {}
             for t in NODE_TYPES:
                 parts = ([msgs[k] for k in inbound[t]]
-                         or [np.zeros((0, p.msg_dim), self.store.dtype)])
+                         or [np.zeros((0, p.msg_dim), dtype)])
                 rows = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
                 agg = ad.segment_reduce(p.aggregation, rows, dst[t],
                                         len(g.nodes[t]))
@@ -243,7 +259,7 @@ class GEVDACPolicy:
         returns (ActionSample, next GRU states).  It does not score the
         draw: ``log_prob`` does, on the replay that needs it."""
         heads, h = self._heads(z_tilde, gru_state)
-        mean, log_std, onoff, phase = (ad.value_of(t) for t in heads)
+        mean, log_std, onoff, phase = map(ad.value_of, heads)
         if deterministic:
             draw = mean.copy()
             on = (onoff > 0).astype(int)

@@ -190,6 +190,57 @@ class TestInferenceOps:
         assert isinstance(out, np.ndarray)
         assert isinstance(store.param("w", (3, 2)), Tensor)
 
+    @staticmethod
+    def _cases(dtype):
+        """(name, op) pairs; ``op(T)`` runs one op with ``T`` applied to
+        every array input that could carry a gradient."""
+        rng = np.random.default_rng(12)
+
+        def draw(*shape):
+            return rng.normal(size=shape).astype(dtype)
+
+        a, b, w, bias = draw(6, 4), draw(6, 3), draw(7, 5), draw(5)
+        a64 = rng.normal(size=(6, 4))  # float64 whatever ``dtype`` is
+        gru = [draw(4, 9), draw(9), draw(3, 9), draw(9)]
+        h0 = draw(2, 3)
+        dst = [0, 2, 0, 1, 0, 2]  # segment 0 holds three rows, 2 two
+        cases = [(name, lambda T, f=f: f(T(a))) for name, f in (
+            ("tanh", ad.tanh), ("sigmoid", ad.sigmoid), ("relu", ad.relu),
+            ("elu", ad.elu), ("exp", ad.exp), ("absolute", ad.absolute),
+            ("softplus", ad.softplus), ("log_softmax", ad.log_softmax),
+            ("clip", lambda v: ad.clip(v, -0.5, 0.5)))]
+        cases += [
+            ("concat", lambda T: ad.concat([T(a), T(b)])),
+            ("concat rows", lambda T: ad.concat([T(a), T(a)], axis=0)),
+            ("linear", lambda T: ad.linear([T(np.hstack([a, b]))], T(w),
+                                           T(bias))),
+            ("linear parts", lambda T: ad.linear([T(a), T(b)], T(w),
+                                                 T(bias))),
+            ("linear float64 part", lambda T: ad.linear([T(a64), T(b)], T(w),
+                                                        T(bias))),
+            ("gru_scan", lambda T: ad.gru_scan(T(a), T(h0),
+                                               [T(v) for v in gru])),
+            ("gru_scan float64 input", lambda T: ad.gru_scan(
+                T(a64), T(h0), [T(v) for v in gru])),
+        ]
+        cases += [(f"segment_reduce {kind}",
+                   lambda T, kind=kind: ad.segment_reduce(kind, T(a), dst, 4))
+                  for kind in ("sum", "mean", "max")]
+        return cases
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plain_path_is_the_taped_value_bitwise(self, dtype):
+        # every op on plain arrays returns the value the tape records, in
+        # the same dtype: a float64 input meeting float32 weights is cast
+        for name, op in self._cases(dtype):
+            plain = op(lambda v: v)
+            taped = op(lambda v: Tensor(v, requires=True))
+            assert isinstance(plain, np.ndarray), name
+            assert isinstance(taped, Tensor) and taped.requires, name
+            assert plain.dtype == taped.value.dtype == dtype, name
+            assert plain.shape == taped.shape, name
+            assert plain.tobytes() == taped.value.tobytes(), name
+
 
 class TestUnaryGradients:
     @pytest.mark.parametrize("fn", [ad.tanh, ad.sigmoid, ad.elu, ad.exp,
@@ -825,6 +876,28 @@ class TestDtype:
             free = nn.hyper_mixing(store, "mix", np.ones((2, 4), np.float32),
                                    [[1.0, 2.0], [3.0, 4.0]], 4, 3)
         assert free.dtype == np.float32
+
+    def test_plain_path_casts_to_the_weight_dtype(self):
+        # no Tensor anywhere: float64 parts, bias, inputs and state meet
+        # float32 weights and are cast, as on the tape, not promoted
+        rng = np.random.default_rng(13)
+        f32 = np.float32
+        a64, b64 = rng.normal(size=(3, 4)), rng.normal(size=2)
+        w32 = rng.normal(size=(6, 2)).astype(f32)
+        parts = [a64, a64[:, :2].astype(f32)]
+        y = ad.linear(parts, w32, b64)
+        want = (np.concatenate([a64.astype(f32), parts[1]], axis=-1) @ w32
+                + b64.astype(f32))
+        assert y.dtype == f32 and y.tobytes() == want.tobytes()
+        store = ParamStore(5, f32)
+        with store.no_grad():
+            weights = nn.gru_params(store, "g", 4, 2)
+        states = ad.gru_scan(a64, np.zeros((1, 2)), weights)
+        assert states.dtype == f32
+        assert states.tobytes() == ad.gru_scan(
+            a64.astype(f32), np.zeros((1, 2), f32), weights).tobytes()
+        # without a target dtype an integer array still becomes float64
+        assert ad.tanh(np.arange(3)).dtype == np.float64
 
     def test_tensor_keeps_a_float_input_and_widens_the_rest(self):
         assert Tensor(np.ones(2, np.float32)).value.dtype == np.float32

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,27 @@ class TestStepSemantics:
             env.step(np.zeros(cfg.total_users),
                      np.zeros((2, cfg.ris_elements), dtype=int),
                      np.zeros((2, cfg.ris_elements), dtype=int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_power_rejected(self, bad):
+        # unchecked, a NaN entry gave a NaN reward, SINR and rates, and +inf
+        # a RuntimeWarning and then NaN
+        cfg = tiny_config()
+        env = NetworkEnv(cfg, seed=1)
+        power = np.full(cfg.total_users, 0.1)
+        power[1] = bad
+        off = np.zeros((cfg.num_ris, cfg.ris_elements), dtype=int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                env.peek_reward(power, off, off)
+            with pytest.raises(ValueError, match="finite"):
+                env.step(power, off, off)
+        assert env.t == 0
+        power[1] = -np.inf  # a negative: clipped to zero like any other
+        assert env.project_power(power)[1] == 0.0
+        out = env.step(power, off, off)
+        assert np.isfinite(out.reward) and np.all(np.isfinite(out.rates))
 
     def test_peek_matches_step_reward(self):
         cfg = tiny_config()

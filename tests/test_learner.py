@@ -190,7 +190,12 @@ class TestRollout:
                     sum(logp[0]), rel=1e-6)
 
     def test_collection_builds_no_tape(self, monkeypatch):
-        # rollout and evaluate run without a tape; update still builds one
+        # rollout and evaluate run on plain arrays: no op makes a Tensor or
+        # reaches the tape's bookkeeping helpers; update still builds a tape.
+        # medium has ap_ap edges, so segments there hold several rows
+        def refuse(*args, **kwargs):
+            raise AssertionError("collection touched the tape")
+
         made = []
         init = Tensor.__init__
 
@@ -198,14 +203,20 @@ class TestRollout:
             made.append(1)
             init(self, *args, **kwargs)
 
-        env = NetworkEnv(medium_config(), seed=1)
-        policy = small_policy(env)
-        monkeypatch.setattr(Tensor, "__init__", counting)
-        rng = np.random.default_rng(4)
-        traj = rollout(env, policy, 4, rng)
-        evaluate(env, policy, 3, 1, rng)
-        assert len(made) == 0
-        update(policy, [traj], TrainConfig(), reward_scale=0.02)
+        for make in (tiny_config, medium_config):
+            for aggregation in ("mean", "max"):
+                env = NetworkEnv(make(), seed=1)
+                policy = small_policy(env, aggregation=aggregation)
+                rng = np.random.default_rng(4)
+                with monkeypatch.context() as patch:
+                    for owner, name in ((Tensor, "__init__"), (ad, "_out"),
+                                        (ad, "_unary")):
+                        patch.setattr(owner, name, refuse)
+                    traj = rollout(env, policy, 4, rng)
+                    evaluate(env, policy, 3, 1, rng)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Tensor, "__init__", counting)
+                    update(policy, [traj], TrainConfig(), reward_scale=0.02)
         assert len(made) > 0
 
     def test_collection_scores_nothing(self, monkeypatch):
@@ -225,6 +236,24 @@ class TestRollout:
             traj = rollout(env, policy, 4, rng)
             evaluate(env, policy, 3, 1, rng)
         update(policy, [traj], TrainConfig(), reward_scale=0.02)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("nstep", 0), ("gamma", 1.5), ("rollouts", 0), ("eval_rollouts", 0),
+        ("episodes", -1), ("horizon", -1), ("gamma", -0.1),
+        ("gamma", float("nan")), ("lr_pi", -1e-3), ("lr_v", -1e-3),
+        ("lr_mix", -1e-3), ("grad_clip", -1.0), ("reward_scale", -1.0)])
+    def test_bad_values_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_rates_clip_horizon_and_scale_stay_valid(self):
+        cfg = TrainConfig(episodes=0, horizon=0, gamma=0.0, lr_pi=0.0,
+                          lr_v=0.0, lr_mix=0.0, grad_clip=0.0,
+                          reward_scale=0.0)
+        assert cfg.grad_clip == 0.0 and cfg.horizon == 0
+        assert TrainConfig(gamma=1.0, nstep=1).gamma == 1.0
 
 
 class TestUpdate:

@@ -46,6 +46,23 @@ def type_permutation(rng, n_ap, n_ris):
     return perm.astype(int)
 
 
+class TestPolicyConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("embed_mode", "mpgn"), ("critic_mode", "centrl"),
+        ("aggregation", "avg"), ("msg_dim", 0), ("hidden", 0),
+        ("gru_hidden", 0), ("critic_hidden", 0), ("mix_hidden", 0),
+        ("n_layers", -1)])
+    def test_bad_values_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PolicyConfig(**{field: value})
+
+    def test_smallest_valid_values_accepted(self):
+        cfg = PolicyConfig(msg_dim=1, hidden=1, gru_hidden=1, critic_hidden=1,
+                           mix_hidden=1, n_layers=0, aggregation="sum",
+                           embed_mode="none", critic_mode="central")
+        assert cfg.n_layers == 0
+
+
 class TestEmbedding:
     def test_no_inbound_edges_uses_own_state_only(self):
         rng = np.random.default_rng(0)
