@@ -12,6 +12,7 @@ The helpers take scalars or arrays; a scalar input gives a scalar (or, for
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,21 +81,36 @@ def reflection_coeff(phi_in, sigma_rough: float, freq: float, n_r: complex):
     return complex(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=None)
+def _phase_table(bits: int) -> np.ndarray:
+    """exp(j*2^(1-b)*pi*k) for every phase index k of a b-bit element, formed
+    as the elementwise expression forms it, so a lookup is bitwise equal."""
+    table = np.exp(1j * (2.0 ** (1 - bits)) * np.pi * np.arange(2 ** bits))
+    table.flags.writeable = False
+    return table
+
+
 def ris_phase_diag(on_off: np.ndarray, phase_idx: np.ndarray, bits: int) -> np.ndarray:
     """Diagonal of the reflection matrix: omega_l * exp(j*2^(1-b)*pi*beta_l).
 
     Works elementwise, so (J, L) on/off and phase arrays give the (J, L)
-    diagonals of all RISs at once.
+    diagonals of all RISs at once.  On/off entries must be 0 or 1 and phase
+    indices whole numbers in [0, 2^b - 1], whatever the array's dtype.
     """
     on_off = np.asarray(on_off)
     phase_idx = np.asarray(phase_idx)
     if on_off.shape != phase_idx.shape:
         raise ValueError("on/off and phase index vectors must share a shape")
-    if ((on_off != 0) & (on_off != 1)).any():
+    if ((on_off != 0) & (on_off != 1)).any():         # NaN is neither
         raise ValueError("on/off entries must be binary")
-    if (phase_idx < 0).any() or (phase_idx > 2 ** bits - 1).any():
+    table = _phase_table(bits)
+    if phase_idx.size and not (0 <= phase_idx.min()
+                               and phase_idx.max() < len(table)):  # NaN fails
         raise ValueError(f"phase index out of range for {bits}-bit control")
-    return on_off * np.exp(1j * (2.0 ** (1 - bits)) * np.pi * phase_idx)
+    idx = phase_idx.astype(np.intp, copy=False)      # in range: finite
+    if phase_idx.dtype.kind not in "biu" and (idx != phase_idx).any():
+        raise ValueError("phase indices must be whole numbers")
+    return on_off * table[idx]
 
 
 def _pairwise(src: np.ndarray, dst: np.ndarray):
@@ -155,8 +171,10 @@ class EpisodeChannel:
       path departure angles (M, U, P), detour factors (M, U, P) and
       incidence angles (M, U, P); LoS uniforms (J, U) for the RIS->user
       links.
-    * ``slot_parts``: AP->user path phases (M, U, 1 + P), LoS first;
-      RIS->user phases (J, U); AP->RIS phases (M, J).
+    * ``slot_parts``: one draw of M·U·(1 + P) + J·U + M·J phases, split in
+      this order: AP->user path phases (M, U, 1 + P), LoS first; RIS->user
+      phases (J, U); AP->RIS phases (M, J).  It leaves the generator where
+      three draws of those sizes would, with the same values.
 
     A reflected path departs at its drawn angle over ``distance * detour``;
     LoS links depart along the geometric direction.
@@ -181,6 +199,12 @@ class EpisodeChannel:
         depart = np.conj(array_response(n_a, np.arcsin(cos_ap_ris)))
         self._ap_ris_blocks = (_amp(config, d_ap_ris)[..., None, None]
                                * arrive[..., :, None] * depart[..., None, :])
+        m, j, u = config.num_aps, config.num_ris, config.total_users
+        n_direct = m * u * (1 + config.num_nlos_paths)
+        self._phase_split = (n_direct, n_direct + j * u)
+        self._phase_count = n_direct + j * u + m * j
+        self._phase_shapes = ((m, u, 1 + config.num_nlos_paths), (j, u, 1),
+                              (m, j, 1, 1))
         self._episode = None
 
     def new_episode(self, rng: np.random.Generator) -> None:
@@ -196,25 +220,25 @@ class EpisodeChannel:
         los_ris = (rng.random((j, u)) < p_ris).astype(np.int8)
         refl = reflection_coeff(nlos_incidence, cfg.roughness_sigma,
                                 cfg.carrier_freq, cfg.refractive_index)
-        nlos = ((_amp(cfg, self._d_ap_user[..., None] * nlos_detour) * refl)[..., None]
-                * np.conj(array_response(cfg.antennas, nlos_aod)))
-        los = los_direct[..., None, None] * self._los_rows[:, :, None, :]
-        self._episode = dict(
-            los_direct=los_direct, los_ris=los_ris,
-            paths=np.concatenate([los, nlos], axis=2),     # (M, U, 1 + P, N_A)
-            ris_rows=los_ris[..., None] * self._ris_rows,  # (J, U, L)
-        )
+        # paths are stored path-last: the slot's einsum then sums each
+        # entry's paths as one contiguous run, in the same order
+        nlos = ((_amp(cfg, self._d_ap_user[..., None] * nlos_detour) * refl)[:, :, None, :]
+                * np.conj(array_response(cfg.antennas, nlos_aod)).swapaxes(2, 3))
+        los = los_direct[..., None, None] * self._los_rows[..., None]
+        # every slot of the episode shares the masks
+        los_direct.flags.writeable = los_ris.flags.writeable = False
+        self._episode = (
+            np.concatenate([los, nlos], axis=3),     # (M, U, N_A, 1 + P) paths
+            los_ris[..., None] * self._ris_rows,     # (J, U, L) RIS rows
+            los_direct, los_ris)
 
     def slot_parts(self, rng: np.random.Generator) -> ChannelState:
         if self._episode is None:
             raise RuntimeError("call new_episode before sampling slots")
-        cfg, ep = self.config, self._episode
-        m, j, u = cfg.num_aps, cfg.num_ris, cfg.total_users
-        phase_direct = rng.uniform(0.0, 2.0 * np.pi, (m, u, 1 + cfg.num_nlos_paths))
-        phase_f = rng.uniform(0.0, 2.0 * np.pi, (j, u))
-        phase_g = rng.uniform(0.0, 2.0 * np.pi, (m, j))
-        direct = np.einsum("mup,mupn->mun", np.exp(1j * phase_direct), ep["paths"])
-        ris_user = ep["ris_rows"] * np.exp(1j * phase_f)[..., None]
-        ap_ris = self._ap_ris_blocks * np.exp(1j * phase_g)[..., None, None]
-        return ChannelState(direct, ris_user, ap_ris,
-                            ep["los_direct"].copy(), ep["los_ris"].copy())
+        paths, ris_rows, los_direct, los_ris = self._episode
+        phasors = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, self._phase_count))
+        (a, b), (s_direct, s_f, s_g) = self._phase_split, self._phase_shapes
+        direct = np.einsum("mup,munp->mun", phasors[:a].reshape(s_direct), paths)
+        return ChannelState(direct, ris_rows * phasors[a:b].reshape(s_f),
+                            self._ap_ris_blocks * phasors[b:].reshape(s_g),
+                            los_direct, los_ris)

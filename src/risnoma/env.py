@@ -70,13 +70,15 @@ class NetworkEnv:
             config.outage_eps,
             config.packet_gbps * config.slot_seconds,
             config.arrival_cap_factor)
+        self._ris_shape = (config.num_ris, config.ris_elements)
         self._minima = np.where(kind == SE, config.rmin_se_gbps,
                                 config.rmin_iot_gbps)
         self._layout = graph_layout(self.topo, config)
         users = self._layout.users                      # (M, K), id order
         m = config.num_aps
-        self._ap_se = users[kind[users] == SE].reshape(m, -1)    # (M, S)
-        self._ap_iot = users[kind[users] != SE].reshape(m, -1)    # (M, I)
+        self._links = linklayer.link_layout(
+            users[kind[users] == SE].reshape(m, -1),
+            users[kind[users] != SE].reshape(m, -1), config.total_users)
         self._iot_ids = np.flatnonzero(kind != SE).tolist()
         self._rng = None
         self._episode = -1
@@ -117,14 +119,16 @@ class NetworkEnv:
             per_ap[over] *= budget / totals[over, None]
         return alloc
 
-    def _check_ris(self, on: np.ndarray, phase: np.ndarray):
-        cfg = self.config
-        shape = (cfg.num_ris, cfg.ris_elements)
-        on = np.asarray(on, dtype=int)
-        phase = np.asarray(phase, dtype=int)
-        if on.shape != shape or phase.shape != shape:
-            raise ValueError(f"RIS action arrays must have shape {shape}")
-        return on, phase
+    def _ris_action(self, on: np.ndarray, phase: np.ndarray):
+        """The RIS action as int arrays, and its reflection diagonals.
+        ``ris_phase_diag`` rejects an entry that is not a whole number in
+        range, so a fractional pick is never truncated."""
+        on, phase = np.asarray(on), np.asarray(phase)
+        if on.shape != self._ris_shape or phase.shape != self._ris_shape:
+            raise ValueError(
+                f"RIS action arrays must have shape {self._ris_shape}")
+        theta = ris_phase_diag(on, phase, self.config.ris_phase_bits)
+        return on.astype(int, copy=False), phase.astype(int, copy=False), theta
 
     # -- core pipeline --------------------------------------------------------
     def _evaluate(self, power: np.ndarray, on: np.ndarray, theta: np.ndarray):
@@ -134,7 +138,7 @@ class NetworkEnv:
         h_eff = self._parts.effective(theta)
         with warnings.catch_warnings():  # zf_loaded reports the regularization
             warnings.simplefilter("ignore", RuntimeWarning)
-            links = linklayer.derive_plan(h_eff, self._ap_se, self._ap_iot, cfg)
+            links = linklayer.derive_plan(h_eff, self._links, cfg)
         terms = linklayer.power_terms(links, power)
         fail = linklayer.sic_feasibility(links, power, cfg.noise_power, terms)
         gamma = linklayer.sinr_all(links, power, cfg.noise_power, fail, terms)
@@ -152,15 +156,13 @@ class NetworkEnv:
     def peek_reward(self, power: np.ndarray, on: np.ndarray,
                     phase: np.ndarray) -> float:
         """One-step reward of an action at the current state, no side effects."""
-        on, phase = self._check_ris(on, phase)
-        theta = ris_phase_diag(on, phase, self.config.ris_phase_bits)
+        on, _, theta = self._ris_action(on, phase)
         return self._evaluate(self.project_power(power), on, theta)["reward"]
 
     def step(self, power: np.ndarray, on: np.ndarray,
              phase: np.ndarray) -> StepOutcome:
-        on, phase = self._check_ris(on, phase)
+        on, phase, theta = self._ris_action(on, phase)
         power = self.project_power(power)
-        theta = ris_phase_diag(on, phase, self.config.ris_phase_bits)
         ev = self._evaluate(power, on, theta)
 
         arrivals = self._queues.sample_arrivals(self._rng)

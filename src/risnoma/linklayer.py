@@ -10,8 +10,13 @@ One ``derive_plan`` call plans every AP of a slot over stacked arrays.
 With M APs, S SE users per AP (one cluster and one RF chain each), I IoT
 users per AP, N_A antennas and U users:
 
-- The inputs are the (M, U, N_A) effective channels and the (M, S) SE and
-  (M, I) IoT user ids of each AP; every user appears once.
+- The inputs are the (M, U, N_A) effective channels and a ``LinkLayout``:
+  the parts of the plan that the topology fixes, built once per env by
+  ``link_layout`` from the (M, S) SE and (M, I) IoT user ids of each AP.
+  It holds the IoT ids in join order, the Gram gather ids (SE then IoT ids
+  per AP), the AP row index and the SE half of ``slot``, ``position`` and
+  ``head``.  Its construction checks that every user sits in exactly one
+  cluster, so a slot does only the channel-dependent work.
 - Cluster n of AP m is headed by SE user ``se_ids[m, n]`` and is column
   ``m·S + n`` of the slot.  IoT users join one at a time in ascending id
   order, and a cluster centre sums its members in that join order, head
@@ -40,26 +45,57 @@ import numpy as np
 from .config import NetworkConfig
 
 
-def cluster_users(h_eff: np.ndarray, se_ids, iot_ids, max_cluster_size: int):
+@dataclass(frozen=True)
+class LinkLayout:
+    """The parts of a slot's link plan that the topology fixes (see the
+    module docstring); ``link_layout`` builds it and an env keeps one."""
+    se_ids: np.ndarray             # (M, S) cluster heads
+    iot_ids: np.ndarray            # (M, I) ascending: the join order
+    members: np.ndarray            # (M, S + I) the rows of each AP's Gram
+    ap: np.ndarray                 # (M, 1) AP row index
+    se_half: np.ndarray            # (3, U) slot, position, head: SE entries
+                                   # filled, IoT entries 0
+
+
+def link_layout(se_ids, iot_ids, n_users: int) -> LinkLayout:
+    """The fixed layout of M APs' (M, S) SE and (M, I) IoT user ids.  Every
+    one of the ``n_users`` users must be listed exactly once, and every AP
+    needs an SE user; the IoT ids may come in any order."""
+    se_ids = np.array(se_ids, dtype=np.intp)
+    iot_ids = np.array(iot_ids, dtype=np.intp)
+    iot_ids.sort(axis=1)                    # join order: input-order invariant
+    m, s = se_ids.shape
+    if s == 0:
+        raise ValueError("need at least one SE user per AP")
+    members = np.concatenate((se_ids, iot_ids), axis=1)
+    if not np.array_equal(np.sort(members, axis=None), np.arange(n_users)):
+        raise ValueError("every user must sit in exactly one cluster")
+    ap = np.arange(m)[:, None]
+    se_half = np.zeros((3, n_users), dtype=np.intp)
+    slot, position, head = se_half
+    slot[se_ids] = s * ap + np.arange(s)
+    position[se_ids] = 1
+    head[se_ids] = se_ids
+    for arr in (se_ids, iot_ids, members, ap, se_half):
+        arr.flags.writeable = False   # every slot of the env shares them
+    return LinkLayout(se_ids, iot_ids, members, ap, se_half)
+
+
+def cluster_users(h_eff: np.ndarray, layout: LinkLayout,
+                  max_cluster_size: int):
     """Greedy QoS clustering of every AP at once: SE users head the
     clusters, and IoT users join, in ascending id order, the head with the
     highest spatial correlation (ties to the lowest cluster index,
     capacity-limited).  A zero channel (no reflected path and a blocked LoS)
     correlates with nothing: it counts as 0.
 
-    ``h_eff`` is (M, U, N_A), ``se_ids`` (M, S) and ``iot_ids`` (M, I).
-    Returns the IoT ids sorted per AP and the cluster each one joined, both
-    (M, I), and the (M, S) cluster sizes, heads included."""
-    se_ids = np.asarray(se_ids, dtype=np.intp)
-    iot_ids = np.array(iot_ids, dtype=np.intp)
-    iot_ids.sort(axis=1)                    # join order: input-order invariant
-    m, s = se_ids.shape
-    if s == 0:
-        raise ValueError("need at least one SE user per AP")
+    ``h_eff`` is (M, U, N_A).  Returns the cluster each IoT user of
+    ``layout.iot_ids`` joined (M, I) and the (M, S) cluster sizes, heads
+    included."""
+    s = layout.se_ids.shape[1]
     # one Gram per AP of its SE and IoT channels: norms on its diagonal,
     # inner products in its IoT x SE block
-    ap = np.arange(m)
-    sub = h_eff[ap[:, None], np.concatenate((se_ids, iot_ids), axis=1)]
+    sub = h_eff[layout.ap, layout.members]
     gram = sub.conj() @ sub.transpose(0, 2, 1)
     norm = np.sqrt(gram.diagonal(0, 1, 2).real)
     norms = norm[:, s:, None] * norm[:, None, :s]
@@ -72,15 +108,17 @@ def cluster_users(h_eff: np.ndarray, se_ids, iot_ids, max_cluster_size: int):
     for per_user in ranks.tolist():        # one AP's IoT users, in id order
         seats = [max_cluster_size - 1] * s
         for order in per_user:             # one at a time: seats run out
-            n = next((n for n in order if seats[n]), None)
-            if n is None:
+            for n in order:
+                if seats[n]:
+                    break
+            else:
                 raise ValueError("cluster capacity too small for the IoT load")
             seats[n] -= 1
             cluster.append(n)
         sizes += [max_cluster_size - left for left in seats]
-    cluster = np.array(cluster, dtype=np.intp).reshape(iot_ids.shape)
-    sizes = np.array(sizes, dtype=np.intp).reshape(m, s)
-    return iot_ids, cluster, sizes
+    cluster = np.array(cluster, dtype=np.intp).reshape(layout.iot_ids.shape)
+    sizes = np.array(sizes, dtype=np.intp).reshape(layout.se_ids.shape)
+    return cluster, sizes
 
 
 @lru_cache(maxsize=None)
@@ -181,48 +219,45 @@ class SlotLinks:
     zf_loaded: np.ndarray          # (M,) bool: ZF Gram diagonally loaded
 
 
-def decode_layout(se_ids: np.ndarray, iot_ids: np.ndarray,
-                  cluster: np.ndarray, sizes: np.ndarray, gains: np.ndarray):
+def decode_layout(layout: LinkLayout, cluster: np.ndarray, sizes: np.ndarray,
+                  gains: np.ndarray):
     """Cluster column, decode position and head of every user.
 
-    ``iot_ids`` (M, I) are each AP's IoT users in ascending id order,
-    ``cluster`` (M, I) the cluster each joined, ``sizes`` (M, S) the cluster
-    sizes and ``gains`` (M, U, S) the per-AP beam gains.  Within a cluster
-    the head comes first, then IoT members by descending gain in that
-    cluster, ties by user id.  Returns (U,) ``slot``, ``position`` and
-    ``head``; a user that no AP lists keeps position 0."""
-    m, s = se_ids.shape
-    ap = np.arange(m)[:, None]
+    ``cluster`` (M, I) is the cluster each of ``layout.iot_ids`` joined,
+    ``sizes`` (M, S) the cluster sizes and ``gains`` (M, U, S) the per-AP
+    beam gains.  Within a cluster the head comes first, then IoT members by
+    descending gain in that cluster, ties by user id.  Returns (U,)
+    ``slot``, ``position`` and ``head``: the layout's SE half with the IoT
+    entries filled in."""
+    se_ids, iot_ids, ap = layout.se_ids, layout.iot_ids, layout.ap
+    s = se_ids.shape[1]
     # each AP's IoT users by cluster, then by descending gain; lexsort is
     # stable, so ties stay in id order
     order = np.lexsort((-gains[ap, iot_ids, cluster], cluster))
     joined = sizes - 1
     ahead = joined.cumsum(axis=1) - joined      # IoT users in lower clusters
-    slot, position, head = np.zeros((3, gains.shape[1]), dtype=np.intp)
-    slot[se_ids] = s * ap + np.arange(s)
+    slot, position, head = layout.se_half.copy()
     slot[iot_ids] = s * ap + cluster
-    head[se_ids] = se_ids
     head[iot_ids] = se_ids[ap, cluster]
-    position[se_ids] = 1
     position[iot_ids[ap, order]] = (np.arange(2, iot_ids.shape[1] + 2)
                                     - ahead[ap, cluster[ap, order]])
     return slot, position, head
 
 
-def derive_plan(h_eff: np.ndarray, se_ids, iot_ids,
+def derive_plan(h_eff: np.ndarray, layout: LinkLayout,
                 config: NetworkConfig) -> SlotLinks:
     """Cluster, beamform and fix decode positions for every AP of a slot.
 
-    ``h_eff`` is the (M, U, N_A) channel of every AP to every user;
-    ``se_ids`` (M, S) and ``iot_ids`` (M, I) list each AP's users, and every
-    user must appear exactly once."""
-    se_ids = np.asarray(se_ids, dtype=np.intp)
+    ``h_eff`` is the (M, U, N_A) channel of every AP to every user of
+    ``layout``."""
+    se_ids, iot_ids, ap = layout.se_ids, layout.iot_ids, layout.ap
     m, s = se_ids.shape
+    n_users = h_eff.shape[1]
     if s > config.rf_chains:
         raise ValueError("more clusters than RF chains")
-    iot_ids, cluster, sizes = cluster_users(h_eff, se_ids, iot_ids,
-                                            config.cluster_cap)
-    ap = np.arange(m)[:, None]
+    if n_users != layout.se_half.shape[1]:
+        raise ValueError("every user must sit in exactly one cluster")
+    cluster, sizes = cluster_users(h_eff, layout, config.cluster_cap)
     centers = h_eff[ap, se_ids]                               # (M, S, N_A)
     v = analog_beamformer(centers, config.n_sub, config.analog_phase_bits)
     # a cluster's center sums its members in join order: the head, then
@@ -231,12 +266,7 @@ def derive_plan(h_eff: np.ndarray, se_ids, iot_ids,
     w, loaded = zf_digital_beamformer(centers / sizes[..., None], v,
                                       cond_threshold=config.zf_cond_threshold)
     per_ap = np.abs(h_eff @ (v @ w)) ** 2                     # (M, U, S)
-    slot, position, head = decode_layout(se_ids, iot_ids, cluster, sizes,
-                                         per_ap)
-    n_users = h_eff.shape[1]
-    listed = se_ids.size + iot_ids.size
-    if listed != n_users or np.count_nonzero(position) < n_users:
-        raise ValueError("every user must sit in exactly one cluster")
+    slot, position, head = decode_layout(layout, cluster, sizes, per_ap)
     gains = per_ap.transpose(1, 0, 2).reshape(n_users, m * s)
     return SlotLinks(gains, slot, position, head,
                      gains[np.arange(n_users), slot], v, w, loaded)
@@ -283,7 +313,7 @@ def sinr_all(links: SlotLinks, alpha: np.ndarray, sigma2: float,
 def rates_gbps(gamma: np.ndarray, bandwidth: float) -> np.ndarray:
     """Shannon rate over the full band, in Gbps."""
     gamma = np.asarray(gamma, dtype=float)
-    if (gamma < 0).any():
+    if not (gamma >= 0).all():                        # NaN is rejected too
         raise ValueError("SINR must be non-negative")
     return bandwidth * np.log2(1.0 + gamma) / 1e9
 

@@ -175,10 +175,34 @@ class TestRisPhase:
         ([[1, -1]], [[0, 1]]),
         ([[0, 1]], [[-1, 0]]),     # negative phase index
         ([[0, 1]], [[0, 4]]),      # past the 2-bit range
+        ([[0.5, 1]], [[0, 1]]),    # fractional on/off
+        ([[0, 1]], [[0, 1.5]]),    # fractional phase index
+        ([[np.nan, 1]], [[0, 1]]),
+        ([[0, 1]], [[0, np.nan]]),
+        ([[0, 1]], [[0, np.inf]]),
     ])
     def test_bad_action_entries_rejected(self, on, phase):
         with pytest.raises(ValueError):
             ris_phase_diag(np.array(on), np.array(phase), 2)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_table_is_the_elementwise_exp_bitwise(self, bits):
+        rng = np.random.default_rng(bits)
+        on = rng.integers(0, 2, (3, 17))
+        idx = rng.integers(0, 2 ** bits, (3, 17))
+        want = on * np.exp(1j * (2.0 ** (1 - bits)) * np.pi * idx)
+        assert ris_phase_diag(on, idx, bits).tobytes() == want.tobytes()
+
+    def test_whole_float_and_bool_actions_match_int(self):
+        on = np.array([[1, 0, 1]])
+        idx = np.array([[3, 2, 0]])
+        want = ris_phase_diag(on, idx, 2)
+        for got in (ris_phase_diag(on.astype(bool), idx, 2),
+                    ris_phase_diag(on.astype(float), idx.astype(float), 2)):
+            assert got.tobytes() == want.tobytes()
+        one_bit = ris_phase_diag(on, idx % 2, 1)
+        assert (ris_phase_diag(on.astype(bool), (idx % 2).astype(bool), 1)
+                .tobytes() == one_bit.tobytes())
 
 
 def cplx(rng, *shape):

@@ -11,15 +11,24 @@ from risnoma.channel import EpisodeChannel, ris_phase_diag  # noqa: E402
 from risnoma.presets import tiny_config  # noqa: E402
 from risnoma.topology import build_topology  # noqa: E402
 
+from reference_channel import ReferenceEpisode  # noqa: E402
+
+STATE_FIELDS = ("direct", "ris_user", "ap_ris", "los_direct", "los_ris")
+
 
 @st.composite
-def sampled_slot(draw):
+def small_config(draw):
     se = draw(st.integers(1, 3))
-    cfg = tiny_config(
+    return tiny_config(
         num_aps=draw(st.integers(1, 3)), num_ris=draw(st.integers(0, 3)),
         se_users_per_ap=se, rf_chains=se, iot_users_per_ap=draw(st.integers(0, 3)),
         antennas=se * draw(st.integers(1, 3)), ris_elements=draw(st.integers(1, 8)),
         num_nlos_paths=draw(st.integers(0, 3)))
+
+
+@st.composite
+def sampled_slot(draw):
+    cfg = draw(small_config())
     seed = draw(st.integers(0, 2 ** 32 - 1))
     topo = build_topology(cfg, np.random.default_rng([seed, 0]))
     chan = EpisodeChannel(cfg, topo)
@@ -59,3 +68,23 @@ def test_effective_all_off_and_linear(case):
     lhs = cascade.effective(t1 + t2)
     scale = max(np.max(np.abs(h), initial=0.0) for h in (h1, h2, lhs))
     assert np.max(np.abs(lhs - (h1 + h2)), initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_config(), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_one_draw_slot_equals_three_draw_reference(cfg, seed, slots):
+    """A slot's one phase draw, split, gives the reference's three draws
+    bit for bit, and leaves the generator in the reference's state."""
+    topo = build_topology(cfg, np.random.default_rng([seed, 0]))
+    chan = EpisodeChannel(cfg, topo)
+    ref = ReferenceEpisode(chan)
+    rng, ref_rng = (np.random.default_rng([seed, 1]) for _ in range(2))
+    chan.new_episode(rng)
+    ref.new_episode(ref_rng)
+    for _ in range(slots):
+        got, want = chan.slot_parts(rng), ref.slot_parts(ref_rng)
+        for name in STATE_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

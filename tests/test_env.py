@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -95,6 +96,27 @@ class TestStepSemantics:
             env.step(np.zeros(cfg.total_users),
                      np.zeros((2, cfg.ris_elements), dtype=int),
                      np.zeros((2, cfg.ris_elements), dtype=int))
+        # a fractional pick is rejected, not truncated to an int (on=0.5 ran
+        # as 0 and phase=1.7 as 1); a NaN pick likewise
+        power = np.full(cfg.total_users, 0.1)
+        shape = (cfg.num_ris, cfg.ris_elements)
+        whole = np.ones(shape)
+        for on, phase in ((np.full(shape, 0.5), whole),
+                          (whole, np.full(shape, 1.7)),
+                          (whole, np.full(shape, 0.5)),
+                          (np.full(shape, np.nan), whole),
+                          (whole, np.full(shape, np.nan))):
+            with pytest.raises(ValueError):
+                env.peek_reward(power, on, phase)
+            with pytest.raises(ValueError):
+                env.step(power, on, phase)
+        assert env.t == 0
+        # bool and whole-valued float arrays are valid and mean their ints
+        ones = np.ones(shape, dtype=int)
+        want = env.peek_reward(power, ones, ones)
+        assert env.peek_reward(power, ones.astype(bool), ones) == want
+        assert env.peek_reward(power, whole, whole) == want
+        assert env.step(power, ones.astype(bool), whole).reward == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_power_rejected(self, bad):
@@ -355,3 +377,43 @@ class TestLyapunovPressure:
         env.reset()
         assert env.t == 0
         assert np.all(env.queues.q == 0) and np.all(env.queues.y == 0)
+
+
+class TestPinnedTrace:
+    """The physics trace, pinned.  This digest may be changed only together
+    with a CHANGES.md entry that explains the change to the physics; a
+    speedup must leave it as it is.  It was taken with numpy 2.4.6 and its
+    bundled OpenBLAS on one BLAS thread, as tier-1 runs; another BLAS build
+    may round the ZF and channel products differently."""
+
+    PINNED = {
+        "tiny": "9bfebf06d60a83aa40b9fa806f0e11bf863753a6c6bd3c041a29d96132f27d73",
+        "medium": "ddc2d4b32fb13619118ea6153f56c79fb865d7a23393722708970dbf741ef924",
+        "default": "b50d0b44c531023a0a0c6a9738bf0c4495235e468d99e98995c4cc7170b7ab11",
+    }
+
+    @staticmethod
+    def trace_sha256(cfg, seed=1, episodes=2) -> str:
+        """SHA-256 of every slot's reward, SINR and backlog over
+        ``episodes`` full episodes of seeded random actions, drawn as the
+        benchmark's env workload draws them."""
+        env = NetworkEnv(cfg, seed=seed)
+        rng = np.random.default_rng([seed, 7])
+        budget = 2.0 * cfg.max_tx_power / cfg.users_per_ap
+        shape = (cfg.num_ris, cfg.ris_elements)
+        digest = hashlib.sha256()
+        for _ in range(episodes):
+            env.reset()
+            for _ in range(cfg.episode_slots):
+                out = env.step(rng.uniform(0.0, budget, cfg.total_users),
+                               rng.integers(0, 2, shape),
+                               rng.integers(0, 2 ** cfg.ris_phase_bits, shape))
+                for arr in (np.float64(out.reward), out.sinr, out.q):
+                    digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("name, make_config", [
+        ("tiny", tiny_config), ("medium", medium_config),
+        ("default", default_config)])
+    def test_trace_digest_is_pinned(self, name, make_config):
+        assert self.trace_sha256(make_config()) == self.PINNED[name]

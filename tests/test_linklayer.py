@@ -22,13 +22,23 @@ def channel_correlation(h1: np.ndarray, h2: np.ndarray) -> float:
     return float(np.abs(np.vdot(h1, h2)) / (n1 * n2))
 
 
+def _local_layout(se, iot):
+    """The listed users relabelled 0.. in id order, which keeps the join
+    and tie orders, and their ``LinkLayout`` as one AP's users."""
+    listed = sorted(se + iot)
+    local = {u: i for i, u in enumerate(listed)}
+    return listed, ll.link_layout([[local[u] for u in se]],
+                                  [[local[u] for u in iot]], len(listed))
+
+
 def _clusters(h, se, iot, cap):
     """``ll.cluster_users`` on one AP's (U, N_A) channels, as each
     cluster's members in join order, head first."""
-    iot_sorted, joined, _ = ll.cluster_users(h[None], [se], [iot], cap)
+    listed, layout = _local_layout(se, iot)
+    joined, _ = ll.cluster_users(h[None, listed], layout, cap)
     clusters = [[head] for head in se]
-    for u, n in zip(iot_sorted[0].tolist(), joined[0].tolist()):
-        clusters[n].append(u)
+    for u, n in zip(layout.iot_ids[0].tolist(), joined[0].tolist()):
+        clusters[n].append(listed[u])
     return clusters
 
 
@@ -46,15 +56,13 @@ def _zf(centers, v, **kw):
 def _decoding_order(members, gains) -> list:
     """One cluster's IoT members in the decode order ``ll.decode_layout``
     gives them under ``gains`` (indexed by user id), head last."""
-    head, iot = members[0], sorted(members[1:])
-    per_user = np.zeros((1, max(members) + 1, 1))
-    for u in members:
-        per_user[0, u, 0] = gains[u]
+    head, iot = members[0], members[1:]
+    listed, layout = _local_layout([head], iot)
+    per_user = np.array([gains[u] for u in listed])[None, :, None]
     _, position, _ = ll.decode_layout(
-        np.array([[head]]), np.array([iot], dtype=np.intp),
-        np.zeros((1, len(iot)), dtype=np.intp), np.array([[len(members)]]),
-        per_user)
-    return sorted(iot, key=lambda u: position[u]) + [head]
+        layout, np.zeros((1, len(iot)), dtype=np.intp),
+        np.array([[len(members)]]), per_user)
+    return sorted(iot, key=lambda u: position[listed.index(u)]) + [head]
 
 
 def _link_plans(links) -> list:
@@ -77,7 +85,8 @@ def _link_plans(links) -> list:
 
 def _plan(h, se, iot, cfg):
     """``ll.derive_plan`` on one AP's (U, N_A) channels, as its LinkPlan."""
-    return _link_plans(ll.derive_plan(h[None], [se], [iot], cfg))[0]
+    layout = ll.link_layout([se], [iot], len(h))
+    return _link_plans(ll.derive_plan(h[None], layout, cfg))[0]
 
 
 class TestCorrelation:
@@ -212,6 +221,28 @@ class TestAnalogBeamformer:
         v = _analog(heads, 4, 2)
         assert np.allclose(v[:, 0], 1 / np.sqrt(4))
 
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_ties_and_zeros_match_the_per_ap_reference(self, bits):
+        # entries exactly halfway between two grid points (as computed and
+        # as written, e.g. 1 + 1j), at several scales, and zero entries:
+        # the stacked quantizer must break each tie as the reference does.
+        # (argmax Re(conj(grid) * entry) picks the other side of some of
+        # these ties, so it is not the same quantizer.)
+        halfway = np.exp(1j * 2.0 * np.pi * (np.arange(2 ** bits) + 0.5)
+                         / 2 ** bits)
+        written = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1, 1j, -1, -1j])
+        entries = np.concatenate([c * np.concatenate([halfway, written])
+                                  for c in (1.0, 3.0, 0.7, 2.0 ** -20)])
+        entries = np.concatenate([entries, np.zeros(8), -0.0 * entries[:8]])
+        n_r, n_sub = 2, 4
+        per_ap = n_r * n_r * n_sub
+        entries = np.resize(entries, -(-len(entries) // per_ap) * per_ap)
+        heads = entries.reshape(-1, n_r, n_r * n_sub)
+        got = ll.analog_beamformer(heads, n_sub, bits)
+        for m, ap_heads in enumerate(heads):
+            want = ref.analog_beamformer(ap_heads, n_sub, bits)
+            assert got[m].tobytes() == want.tobytes()
+
 
 class TestZF:
     def test_orthonormal_centers_give_adjoint(self):
@@ -323,10 +354,10 @@ def _slot_plans(cfg, chan, rng, ris_off):
     on = np.zeros(shape, dtype=int) if ris_off else rng.integers(0, 2, shape)
     phase = rng.integers(0, 2 ** cfg.ris_phase_bits, shape)
     h_eff = parts.effective(ris_phase_diag(on, phase, cfg.ris_phase_bits))
-    se, iot = _ap_ids(chan.topo)
+    layout = ll.link_layout(*_ap_ids(chan.topo), cfg.total_users)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        links = ll.derive_plan(h_eff, se, iot, cfg)
+        links = ll.derive_plan(h_eff, layout, cfg)
     return h_eff, links
 
 
@@ -396,7 +427,8 @@ class TestSicAndSinr:
         cfg = tiny_config(num_aps=2, se_users_per_ap=3, rf_chains=3,
                           iot_users_per_ap=4, antennas=6)
         ids = np.arange(cfg.total_users).reshape(2, 7)
-        links = ll.derive_plan(h_eff, ids[:, :3], ids[:, 3:], cfg)
+        links = ll.derive_plan(
+            h_eff, ll.link_layout(ids[:, :3], ids[:, 3:], 14), cfg)
         plans = _link_plans(links)
         n_r = 3
         for m, plan in enumerate(plans):
@@ -413,8 +445,16 @@ class TestSicAndSinr:
         rng = np.random.default_rng(16)
         h_eff, _, _, _ = random_instance(rng, m=1, n_r=2, extra_users=1)
         cfg = tiny_config(se_users_per_ap=2, rf_chains=2, antennas=4)
+        # the layout is checked once, when it is built
         with pytest.raises(ValueError, match="every user"):  # user 2 is left out
-            ll.derive_plan(h_eff, [[0, 1]], [[]], cfg)
+            ll.link_layout([[0, 1]], [[]], 3)
+        with pytest.raises(ValueError, match="every user"):  # user 1 twice
+            ll.link_layout([[0, 1]], [[1]], 3)
+        with pytest.raises(ValueError, match="SE user"):
+            ll.link_layout(np.empty((1, 0)), [[0, 1, 2]], 3)
+        # a slot's channels must reach exactly the layout's users
+        with pytest.raises(ValueError, match="every user"):
+            ll.derive_plan(h_eff, ll.link_layout([[0, 1]], [[]], 2), cfg)
 
     def test_single_user_no_interference(self):
         rng = np.random.default_rng(9)
@@ -462,6 +502,9 @@ class TestRates:
     def test_negative_sinr_rejected(self):
         with pytest.raises(ValueError):
             ll.rates_gbps(np.array([1.0, -1e-3]), 10e9)
+        # a NaN is not non-negative: unchecked, it came back as a NaN rate
+        with pytest.raises(ValueError):
+            ll.rates_gbps(np.array([1.0, np.nan]), 10e9)
 
 
 class TestPowerAndEfficiency:
@@ -553,7 +596,7 @@ class TestStackedPlanner:
         want = ref.reference_links(h, se, np.empty((2, 0), dtype=int), cfg)
         # an empty id list reads as a float array: it must still index
         for iot in (np.empty((2, 0), dtype=np.intp), [[], []]):
-            links = ll.derive_plan(h, se, iot, cfg)
+            links = ll.derive_plan(h, ll.link_layout(se, iot, 4), cfg)
             ref.assert_same_links(links, want)
             assert np.array_equal(links.position, np.ones(4))
 
@@ -567,7 +610,8 @@ class TestStackedPlanner:
         h[1, 4] = (1.5 - 0.5j) * h[1, 3]
         h[1, 5] = 0.0
         with pytest.warns(RuntimeWarning):
-            links = ll.derive_plan(h, ids[:, :2], ids[:, 2:], cfg)
+            links = ll.derive_plan(h, ll.link_layout(ids[:, :2], ids[:, 2:], 9),
+                                   cfg)
         assert links.zf_loaded.tolist() == [False, True, False]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -582,7 +626,8 @@ class TestStackedPlanner:
         ids = np.arange(6).reshape(2, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            links = ll.derive_plan(h, ids[:, :2], ids[:, 2:], cfg)
+            links = ll.derive_plan(h, ll.link_layout(ids[:, :2], ids[:, 2:], 6),
+                                   cfg)
             want = ref.reference_links(h, ids[:, :2], ids[:, 2:], cfg)
         ref.assert_same_links(links, want)
         assert links.zf_loaded.tolist() == [True, False]
@@ -593,6 +638,6 @@ class TestStackedPlanner:
         ids = np.arange(10).reshape(2, 5)
         # two clusters of at most 2 seat two IoT users, not three
         with pytest.raises(ValueError, match="capacity"):
-            ll.cluster_users(h, ids[:, :2], ids[:, 2:], 2)
+            ll.cluster_users(h, ll.link_layout(ids[:, :2], ids[:, 2:], 10), 2)
         with pytest.raises(ValueError, match="capacity"):
             ref.cluster_users(h[1], [5, 6], [7, 8, 9], 2)

@@ -47,6 +47,7 @@ def test_stacked_plan_equals_per_ap_reference(case):
     users = np.stack([topo.users_of(ap) for ap in range(m)])
     se = users[kind[users] == SE].reshape(m, -1)
     iot = users[kind[users] != SE].reshape(m, -1)
+    layout = ll.link_layout(se, iot, cfg.total_users)
     shape = (cfg.num_ris, cfg.ris_elements)
     # With one antenna, a cluster's member rows form a (k, 1) array, and the
     # reference's numpy ``sum(axis=0)`` adds k >= 4 complex entries pairwise
@@ -62,7 +63,7 @@ def test_stacked_plan_equals_per_ap_reference(case):
             ris_phase_diag(on, phase, cfg.ris_phase_bits))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = ll.derive_plan(h_eff, se, iot, cfg)
+            got = ll.derive_plan(h_eff, layout, cfg)
             want = reference_links(h_eff, se, iot, cfg)
         assert_same_links(got, want,
                           [f for f in LINK_FIELDS if f not in rounded])

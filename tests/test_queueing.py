@@ -18,11 +18,17 @@ class TestQueueUpdate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             update_queue(-1.0, 0.0, 0.0)
+        # a NaN is not non-negative: unchecked, it passed through
+        with pytest.raises(ValueError):
+            update_queue(np.nan, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [1, 2])
     def test_negative_service_or_arrival_rejected(self, bad):
         args = [np.ones(3), np.ones(3), np.ones(3)]
         args[bad][1] = -0.5
+        with pytest.raises(ValueError):
+            update_queue(*args)
+        args[bad][1] = np.nan
         with pytest.raises(ValueError):
             update_queue(*args)
 
@@ -40,7 +46,9 @@ class TestVirtualQueue:
         assert got == y + 4.0 - 2.5
 
     @pytest.mark.parametrize("y, q_next", [(-1.0, 0.0), (0.0, -1.0),
-                                           ([0.0, -0.1], [1.0, 1.0])])
+                                           ([0.0, -0.1], [1.0, 1.0]),
+                                           (np.nan, 0.0), (0.0, np.nan),
+                                           ([0.0, 1.0], [np.nan, 1.0])])
     def test_negative_rejected(self, y, q_next):
         with pytest.raises(ValueError):
             update_virtual_queue(y, q_next, 25.0, 0.1)
