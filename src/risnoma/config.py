@@ -1,12 +1,18 @@
 """Network configuration: every knob of the simulator in one flat record.
 
+A count that follows from fields, such as the RF chains (one per SE user),
+is a property, so no two fields can disagree.  Out-of-range values are
+rejected at construction with an error that names the field.
+
 The config round-trips through a human-readable flat ``key = value`` file
 (units documented in the emitted comments), so experiment setups can be
 inspected and diffed as plain text.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 
 C_LIGHT = 299792458.0  # m/s
@@ -17,10 +23,9 @@ class NetworkConfig:
     # topology scale
     num_aps: int = 3                 # ceiling-mounted THz APs
     num_ris: int = 2                 # wall-mounted reflecting surfaces
-    se_users_per_ap: int = 4         # high-rate SE users (= active RF chains)
+    se_users_per_ap: int = 4         # high-rate SE users, one RF chain each
     iot_users_per_ap: int = 4        # low-rate IoT users
     antennas: int = 64               # AP antennas N_A (sub-connected array)
-    rf_chains: int = 4               # RF chains N_R; must equal se_users_per_ap
     ris_elements: int = 20           # elements per RIS, modelled as a ULA
     ris_phase_bits: int = 1          # b: element phase resolution
     analog_phase_bits: int = 2       # B: AP phase-shifter resolution
@@ -80,8 +85,6 @@ class NetworkConfig:
     # cluster sizing; 0 means ceil(K_U/N_R)+1
     max_cluster_size: int = 0
 
-    rng_seed: int = 0
-
     def __post_init__(self):
         for name, least in (("num_aps", 1), ("num_ris", 0), ("se_users_per_ap", 1),
                             ("iot_users_per_ap", 0), ("antennas", 1),
@@ -90,20 +93,46 @@ class NetworkConfig:
                             ("episode_slots", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if self.rf_chains != self.se_users_per_ap:
-            raise ValueError("rf_chains must equal se_users_per_ap")
         if self.antennas % self.rf_chains != 0:
             raise ValueError("antennas must be a multiple of rf_chains")
-        if min(self.room_x, self.room_y, self.room_z) <= 0:
-            raise ValueError("room dimensions must be positive")
-        for name in ("max_tx_power", "p_bb", "p_rf", "p_ps", "p_a", "p_d",
-                     "p_ris_element"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not self.noise_power > 0:  # a zero channel would give SINR 0/0
-            raise ValueError("noise_power must be positive")
+        # every check below is written so that NaN fails it; a zero
+        # noise_power would give a zero channel an SINR of 0/0
+        for name in ("room_x", "room_y", "room_z", "carrier_freq", "bandwidth",
+                     "noise_power", "max_tx_power", "zf_cond_threshold",
+                     "slot_seconds", "packet_gbps", "qmax_se_gbps",
+                     "qmax_iot_gbps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("absorption_coeff", "amp_gain", "roughness_sigma",
+                     "p_bb", "p_rf", "p_ps", "p_a", "p_d", "p_ris_element",
+                     "pa_inefficiency", "arrival_se_gbps", "arrival_iot_gbps",
+                     "arrival_cap_factor", "outage_eps", "rmin_se_gbps",
+                     "rmin_iot_gbps", "zeta", "xi_penalty"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        for name in ("antenna_gain_dbi", "refractive_index"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not self.neighbor_radius >= 0:      # +inf: every pair in range
+            raise ValueError("neighbor_radius must be non-negative")
+        if not self.los_decay_distance > 0:    # +inf: LoS never blocked
+            raise ValueError("los_decay_distance must be positive")
+        if not 0 < self.detour_min <= self.detour_max < math.inf:
+            raise ValueError("detour_min and detour_max must satisfy "
+                             "0 < detour_min <= detour_max < inf")
+        cap = self.max_cluster_size
+        if cap < 0 or (cap > 0 and self.se_users_per_ap * (cap - 1)
+                       < self.iot_users_per_ap):
+            raise ValueError("max_cluster_size must be 0 or seat every IoT "
+                             "user: se_users_per_ap * (max_cluster_size - 1)"
+                             " >= iot_users_per_ap")
 
     # -- derived counts ----------------------------------------------------
+    @property
+    def rf_chains(self) -> int:
+        """N_R: one active RF chain per SE user."""
+        return self.se_users_per_ap
+
     @property
     def n_sub(self) -> int:
         return self.antennas // self.rf_chains

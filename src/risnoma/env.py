@@ -55,9 +55,9 @@ class StepOutcome:
 class NetworkEnv:
     """Dec-POMDP view of the multi-AP / multi-RIS downlink."""
 
-    def __init__(self, config: NetworkConfig, seed: int | None = None):
+    def __init__(self, config: NetworkConfig, seed: int):
         self.config = config
-        self.seed = config.rng_seed if seed is None else int(seed)
+        self.seed = int(seed)
         self.topo: Topology = build_topology(
             config, np.random.default_rng([self.seed, 0]))
         self._channel = EpisodeChannel(config, self.topo)
@@ -74,11 +74,9 @@ class NetworkEnv:
         self._minima = np.where(kind == SE, config.rmin_se_gbps,
                                 config.rmin_iot_gbps)
         self._layout = graph_layout(self.topo, config)
-        users = self._layout.users                      # (M, K), id order
-        m = config.num_aps
-        self._links = linklayer.link_layout(
-            users[kind[users] == SE].reshape(m, -1),
-            users[kind[users] != SE].reshape(m, -1), config.total_users)
+        users, se = self.topo.users, config.se_users_per_ap
+        self._links = linklayer.link_layout(users[:, :se], users[:, se:],
+                                            config.total_users)
         self._iot_ids = np.flatnonzero(kind != SE).tolist()
         self._rng = None
         self._episode = -1
@@ -108,8 +106,8 @@ class NetworkEnv:
         alloc = np.maximum(np.asarray(alloc, dtype=float), 0.0)
         if alloc.shape != (self.config.total_users,):
             raise ValueError("power allocation must be one entry per user")
-        budget = self.config.max_tx_power            # validated >= 0
-        per_ap = alloc.reshape(self.config.num_aps, -1)  # users are contiguous
+        budget = self.config.max_tx_power            # validated > 0
+        per_ap = alloc.reshape(self.config.num_aps, -1)  # rows: topo.users
         totals = np.add.reduce(per_ap, axis=1)
         # a NaN or +inf entry makes its AP's total non-finite
         if not all(map(math.isfinite, totals.tolist())):

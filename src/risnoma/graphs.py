@@ -8,7 +8,9 @@ weights are scaled by their outage caps and power actions by the AP budget.
 Node ids: APs are 0..M-1, RISs are M..M+J-1.  Edge kinds are "ap_ap",
 "ap_ris" and "ris_ap"; every kind has a fixed feature width for a given
 config (AP->RIS features reserve one slot per AP, zero-filled for APs
-outside the RIS's neighborhood), so non-edges simply do not appear.
+outside the RIS's neighborhood), so non-edges simply do not appear.  The
+edges are the true entries of the topology's AP-AP and AP-RIS adjacencies
+(RIS->AP: the transpose), sender-major.
 
 A ``CommGraph`` is stored batched, as the nets consume it: one feature
 matrix per node type, and per edge kind the sender and receiver rows plus
@@ -24,7 +26,7 @@ import numpy as np
 
 from .channel import _amp
 from .config import NetworkConfig
-from .topology import Topology
+from .topology import SE, Topology
 
 
 NODE_TYPES = ("ap", "ris")
@@ -76,10 +78,8 @@ def stack_graphs(graphs, dtype=None) -> CommGraph:
     """One graph holding ``graphs`` side by side: for every node type the
     rows of graph b follow those of graph b - 1, and edges follow their
     nodes.  With a ``dtype``, node and edge features are cast to it as they
-    are stacked; without one, one graph alone is returned as it is."""
+    are stacked."""
     graphs = list(graphs)
-    if len(graphs) == 1 and dtype is None:
-        return graphs[0]
     sizes = {t: np.array([len(g.nodes[t]) for g in graphs]) for t in NODE_TYPES}
     offset = {t: np.cumsum(sizes[t]) - sizes[t] for t in NODE_TYPES}
     nodes = {t: np.concatenate([g.nodes[t] for g in graphs], dtype=dtype)
@@ -123,13 +123,6 @@ def _rows(z: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def _pairs(neighbors) -> tuple:
-    """(src, dst) index arrays of the edges i -> j for j in neighbors[i]."""
-    src = [i for i, near in enumerate(neighbors) for _ in near]
-    dst = [j for near in neighbors for j in near]
-    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-
-
 @dataclass(frozen=True)
 class GraphLayout:
     """The parts of a comm graph that topology and config fix: the input
@@ -138,7 +131,7 @@ class GraphLayout:
     read an edge's features off the slot's channels.  An env builds it
     once."""
     scale: FeatureScale
-    users: np.ndarray              # (M, K) user ids of each AP, id order
+    users: np.ndarray              # (M, K) the topology's user table
     qinv: np.ndarray               # (M, K) reciprocal outage caps
     src: dict                      # edge kind -> (E,) sender rows
     dst: dict                      # edge kind -> (E,) receiver rows
@@ -148,20 +141,16 @@ class GraphLayout:
 
 def graph_layout(topo: Topology, config: NetworkConfig) -> GraphLayout:
     scale = FeatureScale(config)
-    m, j = config.num_aps, config.num_ris
-    users = np.stack([topo.users_of(i) for i in range(m)])   # (M, K)
-    qinv = np.where(topo.user_kind[users] == 0, scale.qinv_se, scale.qinv_iot)
+    users = topo.users
+    qinv = np.where(topo.user_kind[users] == SE, scale.qinv_se, scale.qinv_iot)
     src, dst = {}, {}
-    src["ap_ap"], dst["ap_ap"] = _pairs(topo.ap_neighbor_ap)
-    src["ap_ris"], dst["ap_ris"] = _pairs(topo.ap_neighbor_ris)
-    src["ris_ap"], dst["ris_ap"] = _pairs(topo.ris_neighbor_ap)
-    near = np.zeros((j, m), dtype=bool)
-    for r, aps in enumerate(topo.ris_neighbor_ap):
-        near[r, aps] = True
+    src["ap_ap"], dst["ap_ap"] = np.nonzero(topo.ap_ap)
+    src["ap_ris"], dst["ap_ris"] = np.nonzero(topo.ap_ris)
+    src["ris_ap"], dst["ris_ap"] = np.nonzero(topo.ap_ris.T)
     layout = GraphLayout(scale, users, qinv, src, dst,
-                         near[dst["ap_ris"]].reshape(-1, 1),
+                         topo.ap_ris.T[dst["ap_ris"]].reshape(-1, 1),
                          users[dst["ris_ap"]])
-    for arr in (users, qinv, layout.near, layout.ris_users,
+    for arr in (qinv, layout.near, layout.ris_users,
                 *src.values(), *dst.values()):
         arr.flags.writeable = False   # every graph of the env shares them
     return layout

@@ -100,10 +100,12 @@ class TrainConfig:
 
 
 def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
-            rng: np.random.Generator, deterministic: bool = False) -> Trajectory:
+            rng: np.random.Generator | None,
+            deterministic: bool = False) -> Trajectory:
     """One episode of length ``horizon`` under the current parameters: per
     slot the observed graph, the agents' draws (not scored) and the env's
-    ``StepOutcome``."""
+    ``StepOutcome``.  ``rng`` draws the samples; a deterministic rollout
+    draws none and may take None."""
     env.reset()
     gru = policy.gru_zero()
     steps = []
@@ -159,7 +161,7 @@ def _replay_values(policy: GEVDACPolicy, trajectories):
               for t in range(steps + 1) for tr in trajs]
     z = policy.embed(graphs)
     digests = np.stack([state_digest(g) for g in graphs])
-    v_tot = policy.global_value(digests, policy.local_value(z))
+    v_tot = policy.value(z, digests)
     gru = policy.gru_zero(width)
     played = {t: z[t][:steps * len(gru[t])] for t in z}  # drop the final slot
     logp, _ = policy.log_prob(played, gru, ActionSample.stack(
@@ -251,12 +253,13 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
 
 
 def evaluate(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
-             rollouts: int, rng: np.random.Generator) -> dict:
-    """Deterministic-policy metrics over fresh episodes.  A config without
-    IoT users (``iot_users_per_ap=0``) reports an IoT outage of 0.0."""
+             rollouts: int) -> dict:
+    """Deterministic-policy metrics over fresh episodes; the deterministic
+    policy draws no random number.  A config without IoT users
+    (``iot_users_per_ap=0``) reports an IoT outage of 0.0."""
     rewards, etas, se_out, iot_out = [], [], [], []
     for _ in range(rollouts):
-        traj = rollout(env, policy, horizon, rng, deterministic=True)
+        traj = rollout(env, policy, horizon, None, deterministic=True)
         rewards.append(np.mean([s.outcome.reward for s in traj.steps]))
         etas.append(np.mean([s.outcome.eta for s in traj.steps]))
         kind = env.topo.user_kind
@@ -283,7 +286,6 @@ def train(env_factory, tcfg: TrainConfig, pcfg: PolicyConfig | None = None,
         policy = policy_for_env(env, pcfg or PolicyConfig(), tcfg.seed)
     horizon = tcfg.horizon or env.config.episode_slots
     rng = np.random.default_rng([tcfg.seed, 2])
-    eval_rng = np.random.default_rng([tcfg.seed, 3])
     curves = []
     reward_scale = tcfg.reward_scale
     for episode in range(tcfg.episodes):
@@ -301,8 +303,7 @@ def train(env_factory, tcfg: TrainConfig, pcfg: PolicyConfig | None = None,
             raise RuntimeError(
                 f"non-finite gradient at episode {episode}; "
                 f"checkpoint written to {rescue}") from err
-        metrics = evaluate(eval_env, policy, horizon, tcfg.eval_rollouts,
-                           eval_rng)
+        metrics = evaluate(eval_env, policy, horizon, tcfg.eval_rollouts)
         row = {
             "episode": episode,
             "train_reward": float(np.mean(

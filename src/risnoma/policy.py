@@ -32,6 +32,7 @@ of type t (M APs, J RISs, K users per AP, L elements, P phase levels):
                slot-major, and the final states
   local_value  (B, M + J), agents in node order
   global_value (B,) from (B, digest_dim) digests and (B, M + J) local values
+  value        (B,) V_tot from embedded states and digests
 
 Dtype.  The learner computes in the dtype of its ``ParamStore``, float32
 unless the policy is built with ``dtype=np.float64`` (kept for the
@@ -50,11 +51,12 @@ columns are sliced: the GRU's z, r and c gates are one weight over the input
 ``act.ap.head`` gives the Gaussian means then the log-stds, and the RIS head
 ``act.ris.head`` the L on/off logits then the L * P phase logits.
 Construction creates them all by one tape-free pass of ``embed``, ``act``
-(deterministic, so no random draw), ``local_value`` and ``global_value``
-over a zero graph of the policy's widths with one edge of every kind whose
-two ends exist.  ``ParamStore.param`` seeds each value from its name, so the
-order of creation does not matter.  A type without agents runs its nets on
-zero rows; edge kinds it would end have no parameters.
+(deterministic, so no random draw) and ``value`` over a zero graph of the
+policy's widths with one edge of every kind whose two ends exist.
+``ParamStore.param`` seeds each value from its name, so the order of
+creation does not matter.  A type without agents runs its nets on zero
+rows; edge kinds it would end have no parameters, and in central mode the
+local critics ``critic.ap.*`` / ``critic.ris.*`` do not exist.
 
 Parameter name prefixes partition the update rules:
   emb.*     embedding nets           (policy + critic gradients)
@@ -145,8 +147,7 @@ class GEVDACPolicy:
         with self.store.no_grad():
             z = self.embed([self._probe_graph()])
             self.act(z, self.gru_zero(), None, deterministic=True)
-            self.global_value(np.zeros((1, counts["digest_dim"])),
-                              self.local_value(z))
+            self.value(z, np.zeros((1, counts["digest_dim"])))
 
     def _probe_graph(self) -> CommGraph:
         """A zero graph of this policy's widths and agent counts, with one
@@ -326,6 +327,14 @@ class GEVDACPolicy:
         out = nn.mlp(self.store, "critic.central", digest,
                      [d, p.critic_hidden, p.critic_hidden, 1])
         return out.reshape(digest.shape[:-1])
+
+    def value(self, z_tilde: dict, digest) -> Tensor:
+        """V_tot (B,) of a batch of B slots from their embedded states and
+        (B, digest_dim) digests.  Only the mixer reads the local values, so
+        in central mode the local critics neither run nor exist."""
+        mixes = self.pcfg.critic_mode == "mix"
+        return self.global_value(digest,
+                                 self.local_value(z_tilde) if mixes else None)
 
     # -- env action assembly -----------------------------------------------------
     def env_action(self, sample: ActionSample):

@@ -1,4 +1,7 @@
-"""Room geometry: AP/RIS placement, user drop, and neighbor discovery."""
+"""Room geometry and the network layout, decided once as arrays: AP/RIS
+placement, the user drop, the AP-RIS and AP-AP adjacencies that the comm
+graph's edges follow, and the per-AP user table whose SE columns head the
+NOMA clusters and whose IoT columns join them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,17 +15,17 @@ SE, IOT = 0, 1
 
 @dataclass
 class Topology:
+    """AP i serves users i*K .. i*K + K - 1, its SE users first, so
+    ``users`` is ``arange(U).reshape(M, K)``.  The layout arrays are
+    read-only: every graph and plan of an env shares them."""
     ap_positions: np.ndarray      # (M, 3) m
     ris_positions: np.ndarray     # (J, 3) m
     user_positions: np.ndarray    # (U, 3) m
     user_kind: np.ndarray         # (U,) SE=0 / IOT=1
     ap_of_user: np.ndarray        # (U,) serving AP index
-    ap_neighbor_ris: list         # per AP: sorted RIS indices within radius
-    ap_neighbor_ap: list          # per AP: sorted other-AP indices within radius
-    ris_neighbor_ap: list         # per RIS: sorted AP indices within radius
-
-    def users_of(self, ap: int) -> np.ndarray:
-        return np.flatnonzero(self.ap_of_user == ap)
+    ap_ris: np.ndarray            # (M, J) bool: RIS within radius of the AP
+    ap_ap: np.ndarray             # (M, M) bool: another AP within radius
+    users: np.ndarray             # (M, K) user ids of each AP, SE ids first
 
 
 def build_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology:
@@ -32,8 +35,6 @@ def build_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology:
     random draws, so AP/RIS placement is identical across seeds.
     """
     m, j = config.num_aps, config.num_ris
-    if m <= 0 or j < 0:
-        raise ValueError("need at least one AP and a non-negative RIS count")
     lx, ly, lz = config.room_x, config.room_y, config.room_z
 
     ap_xs = (np.arange(m) + 0.5) * lx / m
@@ -60,22 +61,15 @@ def build_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology:
     )
 
     radius = config.neighbor_radius
-    ap_neighbor_ris, ap_neighbor_ap = [], []
-    for i in range(m):
-        d_ris = np.linalg.norm(ris_positions - ap_positions[i], axis=1) if j else np.empty(0)
-        ap_neighbor_ris.append(sorted(np.flatnonzero(d_ris <= radius).tolist()))
-        d_ap = np.linalg.norm(ap_positions - ap_positions[i], axis=1)
-        others = [k for k in np.flatnonzero(d_ap <= radius).tolist() if k != i]
-        ap_neighbor_ap.append(sorted(others))
-    ris_neighbor_ap = [
-        sorted(np.flatnonzero(
-            np.linalg.norm(ap_positions - ris_positions[idx], axis=1) <= radius
-        ).tolist())
-        for idx in range(j)
-    ]
-
+    ap = ap_positions[:, None]
+    ap_ris = np.linalg.norm(ap - ris_positions, axis=-1) <= radius
+    ap_ap = np.linalg.norm(ap - ap_positions, axis=-1) <= radius
+    np.fill_diagonal(ap_ap, False)
+    table = np.arange(users).reshape(m, per_ap)
+    for arr in (ap_ris, ap_ap, table):
+        arr.flags.writeable = False
     return Topology(ap_positions, ris_positions, user_positions, kind,
-                    ap_of_user, ap_neighbor_ris, ap_neighbor_ap, ris_neighbor_ap)
+                    ap_of_user, ap_ris, ap_ap, table)
 
 
 def dump_topology(topo: Topology, path) -> None:
@@ -83,12 +77,12 @@ def dump_topology(topo: Topology, path) -> None:
     lines = ["# risnoma topology dump", f"aps {len(topo.ap_positions)}"]
     for i, p in enumerate(topo.ap_positions):
         lines.append(f"ap {i} pos {p[0]:.3f} {p[1]:.3f} {p[2]:.3f} "
-                     f"neighbor_ris {topo.ap_neighbor_ris[i]} "
-                     f"neighbor_ap {topo.ap_neighbor_ap[i]}")
+                     f"neighbor_ris {np.flatnonzero(topo.ap_ris[i]).tolist()} "
+                     f"neighbor_ap {np.flatnonzero(topo.ap_ap[i]).tolist()}")
     lines.append(f"ris {len(topo.ris_positions)}")
     for i, p in enumerate(topo.ris_positions):
         lines.append(f"ris {i} pos {p[0]:.3f} {p[1]:.3f} {p[2]:.3f} "
-                     f"neighbor_ap {topo.ris_neighbor_ap[i]}")
+                     f"neighbor_ap {np.flatnonzero(topo.ap_ris[:, i]).tolist()}")
     lines.append(f"users {len(topo.user_positions)}")
     for u, p in enumerate(topo.user_positions):
         kind = "se" if topo.user_kind[u] == SE else "iot"

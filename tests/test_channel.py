@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from risnoma.channel import (ChannelState, EpisodeChannel, _amp, array_response,
                              los_probability, path_loss_db, reflection_coeff,
                              ris_phase_diag)
 from risnoma.config import C_LIGHT
-from risnoma.presets import medium_config, tiny_config
-from risnoma.topology import build_topology
+from risnoma.presets import default_config, medium_config, tiny_config
+from risnoma.topology import IOT, SE, build_topology, dump_topology
 
 
 def spreading_plus_absorption(freq, dist, k_abs):
@@ -260,40 +262,83 @@ class TestCascade:
             state.effective(np.ones((1, 2)))
 
 
+def within_by_hand(a, b, radius):
+    """Pairs (i, k) of points a[i], b[k] at most ``radius`` apart, by
+    ``math.dist`` on each pair: the oracle for the topology's adjacency."""
+    return [[math.dist(p, q) <= radius for q in b.tolist()] for p in a.tolist()]
+
+
 class TestTopology:
     def test_same_seed_identical(self):
         cfg = medium_config()
         t1 = build_topology(cfg, np.random.default_rng(42))
         t2 = build_topology(cfg, np.random.default_rng(42))
         assert np.array_equal(t1.user_positions, t2.user_positions)
-        assert t1.ap_neighbor_ris == t2.ap_neighbor_ris
+        for name in ("ap_ris", "ap_ap", "users"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
 
     def test_infinite_radius_all_neighbors(self):
         cfg = medium_config(neighbor_radius=np.inf)
         topo = build_topology(cfg, np.random.default_rng(0))
-        for r in range(cfg.num_ris):
-            assert topo.ris_neighbor_ap[r] == list(range(cfg.num_aps))
+        assert topo.ap_ris.shape == (cfg.num_aps, cfg.num_ris)
+        assert topo.ap_ris.all()
+        assert np.array_equal(topo.ap_ap, ~np.eye(cfg.num_aps, dtype=bool))
 
     def test_default_room_nonempty_neighbor_sets(self):
-        cfg = medium_config(num_aps=3, num_ris=4, se_users_per_ap=3, rf_chains=3,
+        cfg = medium_config(num_aps=3, num_ris=4, se_users_per_ap=3,
                             antennas=33)
         topo = build_topology(cfg, np.random.default_rng(1))
-        assert all(len(n) > 0 for n in topo.ap_neighbor_ris)
-        assert all(len(n) > 0 for n in topo.ris_neighbor_ap)
+        near = np.array(within_by_hand(topo.ap_positions, topo.ris_positions,
+                                       cfg.neighbor_radius))
+        assert np.array_equal(topo.ap_ris, near)
+        assert near.any(axis=1).all() and near.any(axis=0).all()
 
     def test_neighbor_consistency(self):
-        cfg = medium_config(neighbor_radius=9.0)
-        topo = build_topology(cfg, np.random.default_rng(2))
-        for i in range(cfg.num_aps):
-            for r in range(cfg.num_ris):
-                assert (r in topo.ap_neighbor_ris[i]) == (i in topo.ris_neighbor_ap[r])
+        # the adjacency is the distance threshold, checked pair by pair; the
+        # radii cut between the AP-RIS and AP-AP distances of both rooms, and
+        # 8.0 is exactly medium's AP-AP distance: a pair at the radius is in
+        for make in (medium_config, default_config):
+            for radius in (0.0, 5.5, 7.0, 8.0, 9.0, 14.0):
+                cfg = make(neighbor_radius=radius)
+                topo = build_topology(cfg, np.random.default_rng(2))
+                aps, ris = topo.ap_positions, topo.ris_positions
+                assert topo.ap_ris.tolist() == within_by_hand(aps, ris, radius)
+                ap_ap = within_by_hand(aps, aps, radius)
+                for i in range(cfg.num_aps):
+                    ap_ap[i][i] = False   # an AP is not its own neighbour
+                assert topo.ap_ap.tolist() == ap_ap
 
     def test_every_user_has_one_ap(self):
         cfg = medium_config()
         topo = build_topology(cfg, np.random.default_rng(3))
         assert len(topo.ap_of_user) == cfg.total_users
-        for m in range(cfg.num_aps):
-            assert len(topo.users_of(m)) == cfg.users_per_ap
+        assert topo.users.shape == (cfg.num_aps, cfg.users_per_ap)
+        assert sorted(topo.users.ravel().tolist()) == list(range(cfg.total_users))
+        se = cfg.se_users_per_ap
+        for ap, row in enumerate(topo.users):
+            assert (topo.ap_of_user[row] == ap).all()
+            assert (topo.user_kind[row[:se]] == SE).all()   # SE ids first
+            assert (topo.user_kind[row[se:]] == IOT).all()
+
+    def test_dump_text_is_pinned(self, tmp_path):
+        # tiny at seed 1, as NetworkEnv(tiny_config(), 1) draws it
+        topo = build_topology(tiny_config(), np.random.default_rng([1, 0]))
+        dump_topology(topo, tmp_path / "topo.txt")
+        assert (tmp_path / "topo.txt").read_text() == (
+            "# risnoma topology dump\n"
+            "aps 1\n"
+            "ap 0 pos 4.000 3.000 3.000 neighbor_ris [0] neighbor_ap []\n"
+            "ris 1\n"
+            "ris 0 pos 4.000 0.000 1.800 neighbor_ap [0]\n"
+            "users 2\n"
+            "user 0 kind se ap 0 pos 4.095 0.865 1.000\n"
+            "user 1 kind iot ap 0 pos 7.604 5.692 1.000\n")
+
+    def test_layout_arrays_are_read_only(self):
+        topo = build_topology(tiny_config(), np.random.default_rng(4))
+        for arr in (topo.ap_ris, topo.ap_ap, topo.users):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_zero_room_rejected(self):
         with pytest.raises(ValueError):
@@ -301,7 +346,7 @@ class TestTopology:
 
     @pytest.mark.parametrize("override", [
         dict(num_aps=0), dict(num_ris=-1),
-        dict(se_users_per_ap=0, rf_chains=0), dict(iot_users_per_ap=-1),
+        dict(se_users_per_ap=0), dict(iot_users_per_ap=-1),
         dict(antennas=0), dict(ris_elements=0), dict(num_nlos_paths=-1),
         dict(analog_phase_bits=-1), dict(analog_phase_bits=0),
         dict(episode_slots=0),

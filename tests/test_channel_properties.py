@@ -21,7 +21,7 @@ def small_config(draw):
     se = draw(st.integers(1, 3))
     return tiny_config(
         num_aps=draw(st.integers(1, 3)), num_ris=draw(st.integers(0, 3)),
-        se_users_per_ap=se, rf_chains=se, iot_users_per_ap=draw(st.integers(0, 3)),
+        se_users_per_ap=se, iot_users_per_ap=draw(st.integers(0, 3)),
         antennas=se * draw(st.integers(1, 3)), ris_elements=draw(st.integers(1, 8)),
         num_nlos_paths=draw(st.integers(0, 3)))
 

@@ -78,8 +78,7 @@ class TestStepSemantics:
             alloc = rng.uniform(-0.1, 2.5 * cfg.max_tx_power / cfg.users_per_ap,
                                 cfg.total_users)
             want = np.maximum(alloc, 0.0)
-            for ap in range(cfg.num_aps):
-                users = env.topo.users_of(ap)
+            for users in env.topo.users:
                 total = want[users].sum()
                 if total > cfg.max_tx_power and total > 0:
                     want[users] *= cfg.max_tx_power / total
@@ -204,11 +203,11 @@ class TestObservations:
             return graph.nodes[node_type].shape[1] + sent.shape[0] * sent.shape[1]
 
         for i in range(cfg.num_aps):
-            n_neighbors = len(env.topo.ap_neighbor_ap[i])
+            n_neighbors = np.count_nonzero(env.topo.ap_ap[i])
             expect = 2 * k * n_a * (1 + n_neighbors) + 2 * k
             assert width("ap", "ap_ap", i) == expect
         for r in range(cfg.num_ris):
-            n_ap = len(env.topo.ris_neighbor_ap[r])
+            n_ap = np.count_nonzero(env.topo.ap_ris[:, r])
             expect = n_ap * (2 * k * n_el + 2 * n_el * n_a) + 2 * n_el
             assert width("ris", "ris_ap", r) == expect
 
@@ -226,9 +225,9 @@ class TestCommGraph:
         env = NetworkEnv(cfg, seed=0)
         graph = env.comm_graph()
         topo = env.topo
-        expect = (sum(len(v) for v in topo.ap_neighbor_ap)
-                  + sum(len(v) for v in topo.ap_neighbor_ris)
-                  + sum(len(v) for v in topo.ris_neighbor_ap))
+        # AP->RIS and RIS->AP edges both follow the AP-RIS adjacency
+        expect = (np.count_nonzero(topo.ap_ap)
+                  + 2 * np.count_nonzero(topo.ap_ris))
         assert graph.num_edges == expect
 
     def test_node_feature_dims(self):
@@ -253,13 +252,12 @@ class TestCommGraph:
         env = NetworkEnv(cfg, seed=0)
         graph = env.comm_graph()
         topo = env.topo
-        for kind, near in (("ap_ap", topo.ap_neighbor_ap),
-                           ("ap_ris", topo.ap_neighbor_ris),
-                           ("ris_ap", topo.ris_neighbor_ap)):
+        for kind, adj in (("ap_ap", topo.ap_ap), ("ap_ris", topo.ap_ris),
+                          ("ris_ap", topo.ap_ris.T)):
             pairs = sorted(zip(graph.src[kind].tolist(),
                                graph.dst[kind].tolist()))
-            assert pairs == sorted((i, j) for i, js in enumerate(near)
-                                   for j in js)
+            assert pairs == [(i, j) for i in range(adj.shape[0])
+                             for j in range(adj.shape[1]) if adj[i, j]]
 
     def test_ris_relabel_permutes_graph(self):
         # swapping the two RIS agents permutes node features verbatim

@@ -18,7 +18,7 @@ def episode(draw):
     se = draw(st.integers(1, 3))
     cfg = tiny_config(
         num_aps=draw(st.integers(1, 3)), num_ris=draw(st.integers(0, 3)),
-        se_users_per_ap=se, rf_chains=se,
+        se_users_per_ap=se,
         iot_users_per_ap=draw(st.integers(0, 3)),
         antennas=se * draw(st.integers(1, 3)),
         ris_elements=draw(st.integers(1, 8)),

@@ -213,7 +213,7 @@ class TestRollout:
                                         (ad, "_unary")):
                         patch.setattr(owner, name, refuse)
                     traj = rollout(env, policy, 4, rng)
-                    evaluate(env, policy, 3, 1, rng)
+                    evaluate(env, policy, 3, 1)
                 with monkeypatch.context() as patch:
                     patch.setattr(Tensor, "__init__", counting)
                     update(policy, [traj], TrainConfig(), reward_scale=0.02)
@@ -234,7 +234,7 @@ class TestRollout:
             patch.setattr(ad, "softplus", refuse)
             patch.setattr(ad, "log_softmax", refuse)
             traj = rollout(env, policy, 4, rng)
-            evaluate(env, policy, 3, 1, rng)
+            evaluate(env, policy, 3, 1)
         update(policy, [traj], TrainConfig(), reward_scale=0.02)
 
 

@@ -364,7 +364,7 @@ def _slot_plans(cfg, chan, rng, ris_off):
 def _ap_ids(topo):
     """(M, S) SE and (M, I) IoT ids of every AP."""
     kind, m = topo.user_kind, len(topo.ap_positions)
-    users = np.stack([topo.users_of(ap) for ap in range(m)])
+    users = topo.users
     return (users[kind[users] == SE].reshape(m, -1),
             users[kind[users] != SE].reshape(m, -1))
 
@@ -424,7 +424,7 @@ class TestSicAndSinr:
     def test_layout_follows_ranked_clusters(self):
         rng = np.random.default_rng(15)
         h_eff, _, _, _ = random_instance(rng, m=2, n_r=3, extra_users=4)
-        cfg = tiny_config(num_aps=2, se_users_per_ap=3, rf_chains=3,
+        cfg = tiny_config(num_aps=2, se_users_per_ap=3,
                           iot_users_per_ap=4, antennas=6)
         ids = np.arange(cfg.total_users).reshape(2, 7)
         links = ll.derive_plan(
@@ -444,7 +444,7 @@ class TestSicAndSinr:
     def test_user_outside_every_cluster_rejected(self):
         rng = np.random.default_rng(16)
         h_eff, _, _, _ = random_instance(rng, m=1, n_r=2, extra_users=1)
-        cfg = tiny_config(se_users_per_ap=2, rf_chains=2, antennas=4)
+        cfg = tiny_config(se_users_per_ap=2, antennas=4)
         # the layout is checked once, when it is built
         with pytest.raises(ValueError, match="every user"):  # user 2 is left out
             ll.link_layout([[0, 1]], [[]], 3)
@@ -589,7 +589,7 @@ class TestStackedPlanner:
         return rng.normal(size=(m, u, n_a)) + 1j * rng.normal(size=(m, u, n_a))
 
     def test_no_iot_users(self):
-        cfg = tiny_config(num_aps=2, se_users_per_ap=2, rf_chains=2,
+        cfg = tiny_config(num_aps=2, se_users_per_ap=2,
                           iot_users_per_ap=0, antennas=4)
         h = self._channels(np.random.default_rng(20), 2, 4, 4)
         se = np.array([[0, 1], [2, 3]])
@@ -601,7 +601,7 @@ class TestStackedPlanner:
             assert np.array_equal(links.position, np.ones(4))
 
     def test_one_loaded_ap_among_unloaded(self):
-        cfg = tiny_config(num_aps=3, se_users_per_ap=2, rf_chains=2,
+        cfg = tiny_config(num_aps=3, se_users_per_ap=2,
                           iot_users_per_ap=1, antennas=4)
         h = self._channels(np.random.default_rng(21), 3, 9, 4)
         ids = np.arange(9).reshape(3, 3)
@@ -619,7 +619,7 @@ class TestStackedPlanner:
         ref.assert_same_links(links, want)
 
     def test_all_zero_gram(self):
-        cfg = tiny_config(num_aps=2, se_users_per_ap=2, rf_chains=2,
+        cfg = tiny_config(num_aps=2, se_users_per_ap=2,
                           iot_users_per_ap=1, antennas=4)
         h = self._channels(np.random.default_rng(22), 2, 6, 4)
         h[0] = 0.0                      # AP 0 reaches no user at all

@@ -26,7 +26,7 @@ def planned_slots(draw):
     se = draw(st.integers(1, 3))
     cfg = tiny_config(
         num_aps=draw(st.integers(1, 3)), num_ris=draw(st.integers(0, 2)),
-        se_users_per_ap=se, rf_chains=se,
+        se_users_per_ap=se,
         iot_users_per_ap=draw(st.integers(0, 3)),
         antennas=se * draw(st.integers(1, 3)),
         ris_elements=draw(st.integers(1, 4)),
@@ -44,7 +44,7 @@ def test_stacked_plan_equals_per_ap_reference(case):
     chan = EpisodeChannel(cfg, topo)
     chan.new_episode(rng)
     kind, m = topo.user_kind, cfg.num_aps
-    users = np.stack([topo.users_of(ap) for ap in range(m)])
+    users = topo.users
     se = users[kind[users] == SE].reshape(m, -1)
     iot = users[kind[users] != SE].reshape(m, -1)
     layout = ll.link_layout(se, iot, cfg.total_users)

@@ -267,8 +267,7 @@ class TestActionHeads:
         power, on, phase = policy.env_action(sample)
         assert sample.gaussian.dtype == np.float32
         assert power.dtype == np.float64  # physics stays float64
-        for m in range(cfg.num_aps):
-            users = env.topo.users_of(m)
+        for users in env.topo.users:
             assert power[users].sum() <= cfg.max_tx_power + 1e-12
         assert np.all((on == 0) | (on == 1))
         assert np.all((phase >= 0) & (phase < 2 ** cfg.ris_phase_bits))
