@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,9 +133,7 @@ class NetworkEnv:
         on/off and reflection diagonals); no state mutation."""
         cfg = self.config
         h_eff = self._parts.effective(theta)
-        with warnings.catch_warnings():  # zf_loaded reports the regularization
-            warnings.simplefilter("ignore", RuntimeWarning)
-            links = linklayer.derive_plan(h_eff, self._links, cfg)
+        links = linklayer.derive_plan(h_eff, self._links, cfg)
         terms = linklayer.power_terms(links, power)
         fail = linklayer.sic_feasibility(links, power, cfg.noise_power, terms)
         gamma = linklayer.sinr_all(links, power, cfg.noise_power, fail, terms)

@@ -192,9 +192,3 @@ def build_comm_graph(direct: np.ndarray, effective: np.ndarray,
     ], axis=1)
     return CommGraph({"ap": ap_nodes, "ris": ris_nodes}, dict(src), dict(dst),
                      feat)
-
-
-def state_digest(graph: CommGraph) -> np.ndarray:
-    """Fixed-order concatenation of node features (the mixer's state input)."""
-    return np.concatenate([graph.nodes[t].ravel() for t in NODE_TYPES])
-

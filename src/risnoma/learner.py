@@ -40,7 +40,7 @@ import numpy as np
 
 from .autodiff import squared_sums
 from .env import NetworkEnv, StepOutcome
-from .graphs import CommGraph, state_digest
+from .graphs import CommGraph
 from .policy import ActionSample, GEVDACPolicy, PolicyConfig, policy_for_env
 from .topology import SE
 
@@ -160,8 +160,7 @@ def _replay_values(policy: GEVDACPolicy, trajectories):
     graphs = [tr.steps[t].graph if t < steps else tr.final_graph
               for t in range(steps + 1) for tr in trajs]
     z = policy.embed(graphs)
-    digests = np.stack([state_digest(g) for g in graphs])
-    v_tot = policy.value(z, digests)
+    v_tot = policy.value(z)
     gru = policy.gru_zero(width)
     played = {t: z[t][:steps * len(gru[t])] for t in z}  # drop the final slot
     logp, _ = policy.log_prob(played, gru, ActionSample.stack(
@@ -279,7 +278,11 @@ def train(env_factory, tcfg: TrainConfig, pcfg: PolicyConfig | None = None,
     ``env_factory(seed)`` builds an environment; training and evaluation use
     separate instances so test metrics never disturb the training stream.
     A non-finite update aborts with a rescue checkpoint in ``/tmp``.
+    A given ``policy`` brings its own config, so ``pcfg`` must then be None.
     """
+    if policy is not None and pcfg is not None:
+        raise ValueError("pass pcfg or policy, not both: a policy keeps the "
+                         "PolicyConfig it was built with")
     env = env_factory(tcfg.seed)
     eval_env = env_factory(tcfg.seed + 9999)
     if policy is None:

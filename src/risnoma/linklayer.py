@@ -36,7 +36,6 @@ users per AP, N_A antennas and U users:
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -160,12 +159,13 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
     the (M, N_R, N_R) digital matrices and the (M,) loading flags.
 
     Near-singular Gram matrices get diagonal loading (1e-8 x mean eigenvalue)
-    and raise a RuntimeWarning so degenerate clustering is visible.  The
-    Gram is Hermitian and positive semi-definite, so its condition number is
-    its largest eigenvalue over its smallest; a smallest eigenvalue at or
-    below 0 counts as singular.  An all-zero Gram (every center a zero
-    channel) has no scale to load by; it gets unit loading, which yields
-    zero beams.  Each AP decides on its own.
+    and their AP's loading flag, which ``SlotLinks.zf_loaded`` and
+    ``StepOutcome.zf_loaded`` carry on, so degenerate clustering is visible;
+    no warning is raised.  The Gram is Hermitian and positive semi-definite,
+    so its condition number is its largest eigenvalue over its smallest; a
+    smallest eigenvalue at or below 0 counts as singular.  An all-zero Gram
+    (every center a zero channel) has no scale to load by; it gets unit
+    loading, which yields zero beams.  Each AP decides on its own.
     """
     h_eff = centers @ v
     h_adj = h_eff.conj().swapaxes(1, 2)
@@ -178,8 +178,6 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
         mean_eig = np.trace(gram, 0, 1, 2).real / n_r
         load = np.where(mean_eig > 0, 1e-8 * mean_eig, 1.0)
         gram[loaded] = (gram + load[:, None, None] * np.eye(n_r))[loaded]
-        warnings.warn("ill-conditioned cluster centers; ZF regularized",
-                      RuntimeWarning, stacklevel=2)
     w = h_adj @ np.linalg.inv(gram)
     beams = v @ w
     # ||V w_n||, formed as np.linalg.norm(beams, axis=1) forms it

@@ -31,17 +31,18 @@ of type t (M APs, J RISs, K users per AP, L elements, P phase levels):
   log_prob     log-probs (T * E, M + J) of T stored slots of E episodes,
                slot-major, and the final states
   local_value  (B, M + J), agents in node order
-  global_value (B,) from (B, digest_dim) digests and (B, M + J) local values
-  value        (B,) V_tot from embedded states and digests
+  global_value (B,) from (B, state width) states and (B, M + J) local values
+  value        (B,) from embedded states
 
 Dtype.  The learner computes in the dtype of its ``ParamStore``, float32
 unless the policy is built with ``dtype=np.float64`` (kept for the
 finite-difference and exact-identity tests).  ``embed`` casts the graph
-features to it once per call, ``global_value`` the digests, and ``act`` its
-float64 random draws before it mixes them in, so every head, log-prob and
-stored Gaussian draw is in the store's dtype and a replay scores exactly
-what was drawn.  ``env_action`` hands the env float64 arrays: the physics,
-rewards and queues stay float64.
+features to it once per call, and ``act`` its float64 random draws before
+it mixes them in, so every head, log-prob and stored Gaussian draw is in
+the store's dtype and a replay scores exactly what was drawn.  ``value``
+reads the mixer's state off the embedded rows, already in that dtype.
+``env_action`` hands the env float64 arrays: the physics, rewards and
+queues stay float64.
 
 Parameters.  Each one is declared once, by the layer call that uses it
 (``nn.dense``, ``nn.gru_params``), which names it and gives its shape.
@@ -73,8 +74,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import ParamStore, Tensor
-from .graphs import (EDGE_ENDS, NODE_TYPES, CommGraph, stack_graphs,
-                     state_digest)
+from .graphs import EDGE_ENDS, NODE_TYPES, CommGraph, stack_graphs
 
 LOG2PI = float(np.log(2.0 * np.pi))
 LOG_STD_OFFSET = -1.0
@@ -134,8 +134,7 @@ class GEVDACPolicy:
     def __init__(self, dims: dict, counts: dict, pcfg: PolicyConfig, seed: int,
                  dtype=np.float32):
         self.dims = dict(dims)          # node/edge feature widths
-        # num_aps, num_ris, users_per_ap, ris_elements, n_phase, max_power,
-        # digest_dim
+        # num_aps, num_ris, users_per_ap, ris_elements, n_phase, max_power
         self.counts = dict(counts)
         self.pcfg = pcfg
         self.store = ParamStore(seed, dtype)
@@ -147,7 +146,7 @@ class GEVDACPolicy:
         with self.store.no_grad():
             z = self.embed([self._probe_graph()])
             self.act(z, self.gru_zero(), None, deterministic=True)
-            self.value(z, np.zeros((1, counts["digest_dim"])))
+            self.value(z)
 
     def _probe_graph(self) -> CommGraph:
         """A zero graph of this policy's widths and agent counts, with one
@@ -315,25 +314,32 @@ class GEVDACPolicy:
             values.append(out.reshape(slots, self._count[t]))
         return ad.concat(values)
 
-    def global_value(self, digest, values) -> Tensor:
-        """V_tot of each slot from its (..., digest_dim) state digest and its
-        (..., M + J) local values; returns one value per leading index."""
+    def global_value(self, state, values) -> Tensor:
+        """V_tot of each slot from its (..., state width) global state and
+        its (..., M + J) local values; returns one value per leading index."""
         p = self.pcfg
-        d = self.counts["digest_dim"]
-        digest = np.asarray(digest, dtype=self.store.dtype)
+        state = np.asarray(state, dtype=self.store.dtype)
+        d = state.shape[-1]
         if p.critic_mode == "mix":
-            return nn.hyper_mixing(self.store, "mix", digest, values, d,
+            return nn.hyper_mixing(self.store, "mix", state, values, d,
                                    p.mix_hidden)
-        out = nn.mlp(self.store, "critic.central", digest,
+        out = nn.mlp(self.store, "critic.central", state,
                      [d, p.critic_hidden, p.critic_hidden, 1])
-        return out.reshape(digest.shape[:-1])
+        return out.reshape(state.shape[:-1])
 
-    def value(self, z_tilde: dict, digest) -> Tensor:
-        """V_tot (B,) of a batch of B slots from their embedded states and
-        (B, digest_dim) digests.  Only the mixer reads the local values, so
-        in central mode the local critics neither run nor exist."""
+    def value(self, z_tilde: dict) -> Tensor:
+        """V_tot (B,) of a batch of B slots from their embedded states.  The
+        global state of a slot is its agents' own node features, the
+        leading columns of their embedded rows: the AP rows, then the RIS
+        rows, flattened.  Only the mixer reads the local values, so in
+        central mode the local critics neither run nor exist."""
+        slots = z_tilde["ap"].shape[0] // self._count["ap"]
+        state = np.concatenate(
+            [ad.value_of(z_tilde[t])[:, :self._node_dim[t]].reshape(
+                slots, self._count[t] * self._node_dim[t]) for t in NODE_TYPES],
+            axis=1)
         mixes = self.pcfg.critic_mode == "mix"
-        return self.global_value(digest,
+        return self.global_value(state,
                                  self.local_value(z_tilde) if mixes else None)
 
     # -- env action assembly -----------------------------------------------------
@@ -385,8 +391,8 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def policy_for_env(env, pcfg: PolicyConfig, seed: int,
                    dtype=np.float32) -> GEVDACPolicy:
-    """The policy for ``env``'s agents, its feature widths and digest width
-    read off the shapes of the env's comm graph."""
+    """The policy for ``env``'s agents, its feature widths read off the
+    shapes of the env's comm graph."""
     cfg = env.config
     graph = env.comm_graph()
     dims = {f"{t}_node": graph.nodes[t].shape[1] for t in NODE_TYPES}
@@ -395,6 +401,5 @@ def policy_for_env(env, pcfg: PolicyConfig, seed: int,
                   users_per_ap=cfg.users_per_ap,
                   ris_elements=cfg.ris_elements,
                   n_phase=2 ** cfg.ris_phase_bits,
-                  max_power=cfg.max_tx_power,
-                  digest_dim=len(state_digest(graph)))
+                  max_power=cfg.max_tx_power)
     return GEVDACPolicy(dims, counts, pcfg, seed, dtype)

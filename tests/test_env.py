@@ -6,7 +6,7 @@ import pytest
 
 from risnoma.env import NetworkEnv, shaped_reward
 from risnoma.graphs import (EDGE_ENDS, build_comm_graph, graph_layout,
-                            stack_graphs, state_digest)
+                            stack_graphs)
 from risnoma.policy import PolicyConfig, policy_for_env
 from risnoma.presets import default_config, medium_config, tiny_config
 
@@ -311,12 +311,6 @@ class TestCommGraph:
                                               g.dst[kind] + b * n_r)
                 np.testing.assert_array_equal(stacked.edge_feat[kind][sl],
                                               g.edge_feat[kind])
-
-    def test_digest_is_node_concat(self):
-        graph = NetworkEnv(medium_config(), seed=0).comm_graph()
-        rows = np.concatenate([graph.nodes["ap"].ravel(),
-                               graph.nodes["ris"].ravel()])
-        assert np.array_equal(state_digest(graph), rows)
 
 
 class TestFeatureScale:

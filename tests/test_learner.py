@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import types
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,12 +14,12 @@ from risnoma import learner
 from risnoma import nn
 from risnoma.env import NetworkEnv, shaped_reward
 from risnoma.autodiff import ParamStore, Tensor
-from risnoma.graphs import EDGE_ENDS, NODE_TYPES, stack_graphs, state_digest
+from risnoma.graphs import EDGE_ENDS, NODE_TYPES, stack_graphs
 from risnoma.learner import (TrainConfig, advantage, evaluate, n_step_return,
                              rollout, train, update, _losses, _reached,
                              _replay_values)
 from risnoma.policy import GEVDACPolicy, PolicyConfig, policy_for_env
-from risnoma.presets import medium_config, tiny_config
+from risnoma.presets import default_config, medium_config, tiny_config
 
 
 def tiny_env(seed=0):
@@ -142,8 +144,8 @@ class TestRollout:
                       "outage"):
                 assert (getattr(sa.outcome, f).tobytes()
                         == getattr(sb.outcome, f).tobytes())
-            assert np.array_equal(state_digest(sa.graph),
-                                  state_digest(sb.graph))
+            for t in NODE_TYPES:
+                assert np.array_equal(sa.graph.nodes[t], sb.graph.nodes[t])
 
     def test_length_matches_horizon(self):
         env = tiny_env()
@@ -601,6 +603,31 @@ class TestBatchedReplay:
         # one dense head layer per agent type, sliced into its outputs
         assert counts[5, 1] == 111
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["mix", "central"])
+    @pytest.mark.parametrize("make", [
+        tiny_config, medium_config, default_config,
+        partial(medium_config, num_ris=0)],
+        ids=["tiny", "medium", "default", "no_ris"])
+    def test_value_mixes_each_graphs_node_rows(self, make, mode, dtype):
+        # the mixer's state is each graph's node rows, AP then RIS,
+        # flattened; without RISs the RIS block is empty
+        env = NetworkEnv(make(), seed=2)
+        policy = policy_for_env(env, PolicyConfig(critic_mode=mode), 0, dtype)
+        rng = np.random.default_rng(5)
+        batch = [rollout(env, policy, 2, rng) for _ in range(2)]
+        graphs = [tr.steps[t].graph if t < 2 else tr.final_graph
+                  for t in range(3) for tr in batch]
+        state = np.stack([np.concatenate([g.nodes[t].ravel()
+                                          for t in NODE_TYPES])
+                          for g in graphs])
+        z = policy.embed(graphs)
+        local = policy.local_value(z) if mode == "mix" else None
+        want = policy.global_value(state, local).value
+        got = policy.value(z).value
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == (6,) and got.tobytes() == want.tobytes()
+
     def test_unequal_lengths_rejected(self):
         env = tiny_env()
         policy = small_policy(env)
@@ -676,7 +703,9 @@ class TestFloat32Learner:
                                      np.random.default_rng(0))
             logp, _ = policy.log_prob(z, policy.gru_zero(), sample)
             local = policy.local_value(z)
-            total = policy.global_value(state_digest(graph)[None], local)
+            state = np.concatenate([graph.nodes[t].ravel()
+                                    for t in NODE_TYPES])
+            total = policy.global_value(state[None], local)
         free = [*z.values(), sample.gaussian, logp, *gru.values(), local,
                 total]
         assert [a.dtype for a in free] == [np.float32] * len(free)
@@ -742,6 +771,15 @@ class TestTrain:
                 assert key in row
             assert row["exchange_per_step"] == exchange
 
+    def test_policy_and_its_config_are_not_both_taken(self):
+        # a given policy brings its own PolicyConfig; a second one would be
+        # ignored, so the call is refused before any env is built
+        env = tiny_env()
+        policy = small_policy(env)
+        with pytest.raises(ValueError, match="pcfg"):
+            train(lambda s: pytest.fail("an env was built"), TrainConfig(),
+                  PolicyConfig(), policy=policy)
+
     def test_trains_without_ris(self):
         # an agent type with no agents: zero-row trunks, heads and critics
         env_factory = lambda s: NetworkEnv(medium_config(num_ris=0), seed=s)
@@ -770,3 +808,46 @@ class TestTrain:
         for row in curves:
             assert all(np.isfinite(v) for v in row.values())
             assert row["outage_iot"] == 0.0
+
+
+class TestPinnedLearnerTrace:
+    """The learner trace, pinned.  These digests may be changed only
+    together with a CHANGES.md entry that explains the change to the
+    learner; a refactor or a speedup must leave them as they are.  They
+    were taken with numpy 2.4.6 and its bundled OpenBLAS on one BLAS
+    thread, as tier-1 runs; another BLAS build may round the products
+    differently."""
+
+    PINNED = {
+        ("tiny", "mix"):
+            "cc62d29d26d5368d6503df69de729393dfeec3b081e61a179886ee13525b4941",
+        ("tiny", "central"):
+            "533053b77124c82094b3036307d40dc2af2475424f6608a075e26cc7be1d0c2a",
+        ("medium", "mix"):
+            "c945619b39eb4794896c17b48f7381dea3dab8c0126cd21b3e3b2161e01045c5",
+        ("medium", "central"):
+            "78a6c58bb82e667384a7d99178f244520703272a1d17b98569906c199bbef1e6",
+    }
+
+    @staticmethod
+    def trace_sha256(cfg, critic_mode) -> str:
+        """SHA-256 of the ``repr`` of every curve row and then the bytes of
+        every parameter, in name order, after a short float32 ``train``."""
+        policy, curves = train(
+            lambda s: NetworkEnv(cfg, seed=s),
+            TrainConfig(episodes=2, rollouts=2, horizon=8, seed=1),
+            PolicyConfig(critic_mode=critic_mode))
+        assert policy.store.dtype == np.float32
+        digest = hashlib.sha256()
+        for row in curves:
+            digest.update(repr(row).encode())
+        for name in policy.store.names():
+            digest.update(policy.store.get(name).value.tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("name, make_config", [
+        ("tiny", tiny_config), ("medium", medium_config)])
+    @pytest.mark.parametrize("critic_mode", ["mix", "central"])
+    def test_trace_digest_is_pinned(self, name, make_config, critic_mode):
+        assert (self.trace_sha256(make_config(), critic_mode)
+                == self.PINNED[name, critic_mode])

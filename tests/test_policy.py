@@ -3,7 +3,7 @@ import pytest
 
 from risnoma.autodiff import Tensor
 from risnoma.env import NetworkEnv
-from risnoma.graphs import CommGraph, state_digest
+from risnoma.graphs import NODE_TYPES, CommGraph
 from risnoma.policy import GEVDACPolicy, PolicyConfig, policy_for_env
 from risnoma.presets import default_config, medium_config, tiny_config
 
@@ -27,6 +27,12 @@ def synthetic_graph(rng, n_ap=2, n_ris=2, dims=None):
     return CommGraph(nodes, src, dst, feat), dims
 
 
+def graph_state(graph):
+    """The mixer's state of one graph: its node rows, AP then RIS,
+    flattened."""
+    return np.concatenate([graph.nodes[t].ravel() for t in NODE_TYPES])
+
+
 def node_rows(z):
     """Per-node vectors in node-id order (APs, then RISs)."""
     return [*z["ap"].value, *z["ris"].value]
@@ -34,8 +40,7 @@ def node_rows(z):
 
 def make_policy(dims, n_ap=2, n_ris=2, seed=0, dtype=np.float32, **pkw):
     counts = dict(num_aps=n_ap, num_ris=n_ris, users_per_ap=3,
-                  ris_elements=4, n_phase=2, max_power=1.0,
-                  digest_dim=n_ap * dims["ap_node"] + n_ris * dims["ris_node"])
+                  ris_elements=4, n_phase=2, max_power=1.0)
     return GEVDACPolicy(dims, counts, PolicyConfig(**pkw), seed, dtype)
 
 
@@ -351,34 +356,34 @@ class TestCritics:
         rng = np.random.default_rng(15)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims)
-        digest = state_digest(graph)
+        state = graph_state(graph)
         vals = rng.normal(size=4)
-        base = policy.global_value(digest, vals).item()
+        base = policy.global_value(state, vals).item()
         for i in range(4):
             up = vals.copy()
             up[i] += 1e-4
-            assert (policy.global_value(digest, up).item() - base) >= -1e-8
+            assert (policy.global_value(state, up).item() - base) >= -1e-8
 
     @pytest.mark.parametrize("mode", ["mix", "central"])
     def test_batched_global_value_is_slot_by_slot(self, mode):
         rng = np.random.default_rng(23)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims, critic_mode=mode, dtype=np.float64)
-        digests = rng.normal(size=(5, policy.counts["digest_dim"]))
+        states = rng.normal(size=(5, len(graph_state(graph))))
         vals = rng.normal(size=(5, 4))
-        batch = policy.global_value(digests, vals).value
+        batch = policy.global_value(states, vals).value
         assert batch.shape == (5,)
         for b in range(5):
             assert batch[b] == pytest.approx(
-                policy.global_value(digests[b], vals[b]).item(), rel=1e-13)
+                policy.global_value(states[b], vals[b]).item(), rel=1e-13)
 
     def test_central_mode_ignores_locals(self):
         rng = np.random.default_rng(16)
         graph, dims = synthetic_graph(rng)
         policy = make_policy(dims, critic_mode="central")
-        digest = state_digest(graph)
-        a = policy.global_value(digest, [1.0, 2.0, 3.0, 4.0]).item()
-        b = policy.global_value(digest, [0.0, 0.0, 0.0, 0.0]).item()
+        state = graph_state(graph)
+        a = policy.global_value(state, [1.0, 2.0, 3.0, 4.0]).item()
+        b = policy.global_value(state, [0.0, 0.0, 0.0, 0.0]).item()
         assert a == b
 
 
@@ -391,13 +396,13 @@ class TestComposedGradients:
         sample_rng = np.random.default_rng(18)
         z0 = policy.embed([graph])
         sample, _ = policy.act(z0, policy.gru_zero(), sample_rng)
-        digest = state_digest(graph)
+        state = graph_state(graph)
 
         def build():
             z = policy.embed([graph])
             lp, _ = policy.log_prob(z, policy.gru_zero(), sample)
             vals = policy.local_value(z)
-            return lp.sum() + policy.global_value(digest, vals[0])
+            return lp.sum() + policy.global_value(state, vals[0])
 
         fd_check(build, policy.store)
 
