@@ -38,8 +38,8 @@ Ops, all batched over leading axes where that makes sense:
   indexing     ``x[key]`` (basic or advanced; repeated indices accumulate)
   shape        ``reshape``, ``sum(axis)``, ``concat(parts, axis)``
   elementwise  ``tanh sigmoid relu elu exp absolute square softplus clip``
-  rows         ``log_softmax`` (last axis), ``segment_reduce`` (sum, mean or
-               max of the rows sent to each segment)
+  rows         ``log_softmax`` (last axis), ``segment_mean`` (the mean of
+               the rows sent to each segment)
   recurrent    ``gru_scan`` (a GRU over T steps of stacked rows, one node
                whose backward pass is backpropagation through time; one
                input and one state product per step)
@@ -362,68 +362,48 @@ def log_softmax(x):
     return _out(lse, (x,), push)
 
 
-def segment_reduce(kind: str, msgs, dst, n: int):
-    """Reduce the rows of ``msgs`` (E, d) into ``n`` segments, row e into
-    segment ``dst[e]``; returns (n, d) and an empty segment gives zeros.
+def segment_mean(msgs, dst, n: int):
+    """Mean of the rows of ``msgs`` (E, d) sent to each of ``n`` segments,
+    row e into segment ``dst[e]``; returns (n, d) and an empty segment gives
+    zeros.
 
-    Each segment folds its rows one at a time in lexicographic order of
+    Each segment sums its rows one at a time in lexicographic order of
     their values, so relabelling the rows (with their ``dst``) gives a
-    bitwise-identical result.  ``max`` ties route the gradient to the first
-    row in that order.
+    bitwise-identical result.
 
-    When no segment holds two rows there is nothing to fold: the rows are
+    When no segment holds two rows there is nothing to sum: the rows are
     scattered into place.  Otherwise the rows are ordered by segment and
     first column, and by all columns only when two rows of a segment tie
     in the first one (without such ties the two orders are the same).  The
     k-th row of every segment then goes into slab k of a (depth, n, d)
-    array padded with the fold's identity, -0.0 for a sum (``x + -0.0``
-    is ``x`` bit for bit) and -inf for ``max`` (which never wins), and the
-    slabs are folded in rank order, one whole-array step per rank.
+    array padded with -0.0 (``x + -0.0`` is ``x`` bit for bit), and the
+    slabs are summed in rank order, one whole-array step per rank.
     """
-    if kind not in ("sum", "mean", "max"):
-        raise ValueError(f"unknown aggregation kind: {kind}")
     vals = _val(msgs)
     dst = np.asarray(dst, dtype=np.intp)
     if vals.ndim != 2 or dst.shape != vals.shape[:1]:
-        raise ValueError("segment_reduce needs (E, d) rows and E segment ids")
+        raise ValueError("segment_mean needs (E, d) rows and E segment ids")
     counts = np.bincount(dst, minlength=n)
+    scale = None  # 1 / count of each segment; None on the scatter path
     if np.count_nonzero(counts) == dst.size or not vals.shape[1]:
-        # no segment holds two rows: nothing to fold
         out = np.zeros((n, vals.shape[1]), dtype=vals.dtype)
-        out[dst] = vals
-        if not isinstance(msgs, Tensor):
-            return out
-
-        def push(g):  # every row is its segment's mean, sum and max
-            msgs._accum(np.asarray(g)[dst])
-        return Tensor(out, parents=(msgs,), push=push)
-    depth = counts.max()
-    order = np.lexsort((vals[:, 0], dst))
-    seg, first = dst[order], vals[order, 0]
-    if not ((seg[1:] != seg[:-1]) | (first[1:] > first[:-1])).all():
-        order = np.lexsort((*vals.T[::-1], dst))  # a tie: sort on every column
-        seg = dst[order]
-    rank = np.arange(dst.size) - (np.cumsum(counts) - counts)[seg]
-    slab = np.full((depth, n, vals.shape[1]),
-                   -np.inf if kind == "max" else -0.0, dtype=vals.dtype)
-    slab[rank, seg] = vals[order]
-    out = slab[0]
-    winner = None
-    if kind == "max":
-        if _requires(msgs):
-            winner = np.zeros(out.shape, dtype=np.intp)  # rank of the max
-        for k in range(1, depth):
-            better = slab[k] > out
-            np.copyto(out, slab[k], where=better)
-            if winner is not None:
-                np.copyto(winner, k, where=better)
+        out[dst] = vals  # every row is its segment's mean
     else:
-        for k in range(1, depth):
+        order = np.lexsort((vals[:, 0], dst))
+        seg, first = dst[order], vals[order, 0]
+        if not ((seg[1:] != seg[:-1]) | (first[1:] > first[:-1])).all():
+            order = np.lexsort((*vals.T[::-1], dst))  # a tie: every column
+            seg = dst[order]
+        rank = np.arange(dst.size) - (np.cumsum(counts) - counts)[seg]
+        slab = np.full((counts.max(), n, vals.shape[1]), -0.0,
+                       dtype=vals.dtype)
+        slab[rank, seg] = vals[order]
+        out = slab[0]
+        for k in range(1, len(slab)):
             out += slab[k]
-    if not counts.all():
-        out[counts == 0] = 0.0
-    scale = None
-    if kind == "mean":  # an empty segment's scale meets only zeros
+        if not counts.all():
+            out[counts == 0] = 0.0
+        # an empty segment's scale meets only zeros
         scale = 1.0 / np.maximum(counts, 1).astype(vals.dtype)
         out *= scale[:, None]
     if not isinstance(msgs, Tensor):
@@ -431,18 +411,7 @@ def segment_reduce(kind: str, msgs, dst, n: int):
 
     def push(g):
         g = np.asarray(g)
-        if kind == "max":
-            full = np.zeros_like(vals)
-            held = np.nonzero(counts)[0]
-            at = np.empty((depth, n), dtype=np.intp)  # the row at each rank
-            at[rank, seg] = order
-            full[at[winner[held], held[:, None]],
-                 np.arange(vals.shape[1])] = g[held]
-        elif kind == "mean":
-            full = (g * scale[:, None])[dst]
-        else:
-            full = g[dst]
-        msgs._accum(full)
+        msgs._accum((g if scale is None else g * scale[:, None])[dst])
     return Tensor(out, parents=(msgs,), push=push)
 
 

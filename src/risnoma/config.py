@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 C_LIGHT = 299792458.0  # m/s
@@ -86,13 +87,10 @@ class NetworkConfig:
     max_cluster_size: int = 0
 
     def __post_init__(self):
-        for name, least in (("num_aps", 1), ("num_ris", 0), ("se_users_per_ap", 1),
-                            ("iot_users_per_ap", 0), ("antennas", 1),
-                            ("ris_elements", 1), ("num_nlos_paths", 0),
-                            ("ris_phase_bits", 1), ("analog_phase_bits", 1),
-                            ("episode_slots", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+        check_counts(self, dict(
+            num_aps=1, num_ris=0, se_users_per_ap=1, iot_users_per_ap=0,
+            antennas=1, ris_elements=1, num_nlos_paths=0, ris_phase_bits=1,
+            analog_phase_bits=1, episode_slots=1, max_cluster_size=0))
         if self.antennas % self.rf_chains != 0:
             raise ValueError("antennas must be a multiple of rf_chains")
         # every check below is written so that NaN fails it; a zero
@@ -121,8 +119,8 @@ class NetworkConfig:
             raise ValueError("detour_min and detour_max must satisfy "
                              "0 < detour_min <= detour_max < inf")
         cap = self.max_cluster_size
-        if cap < 0 or (cap > 0 and self.se_users_per_ap * (cap - 1)
-                       < self.iot_users_per_ap):
+        if cap > 0 and (self.se_users_per_ap * (cap - 1)
+                        < self.iot_users_per_ap):
             raise ValueError("max_cluster_size must be 0 or seat every IoT "
                              "user: se_users_per_ap * (max_cluster_size - 1)"
                              " >= iot_users_per_ap")
@@ -163,6 +161,17 @@ class NetworkConfig:
         return self.qmax_se_gbps * s, self.qmax_iot_gbps * s
 
 
+def check_counts(record, least: dict) -> None:
+    """Raise a ValueError naming the first field of ``record`` listed in
+    ``least`` ({field: bound}) that does not hold an integer of at least its
+    bound."""
+    for name, bound in least.items():
+        value = getattr(record, name)
+        if not isinstance(value, numbers.Integral) or value < bound:
+            raise ValueError(f"{name} must be an integer >= {bound}, got "
+                             f"{value!r}")
+
+
 _UNITS = {
     "carrier_freq": "Hz", "bandwidth": "Hz", "absorption_coeff": "1/m",
     "antenna_gain_dbi": "dBi", "noise_power": "W", "max_tx_power": "W",
@@ -200,6 +209,8 @@ def load_config(path) -> NetworkConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"unknown config key: {key}")
+            if key in defaults:
+                raise ValueError(f"repeated config key: {key}")
             defaults[key] = _parse(types[key], value)
     return NetworkConfig(**defaults)
 

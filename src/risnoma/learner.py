@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import squared_sums
+from .config import check_counts
 from .env import NetworkEnv, StepOutcome
 from .graphs import CommGraph
 from .policy import ActionSample, GEVDACPolicy, PolicyConfig, policy_for_env
@@ -88,11 +89,9 @@ class TrainConfig:
     grad_clip: float = 10.0        # per-block gradient norm ceiling; 0: none
 
     def __post_init__(self):
-        for name in ("rollouts", "nstep", "eval_rollouts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("episodes", "horizon", "lr_pi", "lr_v", "lr_mix",
-                     "reward_scale", "grad_clip"):
+        check_counts(self, dict(episodes=0, rollouts=1, horizon=0, nstep=1,
+                                eval_rollouts=1))
+        for name in ("lr_pi", "lr_v", "lr_mix", "reward_scale", "grad_clip"):
             if not getattr(self, name) >= 0:  # NaN is rejected too
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.gamma <= 1.0:

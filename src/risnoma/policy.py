@@ -11,8 +11,9 @@ every slot of a batch of episodes) and returns, per node type, the embedded
 states of all its agents as rows, graph-major: row ``b * n_t + i`` is agent i
 of that type in graph b.  Each message layer is one dense op per edge kind
 over all edges of the batch (a kind with no edges in the batch is skipped,
-and its parameters get no gradient), aggregation is one ``segment_reduce``
-per receiving type, and each combine layer is one dense op per node type.
+and its parameters get no gradient), each agent averages its inbound
+messages in one ``segment_mean`` per receiving type, and each combine layer
+is one dense op per node type.
 Message and combine layers read their input as parts, [sender state, edge
 features] and [own state, aggregate], so the backward pass never forms a
 gradient for the raw feature columns.
@@ -74,6 +75,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import ParamStore, Tensor
+from .config import check_counts
 from .graphs import EDGE_ENDS, NODE_TYPES, CommGraph, stack_graphs
 
 LOG2PI = float(np.log(2.0 * np.pi))
@@ -88,24 +90,19 @@ class PolicyConfig:
     gru_hidden: int = 32
     critic_hidden: int = 32
     mix_hidden: int = 32
-    n_layers: int = 2
-    aggregation: str = "mean"
+    n_layers: int = 2              # message-passing rounds, at least one
     embed_mode: str = "mpgnn"      # mpgnn | raw | none
     critic_mode: str = "mix"       # mix | central
 
     def __post_init__(self):
         for name, allowed in (("embed_mode", ("mpgnn", "raw", "none")),
-                              ("critic_mode", ("mix", "central")),
-                              ("aggregation", ("sum", "mean", "max"))):
+                              ("critic_mode", ("mix", "central"))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got "
                                  f"{getattr(self, name)!r}")
-        for name in ("msg_dim", "hidden", "gru_hidden", "critic_hidden",
-                     "mix_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.n_layers < 0:
-            raise ValueError("n_layers must be >= 0")
+        check_counts(self, dict.fromkeys(
+            ("msg_dim", "hidden", "gru_hidden", "critic_hidden", "mix_hidden",
+             "n_layers"), 1))
 
 
 @dataclass
@@ -179,10 +176,6 @@ class GEVDACPolicy:
         g = graphs[0] if len(graphs) == 1 else stack_graphs(graphs, dtype)
         x = {t: g.nodes[t].astype(dtype, copy=False) for t in NODE_TYPES}
         z = x
-        if p.n_layers == 0:
-            z = {t: nn.dense(self.store, f"emb.{t}.proj", x[t],
-                             self._node_dim[t], p.hidden, "tanh")
-                 for t in NODE_TYPES}
         sends = p.embed_mode in ("mpgnn", "raw")
         kinds = [k for k in EDGE_ENDS if sends and len(g.src[k])]
         feat = {k: g.edge_feat[k].astype(dtype, copy=False) for k in kinds}
@@ -211,8 +204,7 @@ class GEVDACPolicy:
                 parts = ([msgs[k] for k in inbound[t]]
                          or [np.zeros((0, p.msg_dim), dtype)])
                 rows = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-                agg = ad.segment_reduce(p.aggregation, rows, dst[t],
-                                        len(g.nodes[t]))
+                agg = ad.segment_mean(rows, dst[t], len(g.nodes[t]))
                 z_dim = self._node_dim[t] if layer == 1 else p.hidden
                 new_z[t] = nn.dense(
                     self.store, f"emb.{t}.comb.l{layer}", [z[t], agg],

@@ -1,5 +1,5 @@
 """The message kernel as it was before it folded ranks in slabs, kept as a
-reference for ``risnoma.autodiff.segment_reduce``.
+reference for ``risnoma.autodiff.segment_mean``.
 
 This ``segment_reduce`` sorts every segment's rows lexicographically on all
 their columns and folds one rank at a time through boolean masks.  The

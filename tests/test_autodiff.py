@@ -167,7 +167,7 @@ class TestInferenceOps:
                    lambda v: ad.clip(v, -0.5, 0.5),
                    lambda v: ad.concat([v, v], axis=0),
                    lambda v: ad.linear([v, a], np.ones((4, 3)), np.ones(3)),
-                   lambda v: ad.segment_reduce("max", v, [1, 1], 2)):
+                   lambda v: ad.segment_mean(v, [1, 1], 2)):
             free = op(a)
             assert isinstance(free, np.ndarray)
             taped = op(Tensor(a))
@@ -223,9 +223,8 @@ class TestInferenceOps:
             ("gru_scan float64 input", lambda T: ad.gru_scan(
                 T(a64), T(h0), [T(v) for v in gru])),
         ]
-        cases += [(f"segment_reduce {kind}",
-                   lambda T, kind=kind: ad.segment_reduce(kind, T(a), dst, 4))
-                  for kind in ("sum", "mean", "max")]
+        cases.append(("segment_mean",
+                      lambda T: ad.segment_mean(T(a), dst, 4)))
         return cases
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -567,29 +566,26 @@ class TestClipWithoutNpClip:
 class TestAggregate:
     def test_singleton_identity(self):
         v = Tensor(np.array([[1.0, -2.0]]))
-        for kind in ("sum", "mean", "max"):
-            out = ad.segment_reduce(kind, v, [0], 1)
-            assert np.array_equal(out.value, v.value)
+        out = ad.segment_mean(v, [0], 1)
+        assert np.array_equal(out.value, v.value)
 
     def test_empty_set_zeros(self):
-        out = ad.segment_reduce("mean", np.zeros((0, 3)), [], 2)
+        out = ad.segment_mean(np.zeros((0, 3)), [], 2)
         assert np.array_equal(out, np.zeros((2, 3)))  # arrays in, array out
         # a segment no row reaches is empty too
         rows = Tensor(np.ones((2, 3)))
-        for kind in ("sum", "mean", "max"):
-            out = ad.segment_reduce(kind, rows, [2, 2], 3)
-            assert np.array_equal(out.value[:2], np.zeros((2, 3)))
+        out = ad.segment_mean(rows, [2, 2], 3)
+        assert np.array_equal(out.value[:2], np.zeros((2, 3)))
 
     def test_bitwise_permutation_invariance(self):
         rng = np.random.default_rng(7)
         vecs = rng.normal(size=(9, 4))
         dst = np.array([0, 1, 0, 2, 0, 1, 0, 2, 0])
-        for kind in ("sum", "mean", "max"):
-            base = ad.segment_reduce(kind, vecs, dst, 4)
-            for _ in range(20):
-                perm = rng.permutation(9)
-                got = ad.segment_reduce(kind, vecs[perm], dst[perm], 4)
-                assert np.array_equal(got, base)
+        base = ad.segment_mean(vecs, dst, 4)
+        for _ in range(20):
+            perm = rng.permutation(9)
+            got = ad.segment_mean(vecs[perm], dst[perm], 4)
+            assert np.array_equal(got, base)
 
     def test_mean_gradients_over_seven_vectors(self):
         store = ParamStore(17)
@@ -599,32 +595,10 @@ class TestAggregate:
         weights = np.random.default_rng(1).normal(size=(3, 3))
 
         def build():
-            out = ad.segment_reduce("mean", store.get("v"), dst, 3)
+            out = ad.segment_mean(store.get("v"), dst, 3)
             return (out * weights).sum()
 
         fd_check(build, store)
-
-    def test_max_routes_gradient_to_argmax(self):
-        rows = Tensor(np.array([[1.0, 5.0], [2.0, 3.0]]), requires=True)
-        ad.segment_reduce("max", rows, [0, 0], 1).sum().backward()
-        assert np.allclose(rows.grad, [[0, 1], [1, 0]])
-
-    def test_max_tie_routes_to_first_row_in_value_order(self):
-        # rows 0 and 2 tie at 4 in column 1; row 2 sorts first (its column
-        # 0 is smaller), so it takes that column's gradient wherever it sits
-        vals = np.array([[3.0, 4.0], [1.0, 2.0], [0.0, 4.0]])
-        for perm in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
-            rows = Tensor(vals[perm], requires=True)
-            out = ad.segment_reduce("max", rows, [0, 0, 0], 1)
-            out.backward(np.array([[10.0, 20.0]]))
-            grad = np.empty_like(vals)
-            grad[perm] = rows.grad
-            assert np.array_equal(out.value, [[3.0, 4.0]])
-            assert np.array_equal(grad, [[10, 0], [0, 0], [0, 20]])
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ad.segment_reduce("median", np.ones((2, 2)), [0, 1], 2)
 
 
 class TestHyperMixing:
@@ -835,9 +809,13 @@ class TestDtype:
             ("linear", lambda x: ad.linear(  # the weight sets the dtype
                 [x, a64], np.vstack([w64, w64]).astype(ad.value_of(x).dtype),
                 np.zeros(3))),
-            ("mean", lambda x: ad.segment_reduce("mean", x, [0, 0, 1, 1], 2)),
-            ("max", lambda x: ad.segment_reduce("max", x, [0, 0, 0, 1], 3)),
-            ("sum", lambda x: ad.segment_reduce("sum", x, [1, 0, 1, 0], 2)),
+            ("mean", lambda x: ad.segment_mean(x, [0, 0, 1, 1], 2)),
+            ("mean, empty segment",
+             lambda x: ad.segment_mean(x, [0, 0, 0, 1], 3)),
+            ("mean, interleaved",
+             lambda x: ad.segment_mean(x, [1, 0, 1, 0], 2)),
+            ("mean, singletons",
+             lambda x: ad.segment_mean(x, [1, 0, 3, 2], 4)),
             ("getitem", lambda x: x[[0, 0, 2]]),
             ("reshape", lambda x: x.reshape(3, 4)),
         ]

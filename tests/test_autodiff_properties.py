@@ -1,6 +1,8 @@
-"""Property test: the slab ``segment_reduce`` equals the rank-by-rank
-reference bit for bit, sign of zero included, and routes ``max`` gradients
-to the same rows, over every depth, empty segments and forced ties."""
+"""Property test: the slab ``segment_mean`` equals the rank-by-rank
+reference bit for bit, sign of zero included, in value and gradient, over
+every depth, empty segments and forced ties."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -59,18 +61,17 @@ def segment_cases(draw):
 @given(segment_cases())
 def test_slab_kernel_equals_reference(case):
     vals, dst, n, seed = case
-    for kind in ("sum", "mean", "max"):
-        want = reference(kind, vals, dst, n)
-        got = ad.segment_reduce(kind, vals, dst, n)
-        assert got.shape == want.shape == (n, vals.shape[1])
-        assert _bits(got) == _bits(want), kind
-        grads = []
-        for fn in (ad.segment_reduce, reference):
-            rows = Tensor(vals, requires=True)
-            out = fn(kind, rows, dst, n)
-            assert _bits(out.value) == _bits(want), kind
-            if len(dst):
-                out.backward(seed)
-                grads.append(rows.grad)
-        if grads:
-            assert _bits(grads[0]) == _bits(grads[1]), kind
+    want = reference("mean", vals, dst, n)
+    got = ad.segment_mean(vals, dst, n)
+    assert got.shape == want.shape == (n, vals.shape[1])
+    assert _bits(got) == _bits(want)
+    grads = []
+    for fn in (ad.segment_mean, partial(reference, "mean")):
+        rows = Tensor(vals, requires=True)
+        out = fn(rows, dst, n)
+        assert _bits(out.value) == _bits(want)
+        if len(dst):
+            out.backward(seed)
+            grads.append(rows.grad)
+    if grads:
+        assert _bits(grads[0]) == _bits(grads[1])

@@ -22,7 +22,9 @@ class TestNetworkConfig:
         ("room_x", NAN), ("detour_min", 2.5), ("neighbor_radius", NAN),
         ("los_decay_distance", 0.0), ("max_tx_power", 0.0),
         ("carrier_freq", NAN), ("amp_gain", NAN), ("zf_cond_threshold", NAN),
-        ("antenna_gain_dbi", NAN), ("refractive_index", complex(NAN, 0.0))],
+        ("antenna_gain_dbi", NAN), ("refractive_index", complex(NAN, 0.0)),
+        ("num_aps", 2.5), ("num_aps", 1.5), ("ris_elements", 2.0),
+        ("episode_slots", 40.5), ("max_cluster_size", 2.0)],
         ids=lambda v: str(v))
     def test_bad_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -50,3 +52,12 @@ def test_save_load_round_trip(make, tmp_path):
     path = tmp_path / "net.cfg"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def test_load_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "net.cfg"
+    save_config(tiny_config(), path)
+    with open(path, "a") as fh:
+        fh.write("num_aps = 2\nnum_aps = 3\n")
+    with pytest.raises(ValueError, match="num_aps"):
+        load_config(path)

@@ -66,7 +66,7 @@ def embed_every_kind(self, graphs) -> dict:
             inbound = [k for k in msgs if EDGE_ENDS[k][1] == t]
             rows = ad.concat([msgs[k] for k in inbound], axis=0)
             dst = np.concatenate([g.dst[k] for k in inbound])
-            agg = ad.segment_reduce(p.aggregation, rows, dst, len(g.nodes[t]))
+            agg = ad.segment_mean(rows, dst, len(g.nodes[t]))
             z_dim = self._node_dim[t] if layer == 1 else p.hidden
             new_z[t] = nn.dense(
                 self.store, f"emb.{t}.comb.l{layer}", ad.concat([z[t], agg]),
@@ -206,19 +206,18 @@ class TestRollout:
             init(self, *args, **kwargs)
 
         for make in (tiny_config, medium_config):
-            for aggregation in ("mean", "max"):
-                env = NetworkEnv(make(), seed=1)
-                policy = small_policy(env, aggregation=aggregation)
-                rng = np.random.default_rng(4)
-                with monkeypatch.context() as patch:
-                    for owner, name in ((Tensor, "__init__"), (ad, "_out"),
-                                        (ad, "_unary")):
-                        patch.setattr(owner, name, refuse)
-                    traj = rollout(env, policy, 4, rng)
-                    evaluate(env, policy, 3, 1)
-                with monkeypatch.context() as patch:
-                    patch.setattr(Tensor, "__init__", counting)
-                    update(policy, [traj], TrainConfig(), reward_scale=0.02)
+            env = NetworkEnv(make(), seed=1)
+            policy = small_policy(env)
+            rng = np.random.default_rng(4)
+            with monkeypatch.context() as patch:
+                for owner, name in ((Tensor, "__init__"), (ad, "_out"),
+                                    (ad, "_unary")):
+                    patch.setattr(owner, name, refuse)
+                traj = rollout(env, policy, 4, rng)
+                evaluate(env, policy, 3, 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(Tensor, "__init__", counting)
+                update(policy, [traj], TrainConfig(), reward_scale=0.02)
         assert len(made) > 0
 
     def test_collection_scores_nothing(self, monkeypatch):
@@ -245,7 +244,9 @@ class TestTrainConfig:
         ("nstep", 0), ("gamma", 1.5), ("rollouts", 0), ("eval_rollouts", 0),
         ("episodes", -1), ("horizon", -1), ("gamma", -0.1),
         ("gamma", float("nan")), ("lr_pi", -1e-3), ("lr_v", -1e-3),
-        ("lr_mix", -1e-3), ("grad_clip", -1.0), ("reward_scale", -1.0)])
+        ("lr_mix", -1e-3), ("grad_clip", -1.0), ("reward_scale", -1.0),
+        ("rollouts", 1.5), ("episodes", 2.5), ("horizon", 3.5),
+        ("nstep", 8.0), ("eval_rollouts", 1.5)])
     def test_bad_values_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})

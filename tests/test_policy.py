@@ -54,18 +54,18 @@ def type_permutation(rng, n_ap, n_ris):
 class TestPolicyConfig:
     @pytest.mark.parametrize("field, value", [
         ("embed_mode", "mpgn"), ("critic_mode", "centrl"),
-        ("aggregation", "avg"), ("msg_dim", 0), ("hidden", 0),
-        ("gru_hidden", 0), ("critic_hidden", 0), ("mix_hidden", 0),
-        ("n_layers", -1)])
+        ("msg_dim", 0), ("hidden", 0), ("gru_hidden", 0), ("critic_hidden", 0),
+        ("mix_hidden", 0), ("n_layers", 0), ("n_layers", -1),
+        ("hidden", 16.5), ("n_layers", 1.5), ("msg_dim", 4.0)])
     def test_bad_values_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             PolicyConfig(**{field: value})
 
     def test_smallest_valid_values_accepted(self):
         cfg = PolicyConfig(msg_dim=1, hidden=1, gru_hidden=1, critic_hidden=1,
-                           mix_hidden=1, n_layers=0, aggregation="sum",
-                           embed_mode="none", critic_mode="central")
-        assert cfg.n_layers == 0
+                           mix_hidden=1, n_layers=1, embed_mode="none",
+                           critic_mode="central")
+        assert cfg.n_layers == 1
 
 
 class TestEmbedding:
@@ -82,16 +82,6 @@ class TestEmbedding:
         z2 = policy.embed([lonely])
         for a, b in zip(node_rows(z), node_rows(z2)):
             assert np.array_equal(a, b)
-
-    def test_zero_layers_is_projection_passthrough(self):
-        rng = np.random.default_rng(1)
-        graph, dims = synthetic_graph(rng)
-        policy = make_policy(dims, n_layers=0, dtype=np.float64)
-        z = policy.embed([graph])
-        for kind, feats in graph.nodes.items():
-            width = feats.shape[1]
-            assert np.array_equal(z[kind].value[:, :width], feats)
-            assert z[kind].shape[1] == width + policy.pcfg.hidden
 
     def test_embedded_dim(self):
         rng = np.random.default_rng(2)
@@ -113,8 +103,7 @@ class TestEmbedding:
             for i in range(4):
                 assert np.array_equal(zp[perm[i]], z[i])
 
-    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
-    def test_matches_per_node_reference(self, aggregation):
+    def test_matches_per_node_reference(self):
         # an independent node-by-node transcription of the message passing
         rng = np.random.default_rng(20)
         graph, dims = synthetic_graph(rng, n_ap=3, n_ris=2)
@@ -123,12 +112,10 @@ class TestEmbedding:
             graph.src[kind] = graph.src[kind][keep]
             graph.dst[kind] = graph.dst[kind][keep]
             graph.edge_feat[kind] = graph.edge_feat[kind][keep]
-        policy = make_policy(dims, n_ap=3, aggregation=aggregation,
-                             dtype=np.float64)
+        policy = make_policy(dims, n_ap=3, dtype=np.float64)
         prm = {n: policy.store.get(n).value for n in policy.store.names()}
         ends = {"ap_ap": ("ap", "ap"), "ap_ris": ("ap", "ris"),
                 "ris_ap": ("ris", "ap")}
-        reduce = {"mean": np.mean, "sum": np.sum, "max": np.max}[aggregation]
         z = {t: list(graph.nodes[t]) for t in graph.nodes}
         for layer in (1, 2):
             inbox = {t: [[] for _ in z[t]] for t in z}
@@ -142,7 +129,7 @@ class TestEmbedding:
             for t in z:
                 w, b = prm[f"emb.{t}.comb.l{layer}.w"], prm[f"emb.{t}.comb.l{layer}.b"]
                 new[t] = [np.tanh(np.concatenate([
-                    z[t][i], reduce(inbox[t][i], axis=0) if inbox[t][i]
+                    z[t][i], np.mean(inbox[t][i], axis=0) if inbox[t][i]
                     else np.zeros(policy.pcfg.msg_dim)]) @ w + b)
                     for i in range(len(z[t]))]
             z = new
@@ -407,16 +394,28 @@ class TestComposedGradients:
         fd_check(build, policy.store)
 
     def test_exchange_volume_ordering(self):
+        # the volume counts the messages the nets compute: it is nonzero
+        # exactly when message layers exist, one msg_dim row per edge and
+        # layer for mpgnn, and the raw edge features, sent once, for raw
         rng = np.random.default_rng(19)
         graph, dims = synthetic_graph(rng)
-        ge = make_policy(dims, embed_mode="mpgnn")
-        ie = make_policy(dims, embed_mode="raw")
-        none = make_policy(dims, embed_mode="none")
-        assert none.exchange_volume(graph) == 0
-        assert ge.exchange_volume(graph) == (ge.pcfg.n_layers
-                                             * graph.num_edges * ge.pcfg.msg_dim)
-        assert ie.exchange_volume(graph) == sum(
-            f.size for f in graph.edge_feat.values())
+        sent = tuple(f"emb.{kind}." for kind in graph.src)
+        for n_layers in (1, 3):
+            volume = {}
+            for mode in ("mpgnn", "raw", "none"):
+                policy = make_policy(dims, embed_mode=mode, n_layers=n_layers)
+                volume[mode] = policy.exchange_volume(graph)
+                layers = {name.rsplit(".", 1)[0]
+                          for name in policy.store.names()
+                          if name.startswith(sent)}
+                assert (volume[mode] > 0) == bool(layers), mode
+                if mode == "mpgnn":
+                    assert len(layers) == n_layers * len(graph.src)
+            assert volume["none"] == 0
+            assert volume["mpgnn"] == (n_layers * graph.num_edges
+                                       * policy.pcfg.msg_dim)
+            assert volume["raw"] == sum(f.size
+                                        for f in graph.edge_feat.values())
 
 
 def _bits(a):
@@ -429,27 +428,25 @@ class TestInference:
     log-prob and GRU state is bitwise equal to the taped one, in float32
     as in float64."""
 
-    CASES = [("mpgnn", "mean", "mix"), ("mpgnn", "sum", "central"),
-             ("mpgnn", "max", "mix"), ("raw", "sum", "central"),
-             ("none", "max", "mix")]
+    CASES = [(embed_mode, critic_mode)
+             for embed_mode in ("mpgnn", "raw", "none")
+             for critic_mode in ("mix", "central")]
     CONFIGS = pytest.mark.parametrize("make", [tiny_config, medium_config,
                                                default_config],
                                       ids=["tiny", "medium", "default"])
 
     @CONFIGS
-    @pytest.mark.parametrize("embed_mode, aggregation, critic_mode", CASES)
+    @pytest.mark.parametrize("embed_mode, critic_mode", CASES)
     def test_embed_and_act_bitwise_equal_to_taped(self, make, embed_mode,
-                                                  aggregation, critic_mode):
+                                                  critic_mode):
         self._check(make, PolicyConfig(embed_mode=embed_mode,
-                                       aggregation=aggregation,
                                        critic_mode=critic_mode), np.float32)
 
     @CONFIGS
-    @pytest.mark.parametrize("embed_mode, aggregation, critic_mode", CASES)
+    @pytest.mark.parametrize("embed_mode, critic_mode", CASES)
     def test_float64_embed_and_act_bitwise_equal_to_taped(
-            self, make, embed_mode, aggregation, critic_mode):
+            self, make, embed_mode, critic_mode):
         self._check(make, PolicyConfig(embed_mode=embed_mode,
-                                       aggregation=aggregation,
                                        critic_mode=critic_mode), np.float64)
 
     @staticmethod

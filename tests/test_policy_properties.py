@@ -20,8 +20,7 @@ def small_net(draw):
         msg_dim=draw(st.integers(1, 4)), hidden=draw(st.integers(1, 4)),
         gru_hidden=draw(st.integers(1, 4)),
         critic_hidden=draw(st.integers(1, 4)),
-        mix_hidden=draw(st.integers(1, 4)), n_layers=draw(st.integers(0, 3)),
-        aggregation=draw(st.sampled_from(["mean", "sum", "max"])),
+        mix_hidden=draw(st.integers(1, 4)), n_layers=draw(st.integers(1, 3)),
         embed_mode=draw(st.sampled_from(["mpgnn", "raw", "none"])),
         critic_mode=draw(st.sampled_from(["mix", "central"])))
 
