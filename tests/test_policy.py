@@ -103,7 +103,8 @@ class TestEmbedding:
             for i in range(4):
                 assert np.array_equal(zp[perm[i]], z[i])
 
-    def test_matches_per_node_reference(self):
+    @pytest.mark.parametrize("reduce", [np.mean], ids=["mean"])
+    def test_matches_per_node_reference(self, reduce):
         # an independent node-by-node transcription of the message passing
         rng = np.random.default_rng(20)
         graph, dims = synthetic_graph(rng, n_ap=3, n_ris=2)
@@ -129,7 +130,7 @@ class TestEmbedding:
             for t in z:
                 w, b = prm[f"emb.{t}.comb.l{layer}.w"], prm[f"emb.{t}.comb.l{layer}.b"]
                 new[t] = [np.tanh(np.concatenate([
-                    z[t][i], np.mean(inbox[t][i], axis=0) if inbox[t][i]
+                    z[t][i], reduce(inbox[t][i], axis=0) if inbox[t][i]
                     else np.zeros(policy.pcfg.msg_dim)]) @ w + b)
                     for i in range(len(z[t]))]
             z = new
@@ -428,7 +429,10 @@ class TestInference:
     log-prob and GRU state is bitwise equal to the taped one, in float32
     as in float64."""
 
-    CASES = [(embed_mode, critic_mode)
+    # an mpgnn id names the aggregator of its learned messages, mean
+    CASES = [pytest.param(embed_mode, critic_mode, id="-".join(
+                 (embed_mode, "mean", critic_mode) if embed_mode == "mpgnn"
+                 else (embed_mode, critic_mode)))
              for embed_mode in ("mpgnn", "raw", "none")
              for critic_mode in ("mix", "central")]
     CONFIGS = pytest.mark.parametrize("make", [tiny_config, medium_config,
