@@ -8,6 +8,14 @@ reuse, no in-place tricks.  Once ``backward()`` returns, only the leaves
 interior node's gradient is dropped as soon as it has been pushed to its
 parents, and nothing but the caller's own references keeps the tape alive.
 
+Memory.  A taped op keeps for its backward pass only what its push reads:
+its Tensor parents, which the tape holds anyway, and the arrays its
+derivative needs.  ``linear`` keeps the joined input, the weight and the
+column span of each part that takes a gradient, so an ndarray part (edge
+features, rows gathered from a constant) dies with the forward pass;
+``concat`` keeps its split points; an elementwise op keeps the value its
+derivative is built from.
+
 Dtype.  A Tensor keeps the dtype of the floating array it is given (other
 input becomes float64).  An op computes in the dtype of its Tensor operands,
 and ``linear`` and ``gru_scan`` in that of their (first) weight: the
@@ -51,6 +59,8 @@ import zlib
 from contextlib import contextmanager
 
 import numpy as np
+
+from .config import check_counts
 
 
 class Tensor:
@@ -300,12 +310,13 @@ def concat(parts, axis=-1):
     out = np.concatenate(values, axis=axis)
     if dtype is None:  # no Tensor among the parts
         return out
+    bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
+    takers = [(i, p) for i, p in enumerate(parts) if _requires(p)]
 
     def push(g):
-        bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
-        for p, piece in zip(parts, np.split(np.asarray(g), bounds, axis=axis)):
-            if _requires(p):
-                p._accum(piece)
+        pieces = np.split(np.asarray(g), bounds, axis=axis)
+        for i, p in takers:
+            p._accum(pieces[i])
     return _out(out, parts, push)
 
 
@@ -317,7 +328,8 @@ def linear(parts, w, b):
     is, with no concatenated copy.  The backward pass gives ``w`` and ``b``
     the gradients of the product and the sum, and a part that requires a
     gradient the product with its own rows of ``w``; ndarray parts, such as
-    constant feature columns, cost nothing.  Parts are 1-D or 2-D, all with
+    constant feature columns, get none and are not kept for the backward
+    pass, which reads the joined input only.  Parts are 1-D or 2-D, all with
     the same leading shape.  The layer computes in the dtype of ``w``, its
     parameter: parts and ``b`` are cast to it.
     """
@@ -332,6 +344,11 @@ def linear(parts, w, b):
             or Tensor in map(type, parts)):
         return y  # inference: no backward pass to prepare
     parents = tuple(x for x in (*parts, w, b) if isinstance(x, Tensor))
+    spans, lo = [], 0  # (part, its first and past-last rows of w)
+    for p, v in zip(parts, values):
+        if _requires(p):
+            spans.append((p, lo, lo + v.shape[-1]))
+        lo += v.shape[-1]
 
     def push(g):
         g = np.asarray(g)
@@ -339,12 +356,8 @@ def linear(parts, w, b):
             w._accum(a.T @ g if a.ndim == 2 else np.outer(a, g))
         if _requires(b):
             b._accum(_unbroadcast(g, b.shape))
-        lo = 0
-        for p, v in zip(parts, values):
-            hi = lo + v.shape[-1]
-            if _requires(p):
-                p._accum(g @ wv[lo:hi].T)
-            lo = hi
+        for p, lo, hi in spans:
+            p._accum(g @ wv[lo:hi].T)
     return Tensor(y, parents=parents, push=push)
 
 
@@ -522,7 +535,9 @@ class ParamStore:
     """
 
     def __init__(self, seed: int, dtype=np.float64):
-        self.seed = int(seed)
+        self.seed = seed
+        check_counts(self, {"seed": 0})
+        self.seed = int(seed)  # a NumPy integer too
         self.dtype = np.dtype(dtype)
         if self.dtype.kind != "f":
             raise ValueError(f"a parameter store needs a float dtype, got "

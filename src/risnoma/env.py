@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linklayer
 from .channel import EpisodeChannel, ris_phase_diag
-from .config import NetworkConfig, config_dict
+from .config import NetworkConfig, check_counts, config_dict
 from .graphs import CommGraph, build_comm_graph, graph_layout
 from .queueing import QueueState, rate_violation
 from .topology import SE, Topology, build_topology
@@ -56,7 +56,9 @@ class NetworkEnv:
 
     def __init__(self, config: NetworkConfig, seed: int):
         self.config = config
-        self.seed = int(seed)
+        self.seed = seed
+        check_counts(self, {"seed": 0})
+        self.seed = int(seed)  # a NumPy integer too
         self.topo: Topology = build_topology(
             config, np.random.default_rng([self.seed, 0]))
         self._channel = EpisodeChannel(config, self.topo)

@@ -53,6 +53,18 @@ class CommGraph:
     def num_edges(self) -> int:
         return sum(len(self.src[kind]) for kind in EDGE_ENDS)
 
+    def astype(self, dtype) -> "CommGraph":
+        """This graph with node and edge features in ``dtype``, sharing the
+        edge rows; the graph itself when its features already are."""
+        dtype = np.dtype(dtype)
+        arrays = [*self.nodes.values(), *self.edge_feat.values()]
+        if all(a.dtype == dtype for a in arrays):
+            return self
+        return CommGraph(
+            {t: a.astype(dtype, copy=False) for t, a in self.nodes.items()},
+            dict(self.src), dict(self.dst),
+            {k: f.astype(dtype, copy=False) for k, f in self.edge_feat.items()})
+
     def permuted(self, perm: np.ndarray) -> "CommGraph":
         """Relabel nodes by ``perm`` (node i becomes perm[i]), features
         carried.  Node ids fix the type, so ``perm`` must map APs to APs and

@@ -30,7 +30,11 @@ own bootstrap (as PPO holds returns across epochs).
 The tape, the gradients and the update run in the dtype of the policy's
 parameter store, float32 by default; rewards, returns and advantages are
 float64 and are cast to it where they enter the losses.  The env, its
-rewards and its queues stay float64.
+rewards and its queues stay float64.  A trajectory holds its graphs in the
+store's dtype, cast once as they are collected (a float64 store keeps the
+env's own graphs), so neither ``embed`` nor the replay's stack casts them
+again.  The replay's tape lives only until both backward passes are done:
+it is released before the norms, the deltas and the parameter step.
 """
 from __future__ import annotations
 
@@ -48,9 +52,9 @@ from .topology import SE
 
 @dataclass
 class StepRecord:
-    """One collected slot: the graph the agents observed, their draws and
-    what the env returned for them.  The draws are not scored here; the
-    replay in ``update`` scores them."""
+    """One collected slot: the graph the agents observed, in the store's
+    dtype, their draws and what the env returned for them.  The draws are
+    not scored here; the replay in ``update`` scores them."""
     graph: CommGraph
     sample: ActionSample           # every agent's draws, slot axis 1
     outcome: StepOutcome
@@ -90,7 +94,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_counts(self, dict(episodes=0, rollouts=1, horizon=0, nstep=1,
-                                eval_rollouts=1))
+                                seed=0, eval_rollouts=1))
         for name in ("lr_pi", "lr_v", "lr_mix", "reward_scale", "grad_clip"):
             if not getattr(self, name) >= 0:  # NaN is rejected too
                 raise ValueError(f"{name} must be non-negative")
@@ -102,20 +106,21 @@ def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
             rng: np.random.Generator | None,
             deterministic: bool = False) -> Trajectory:
     """One episode of length ``horizon`` under the current parameters: per
-    slot the observed graph, the agents' draws (not scored) and the env's
-    ``StepOutcome``.  ``rng`` draws the samples; a deterministic rollout
-    draws none and may take None."""
+    slot the observed graph, cast to the store's dtype, the agents' draws
+    (not scored) and the env's ``StepOutcome``.  ``rng`` draws the samples;
+    a deterministic rollout draws none and may take None."""
     env.reset()
     gru = policy.gru_zero()
     steps = []
+    dtype = policy.store.dtype
     for _ in range(horizon):
-        graph = env.comm_graph()
+        graph = env.comm_graph().astype(dtype)
         with policy.store.no_grad():
             sample, gru = policy.act(policy.embed([graph]), gru, rng,
                                      deterministic=deterministic)
         steps.append(StepRecord(graph, sample,
                                 env.step(*policy.env_action(sample))))
-    return Trajectory(steps, env.comm_graph())
+    return Trajectory(steps, env.comm_graph().astype(dtype))
 
 
 def n_step_return(rewards, values, t, gamma: float, n: int):
@@ -212,7 +217,8 @@ def _losses(policy: GEVDACPolicy, trajs: list, tcfg: TrainConfig,
 def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
            reward_scale: float = 1.0) -> dict:
     """One combined parameter update over a batch of equal-length
-    trajectories, all replayed in one tape pass."""
+    trajectories, all replayed in one tape pass; the tape is released
+    before the norms, the deltas and the step."""
     trajs = list(trajectories)
     if len({len(tr) for tr in trajs}) > 1:
         raise ValueError("a batch needs trajectories of equal length, got "
@@ -227,6 +233,8 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
     loss_v.backward()
     g_v = _reached(store, blocks["policy"] + blocks["critic"])
     g_mix = _reached(store, blocks["mix"])
+    loss_v = loss_v.item()
+    del loss_pi  # the tape's last references are gone: it is freed here
 
     sq_pi, sq_v, sq_mix = (squared_sums(g) for g in (g_pi, g_v, g_mix))
     grad_pi, pi_scale = _clip(_norm(sq_pi.values()), tcfg.grad_clip)
@@ -243,7 +251,7 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
     store.apply_update(deltas)
 
     return {
-        "loss_v": loss_v.item(),
+        "loss_v": loss_v,
         "grad_pi": grad_pi,
         "grad_v": grad_v,
         "grad_mix": grad_mix,

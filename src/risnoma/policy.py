@@ -11,9 +11,11 @@ every slot of a batch of episodes) and returns, per node type, the embedded
 states of all its agents as rows, graph-major: row ``b * n_t + i`` is agent i
 of that type in graph b.  Each message layer is one dense op per edge kind
 over all edges of the batch (a kind with no edges in the batch is skipped,
-and its parameters get no gradient), each agent averages its inbound
-messages in one ``segment_mean`` per receiving type, and each combine layer
-is one dense op per node type.
+and its parameters get no gradient) and one ``tanh`` over the messages of
+every kind, joined; every agent then averages its inbound messages in one
+``segment_mean`` per layer, whose segments are the AP rows and then the RIS
+rows, and each combine layer is one dense op per node type over its own
+slice of that mean.
 Message and combine layers read their input as parts, [sender state, edge
 features] and [own state, aggregate], so the backward pass never forms a
 gradient for the raw feature columns.
@@ -37,8 +39,9 @@ of type t (M APs, J RISs, K users per AP, L elements, P phase levels):
 
 Dtype.  The learner computes in the dtype of its ``ParamStore``, float32
 unless the policy is built with ``dtype=np.float64`` (kept for the
-finite-difference and exact-identity tests).  ``embed`` casts the graph
-features to it once per call, and ``act`` its float64 random draws before
+finite-difference and exact-identity tests).  ``embed`` casts graph
+features that are not yet in it once per call (``rollout`` already stores
+its graphs in it), and ``act`` its float64 random draws before
 it mixes them in, so every head, log-prob and stored Gaussian draw is in
 the store's dtype and a replay scores exactly what was drawn.  ``value``
 reads the mixer's state off the embedded rows, already in that dtype.
@@ -179,13 +182,15 @@ class GEVDACPolicy:
         sends = p.embed_mode in ("mpgnn", "raw")
         kinds = [k for k in EDGE_ENDS if sends and len(g.src[k])]
         feat = {k: g.edge_feat[k].astype(dtype, copy=False) for k in kinds}
-        inbound = {t: [k for k in kinds if EDGE_ENDS[k][1] == t]
-                   for t in NODE_TYPES}
-        dst = {t: g.dst[ks[0]] if len(ks) == 1 else np.concatenate(
-                   [g.dst[k] for k in ks] + [np.zeros(0, dtype=np.intp)])
-               for t, ks in inbound.items()}
-        msgs = {}
+        # one segment space: the AP rows, then the RIS rows
+        n = {t: len(g.nodes[t]) for t in NODE_TYPES}
+        span = {"ap": slice(0, n["ap"]), "ris": slice(n["ap"], None)}
+        inbound = [k for t in NODE_TYPES for k in kinds if EDGE_ENDS[k][1] == t]
+        dst = np.concatenate([g.dst[k] + span[EDGE_ENDS[k][1]].start
+                              for k in inbound] + [np.zeros(0, dtype=np.intp)])
+        rows = np.zeros((0, p.msg_dim), dtype)  # no messages, no inbound rows
         for layer in range(1, p.n_layers + 1):
+            msgs = {}
             if p.embed_mode == "mpgnn":
                 for kind in kinds:
                     sender = EDGE_ENDS[kind][0]
@@ -193,21 +198,22 @@ class GEVDACPolicy:
                     msgs[kind] = nn.dense(
                         self.store, f"emb.{kind}.l{layer}",
                         [z[sender][g.src[kind]], feat[kind]],
-                        z_dim + self.dims[kind], p.msg_dim, "tanh")
+                        z_dim + self.dims[kind], p.msg_dim)
             elif p.embed_mode == "raw" and layer == 1:  # the same every layer
                 for kind in kinds:
                     msgs[kind] = nn.dense(self.store, f"emb.{kind}.raw",
                                           feat[kind], self.dims[kind],
-                                          p.msg_dim, "tanh")
+                                          p.msg_dim)
+            if msgs:  # tanh once over every message of the layer
+                rows = ad.tanh(msgs[inbound[0]] if len(msgs) == 1
+                               else ad.concat([msgs[k] for k in inbound],
+                                              axis=0))
+            agg = ad.segment_mean(rows, dst, sum(n.values()))
             new_z = {}
             for t in NODE_TYPES:
-                parts = ([msgs[k] for k in inbound[t]]
-                         or [np.zeros((0, p.msg_dim), dtype)])
-                rows = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-                agg = ad.segment_mean(rows, dst[t], len(g.nodes[t]))
                 z_dim = self._node_dim[t] if layer == 1 else p.hidden
                 new_z[t] = nn.dense(
-                    self.store, f"emb.{t}.comb.l{layer}", [z[t], agg],
+                    self.store, f"emb.{t}.comb.l{layer}", [z[t], agg[span[t]]],
                     z_dim + p.msg_dim, p.hidden, "tanh")
             z = new_z
         return {t: ad.concat([x[t], z[t]]) for t in NODE_TYPES}

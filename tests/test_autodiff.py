@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -148,6 +149,28 @@ class TestTapeLifetime:
         (w * 5.0).sum().backward()
         assert np.array_equal(first, [3.0, 3.0])
         assert np.array_equal(store.gradients()["w"], [5.0, 5.0])
+
+    @pytest.mark.parametrize("op", ["linear", "concat"])
+    def test_taped_op_keeps_no_ndarray_part(self, op):
+        # the backward pass of linear reads the joined input, the weight and
+        # the column span of each part that takes a gradient, and that of
+        # concat its split points: a constant part, such as edge features,
+        # dies with the caller's last reference to it
+        rng = np.random.default_rng(7)
+        state = Tensor(rng.normal(size=(4, 2)), requires=True)
+        feat = rng.normal(size=(4, 3))
+        probe = weakref.ref(feat)
+        w = Tensor(rng.normal(size=(5, 3)), requires=True)
+        if op == "linear":
+            out = ad.linear([feat, state], w, np.zeros(3))
+            want = np.ones((4, 3)) @ w.value[3:].T
+        else:
+            out = ad.concat([feat, state])
+            want = np.ones((4, 2))
+        del feat
+        assert probe() is None
+        out.sum().backward()
+        assert np.array_equal(state.grad, want)
 
     def test_deep_chain_needs_no_recursion(self):
         x = Tensor(np.ones(2), requires=True)

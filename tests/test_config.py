@@ -1,10 +1,15 @@
 """NetworkConfig: values rejected at construction, and the flat-file round
-trip of ``save_config`` / ``load_config``."""
+trip of ``save_config`` / ``load_config``; seeds rejected by every
+constructor that takes one."""
 import math
 
+import numpy as np
 import pytest
 
+from risnoma.autodiff import ParamStore
 from risnoma.config import NetworkConfig, load_config, save_config
+from risnoma.env import NetworkEnv
+from risnoma.learner import TrainConfig
 from risnoma.presets import default_config, medium_config, tiny_config
 
 NAN, INF = float("nan"), float("inf")
@@ -61,3 +66,24 @@ def test_load_rejects_a_repeated_key(tmp_path):
         fh.write("num_aps = 2\nnum_aps = 3\n")
     with pytest.raises(ValueError, match="num_aps"):
         load_config(path)
+
+
+SEEDED = {"env": lambda seed: NetworkEnv(tiny_config(), seed),
+          "store": ParamStore,
+          "train": lambda seed: TrainConfig(seed=seed)}
+
+
+class TestSeeds:
+    # a fractional seed used to run the streams of its integer part, and a
+    # negative one failed later, inside np.random.default_rng
+    @pytest.mark.parametrize("seed", [1.5, -1, 2.0, None],
+                             ids=["fraction", "negative", "float", "none"])
+    @pytest.mark.parametrize("owner", sorted(SEEDED))
+    def test_bad_seed_names_its_field(self, owner, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SEEDED[owner](seed)
+
+    @pytest.mark.parametrize("owner", sorted(SEEDED))
+    def test_numpy_integer_seed_stays_valid(self, owner):
+        # train() seeds its eval env with tcfg.seed + 9999
+        assert SEEDED[owner](np.int64(1) + 9999).seed == 10000
