@@ -29,25 +29,33 @@ It returns a Tensor when at least one input is a Tensor and a plain ndarray
 otherwise, computed by the same expression, so both give bitwise-equal
 values.  An op computes its value once and, when no input is a Tensor,
 returns it before any tape bookkeeping: it builds no backward closure, no
-derivative, no parent list and no Tensor, so on plain arrays it costs what
-its numpy expression costs.  Inside ``with store.no_grad():`` that
-``ParamStore``'s ``param`` and ``layer`` hand out the raw parameter arrays,
-so a forward pass built from its parameters and ndarrays runs on plain
-numpy and records no tape.  A Tensor never hides inside a numpy
-expression: ``__array_ufunc__ = None`` makes ``ndarray (op) Tensor`` defer
-to the Tensor's reflected operator, which tapes it (an operator the tape
-lacks, such as ``@``, raises TypeError).
+derivative, no parent list and no Tensor.  On that plain path an input
+already in the dtype the op computes in (a floating ndarray for an
+elementwise op, the weight's dtype for ``linear`` and ``gru_scan``) is
+used as it is: ``_val`` hands it back at its first test, and ``linear``
+joins its parts in one ``np.concatenate`` that casts only what differs.
+So on plain arrays an op costs what its numpy expression costs and a few
+type tests; other inputs are cast as on the tape, so a float64 part that
+meets a float32 weight is cast, not promoted.  Inside ``with store.no_grad():`` that ``ParamStore``'s
+``param`` and ``layer`` hand out the raw parameter arrays, so a forward
+pass built from its parameters and ndarrays runs on plain numpy and
+records no tape.  A Tensor never hides inside a numpy expression:
+``__array_ufunc__ = None`` makes ``ndarray (op) Tensor`` defer to the
+Tensor's reflected operator, which tapes it (an operator the tape lacks,
+such as ``@``, raises TypeError).
 
 Ops, all batched over leading axes where that makes sense:
   arithmetic   ``+ - *`` (numpy broadcasting)
   layers       ``linear(parts, w, b)`` (a dense layer over one input or over
                input parts laid side by side, one node; only the parts that
                need it get a gradient)
-  indexing     ``x[key]`` (basic or advanced; repeated indices accumulate)
+  indexing     ``x[key]`` (basic or advanced; repeated indices accumulate,
+               a basic key's gradient is scattered by assignment)
   shape        ``reshape``, ``sum(axis)``, ``concat(parts, axis)``
   elementwise  ``tanh sigmoid relu elu exp absolute square softplus clip``
   rows         ``log_softmax`` (last axis), ``segment_mean`` (the mean of
-               the rows sent to each segment)
+               the rows sent to each segment; what the segment ids alone
+               fix is built once, as ``Segments``)
   recurrent    ``gru_scan`` (a GRU over T steps of stacked rows, one node
                whose backward pass is backpropagation through time; one
                input and one state product per step)
@@ -57,6 +65,7 @@ from __future__ import annotations
 import json
 import zlib
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,9 +146,14 @@ class Tensor:
         return (-self) + other
 
     def __getitem__(self, key):
+        basic = _is_basic(key)
+
         def push(g):
             full = np.zeros_like(self.value)
-            np.add.at(full, key, g)  # a repeated index collects every copy
+            if basic:  # no element is read twice; see _is_basic for -0.0
+                full[key] = g
+            else:
+                np.add.at(full, key, g)  # a repeated index collects every copy
             self._accum(full)
         return Tensor(self.value[key], parents=(self,), push=push)
 
@@ -179,6 +193,22 @@ def _post_order(root: Tensor) -> list:
             stack.pop()
             order.append(node)
     return order
+
+
+def _is_basic(key) -> bool:
+    """Whether numpy reads ``key`` as a basic index: a slice, an integer,
+    ``Ellipsis``, ``None`` or a tuple of those, which selects no element
+    twice.  Scattering a gradient by assignment then differs from
+    ``np.add.at`` into zeros only where the gradient holds -0.0, and that
+    cannot reach a leaf: ``_accum`` turns -0.0 into +0.0 on the first
+    arrival, so a gradient never holds -0.0 and adding either zero to it
+    leaves its bits."""
+    for k in key if type(key) is tuple else (key,):
+        if not (k is None or k is Ellipsis or type(k) is slice
+                or isinstance(k, (int, np.integer))
+                and not isinstance(k, (bool, np.bool_))):
+            return False
+    return True
 
 
 def value_of(x) -> np.ndarray:
@@ -244,8 +274,27 @@ def tanh(x):
     return _unary(x, y, lambda: 1.0 - y * y) if isinstance(x, Tensor) else y
 
 
+@lru_cache(maxsize=None)
+def _sigmoid_constants(dtype) -> tuple:
+    """(-bound, bound, 1) as read-only 0-d arrays of ``dtype``.  The bound
+    is the sigmoid's clamp: 500, or less where ``exp`` of 500 is not finite
+    in ``dtype`` (about 88.72 for float32), the largest value whose ``exp``
+    is; inputs inside it keep their bits.  Arrays of the input's dtype give
+    the bits Python floats give, and numpy takes them at a lower call
+    cost."""
+    bound = np.asarray(min(500.0, float(np.log(np.finfo(dtype).max))), dtype)
+    with np.errstate(over="ignore"):  # a step or two below log(max)
+        while not np.isfinite(np.exp(bound)):
+            bound = np.nextafter(bound, bound.dtype.type(0))
+    out = (np.asarray(-bound), np.asarray(bound), np.asarray(1.0, dtype))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(v, -500), 500)))
+    lo, hi, one = _sigmoid_constants(v.dtype)
+    return one / (one + np.exp(-np.minimum(np.maximum(v, lo), hi)))
 
 
 def sigmoid(x):
@@ -304,12 +353,11 @@ def clip(x, lo, hi):
 
 def concat(parts, axis=-1):
     """Join arrays or tensors along an existing axis."""
-    parts = list(parts)
+    if Tensor not in map(type, parts):
+        return np.concatenate([_val(p) for p in parts], axis=axis)
     dtype = _tensor_dtype(parts)
     values = [_val(p, dtype) for p in parts]
     out = np.concatenate(values, axis=axis)
-    if dtype is None:  # no Tensor among the parts
-        return out
     bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
     takers = [(i, p) for i, p in enumerate(parts) if _requires(p)]
 
@@ -333,15 +381,21 @@ def linear(parts, w, b):
     the same leading shape.  The layer computes in the dtype of ``w``, its
     parameter: parts and ``b`` are cast to it.
     """
-    parts = list(parts)
+    taped = type(w) is Tensor or type(b) is Tensor or Tensor in map(type, parts)
     wv = _val(w)
-    values = [_val(p, wv.dtype) for p in parts]
-    a = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
+    dtype = wv.dtype
+    values = [_val(p, dtype) for p in parts] if taped else parts
+    if len(values) == 1:
+        a = values[0]
+        if type(a) is not np.ndarray or a.dtype is not dtype:
+            a = _val(a, dtype)
+    else:
+        a = np.concatenate(values, axis=-1, dtype=dtype)
     if a.ndim > 2 or wv.ndim != 2:
         raise ValueError("linear takes 1-D or 2-D parts and a 2-D weight")
-    y = a @ wv + _val(b, wv.dtype)
-    if not (isinstance(w, Tensor) or isinstance(b, Tensor)
-            or Tensor in map(type, parts)):
+    bv = b if type(b) is np.ndarray and b.dtype is dtype else _val(b, dtype)
+    y = a @ wv + bv
+    if not taped:
         return y  # inference: no backward pass to prepare
     parents = tuple(x for x in (*parts, w, b) if isinstance(x, Tensor))
     spans, lo = [], 0  # (part, its first and past-last rows of w)
@@ -375,13 +429,54 @@ def log_softmax(x):
     return _out(lse, (x,), push)
 
 
-def segment_mean(msgs, dst, n: int):
-    """Mean of the rows of ``msgs`` (E, d) sent to each of ``n`` segments,
-    row e into segment ``dst[e]``; returns (n, d) and an empty segment gives
-    zeros.
+class Segments:
+    """The segment ids ``dst`` of E rows over ``n`` segments, with what
+    ``segment_mean`` derives from the ids alone: the number of rows in each
+    segment, whether any segment holds two (if none does, the rows are
+    scattered into place), the ids in sorted order, the rank of each row
+    within its segment in that order, the depth of the deepest segment, the
+    empty segments and each segment's 1 / count.  Built once for ids that
+    many calls share; every array is read-only."""
+
+    __slots__ = ("dst", "n", "scatter", "seg", "split", "rank", "depth",
+                 "empty", "_count", "_scales")
+
+    def __init__(self, dst, n: int):
+        dst = np.asarray(dst, dtype=np.intp)
+        if dst.ndim != 1:
+            raise ValueError("segment ids must be a 1-D array")
+        counts = np.bincount(dst, minlength=n)
+        self.dst, self.n = dst, n
+        self.scatter = np.count_nonzero(counts) == dst.size
+        self.seg = np.sort(dst, kind="stable")
+        self.split = self.seg[1:] != self.seg[:-1]  # a new segment starts
+        self.rank = np.arange(dst.size) - (np.cumsum(counts) - counts)[self.seg]
+        self.depth = int(counts.max(initial=0))
+        self.empty = None if counts.all() else counts == 0
+        self._count = np.maximum(counts, 1)  # an empty segment's scale meets
+        self._scales = {}                    # only zeros
+        for arr in (dst, self.seg, self.split, self.rank, self.empty,
+                    self._count):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    def scale(self, dtype) -> np.ndarray:
+        """(n, 1) column of 1 / count in ``dtype``, made once per dtype."""
+        col = self._scales.get(dtype)
+        if col is None:
+            col = (1.0 / self._count.astype(dtype))[:, None]
+            col.flags.writeable = False
+            self._scales[dtype] = col
+        return col
+
+
+def segment_mean(msgs, segments: Segments):
+    """Mean of the rows of ``msgs`` (E, d) sent to each segment of
+    ``segments``, row e into segment ``segments.dst[e]``; returns
+    (segments.n, d) and an empty segment gives zeros.
 
     Each segment sums its rows one at a time in lexicographic order of
-    their values, so relabelling the rows (with their ``dst``) gives a
+    their values, so relabelling the rows (with their ids) gives a
     bitwise-identical result.
 
     When no segment holds two rows there is nothing to sum: the rows are
@@ -390,41 +485,39 @@ def segment_mean(msgs, dst, n: int):
     in the first one (without such ties the two orders are the same).  The
     k-th row of every segment then goes into slab k of a (depth, n, d)
     array padded with -0.0 (``x + -0.0`` is ``x`` bit for bit), and the
-    slabs are summed in rank order, one whole-array step per rank.
+    slabs are summed in rank order, one whole-array step per rank.  All
+    that depends on the ids alone comes from ``segments``, so a call only
+    orders and sums values.
     """
     vals = _val(msgs)
-    dst = np.asarray(dst, dtype=np.intp)
+    dst, n = segments.dst, segments.n
     if vals.ndim != 2 or dst.shape != vals.shape[:1]:
         raise ValueError("segment_mean needs (E, d) rows and E segment ids")
-    counts = np.bincount(dst, minlength=n)
-    scale = None  # 1 / count of each segment; None on the scatter path
-    if np.count_nonzero(counts) == dst.size or not vals.shape[1]:
+    scale = None  # (n, 1) of 1 / count; None on the scatter path
+    if segments.scatter or not vals.shape[1]:
         out = np.zeros((n, vals.shape[1]), dtype=vals.dtype)
         out[dst] = vals  # every row is its segment's mean
     else:
         order = np.lexsort((vals[:, 0], dst))
-        seg, first = dst[order], vals[order, 0]
-        if not ((seg[1:] != seg[:-1]) | (first[1:] > first[:-1])).all():
+        first = vals[order, 0]
+        if not (segments.split | (first[1:] > first[:-1])).all():
             order = np.lexsort((*vals.T[::-1], dst))  # a tie: every column
-            seg = dst[order]
-        rank = np.arange(dst.size) - (np.cumsum(counts) - counts)[seg]
-        slab = np.full((counts.max(), n, vals.shape[1]), -0.0,
+        slab = np.full((segments.depth, n, vals.shape[1]), -0.0,
                        dtype=vals.dtype)
-        slab[rank, seg] = vals[order]
+        slab[segments.rank, segments.seg] = vals[order]
         out = slab[0]
         for k in range(1, len(slab)):
             out += slab[k]
-        if not counts.all():
-            out[counts == 0] = 0.0
-        # an empty segment's scale meets only zeros
-        scale = 1.0 / np.maximum(counts, 1).astype(vals.dtype)
-        out *= scale[:, None]
-    if not isinstance(msgs, Tensor):
+        if segments.empty is not None:
+            out[segments.empty] = 0.0
+        scale = segments.scale(vals.dtype)
+        out *= scale
+    if type(msgs) is not Tensor:
         return out
 
     def push(g):
         g = np.asarray(g)
-        msgs._accum((g if scale is None else g * scale[:, None])[dst])
+        msgs._accum((g if scale is None else g * scale)[dst])
     return Tensor(out, parents=(msgs,), push=push)
 
 
@@ -457,14 +550,16 @@ def gru_scan(x, h0, weights):
     the dtype of ``w_x``: the inputs, the state and the other weights are
     cast to it.
     """
+    inputs = (x, h0, *weights)
+    taped = Tensor in map(type, inputs)
     dtype = _val(weights[0]).dtype
-    xv, hv = _val(x, dtype), _val(h0, dtype)
-    w_x, b_x, w_h, b_h = (_val(w, dtype) for w in weights)
+    xv, hv, w_x, b_x, w_h, b_h = [
+        v if type(v) is np.ndarray and v.dtype is dtype else _val(v, dtype)
+        for v in inputs]
     hidden = hv.shape[-1]
     rows = hv.size // hidden
     xs = xv.reshape(-1 if rows else 0, rows, xv.shape[-1])
     steps = len(xs)
-    taped = Tensor in map(type, (x, h0, *weights))
     hs = np.empty((steps + 1, rows, hidden), dtype)  # the state into step t
     hs[0] = hv.reshape(rows, hidden)
     if taped:  # gate activations z | r, c and e_c of every step
@@ -520,7 +615,7 @@ def gru_scan(x, h0, weights):
             x._accum((da_x @ w_x.T).reshape(xv.shape))
         if _requires(h0):
             h0._accum(dh.reshape(hv.shape))
-    return _out(out, (x, h0, *weights), push)
+    return _out(out, inputs, push)
 
 
 class ParamStore:

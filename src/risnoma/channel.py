@@ -101,14 +101,16 @@ def ris_phase_diag(on_off: np.ndarray, phase_idx: np.ndarray, bits: int) -> np.n
     phase_idx = np.asarray(phase_idx)
     if on_off.shape != phase_idx.shape:
         raise ValueError("on/off and phase index vectors must share a shape")
-    if ((on_off != 0) & (on_off != 1)).any():         # NaN is neither
+    # every slot checks its action: ufunc reductions, not array methods
+    if np.count_nonzero((on_off != 0) & (on_off != 1)):  # NaN is neither
         raise ValueError("on/off entries must be binary")
     table = _phase_table(bits)
-    if phase_idx.size and not (0 <= phase_idx.min()
-                               and phase_idx.max() < len(table)):  # NaN fails
+    if phase_idx.size and not (
+            0 <= np.minimum.reduce(phase_idx, axis=None)
+            and np.maximum.reduce(phase_idx, axis=None) < len(table)):  # NaN fails
         raise ValueError(f"phase index out of range for {bits}-bit control")
     idx = phase_idx.astype(np.intp, copy=False)      # in range: finite
-    if phase_idx.dtype.kind not in "biu" and (idx != phase_idx).any():
+    if phase_idx.dtype.kind not in "biu" and np.count_nonzero(idx != phase_idx):
         raise ValueError("phase indices must be whole numbers")
     return on_off * table[idx]
 

@@ -173,12 +173,12 @@ class NetworkEnv:
         self.t += 1
         self._parts = self._channel.slot_parts(self._rng)
 
+        fail = ev["fail"].tolist()
         return StepOutcome(
             reward=ev["reward"], eta=ev["eta"], delta=ev["delta"],
             rates=ev["rates"], sinr=ev["gamma"], power=ev["power"],
             weights=ev["weights"], arrivals=arrivals, q=q, y=y,
-            outage=outage,
-            sic_fail=dict(zip(self._iot_ids, ev["fail"][self._iot_ids].tolist())),
+            outage=outage, sic_fail={u: fail[u] for u in self._iot_ids},
             zf_loaded=bool(np.count_nonzero(ev["links"].zf_loaded)),
         )
 

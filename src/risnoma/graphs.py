@@ -16,14 +16,28 @@ A ``CommGraph`` is stored batched, as the nets consume it: one feature
 matrix per node type, and per edge kind the sender and receiver rows plus
 one feature matrix.  ``stack_graphs`` lays several graphs side by side in
 the same form, so one pass of the nets covers a whole trajectory.
+
+Every graph also carries its ``SegmentLayout``: where the embedding's
+messages go, which its edges alone fix.  The nets average each node's
+inbound messages over one segment space, the AP rows and then the RIS
+rows; the layout holds the edge kinds that have edges, in receiver order,
+each type's span of that space and the ``autodiff.Segments`` of the
+message rows (the receivers of each kind in that order, RIS receivers
+offset by the AP count).  An env decides it once, in its ``GraphLayout``,
+and every graph it builds, and every ``astype`` copy, shares that one.
+``stack_graphs`` offsets each graph's receivers by the rows of the graphs
+before it and builds the batch's layout once from those, so a replay of
+a trajectory decides it once per batch; a graph built by hand, or
+relabelled, gets its own at construction.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import Segments
 from .channel import _amp
 from .config import NetworkConfig
 from .topology import SE, Topology
@@ -34,6 +48,26 @@ EDGE_ENDS = {"ap_ap": ("ap", "ap"), "ap_ris": ("ap", "ris"),
              "ris_ap": ("ris", "ap")}         # kind -> (sender, receiver)
 
 
+@dataclass(frozen=True)
+class SegmentLayout:
+    """Where the messages of a graph's edges go (see the module
+    docstring)."""
+    kinds: tuple                   # edge kinds with edges, by receiver type
+    spans: dict                    # node type -> its rows of the segments
+    segments: Segments             # message rows, kinds in ``kinds`` order
+
+
+def segment_layout(dst: dict, n_ap: int, n_ris: int) -> SegmentLayout:
+    """The layout of edges with receiver rows ``dst`` (edge kind -> (E,))
+    among ``n_ap`` AP and ``n_ris`` RIS nodes."""
+    spans = {"ap": slice(0, n_ap), "ris": slice(n_ap, n_ap + n_ris)}
+    kinds = tuple(k for t in NODE_TYPES for k, (_, r) in EDGE_ENDS.items()
+                  if r == t and len(dst[k]))
+    ids = np.concatenate([dst[k] + spans[EDGE_ENDS[k][1]].start
+                          for k in kinds] + [np.zeros(0, dtype=np.intp)])
+    return SegmentLayout(kinds, spans, Segments(ids, n_ap + n_ris))
+
+
 @dataclass
 class CommGraph:
     """Typed communication graph in batched form.
@@ -42,12 +76,20 @@ class CommGraph:
     ``nodes["ap"]`` is node i and row r of ``nodes["ris"]`` is node M + r.
     For an edge kind, ``src[kind]`` and ``dst[kind]`` are (E,) row indices
     into the sender's and the receiver's type, and ``edge_feat[kind]`` is
-    the (E, d_kind) feature matrix, one row per edge.
+    the (E, d_kind) feature matrix, one row per edge.  ``layout`` is the
+    graph's ``SegmentLayout``, made from ``dst`` at construction unless
+    given, so the edges are fixed once the graph is built.
     """
     nodes: dict
     src: dict
     dst: dict
     edge_feat: dict
+    layout: SegmentLayout = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.layout is None:
+            self.layout = segment_layout(self.dst, len(self.nodes["ap"]),
+                                         len(self.nodes["ris"]))
 
     @property
     def num_edges(self) -> int:
@@ -63,7 +105,8 @@ class CommGraph:
         return CommGraph(
             {t: a.astype(dtype, copy=False) for t, a in self.nodes.items()},
             dict(self.src), dict(self.dst),
-            {k: f.astype(dtype, copy=False) for k, f in self.edge_feat.items()})
+            {k: f.astype(dtype, copy=False) for k, f in self.edge_feat.items()},
+            self.layout)
 
     def permuted(self, perm: np.ndarray) -> "CommGraph":
         """Relabel nodes by ``perm`` (node i becomes perm[i]), features
@@ -89,8 +132,9 @@ class CommGraph:
 def stack_graphs(graphs, dtype=None) -> CommGraph:
     """One graph holding ``graphs`` side by side: for every node type the
     rows of graph b follow those of graph b - 1, and edges follow their
-    nodes.  With a ``dtype``, node and edge features are cast to it as they
-    are stacked."""
+    nodes, receivers offset by the rows before them; its segment layout is
+    built once from those offset rows.  With a ``dtype``, node and edge
+    features are cast to it as they are stacked."""
     graphs = list(graphs)
     sizes = {t: np.array([len(g.nodes[t]) for g in graphs]) for t in NODE_TYPES}
     offset = {t: np.cumsum(sizes[t]) - sizes[t] for t in NODE_TYPES}
@@ -139,16 +183,18 @@ def _rows(z: np.ndarray) -> np.ndarray:
 class GraphLayout:
     """The parts of a comm graph that topology and config fix: the input
     scales, the (M, K) users of each AP, the queue-weight scales of those
-    users, every edge's sender and receiver, and the gather indices that
-    read an edge's features off the slot's channels.  An env builds it
-    once."""
+    users, every edge's sender and receiver, the graphs' segment layout,
+    and the gather indices that read an edge's features off the slot's
+    channels.  An env builds it once."""
     scale: FeatureScale
     users: np.ndarray              # (M, K) the topology's user table
     qinv: np.ndarray               # (M, K) reciprocal outage caps
     src: dict                      # edge kind -> (E,) sender rows
     dst: dict                      # edge kind -> (E,) receiver rows
+    segments: SegmentLayout        # where the messages of those edges go
     near: np.ndarray               # (E_ap_ris * M, 1) AP slot inside r's neighborhood
     ris_users: np.ndarray          # (E_ris_ap, K) users of each RIS->AP receiver
+    ap: np.ndarray                 # (M, 1) AP row index
 
 
 def graph_layout(topo: Topology, config: NetworkConfig) -> GraphLayout:
@@ -159,10 +205,11 @@ def graph_layout(topo: Topology, config: NetworkConfig) -> GraphLayout:
     src["ap_ap"], dst["ap_ap"] = np.nonzero(topo.ap_ap)
     src["ap_ris"], dst["ap_ris"] = np.nonzero(topo.ap_ris)
     src["ris_ap"], dst["ris_ap"] = np.nonzero(topo.ap_ris.T)
-    layout = GraphLayout(scale, users, qinv, src, dst,
+    segments = segment_layout(dst, len(users), len(topo.ris_positions))
+    layout = GraphLayout(scale, users, qinv, src, dst, segments,
                          topo.ap_ris.T[dst["ap_ris"]].reshape(-1, 1),
-                         users[dst["ris_ap"]])
-    for arr in (qinv, layout.near, layout.ris_users,
+                         users[dst["ris_ap"]], np.arange(len(users))[:, None])
+    for arr in (qinv, layout.near, layout.ris_users, layout.ap,
                 *src.values(), *dst.values()):
         arr.flags.writeable = False   # every graph of the env shares them
     return layout
@@ -176,7 +223,7 @@ def build_comm_graph(direct: np.ndarray, effective: np.ndarray,
     scale, users, src, dst = layout.scale, layout.users, layout.src, layout.dst
     m = len(users)
     ap_nodes = np.concatenate([
-        _rows(direct[np.arange(m)[:, None], users]) * scale.chan,   # own channels
+        _rows(direct[layout.ap, users]) * scale.chan,   # own channels
         weights[users] * layout.qinv,
         last_power[users] * scale.power,
     ], axis=1)
@@ -203,4 +250,4 @@ def build_comm_graph(direct: np.ndarray, effective: np.ndarray,
         _rows(ris_user[r_[:, None], layout.ris_users]) * scale.chan,
     ], axis=1)
     return CommGraph({"ap": ap_nodes, "ris": ris_nodes}, dict(src), dict(dst),
-                     feat)
+                     feat, layout.segments)

@@ -4,10 +4,10 @@ Collection runs the decentralized pipeline per slot (observe, message
 passing, per-agent sampling, env step), each stage one batched call over
 all agents, and records the graph, the draws and the env's outcome: enough
 to replay exact log-probabilities, which it does not compute itself.
-It runs without a tape: embedding and sampling run under the parameter
-store's ``no_grad()``, so they are plain numpy over the parameter arrays and
-bitwise equal to the taped forward; only the replay in ``update`` builds a
-tape.
+It runs without a tape: an episode runs under the parameter store's
+``no_grad()``, entered once, so embedding and sampling are plain numpy over
+the parameter arrays and bitwise equal to the taped forward; only the replay
+in ``update`` builds a tape.
 Training replays the whole batch of R equal-length trajectories on the tape
 in one pass, side by side: the (T+1) * R slot graphs (each trajectory's T
 slots plus its final one) are embedded together, critics and the mixer run
@@ -113,13 +113,13 @@ def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
     gru = policy.gru_zero()
     steps = []
     dtype = policy.store.dtype
-    for _ in range(horizon):
-        graph = env.comm_graph().astype(dtype)
-        with policy.store.no_grad():
+    with policy.store.no_grad():
+        for _ in range(horizon):
+            graph = env.comm_graph().astype(dtype)
             sample, gru = policy.act(policy.embed([graph]), gru, rng,
                                      deterministic=deterministic)
-        steps.append(StepRecord(graph, sample,
-                                env.step(*policy.env_action(sample))))
+            steps.append(StepRecord(graph, sample,
+                                    env.step(*policy.env_action(sample))))
     return Trajectory(steps, env.comm_graph().astype(dtype))
 
 

@@ -14,9 +14,10 @@ users per AP, N_A antennas and U users:
   the parts of the plan that the topology fixes, built once per env by
   ``link_layout`` from the (M, S) SE and (M, I) IoT user ids of each AP.
   It holds the IoT ids in join order, the Gram gather ids (SE then IoT ids
-  per AP), the AP row index and the SE half of ``slot``, ``position`` and
-  ``head``.  Its construction checks that every user sits in exactly one
-  cluster, so a slot does only the channel-dependent work.
+  per AP), the AP row index, each AP's first cluster column, the IoT join
+  ranks, the user index range and the SE half of ``slot``, ``position``
+  and ``head``.  Its construction checks that every user sits in exactly
+  one cluster, so a slot does only the channel-dependent work.
 - Cluster n of AP m is headed by SE user ``se_ids[m, n]`` and is column
   ``m·S + n`` of the slot.  IoT users join one at a time in ascending id
   order, and a cluster centre sums its members in that join order, head
@@ -52,6 +53,9 @@ class LinkLayout:
     iot_ids: np.ndarray            # (M, I) ascending: the join order
     members: np.ndarray            # (M, S + I) the rows of each AP's Gram
     ap: np.ndarray                 # (M, 1) AP row index
+    first_col: np.ndarray          # (M, 1) column of each AP's cluster 0
+    join_rank: np.ndarray          # (I,) 2, 3, ...: positions after the head
+    users: np.ndarray              # (U,) every user id
     se_half: np.ndarray            # (3, U) slot, position, head: SE entries
                                    # filled, IoT entries 0
 
@@ -70,14 +74,19 @@ def link_layout(se_ids, iot_ids, n_users: int) -> LinkLayout:
     if not np.array_equal(np.sort(members, axis=None), np.arange(n_users)):
         raise ValueError("every user must sit in exactly one cluster")
     ap = np.arange(m)[:, None]
+    first_col = s * ap
+    join_rank = np.arange(2, iot_ids.shape[1] + 2)
+    users = np.arange(n_users)
     se_half = np.zeros((3, n_users), dtype=np.intp)
     slot, position, head = se_half
-    slot[se_ids] = s * ap + np.arange(s)
+    slot[se_ids] = first_col + np.arange(s)
     position[se_ids] = 1
     head[se_ids] = se_ids
-    for arr in (se_ids, iot_ids, members, ap, se_half):
+    for arr in (se_ids, iot_ids, members, ap, first_col, join_rank, users,
+                se_half):
         arr.flags.writeable = False   # every slot of the env shares them
-    return LinkLayout(se_ids, iot_ids, members, ap, se_half)
+    return LinkLayout(se_ids, iot_ids, members, ap, first_col, join_rank,
+                      users, se_half)
 
 
 def cluster_users(h_eff: np.ndarray, layout: LinkLayout,
@@ -92,6 +101,12 @@ def cluster_users(h_eff: np.ndarray, layout: LinkLayout,
     ``layout.iot_ids`` joined (M, I) and the (M, S) cluster sizes, heads
     included."""
     s = layout.se_ids.shape[1]
+    if s == 1:  # one head per AP: every IoT user joins it, whatever h_eff
+        m, n_iot = layout.iot_ids.shape
+        if n_iot > max_cluster_size - 1:
+            raise ValueError("cluster capacity too small for the IoT load")
+        return (np.zeros((m, n_iot), dtype=np.intp),
+                np.full((m, 1), n_iot + 1, dtype=np.intp))
     # one Gram per AP of its SE and IoT channels: norms on its diagonal,
     # inner products in its IoT x SE block
     sub = h_eff[layout.ap, layout.members]
@@ -172,9 +187,11 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
     gram = h_eff @ h_adj
     n_r = gram.shape[1]
     eig = np.linalg.eigvalsh(gram)  # ascending
-    low, high = eig[:, 0], eig[:, -1]
-    loaded = (low <= 0) | (high / np.where(low > 0, low, 1.0) > cond_threshold)
-    if np.count_nonzero(loaded):
+    # per AP, on Python floats: M tests cost less than one numpy call each
+    flags = [low <= 0 or high / (low if low > 0 else 1.0) > cond_threshold
+             for low, high in zip(eig[:, 0].tolist(), eig[:, -1].tolist())]
+    loaded = np.array(flags, dtype=bool)
+    if any(flags):
         mean_eig = np.trace(gram, 0, 1, 2).real / n_r
         load = np.where(mean_eig > 0, 1e-8 * mean_eig, 1.0)
         gram[loaded] = (gram + load[:, None, None] * np.eye(n_r))[loaded]
@@ -228,16 +245,15 @@ def decode_layout(layout: LinkLayout, cluster: np.ndarray, sizes: np.ndarray,
     ``slot``, ``position`` and ``head``: the layout's SE half with the IoT
     entries filled in."""
     se_ids, iot_ids, ap = layout.se_ids, layout.iot_ids, layout.ap
-    s = se_ids.shape[1]
     # each AP's IoT users by cluster, then by descending gain; lexsort is
     # stable, so ties stay in id order
     order = np.lexsort((-gains[ap, iot_ids, cluster], cluster))
     joined = sizes - 1
     ahead = joined.cumsum(axis=1) - joined      # IoT users in lower clusters
     slot, position, head = layout.se_half.copy()
-    slot[iot_ids] = s * ap + cluster
+    slot[iot_ids] = layout.first_col + cluster
     head[iot_ids] = se_ids[ap, cluster]
-    position[iot_ids[ap, order]] = (np.arange(2, iot_ids.shape[1] + 2)
+    position[iot_ids[ap, order]] = (layout.join_rank
                                     - ahead[ap, cluster[ap, order]])
     return slot, position, head
 
@@ -267,7 +283,7 @@ def derive_plan(h_eff: np.ndarray, layout: LinkLayout,
     slot, position, head = decode_layout(layout, cluster, sizes, per_ap)
     gains = per_ap.transpose(1, 0, 2).reshape(n_users, m * s)
     return SlotLinks(gains, slot, position, head,
-                     gains[np.arange(n_users), slot], v, w, loaded)
+                     gains[layout.users, slot], v, w, loaded)
 
 
 def power_terms(links: SlotLinks, alpha: np.ndarray):
@@ -275,7 +291,8 @@ def power_terms(links: SlotLinks, alpha: np.ndarray):
     decoded before it in its cluster, as two (U,) arrays."""
     # alpha by (cluster, position), behind a zero column: its running sum at
     # position p - 1 is the power of positions 1..p-1, its last the cluster's
-    table = np.zeros((links.gains.shape[1], links.position.max() + 1))
+    table = np.zeros((links.gains.shape[1],
+                      np.maximum.reduce(links.position) + 1))
     table[links.slot, links.position] = alpha
     before = table.cumsum(axis=1)
     powers = before[:, -1]
@@ -311,7 +328,7 @@ def sinr_all(links: SlotLinks, alpha: np.ndarray, sigma2: float,
 def rates_gbps(gamma: np.ndarray, bandwidth: float) -> np.ndarray:
     """Shannon rate over the full band, in Gbps."""
     gamma = np.asarray(gamma, dtype=float)
-    if not (gamma >= 0).all():                        # NaN is rejected too
+    if not np.logical_and.reduce(gamma >= 0, axis=None):  # NaN is rejected too
         raise ValueError("SINR must be non-negative")
     return bandwidth * np.log2(1.0 + gamma) / 1e9
 
@@ -321,10 +338,10 @@ def power_consumption(alpha: np.ndarray, ris_on: np.ndarray,
     """Transmit power (with PA inefficiency) plus all circuit terms, W."""
     p_ap = (config.p_bb + config.rf_chains * config.p_rf
             + config.antennas * (config.p_ps + config.p_a))
-    total = (config.pa_inefficiency * float(alpha.sum())
+    total = (config.pa_inefficiency * float(np.add.reduce(alpha, axis=None))
              + config.total_users * config.p_d
              + config.num_aps * p_ap
-             + float(ris_on.sum()) * config.p_ris_element)
+             + float(np.add.reduce(ris_on, axis=None)) * config.p_ris_element)
     return total
 
 
@@ -332,4 +349,4 @@ def energy_efficiency(rates: np.ndarray, power_w: float) -> float:
     """Sum rate over consumed power: Gbit per Joule."""
     if power_w <= 0:
         raise ValueError("power must be positive")
-    return float(rates.sum() / power_w)
+    return float(np.add.reduce(rates, axis=None) / power_w)

@@ -15,7 +15,12 @@ and its parameters get no gradient) and one ``tanh`` over the messages of
 every kind, joined; every agent then averages its inbound messages in one
 ``segment_mean`` per layer, whose segments are the AP rows and then the RIS
 rows, and each combine layer is one dense op per node type over its own
-slice of that mean.
+slice of that mean.  Where the messages go is the graph's ``layout``
+(``graphs.SegmentLayout``: the kinds with edges, in receiver order, each
+type's span and the ``autodiff.Segments`` of the message rows): an env
+builds it once and every graph it makes carries it, and ``stack_graphs``
+builds the batch's once from the offset edge rows, so ``embed`` itself
+decides no part of the layout.
 Message and combine layers read their input as parts, [sender state, edge
 features] and [own state, aggregate], so the backward pass never forms a
 gradient for the raw feature columns.
@@ -179,42 +184,36 @@ class GEVDACPolicy:
         g = graphs[0] if len(graphs) == 1 else stack_graphs(graphs, dtype)
         x = {t: g.nodes[t].astype(dtype, copy=False) for t in NODE_TYPES}
         z = x
-        sends = p.embed_mode in ("mpgnn", "raw")
-        kinds = [k for k in EDGE_ENDS if sends and len(g.src[k])]
+        layout = g.layout
+        kinds = layout.kinds if p.embed_mode != "none" else ()
         feat = {k: g.edge_feat[k].astype(dtype, copy=False) for k in kinds}
-        # one segment space: the AP rows, then the RIS rows
-        n = {t: len(g.nodes[t]) for t in NODE_TYPES}
-        span = {"ap": slice(0, n["ap"]), "ris": slice(n["ap"], None)}
-        inbound = [k for t in NODE_TYPES for k in kinds if EDGE_ENDS[k][1] == t]
-        dst = np.concatenate([g.dst[k] + span[EDGE_ENDS[k][1]].start
-                              for k in inbound] + [np.zeros(0, dtype=np.intp)])
-        rows = np.zeros((0, p.msg_dim), dtype)  # no messages, no inbound rows
+        # without messages every node averages over no rows: zeros
+        agg = np.zeros((layout.segments.n, p.msg_dim), dtype)
         for layer in range(1, p.n_layers + 1):
-            msgs = {}
+            msgs = []
             if p.embed_mode == "mpgnn":
                 for kind in kinds:
                     sender = EDGE_ENDS[kind][0]
                     z_dim = self._node_dim[sender] if layer == 1 else p.hidden
-                    msgs[kind] = nn.dense(
+                    msgs.append(nn.dense(
                         self.store, f"emb.{kind}.l{layer}",
                         [z[sender][g.src[kind]], feat[kind]],
-                        z_dim + self.dims[kind], p.msg_dim)
+                        z_dim + self.dims[kind], p.msg_dim))
             elif p.embed_mode == "raw" and layer == 1:  # the same every layer
-                for kind in kinds:
-                    msgs[kind] = nn.dense(self.store, f"emb.{kind}.raw",
-                                          feat[kind], self.dims[kind],
-                                          p.msg_dim)
+                msgs = [nn.dense(self.store, f"emb.{kind}.raw", feat[kind],
+                                 self.dims[kind], p.msg_dim) for kind in kinds]
             if msgs:  # tanh once over every message of the layer
-                rows = ad.tanh(msgs[inbound[0]] if len(msgs) == 1
-                               else ad.concat([msgs[k] for k in inbound],
-                                              axis=0))
-            agg = ad.segment_mean(rows, dst, sum(n.values()))
+                rows = ad.tanh(msgs[0] if len(msgs) == 1
+                               else ad.concat(msgs, axis=0))
+            if kinds:
+                agg = ad.segment_mean(rows, layout.segments)
             new_z = {}
             for t in NODE_TYPES:
                 z_dim = self._node_dim[t] if layer == 1 else p.hidden
                 new_z[t] = nn.dense(
-                    self.store, f"emb.{t}.comb.l{layer}", [z[t], agg[span[t]]],
-                    z_dim + p.msg_dim, p.hidden, "tanh")
+                    self.store, f"emb.{t}.comb.l{layer}",
+                    [z[t], agg[layout.spans[t]]], z_dim + p.msg_dim,
+                    p.hidden, "tanh")
             z = new_z
         return {t: ad.concat([x[t], z[t]]) for t in NODE_TYPES}
 
@@ -373,18 +372,20 @@ class GEVDACPolicy:
         return blocks
 
 
+# the ufunc reductions that ``max``, ``sum`` and ``cumsum`` call, without
+# the array methods' Python wrappers
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Category of each uniform ``u`` under the matching row of ``p``; the
     arithmetic of ``Generator.choice(len(row), p=row)`` fed the same draw."""
-    cdf = np.cumsum(p, axis=-1)
+    cdf = np.add.accumulate(p, axis=-1)
     cdf /= cdf[..., -1:]
-    return (cdf <= u[..., None]).sum(axis=-1)
+    return np.add.reduce(cdf <= u[..., None], axis=-1)
 
 
 def policy_for_env(env, pcfg: PolicyConfig, seed: int,

@@ -48,7 +48,7 @@ def rate_violation(rates, minima) -> float:
     """Total Gbps shortfall below the per-user minimum rates."""
     rates = np.asarray(rates, dtype=float)
     minima = np.asarray(minima, dtype=float)
-    return float(np.maximum(minima - rates, 0.0).sum())
+    return float(np.add.reduce(np.maximum(minima - rates, 0.0), axis=None))
 
 
 class QueueState:

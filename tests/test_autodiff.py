@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -26,6 +27,38 @@ class TestTapeBasics:
         x = Tensor(np.arange(4.0), requires=True)
         x[1:3].sum().backward()
         assert np.allclose(x.grad, [0, 1, 1, 0])
+
+    KEYS = {"slice": (np.s_[1:3], True), "int": (2, True),
+            "slices": (np.s_[1:, ::2], True),
+            "ellipsis-none": (np.s_[..., None, 1], True),
+            "repeated": ([0, 2, 0], False),
+            "repeated-tuple": ((np.array([3, 3]), np.s_[:2]), False)}
+
+    @pytest.mark.parametrize("key, basic", list(KEYS.values()),
+                             ids=list(KEYS))
+    def test_getitem_gradient_is_the_add_at_gradient_bitwise(self, key,
+                                                             basic):
+        # a basic key scatters by assignment, an advanced one by np.add.at;
+        # every key gives x the bits np.add.at into zeros gives, for a
+        # first arrival and an accumulation, -0.0 entries included
+        rng = np.random.default_rng(4)
+        value = rng.normal(size=(4, 3))
+        g = rng.normal(size=value[key].shape)
+        g.flat[::2] = -0.0
+        assert ad._is_basic(key) == basic
+        x = Tensor(value, requires=True)
+        y = x[key]
+        y._push(g)
+        y._push(3.0 * g)
+
+        def add_at(h):
+            full = np.zeros_like(value)
+            np.add.at(full, key, h)
+            return full
+
+        want = add_at(g) + 0.0
+        want += add_at(3.0 * g)
+        assert x.grad.tobytes() == want.tobytes()
 
     def test_getitem_repeated_index_accumulates(self):
         x = Tensor(np.array([5.0, 7.0]), requires=True)
@@ -190,7 +223,7 @@ class TestInferenceOps:
                    lambda v: ad.clip(v, -0.5, 0.5),
                    lambda v: ad.concat([v, v], axis=0),
                    lambda v: ad.linear([v, a], np.ones((4, 3)), np.ones(3)),
-                   lambda v: ad.segment_mean(v, [1, 1], 2)):
+                   lambda v: ad.segment_mean(v, ad.Segments([1, 1], 2))):
             free = op(a)
             assert isinstance(free, np.ndarray)
             taped = op(Tensor(a))
@@ -246,8 +279,32 @@ class TestInferenceOps:
             ("gru_scan float64 input", lambda T: ad.gru_scan(
                 T(a64), T(h0), [T(v) for v in gru])),
         ]
+        # the plain path's fallbacks: inputs not in the weight's dtype,
+        # Tensors among ndarrays, 1-D rows, one step and many steps
+        a64w = rng.normal(size=(6, 7))
+        cases += [
+            ("linear float64 single part", lambda T: ad.linear(
+                [T(a64w)], T(w), T(bias))),
+            ("linear float64 bias", lambda T: ad.linear(
+                [T(a), T(b)], T(w), T(bias.astype(np.float64)))),
+            ("linear Tensor bias", lambda T: ad.linear([a, b], w, T(bias))),
+            ("linear Tensor part", lambda T: ad.linear([a, T(b)], w, bias)),
+            ("linear 1-D", lambda T: ad.linear([T(a[0]), T(b[0])], T(w),
+                                               T(bias))),
+            ("gru_scan one step", lambda T: ad.gru_scan(
+                T(a[:2]), T(h0), [T(v) for v in gru])),
+            ("gru_scan six steps", lambda T: ad.gru_scan(
+                T(a), T(h0[:1]), [T(v) for v in gru])),
+            ("gru_scan 1-D", lambda T: ad.gru_scan(
+                T(a[0]), T(h0[0]), [T(v) for v in gru])),
+            ("gru_scan float64 state", lambda T: ad.gru_scan(
+                T(a), T(h0.astype(np.float64)), [T(v) for v in gru])),
+            ("gru_scan Tensor state", lambda T: ad.gru_scan(a, T(h0), gru)),
+        ]
         cases.append(("segment_mean",
-                      lambda T: ad.segment_mean(T(a), dst, 4)))
+                      lambda T: ad.segment_mean(T(a), ad.Segments(dst, 4))))
+        cases.append(("segment_mean scatter", lambda T: ad.segment_mean(
+            T(a), ad.Segments([3, 0, 6, 1, 2, 5], 7))))
         return cases
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -577,37 +634,68 @@ class TestClipWithoutNpClip:
             want = 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
             assert type(ad.sigmoid(v)) is np.ndarray
             assert ad.sigmoid(v).tobytes() == want.tobytes()
+            # float32 clamps at the largest value whose exp is finite
             narrow = v.astype(np.float32)
-            want32 = 1.0 / (1.0 + np.exp(-np.clip(narrow, -500, 500)))
+            bound = self.F32_EXP_BOUND
+            want32 = 1.0 / (1.0 + np.exp(-np.clip(narrow, -bound, bound)))
             assert want32.dtype == np.float32
             assert ad.sigmoid(narrow).tobytes() == want32.tobytes()
+            # an input that did not overflow at +-500 keeps its bits
+            old32 = 1.0 / (1.0 + np.exp(-np.clip(narrow, -500, 500)))
+            kept = np.isfinite(np.exp(-np.clip(narrow, -500, 500)))
+            assert kept.sum() > len(v) // 2
+            assert ad.sigmoid(narrow)[kept].tobytes() == old32[kept].tobytes()
             x = Tensor(v, requires=True)
             ad.softplus(x).backward(np.ones_like(v))
         assert x.grad.tobytes() == (want + 0.0).tobytes()
+
+    F32_EXP_BOUND = np.float32(88.72283)
+
+    def test_float32_sigmoid_does_not_overflow(self):
+        bound = self.F32_EXP_BOUND
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.exp(bound))
+            assert np.isinf(np.exp(np.nextafter(bound, np.float32(np.inf))))
+        gate = np.zeros((1, 3), np.float32)
+        gate[0, 0] = -100.0  # the z gate's input column, h0 = 0
+        weights = [np.eye(3, 3, dtype=np.float32), np.zeros(3, np.float32),
+                   np.zeros((1, 3), np.float32), np.zeros(3, np.float32)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (np.float32(-100.0), np.full((2, 2), -100.0, np.float32),
+                      Tensor(np.full(3, -1e30, np.float32))):
+                y = ad.value_of(ad.sigmoid(x))
+                assert y.dtype == np.float32
+                assert np.all((0 <= y) & (y < 1e-37))
+            h = ad.gru_scan(gate, np.zeros((1, 1), np.float32), weights)
+            taped = ad.gru_scan(Tensor(gate, requires=True),
+                                np.zeros((1, 1), np.float32), weights)
+        # z = sigmoid(-100) ~ 3e-39 keeps the zero state: h' = z * tanh(0)
+        assert h.dtype == np.float32 and h.tobytes() == taped.value.tobytes()
 
 
 class TestAggregate:
     def test_singleton_identity(self):
         v = Tensor(np.array([[1.0, -2.0]]))
-        out = ad.segment_mean(v, [0], 1)
+        out = ad.segment_mean(v, ad.Segments([0], 1))
         assert np.array_equal(out.value, v.value)
 
     def test_empty_set_zeros(self):
-        out = ad.segment_mean(np.zeros((0, 3)), [], 2)
+        out = ad.segment_mean(np.zeros((0, 3)), ad.Segments([], 2))
         assert np.array_equal(out, np.zeros((2, 3)))  # arrays in, array out
         # a segment no row reaches is empty too
         rows = Tensor(np.ones((2, 3)))
-        out = ad.segment_mean(rows, [2, 2], 3)
+        out = ad.segment_mean(rows, ad.Segments([2, 2], 3))
         assert np.array_equal(out.value[:2], np.zeros((2, 3)))
 
     def test_bitwise_permutation_invariance(self):
         rng = np.random.default_rng(7)
         vecs = rng.normal(size=(9, 4))
         dst = np.array([0, 1, 0, 2, 0, 1, 0, 2, 0])
-        base = ad.segment_mean(vecs, dst, 4)
+        base = ad.segment_mean(vecs, ad.Segments(dst, 4))
         for _ in range(20):
             perm = rng.permutation(9)
-            got = ad.segment_mean(vecs[perm], dst[perm], 4)
+            got = ad.segment_mean(vecs[perm], ad.Segments(dst[perm], 4))
             assert np.array_equal(got, base)
 
     def test_mean_gradients_over_seven_vectors(self):
@@ -618,7 +706,7 @@ class TestAggregate:
         weights = np.random.default_rng(1).normal(size=(3, 3))
 
         def build():
-            out = ad.segment_mean(store.get("v"), dst, 3)
+            out = ad.segment_mean(store.get("v"), ad.Segments(dst, 3))
             return (out * weights).sum()
 
         fd_check(build, store)
@@ -832,13 +920,13 @@ class TestDtype:
             ("linear", lambda x: ad.linear(  # the weight sets the dtype
                 [x, a64], np.vstack([w64, w64]).astype(ad.value_of(x).dtype),
                 np.zeros(3))),
-            ("mean", lambda x: ad.segment_mean(x, [0, 0, 1, 1], 2)),
+            ("mean", lambda x: ad.segment_mean(x, ad.Segments([0, 0, 1, 1], 2))),
             ("mean, empty segment",
-             lambda x: ad.segment_mean(x, [0, 0, 0, 1], 3)),
+             lambda x: ad.segment_mean(x, ad.Segments([0, 0, 0, 1], 3))),
             ("mean, interleaved",
-             lambda x: ad.segment_mean(x, [1, 0, 1, 0], 2)),
+             lambda x: ad.segment_mean(x, ad.Segments([1, 0, 1, 0], 2))),
             ("mean, singletons",
-             lambda x: ad.segment_mean(x, [1, 0, 3, 2], 4)),
+             lambda x: ad.segment_mean(x, ad.Segments([1, 0, 3, 2], 4))),
             ("getitem", lambda x: x[[0, 0, 2]]),
             ("reshape", lambda x: x.reshape(3, 4)),
         ]

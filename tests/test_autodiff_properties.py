@@ -62,11 +62,12 @@ def segment_cases(draw):
 def test_slab_kernel_equals_reference(case):
     vals, dst, n, seed = case
     want = reference("mean", vals, dst, n)
-    got = ad.segment_mean(vals, dst, n)
+    got = ad.segment_mean(vals, ad.Segments(dst, n))
     assert got.shape == want.shape == (n, vals.shape[1])
     assert _bits(got) == _bits(want)
     grads = []
-    for fn in (ad.segment_mean, partial(reference, "mean")):
+    for fn in (lambda rows, dst, n: ad.segment_mean(rows, ad.Segments(dst, n)),
+               partial(reference, "mean")):
         rows = Tensor(vals, requires=True)
         out = fn(rows, dst, n)
         assert _bits(out.value) == _bits(want)

@@ -1,10 +1,12 @@
 import copy
 import gc
 import hashlib
+import sys
 import tracemalloc
 import types
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +70,7 @@ def embed_every_kind(self, graphs) -> dict:
             inbound = [k for k in msgs if EDGE_ENDS[k][1] == t]
             rows = ad.concat([msgs[k] for k in inbound], axis=0)
             dst = np.concatenate([g.dst[k] for k in inbound])
-            agg = ad.segment_mean(rows, dst, len(g.nodes[t]))
+            agg = ad.segment_mean(rows, ad.Segments(dst, len(g.nodes[t])))
             z_dim = self._node_dim[t] if layer == 1 else p.hidden
             new_z[t] = nn.dense(
                 self.store, f"emb.{t}.comb.l{layer}", ad.concat([z[t], agg]),
@@ -826,6 +828,44 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak / 2 ** 20 <= self.CEILING_MIB
+
+
+class TestSlotCost:
+    # Python frames of ``risnoma`` entered while one tiny slot is collected
+    # as ``rollout`` collects it (graph, cast, embed, act, env_action and
+    # env.step, no tape): 194 with Python 3.11, against 271 before the
+    # plain path took no ``_val`` call per input and ``embed`` built its
+    # segment layout per call.  On small configs a slot's cost is mostly
+    # such calls, so the count pins it without a timing; a change that
+    # raises it says why
+    CEILING = 194
+
+    def test_python_calls_per_slot_stay_under_the_ceiling(self):
+        env = NetworkEnv(tiny_config(), seed=1)
+        policy = policy_for_env(env, PolicyConfig(), 1)
+        rng = np.random.default_rng(3)
+        gru = policy.gru_zero()
+        root = str(Path(learner.__file__).parent)
+        calls = []
+
+        def slot():
+            graph = env.comm_graph().astype(policy.store.dtype)
+            with policy.store.no_grad():
+                sample, _ = policy.act(policy.embed([graph]), gru, rng)
+            env.step(*policy.env_action(sample))
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls.append(frame.f_code.co_name)
+
+        slot()  # warm: first-use caches fill here
+        sys.setprofile(count)
+        try:
+            slot()
+        finally:
+            sys.setprofile(None)
+        assert "derive_plan" in calls and "gru_scan" in calls
+        assert len(calls) <= self.CEILING
 
 
 class TestTrain:

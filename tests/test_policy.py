@@ -3,7 +3,7 @@ import pytest
 
 from risnoma.autodiff import Tensor
 from risnoma.env import NetworkEnv
-from risnoma.graphs import NODE_TYPES, CommGraph
+from risnoma.graphs import EDGE_ENDS, NODE_TYPES, CommGraph, stack_graphs
 from risnoma.policy import GEVDACPolicy, PolicyConfig, policy_for_env
 from risnoma.presets import default_config, medium_config, tiny_config
 
@@ -108,11 +108,14 @@ class TestEmbedding:
         # an independent node-by-node transcription of the message passing
         rng = np.random.default_rng(20)
         graph, dims = synthetic_graph(rng, n_ap=3, n_ris=2)
+        src, dst, feat = {}, {}, {}
         for kind in graph.src:  # drop some edges: uneven in-degrees
             keep = rng.random(len(graph.src[kind])) < 0.7
-            graph.src[kind] = graph.src[kind][keep]
-            graph.dst[kind] = graph.dst[kind][keep]
-            graph.edge_feat[kind] = graph.edge_feat[kind][keep]
+            src[kind] = graph.src[kind][keep]
+            dst[kind] = graph.dst[kind][keep]
+            feat[kind] = graph.edge_feat[kind][keep]
+        # a graph's edges are fixed when it is built
+        graph = CommGraph(graph.nodes, src, dst, feat)
         policy = make_policy(dims, n_ap=3, dtype=np.float64)
         prm = {n: policy.store.get(n).value for n in policy.store.names()}
         ends = {"ap_ap": ("ap", "ap"), "ap_ris": ("ap", "ris"),
@@ -152,6 +155,93 @@ class TestEmbedding:
                 n = rows.shape[0]
                 np.testing.assert_allclose(batch[t].value[b * n:(b + 1) * n],
                                            rows.value, rtol=1e-13, atol=1e-15)
+
+
+def per_call_segments(g):
+    """What ``embed`` derived from a graph on every call before graphs
+    carried their segment layout, and what ``segment_mean`` then derived
+    from the ids: (inbound kinds, type spans, segment ids, number of
+    segments, rows per segment)."""
+    kinds = [k for k in EDGE_ENDS if len(g.src[k])]
+    n = {t: len(g.nodes[t]) for t in NODE_TYPES}
+    span = {"ap": slice(0, n["ap"]), "ris": slice(n["ap"], None)}
+    inbound = [k for t in NODE_TYPES for k in kinds if EDGE_ENDS[k][1] == t]
+    dst = np.concatenate([g.dst[k] + span[EDGE_ENDS[k][1]].start
+                          for k in inbound] + [np.zeros(0, dtype=np.intp)])
+    total = sum(n.values())
+    return inbound, span, dst, total, np.bincount(dst, minlength=total)
+
+
+def default_graphs():
+    """A float64 default graph from an env, and the 22 graphs of a
+    train-default replay batch (2 rollouts of 10 slots plus each final
+    graph) stacked slot-major in float32, as ``update`` stacks them."""
+    env = NetworkEnv(default_config(), seed=4)
+    rng = np.random.default_rng(4)
+    cfg = env.config
+    trajs = []
+    for _ in range(2):
+        env.reset()
+        graphs = []
+        for _ in range(10):
+            graphs.append(env.comm_graph())
+            env.step(rng.uniform(0, 0.2, cfg.total_users),
+                     rng.integers(0, 2, (cfg.num_ris, cfg.ris_elements)),
+                     rng.integers(0, 2, (cfg.num_ris, cfg.ris_elements)))
+        trajs.append(graphs + [env.comm_graph()])
+    batch = [tr[t] for t in range(11) for tr in trajs]
+    return env, batch
+
+
+class TestSegmentLayout:
+    @pytest.mark.parametrize("case", ["one", "stacked", "permuted",
+                                      "lonely"])
+    def test_layout_is_what_embed_built_per_call(self, case):
+        rng = np.random.default_rng(31)
+        env, batch = default_graphs()
+        if case == "one":
+            graph = batch[0]
+            # the env's one layout, carried by its graphs and their casts
+            assert graph.layout is env._layout.segments
+            assert graph.astype(np.float32).layout is graph.layout
+        elif case == "stacked":
+            graph = stack_graphs(batch, np.float32)
+            assert len(batch) == 22 and graph.nodes["ap"].shape[0] == 66
+        elif case == "permuted":
+            graph = batch[3].permuted(type_permutation(rng, 3, 2))
+        else:
+            graph, dims = synthetic_graph(rng)
+            none = {k: np.zeros(0, dtype=int) for k in graph.src}
+            graph = CommGraph(graph.nodes, none, none,
+                              {k: np.zeros((0, dims[k])) for k in graph.src})
+        inbound, span, dst, total, counts = per_call_segments(graph)
+        layout, segs = graph.layout, graph.layout.segments
+        assert layout.kinds == tuple(inbound)
+        rows = np.arange(total)
+        for t in NODE_TYPES:
+            assert np.array_equal(rows[layout.spans[t]], rows[span[t]])
+        assert segs.n == total and segs.dst.dtype == np.intp
+        assert np.array_equal(segs.dst, dst)
+        assert segs.scatter == (np.count_nonzero(counts) == dst.size)
+        if case != "lonely":
+            assert len(dst) and not segs.scatter  # the fold path is covered
+        # segment_mean's per-call order, ranks, depth, empties and scales
+        vals = rng.normal(size=(len(dst), 3))
+        seg = dst[np.lexsort((vals[:, 0], dst))]
+        assert np.array_equal(segs.seg, seg)
+        assert np.array_equal(segs.split, seg[1:] != seg[:-1])
+        assert np.array_equal(
+            segs.rank, np.arange(dst.size) - (np.cumsum(counts) - counts)[seg])
+        assert segs.depth == counts.max(initial=0)
+        if counts.all():
+            assert segs.empty is None
+        else:
+            assert np.array_equal(segs.empty, counts == 0)
+        for dtype in (np.float32, np.float64):
+            want = 1.0 / np.maximum(counts, 1).astype(dtype)
+            got = segs.scale(dtype)
+            assert got.shape == (total, 1)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestActionHeads:
