@@ -186,7 +186,9 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
     h_adj = h_eff.conj().swapaxes(1, 2)
     gram = h_eff @ h_adj
     n_r = gram.shape[1]
-    eig = np.linalg.eigvalsh(gram)  # ascending
+    # ascending; a 1 x 1 Gram's one eigenvalue is its real diagonal, the
+    # value LAPACK returns for it without iterating
+    eig = gram.real.reshape(-1, 1) if n_r == 1 else np.linalg.eigvalsh(gram)
     # per AP, on Python floats: M tests cost less than one numpy call each
     flags = [low <= 0 or high / (low if low > 0 else 1.0) > cond_threshold
              for low, high in zip(eig[:, 0].tolist(), eig[:, -1].tolist())]
