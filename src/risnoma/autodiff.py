@@ -270,6 +270,8 @@ def _unary(x, y, dydx):
 
 
 def tanh(x):
+    if type(x) is np.ndarray and x.dtype.kind == "f":
+        return np.tanh(x)  # the plain path's common case
     y = np.tanh(_val(x))
     return _unary(x, y, lambda: 1.0 - y * y) if isinstance(x, Tensor) else y
 
@@ -382,7 +384,7 @@ def linear(parts, w, b):
     parameter: parts and ``b`` are cast to it.
     """
     taped = type(w) is Tensor or type(b) is Tensor or Tensor in map(type, parts)
-    wv = _val(w)
+    wv = w if type(w) is np.ndarray and w.dtype.kind == "f" else _val(w)
     dtype = wv.dtype
     values = [_val(p, dtype) for p in parts] if taped else parts
     if len(values) == 1:
@@ -566,6 +568,7 @@ def gru_scan(x, h0, weights):
         zr, c, hc = (np.empty((steps, rows, n * hidden), dtype)
                      for n in (2, 1, 1))
     cut = 2 * hidden  # the z and r columns end here, c's begin
+    one = _sigmoid_constants(dtype)[2]
     for t in range(steps):
         h = hs[t]
         a = xs[t] @ w_x + b_x
@@ -573,7 +576,7 @@ def gru_scan(x, h0, weights):
         zr_t = _sigmoid(a[:, :cut] + e[:, :cut])
         c_t = np.tanh(a[:, cut:] + zr_t[:, hidden:] * e[:, cut:])
         z_t = zr_t[:, :hidden]
-        hs[t + 1] = (1.0 - z_t) * h + z_t * c_t
+        np.add((one - z_t) * h, z_t * c_t, out=hs[t + 1])
         if taped:
             zr[t], c[t], hc[t] = zr_t, c_t, e[:, cut:]
     out = hs[1:].reshape(xv.shape[:-1] + (hidden,))
@@ -678,10 +681,10 @@ class ParamStore:
             self.param(f"{name}.b", (out_dim,), kind="zeros")
             pair = self._layers[name] = (self._params[f"{name}.w"],
                                          self._params[f"{name}.b"])
-        w, b = pair
-        if w.value.shape != (in_dim, out_dim) or b.value.shape != (out_dim,):
+        w, b = pair[0].value, pair[1].value
+        if w.shape != (in_dim, out_dim) or b.shape != (out_dim,):
             raise ValueError(f"shape clash for layer {name}")
-        return pair if self._taping else (w.value, b.value)
+        return pair if self._taping else (w, b)
 
     def names(self):
         return sorted(self._params)

@@ -21,7 +21,7 @@ def dense(store: ParamStore, name: str, x, in_dim: int, out_dim: int,
     ``in_dim`` input columns, side by side; either way the layer is one
     ``ad.linear`` node, which sends no gradient to constant parts."""
     w, b = store.layer(name, in_dim, out_dim)
-    y = ad.linear(x if isinstance(x, list) else [x], w, b)
+    y = ad.linear(x if type(x) is list else [x], w, b)
     return y if activation == "linear" else _ACTS[activation](y)
 
 
