@@ -36,13 +36,13 @@ used as it is: ``_val`` hands it back at its first test, and ``linear``
 joins its parts in one ``np.concatenate`` that casts only what differs.
 So on plain arrays an op costs what its numpy expression costs and a few
 type tests; other inputs are cast as on the tape, so a float64 part that
-meets a float32 weight is cast, not promoted.  Inside ``with store.no_grad():`` that ``ParamStore``'s
-``param`` and ``layer`` hand out the raw parameter arrays, so a forward
-pass built from its parameters and ndarrays runs on plain numpy and
-records no tape.  A Tensor never hides inside a numpy expression:
-``__array_ufunc__ = None`` makes ``ndarray (op) Tensor`` defer to the
-Tensor's reflected operator, which tapes it (an operator the tape lacks,
-such as ``@``, raises TypeError).
+meets a float32 weight is cast, not promoted.  Inside ``with
+store.no_grad():`` that ``ParamStore``'s ``param`` and ``layer`` hand out
+the raw parameter arrays, so a forward pass built from its parameters and
+ndarrays runs on plain numpy and records no tape.  A Tensor never hides
+inside a numpy expression: ``__array_ufunc__ = None`` makes ``ndarray
+(op) Tensor`` defer to the Tensor's reflected operator, which tapes it (an
+operator the tape lacks, such as ``@``, raises TypeError).
 
 Ops, all batched over leading axes where that makes sense:
   arithmetic   ``+ - *`` (numpy broadcasting)
