@@ -173,9 +173,9 @@ def per_call_segments(g):
 
 
 def default_graphs():
-    """A float64 default graph from an env, and the 22 graphs of a
-    train-default replay batch (2 rollouts of 10 slots plus each final
-    graph) stacked slot-major in float32, as ``update`` stacks them."""
+    """A default env and the 22 graphs it built for a train-default replay
+    batch (2 rollouts of 10 slots plus each final graph), slot-major as
+    ``update`` orders them."""
     env = NetworkEnv(default_config(), seed=4)
     rng = np.random.default_rng(4)
     cfg = env.config
