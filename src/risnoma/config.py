@@ -2,7 +2,9 @@
 
 A count that follows from fields, such as the RF chains (one per SE user),
 is a property, so no two fields can disagree.  Out-of-range values are
-rejected at construction with an error that names the field.
+rejected at construction with an error that names the field.  A number is
+stored as the Python type its field names (a NumPy ``int64`` count becomes
+an ``int``), so the config saves, loads and hashes as plain Python values.
 
 The config round-trips through a human-readable flat ``key = value`` file
 (units documented in the emitted comments), so experiment setups can be
@@ -17,6 +19,10 @@ import numbers
 from dataclasses import dataclass, fields
 
 C_LIGHT = 299792458.0  # m/s
+
+# field annotation -> (the numbers it accepts, the Python type it stores)
+_NUMBER_TYPES = {"int": (numbers.Integral, int), "float": (numbers.Real, float),
+                 "complex": (numbers.Complex, complex)}
 
 
 @dataclass
@@ -87,6 +93,11 @@ class NetworkConfig:
     max_cluster_size: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, cast = _NUMBER_TYPES[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, kind):
+                setattr(self, f.name, cast(value))
         check_counts(self, dict(
             num_aps=1, num_ris=0, se_users_per_ap=1, iot_users_per_ap=0,
             antennas=1, ris_elements=1, num_nlos_paths=0, ris_phase_bits=1,
@@ -108,6 +119,14 @@ class NetworkConfig:
                      "rmin_iot_gbps", "zeta", "xi_penalty"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
+        # a slot with zero transmit power and every RIS element off draws
+        # only this; energy efficiency divides by it
+        if not (self.total_users * self.p_d + self.num_aps * (
+                self.p_bb + self.rf_chains * self.p_rf
+                + self.antennas * (self.p_ps + self.p_a))) > 0:
+            raise ValueError(
+                "idle-slot power total_users * p_d + num_aps * (p_bb + "
+                "rf_chains * p_rf + antennas * (p_ps + p_a)) must be positive")
         for name in ("antenna_gain_dbi", "refractive_index"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -74,7 +74,7 @@ class NetworkEnv:
         self._ris_shape = (config.num_ris, config.ris_elements)
         self._minima = np.where(kind == SE, config.rmin_se_gbps,
                                 config.rmin_iot_gbps)
-        self._layout = graph_layout(self.topo, config)
+        self._layout = graph_layout(self.topo, config, self._queues.q_max)
         users, se = self.topo.users, config.se_users_per_ap
         self._links = linklayer.link_layout(users[:, :se], users[:, se:],
                                             config.total_users)

@@ -3,7 +3,8 @@
 Complex blocks are flattened as [real..., imag...] and divided by a reference
 channel amplitude, that of an AP-side path (antenna gain included) over half
 the room diagonal, so the networks see O(1) inputs on every room size; queue
-weights are scaled by their outage caps and power actions by the AP budget.
+weights are scaled by the per-user outage caps the env's ``QueueState``
+holds (``q_max``), and power actions by the AP budget.
 
 Node ids: APs are 0..M-1, RISs are M..M+J-1.  Edge kinds are "ap_ap",
 "ap_ris" and "ris_ap"; every kind has a fixed feature width for a given
@@ -40,7 +41,7 @@ import numpy as np
 from .autodiff import Segments
 from .channel import _amp
 from .config import NetworkConfig
-from .topology import SE, Topology
+from .topology import Topology
 
 
 NODE_TYPES = ("ap", "ris")
@@ -166,9 +167,6 @@ class FeatureScale:
                                   + config.room_z ** 2)
         self.chan = 1.0 / _amp(config, half_diag)
         self.power = 1.0 / config.max_tx_power
-        qmax_se, qmax_iot = config.qmax_gbit
-        self.qinv_se = 1.0 / qmax_se
-        self.qinv_iot = 1.0 / qmax_iot
         self.phase = 1.0 / max(1, 2 ** config.ris_phase_bits - 1)
 
 
@@ -182,7 +180,7 @@ def _rows(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GraphLayout:
     """The parts of a comm graph that topology and config fix: the input
-    scales, the (M, K) users of each AP, the queue-weight scales of those
+    scales, the (M, K) users of each AP, the reciprocal outage caps of those
     users, every edge's sender and receiver, the graphs' segment layout,
     and the gather indices that read an edge's features off the slot's
     channels.  An env builds it once."""
@@ -197,10 +195,13 @@ class GraphLayout:
     ap: np.ndarray                 # (M, 1) AP row index
 
 
-def graph_layout(topo: Topology, config: NetworkConfig) -> GraphLayout:
+def graph_layout(topo: Topology, config: NetworkConfig,
+                 q_max: np.ndarray) -> GraphLayout:
+    """The layout of ``topo``'s graphs; ``q_max`` holds each user's outage
+    cap, as the env's ``QueueState`` does."""
     scale = FeatureScale(config)
     users = topo.users
-    qinv = np.where(topo.user_kind[users] == SE, scale.qinv_se, scale.qinv_iot)
+    qinv = 1.0 / q_max[users]
     src, dst = {}, {}
     src["ap_ap"], dst["ap_ap"] = np.nonzero(topo.ap_ap)
     src["ap_ris"], dst["ap_ris"] = np.nonzero(topo.ap_ris)

@@ -35,6 +35,10 @@ store's dtype, cast once as they are collected (a float64 store keeps the
 env's own graphs), so neither ``embed`` nor the replay's stack casts them
 again.  The replay's tape lives only until both backward passes are done:
 it is released before the norms, the deltas and the parameter step.
+
+``train`` trains the policy it is given and writes no file: a non-finite
+update stops it before any parameter changes, so the caller's policy keeps
+its last finite parameters.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ from .autodiff import squared_sums
 from .config import check_counts
 from .env import NetworkEnv, StepOutcome
 from .graphs import CommGraph
-from .policy import ActionSample, GEVDACPolicy, PolicyConfig, policy_for_env
+from .policy import ActionSample, GEVDACPolicy
 from .topology import SE
 
 
@@ -89,13 +93,12 @@ class TrainConfig:
     lr_mix: float = 1e-3
     seed: int = 0
     eval_rollouts: int = 1
-    reward_scale: float = 0.0      # 0: freeze 1/mean|r| from the first batch
     grad_clip: float = 10.0        # per-block gradient norm ceiling; 0: none
 
     def __post_init__(self):
         check_counts(self, dict(episodes=0, rollouts=1, horizon=0, nstep=1,
                                 seed=0, eval_rollouts=1))
-        for name in ("lr_pi", "lr_v", "lr_mix", "reward_scale", "grad_clip"):
+        for name in ("lr_pi", "lr_v", "lr_mix", "grad_clip"):
             if not getattr(self, name) >= 0:  # NaN is rejected too
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.gamma <= 1.0:
@@ -278,41 +281,35 @@ def evaluate(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
             "outage_iot": float(np.mean(iot_out))}
 
 
-def train(env_factory, tcfg: TrainConfig, pcfg: PolicyConfig | None = None,
-          policy: GEVDACPolicy | None = None, on_episode=None):
-    """Full training loop; returns (policy, per-episode curve rows).
+def train(env_factory, tcfg: TrainConfig, policy: GEVDACPolicy,
+          on_episode=None):
+    """Train ``policy`` in place; returns (policy, per-episode curve rows).
 
     ``env_factory(seed)`` builds an environment; training and evaluation use
     separate instances so test metrics never disturb the training stream.
-    A non-finite update aborts with a rescue checkpoint in ``/tmp``.
-    A given ``policy`` brings its own config, so ``pcfg`` must then be None.
+    Rewards are scaled by 1/mean|r| of the first batch, frozen from then on.
+    A non-finite update raises a RuntimeError naming the episode; as
+    ``apply_update`` aborts before it changes any parameter, ``policy``
+    holds the last finite parameters for the caller to save.
     """
-    if policy is not None and pcfg is not None:
-        raise ValueError("pass pcfg or policy, not both: a policy keeps the "
-                         "PolicyConfig it was built with")
     env = env_factory(tcfg.seed)
     eval_env = env_factory(tcfg.seed + 9999)
-    if policy is None:
-        policy = policy_for_env(env, pcfg or PolicyConfig(), tcfg.seed)
     horizon = tcfg.horizon or env.config.episode_slots
     rng = np.random.default_rng([tcfg.seed, 2])
     curves = []
-    reward_scale = tcfg.reward_scale
+    reward_scale = None
     for episode in range(tcfg.episodes):
         batch = [rollout(env, policy, horizon, rng)
                  for _ in range(tcfg.rollouts)]
-        if reward_scale == 0.0:  # freeze a scale from the first batch
+        if reward_scale is None:  # freeze a scale from the first batch
             mean_abs = float(np.mean(
                 [abs(s.outcome.reward) for b in batch for s in b.steps]))
             reward_scale = 1.0 / max(mean_abs, 1e-9)
         try:
             stats = update(policy, batch, tcfg, reward_scale)
         except FloatingPointError as err:
-            rescue = f"/tmp/risnoma_diverged_ep{episode}.npz"
-            policy.store.save(rescue, extra_meta={"episode": episode})
             raise RuntimeError(
-                f"non-finite gradient at episode {episode}; "
-                f"checkpoint written to {rescue}") from err
+                f"non-finite gradient at episode {episode}") from err
         metrics = evaluate(eval_env, policy, horizon, tcfg.eval_rollouts)
         row = {
             "episode": episode,

@@ -205,24 +205,6 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
 
 
 @dataclass
-class LinkPlan:
-    """One AP's plan in per-user form: clusters as lists of user ids.
-
-    The slot path does not use it; it states an AP's part of a ``SlotLinks``
-    in the form the loop-by-loop SINR transcription reads.
-    ``clusters`` lists each cluster's members by decode position, head
-    first; ``position`` and ``cluster_of`` restate them per user id (any
-    mapping indexed by id will do).
-    """
-    clusters: list                 # per cluster: members by position, head first
-    position: np.ndarray           # user -> 1-based cluster position (head = 1)
-    cluster_of: np.ndarray         # user -> cluster index
-    v: np.ndarray                  # (N_A, N_R) analog
-    w: np.ndarray                  # (N_R, N_R) digital columns
-    zf_loaded: bool = False
-
-
-@dataclass
 class SlotLinks:
     """The slot's beams, gains and cluster layout (see the module
     docstring)."""

@@ -3,7 +3,7 @@
 Each user's reward weight y + 2q (``QueueState.weights``) is the factor of
 service in the quadratic Lyapunov drift bound, drift <= const + ... +
 (y + 2q) * (arrival - service), so the shaped reward pays most for serving
-long and over-budget queues.
+long and over-budget queues.  ``QueueState.step`` is the one queue update.
 
 Units: queue lengths, arrivals and per-slot service are all Gbit.  A user
 served at R Gbps drains R * slot_seconds Gbit per slot, so the dynamics are
@@ -13,35 +13,6 @@ in Gbps and scaled by the same slot.
 from __future__ import annotations
 
 import numpy as np
-
-
-def _require_nonnegative(*arrays) -> None:
-    """Raise unless every entry is >= 0; a NaN is not."""
-    for x in arrays:
-        if not (x >= 0).all():
-            raise ValueError("queue quantities must be non-negative")
-
-
-def _backlog(q, served, arrival):
-    return arrival + np.maximum(q - served, 0.0)
-
-
-def _deficit(y, q_next, budget):
-    return np.maximum(y + q_next - budget, 0.0)
-
-
-def update_queue(q: float, served: float, arrival: float):
-    """Backlog after serving then adding this slot's arrivals."""
-    q, served, arrival = (np.asarray(x, dtype=float) for x in (q, served, arrival))
-    _require_nonnegative(q, served, arrival)
-    return _backlog(q, served, arrival)
-
-
-def update_virtual_queue(y: float, q_next: float, q_max: float, eps: float):
-    """Deficit accumulation toward the average-backlog budget q_max * eps."""
-    y, q_next = (np.asarray(x, dtype=float) for x in (y, q_next))
-    _require_nonnegative(y, q_next)
-    return _deficit(y, q_next, np.asarray(q_max) * eps)
 
 
 def rate_violation(rates, minima) -> float:
@@ -55,9 +26,10 @@ class QueueState:
     """Vectorized per-user queues with Poisson packet arrivals.
 
     Arrivals are sampled in packets of ``packet_gbit`` and clamped at
-    ``a_max`` so the drift constants stay finite.  ``step`` applies the
-    updates of ``update_queue`` and ``update_virtual_queue`` without their
-    input checks: its caller hands it non-negative service and arrivals.
+    ``a_max`` so the drift constants stay finite.  ``q_max`` holds each
+    user's outage cap, which also scales its queue weight in the comm graph.
+    ``step`` checks nothing: its caller hands it non-negative service and
+    arrivals.
     """
 
     def __init__(self, arrival_mean_gbit: np.ndarray, q_max_gbit: np.ndarray,
@@ -85,6 +57,10 @@ class QueueState:
         return self.y + 2.0 * self.q
 
     def step(self, served_gbit: np.ndarray, arrivals: np.ndarray):
-        self.q = _backlog(self.q, served_gbit, arrivals)
-        self.y = _deficit(self.y, self.q, self._budget)
+        """Serve, then add this slot's arrivals: q <- a + max(q - s, 0).
+        The deficit then grows by the backlog over the average-backlog
+        budget q_max * eps: y <- max(y + q - q_max * eps, 0).  Returns
+        copies of the new (q, y)."""
+        self.q = arrivals + np.maximum(self.q - served_gbit, 0.0)
+        self.y = np.maximum(self.y + self.q - self._budget, 0.0)
         return self.q.copy(), self.y.copy()

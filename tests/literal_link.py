@@ -3,7 +3,26 @@
 Deliberately independent of risnoma.linklayer: nothing here is vectorized
 or shared, so agreement between the two is a real cross-check.
 """
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass
+class LinkPlan:
+    """One AP's plan in per-user form: clusters as lists of user ids.
+
+    It states an AP's part of a ``SlotLinks`` in the form this
+    transcription reads.  ``clusters`` lists each cluster's members by
+    decode position, head first; ``position`` and ``cluster_of`` restate
+    them per user id (any mapping indexed by id will do).
+    """
+    clusters: list                 # per cluster: members by position, head first
+    position: np.ndarray           # user -> 1-based cluster position (head = 1)
+    cluster_of: np.ndarray         # user -> cluster index
+    v: np.ndarray                  # (N_A, N_R) analog
+    w: np.ndarray                  # (N_R, N_R) digital columns
+    zf_loaded: bool = False
 
 
 def _beam(h_row, v, w_col):
@@ -67,8 +86,6 @@ def literal_sic_and_sinr(h_eff, plans, alpha, sigma2):
 
 def random_instance(rng, m=2, n_r=2, extra_users=2, n_a=None):
     """A random multi-AP plan over synthetic channels (no physics needed)."""
-    from risnoma.linklayer import LinkPlan
-
     n_a = n_a or 2 * n_r
     n_sub = n_a // n_r
     users_per_ap = n_r + extra_users

@@ -13,7 +13,9 @@ import warnings
 import numpy as np
 
 from risnoma.config import NetworkConfig
-from risnoma.linklayer import LinkPlan, SlotLinks
+from risnoma.linklayer import SlotLinks
+
+from literal_link import LinkPlan
 
 
 def cluster_users(h_own: np.ndarray, se_ids, iot_ids, max_cluster_size: int):

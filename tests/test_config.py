@@ -1,6 +1,7 @@
 """NetworkConfig: values rejected at construction, and the flat-file round
 trip of ``save_config`` / ``load_config``; seeds rejected by every
 constructor that takes one."""
+import dataclasses
 import math
 
 import numpy as np
@@ -57,6 +58,51 @@ def test_save_load_round_trip(make, tmp_path):
     path = tmp_path / "net.cfg"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+class TestNumpyScalars:
+    # a NumPy scalar field used to save as "np.int64(2)", which load_config
+    # could not read, and made checksum() fail in json.dumps
+    NUMPY = dict(num_aps=np.int64(2), ris_elements=np.int32(3),
+                 room_x=np.float64(9.5), p_rf=np.float32(0.25),
+                 refractive_index=np.complex128(2.25 - 0.031j))
+
+    def test_fields_are_stored_as_their_python_type(self):
+        cfg = tiny_config(**self.NUMPY)
+        for name in self.NUMPY:
+            field = next(f for f in dataclasses.fields(cfg) if f.name == name)
+            assert type(getattr(cfg, name)).__name__ == field.type, name
+        assert cfg == tiny_config(**{n: v.item()
+                                     for n, v in self.NUMPY.items()})
+
+    def test_save_load_round_trip(self, tmp_path):
+        cfg = tiny_config(**self.NUMPY)
+        path = tmp_path / "net.cfg"
+        save_config(cfg, path)
+        assert "np." not in path.read_text()
+        assert load_config(path) == cfg
+
+    def test_checksum_equals_the_plain_config(self):
+        plain = {n: v.item() for n, v in self.NUMPY.items()}
+        assert (NetworkEnv(tiny_config(**self.NUMPY), 0).checksum()
+                == NetworkEnv(tiny_config(**plain), 0).checksum())
+
+
+IDLE_OFF = dict(p_bb=0.0, p_rf=0.0, p_ps=0.0, p_a=0.0, p_d=0.0)
+
+
+def test_zero_idle_power_is_rejected():
+    # a slot with zero transmit power and every RIS element off would draw
+    # no power at all, and its energy efficiency would divide by zero
+    with pytest.raises(ValueError, match="p_bb"):
+        tiny_config(p_ris_element=0.0, **IDLE_OFF)
+    with pytest.raises(ValueError, match="p_d"):
+        tiny_config(**IDLE_OFF)  # RIS elements draw only while on
+
+
+@pytest.mark.parametrize("name", sorted(IDLE_OFF))
+def test_one_idle_term_makes_the_config_valid(name):
+    assert getattr(tiny_config(**{**IDLE_OFF, name: 1e-3}), name) == 1e-3
 
 
 def test_load_rejects_a_repeated_key(tmp_path):

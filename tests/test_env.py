@@ -9,6 +9,7 @@ from risnoma.graphs import (EDGE_ENDS, build_comm_graph, graph_layout,
                             stack_graphs)
 from risnoma.policy import PolicyConfig, policy_for_env
 from risnoma.presets import default_config, medium_config, tiny_config
+from risnoma.topology import SE
 
 
 def random_action(cfg, rng):
@@ -177,7 +178,7 @@ class TestObservations:
             parts.ap_ris, rng.uniform(0, 0.05, cfg.total_users),
             np.zeros(cfg.total_users), np.zeros((cfg.num_ris, cfg.ris_elements)),
             np.zeros((cfg.num_ris, cfg.ris_elements)),
-            graph_layout(env.topo, cfg))
+            graph_layout(env.topo, cfg, env.queues.q_max))
             for _ in range(2)]
         a, b = graphs
         assert not np.array_equal(a.nodes["ap"], b.nodes["ap"])
@@ -314,6 +315,20 @@ class TestCommGraph:
 
 
 class TestFeatureScale:
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(), medium_config(), default_config(),
+        default_config(qmax_se_gbps=0.3, qmax_iot_gbps=7.7, slot_seconds=3e-3)],
+        ids=["tiny", "medium", "default", "odd-caps"])
+    def test_queue_scales_are_the_queues_caps(self, cfg):
+        # the layout reads each user's cap off the env's queues; it equals,
+        # bit for bit, the SE/IoT split taken from the config by hand
+        env = NetworkEnv(cfg, seed=0)
+        qmax_se, qmax_iot = cfg.qmax_gbit
+        users = env.topo.users
+        by_kind = np.where(env.topo.user_kind[users] == SE, 1.0 / qmax_se,
+                           1.0 / qmax_iot)
+        assert env._layout.qinv.tobytes() == by_kind.tobytes()
+
     @pytest.mark.parametrize("make", [tiny_config, medium_config,
                                       default_config])
     def test_graph_features_are_order_one(self, make):

@@ -275,7 +275,7 @@ class TestTrainConfig:
         ("nstep", 0), ("gamma", 1.5), ("rollouts", 0), ("eval_rollouts", 0),
         ("episodes", -1), ("horizon", -1), ("gamma", -0.1),
         ("gamma", float("nan")), ("lr_pi", -1e-3), ("lr_v", -1e-3),
-        ("lr_mix", -1e-3), ("grad_clip", -1.0), ("reward_scale", -1.0),
+        ("lr_mix", -1e-3), ("grad_clip", -1.0),
         ("rollouts", 1.5), ("episodes", 2.5), ("horizon", 3.5),
         ("nstep", 8.0), ("eval_rollouts", 1.5)])
     def test_bad_values_rejected_at_construction(self, field, value):
@@ -284,8 +284,7 @@ class TestTrainConfig:
 
     def test_zero_rates_clip_horizon_and_scale_stay_valid(self):
         cfg = TrainConfig(episodes=0, horizon=0, gamma=0.0, lr_pi=0.0,
-                          lr_v=0.0, lr_mix=0.0, grad_clip=0.0,
-                          reward_scale=0.0)
+                          lr_v=0.0, lr_mix=0.0, grad_clip=0.0)
         assert cfg.grad_clip == 0.0 and cfg.horizon == 0
         assert TrainConfig(gamma=1.0, nstep=1).gamma == 1.0
 
@@ -869,16 +868,20 @@ class TestSlotCost:
 
 
 class TestTrain:
+    PCFG = PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6, critic_hidden=6,
+                        mix_hidden=4)
+
+    def _train(self, env_factory, tcfg, **kw):
+        """``train`` on a small policy built for ``env_factory(tcfg.seed)``."""
+        policy = policy_for_env(env_factory(tcfg.seed), self.PCFG, tcfg.seed)
+        return train(env_factory, tcfg, policy, **kw)
+
     def test_zero_rates_freeze_parameters(self):
         env_factory = lambda s: NetworkEnv(tiny_config(), seed=s)
         tcfg = TrainConfig(episodes=1, rollouts=1, horizon=4, lr_pi=0.0,
                            lr_v=0.0, lr_mix=0.0, seed=3)
-        policy, _ = train(env_factory, tcfg,
-                          PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6,
-                                       critic_hidden=6, mix_hidden=4))
-        fresh = policy_for_env(env_factory(3),
-                               PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6,
-                                            critic_hidden=6, mix_hidden=4), 3)
+        policy, _ = self._train(env_factory, tcfg)
+        fresh = policy_for_env(env_factory(3), self.PCFG, 3)
         for name in policy.store.names():
             assert np.array_equal(policy.store.get(name).value,
                                   fresh.store.get(name).value), name
@@ -886,9 +889,7 @@ class TestTrain:
     def test_curve_rows_are_complete_and_ordered(self):
         env_factory = lambda s: NetworkEnv(tiny_config(), seed=s)
         tcfg = TrainConfig(episodes=3, rollouts=1, horizon=5, seed=0)
-        policy, curves = train(env_factory, tcfg,
-                               PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6,
-                                            critic_hidden=6, mix_hidden=4))
+        policy, curves = self._train(env_factory, tcfg)
         assert [c["episode"] for c in curves] == [0, 1, 2]
         exchange = policy.exchange_volume(env_factory(0).comm_graph())
         assert exchange > 0
@@ -898,22 +899,49 @@ class TestTrain:
                 assert key in row
             assert row["exchange_per_step"] == exchange
 
-    def test_policy_and_its_config_are_not_both_taken(self):
-        # a given policy brings its own PolicyConfig; a second one would be
-        # ignored, so the call is refused before any env is built
-        env = tiny_env()
-        policy = small_policy(env)
-        with pytest.raises(ValueError, match="pcfg"):
-            train(lambda s: pytest.fail("an env was built"), TrainConfig(),
-                  PolicyConfig(), policy=policy)
+    def test_non_finite_update_stops_with_the_last_finite_parameters(
+            self, monkeypatch):
+        # the update of episode 1 is made non-finite: train stops naming the
+        # episode, the policy keeps what episode 0 left, and nothing is saved
+        env_factory = lambda s: NetworkEnv(tiny_config(), seed=s)
+        tcfg = TrainConfig(episodes=3, rollouts=1, horizon=4, seed=0)
+        policy = policy_for_env(env_factory(0), self.PCFG, 0)
+        store, updates, after_first = policy.store, [], {}
+        apply = store.apply_update
+
+        def poisoned(deltas):
+            updates.append(len(updates))
+            if len(updates) == 2:  # the update of episode 1
+                name = min(deltas)
+                deltas = {**deltas,
+                          name: np.full_like(deltas[name], np.nan)}
+            apply(deltas)
+
+        def on_episode(row, trained, batch):
+            after_first.update((n, trained.store.get(n).value.copy())
+                               for n in trained.store.names())
+
+        def no_file(*args, **kwargs):
+            pytest.fail("train wrote a file")
+
+        monkeypatch.setattr(store, "apply_update", poisoned)
+        monkeypatch.setattr(ParamStore, "save", no_file)
+        for save in ("save", "savez", "savez_compressed"):
+            monkeypatch.setattr(np, save, no_file)
+        with pytest.raises(RuntimeError, match="episode 1") as err:
+            train(env_factory, tcfg, policy, on_episode)
+        assert isinstance(err.value.__cause__, FloatingPointError)
+        assert len(updates) == 2
+        assert sorted(after_first) == store.names()
+        for name in store.names():
+            assert np.array_equal(store.get(name).value,
+                                  after_first[name]), name
 
     def test_trains_without_ris(self):
         # an agent type with no agents: zero-row trunks, heads and critics
         env_factory = lambda s: NetworkEnv(medium_config(num_ris=0), seed=s)
         tcfg = TrainConfig(episodes=2, rollouts=2, horizon=5, seed=0)
-        policy, curves = train(env_factory, tcfg,
-                               PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6,
-                                            critic_hidden=6, mix_hidden=4))
+        policy, curves = self._train(env_factory, tcfg)
         assert len(curves) == 2
         for row in curves:
             assert all(np.isfinite(v) for v in row.values())
@@ -928,9 +956,7 @@ class TestTrain:
         tcfg = TrainConfig(episodes=2, rollouts=1, horizon=5, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, curves = train(env_factory, tcfg,
-                              PolicyConfig(msg_dim=4, hidden=4, gru_hidden=6,
-                                           critic_hidden=6, mix_hidden=4))
+            _, curves = self._train(env_factory, tcfg)
         assert len(curves) == 2
         for row in curves:
             assert all(np.isfinite(v) for v in row.values())
@@ -963,7 +989,8 @@ class TestPinnedLearnerTrace:
         policy, curves = train(
             lambda s: NetworkEnv(cfg, seed=s),
             TrainConfig(episodes=2, rollouts=2, horizon=8, seed=1),
-            PolicyConfig(critic_mode=critic_mode))
+            policy_for_env(NetworkEnv(cfg, seed=1),
+                           PolicyConfig(critic_mode=critic_mode), 1))
         assert policy.store.dtype == np.float32
         digest = hashlib.sha256()
         for row in curves:

@@ -10,7 +10,7 @@ from risnoma.presets import default_config, medium_config, tiny_config
 from risnoma.topology import SE, build_topology
 
 import reference_link as ref
-from literal_link import literal_sic_and_sinr, random_instance
+from literal_link import LinkPlan, literal_sic_and_sinr, random_instance
 
 
 def channel_correlation(h1: np.ndarray, h2: np.ndarray) -> float:
@@ -76,10 +76,10 @@ def _link_plans(links) -> list:
         for column in range(ap * s, (ap + 1) * s):
             members = np.flatnonzero(links.slot == column)
             clusters.append(members[np.argsort(links.position[members])].tolist())
-        plans.append(ll.LinkPlan(clusters, np.where(mine, links.position, 0),
-                                 np.where(mine, links.slot % s, -1),
-                                 links.v[ap], links.w[ap],
-                                 bool(links.zf_loaded[ap])))
+        plans.append(LinkPlan(clusters, np.where(mine, links.position, 0),
+                              np.where(mine, links.slot % s, -1),
+                              links.v[ap], links.w[ap],
+                              bool(links.zf_loaded[ap])))
     return plans
 
 
