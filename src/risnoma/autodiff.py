@@ -1,10 +1,11 @@
 """Reverse-mode tape over floating numpy arrays: just the ops the nets need.
 
-Every op builds a Tensor holding its value, its parents, and a closure that
-scatters the output gradient back to those parents that require one;
-``backward()`` walks the tape in reverse topological order.  No graph
-reuse, no in-place tricks.  Once ``backward()`` returns, only the leaves
-(tensors without parents, such as parameters) keep a ``.grad``: each
+A Tensor is a tape node that takes a gradient; a constant is an ndarray or
+a Python scalar.  An op with a Tensor input builds a Tensor holding its
+value, its Tensor parents, and a closure that scatters the output gradient
+back to them; ``backward()`` walks the tape in reverse topological order.
+No graph reuse, no in-place tricks.  Once ``backward()`` returns, only the
+leaves (tensors without parents, such as parameters) keep a ``.grad``: each
 interior node's gradient is dropped as soon as it has been pushed to its
 parents, and nothing but the caller's own references keeps the tape alive.
 
@@ -73,16 +74,15 @@ from .config import check_counts
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "_parents", "_push", "requires")
+    __slots__ = ("value", "grad", "_parents", "_push")
     __array_ufunc__ = None  # ndarray (op) Tensor calls the reflected op
 
-    def __init__(self, value, requires=False, parents=(), push=None):
+    def __init__(self, value, parents=(), push=None):
         value = np.asarray(value)
         self.value = value if value.dtype.kind == "f" else value.astype(float)
         self.grad = None
-        self.requires = requires or any(p.requires for p in parents)
-        self._parents = parents if self.requires else ()
-        self._push = push if self.requires else None
+        self._parents = parents
+        self._push = push
 
     @property
     def shape(self):
@@ -116,9 +116,8 @@ class Tensor:
         b = _val(other, self.value.dtype)
 
         def push(g):
-            if self.requires:
-                self._accum(_unbroadcast(g, self.shape))
-            if _requires(other):
+            self._accum(_unbroadcast(g, self.shape))
+            if type(other) is Tensor:
                 other._accum(_unbroadcast(g, b.shape))
         return _out(self.value + b, (self, other), push)
 
@@ -128,9 +127,8 @@ class Tensor:
         b = _val(other, self.value.dtype)
 
         def push(g):
-            if self.requires:
-                self._accum(_unbroadcast(g * b, self.shape))
-            if _requires(other):
+            self._accum(_unbroadcast(g * b, self.shape))
+            if type(other) is Tensor:
                 other._accum(_unbroadcast(g * self.value, b.shape))
         return _out(self.value * b, (self, other), push)
 
@@ -175,17 +173,15 @@ class Tensor:
 
 
 def _post_order(root: Tensor) -> list:
-    """Every node ``root`` depends on through nodes that require a gradient,
-    each after its parents; a depth-first post-order, built without
-    recursion so that no closure keeps the list (and the tape) alive."""
-    if not root.requires:
-        return []
+    """``root`` and every node it depends on, each after its parents; a
+    depth-first post-order, built without recursion so that no closure
+    keeps the list (and the tape) alive."""
     order, seen = [], {id(root)}
     stack = [(root, iter(root._parents))]
     while stack:
         node, parents = stack[-1]
         for p in parents:
-            if p.requires and id(p) not in seen:
+            if id(p) not in seen:
                 seen.add(id(p))
                 stack.append((p, iter(p._parents)))
                 break
@@ -228,19 +224,6 @@ def _val(x, dtype=None) -> np.ndarray:
         return v if dtype is None or v.dtype == dtype else v.astype(dtype)
     v = np.asarray(x, dtype=dtype)
     return v if v.dtype.kind == "f" else v.astype(float)
-
-
-def _tensor_dtype(inputs):
-    """The dtype of the first Tensor among ``inputs``; None if there is
-    none."""
-    for x in inputs:
-        if isinstance(x, Tensor):
-            return x.value.dtype
-    return None
-
-
-def _requires(x) -> bool:
-    return isinstance(x, Tensor) and x.requires
 
 
 def _out(value, inputs, push):
@@ -357,11 +340,11 @@ def concat(parts, axis=-1):
     """Join arrays or tensors along an existing axis."""
     if Tensor not in map(type, parts):
         return np.concatenate([_val(p) for p in parts], axis=axis)
-    dtype = _tensor_dtype(parts)
+    dtype = next(p.value.dtype for p in parts if type(p) is Tensor)
     values = [_val(p, dtype) for p in parts]
     out = np.concatenate(values, axis=axis)
     bounds = np.cumsum([v.shape[axis] for v in values])[:-1]
-    takers = [(i, p) for i, p in enumerate(parts) if _requires(p)]
+    takers = [(i, p) for i, p in enumerate(parts) if type(p) is Tensor]
 
     def push(g):
         pieces = np.split(np.asarray(g), bounds, axis=axis)
@@ -376,8 +359,8 @@ def linear(parts, w, b):
 
     The value is that expression, bit for bit; a single part is used as it
     is, with no concatenated copy.  The backward pass gives ``w`` and ``b``
-    the gradients of the product and the sum, and a part that requires a
-    gradient the product with its own rows of ``w``; ndarray parts, such as
+    the gradients of the product and the sum, and a Tensor part the
+    product with its own rows of ``w``; ndarray parts, such as
     constant feature columns, get none and are not kept for the backward
     pass, which reads the joined input only.  Parts are 1-D or 2-D, all with
     the same leading shape.  The layer computes in the dtype of ``w``, its
@@ -402,15 +385,15 @@ def linear(parts, w, b):
     parents = tuple(x for x in (*parts, w, b) if isinstance(x, Tensor))
     spans, lo = [], 0  # (part, its first and past-last rows of w)
     for p, v in zip(parts, values):
-        if _requires(p):
+        if type(p) is Tensor:
             spans.append((p, lo, lo + v.shape[-1]))
         lo += v.shape[-1]
 
     def push(g):
         g = np.asarray(g)
-        if _requires(w):
+        if type(w) is Tensor:
             w._accum(a.T @ g if a.ndim == 2 else np.outer(a, g))
-        if _requires(b):
+        if type(b) is Tensor:
             b._accum(_unbroadcast(g, b.shape))
         for p, lo, hi in spans:
             p._accum(g @ wv[lo:hi].T)
@@ -610,13 +593,13 @@ def gru_scan(x, h0, weights):
         hf = hs[:-1].reshape(steps * rows, hidden)
         for inp, da, w, b in ((xf, da_x, *weights[:2]),
                               (hf, da_h, *weights[2:])):
-            if _requires(w):
+            if type(w) is Tensor:
                 w._accum(inp.T @ da)
-            if _requires(b):
+            if type(b) is Tensor:
                 b._accum(da.sum(axis=0))
-        if _requires(x):
+        if type(x) is Tensor:
             x._accum((da_x @ w_x.T).reshape(xv.shape))
-        if _requires(h0):
+        if type(h0) is Tensor:
             h0._accum(dh.reshape(hv.shape))
     return _out(out, inputs, push)
 
@@ -665,8 +648,7 @@ class ParamStore:
                 fan_in = shape[0] if len(shape) > 1 else max(1, shape[0])
                 bound = 1.0 / np.sqrt(fan_in)
                 value = rng.uniform(-bound, bound, shape)
-            t = self._params[name] = Tensor(value.astype(self.dtype),
-                                            requires=True)
+            t = self._params[name] = Tensor(value.astype(self.dtype))
         if t.value.shape != tuple(shape):
             raise ValueError(f"shape clash for parameter {name}")
         return t if self._taping else t.value
@@ -714,13 +696,16 @@ class ParamStore:
 
     # -- checkpointing ------------------------------------------------------
     def save(self, path, extra_meta: dict | None = None) -> None:
+        """Write an ``.npz`` archive to exactly ``path``: given a file
+        rather than a name, ``np.savez`` adds no suffix."""
         meta = {"seed": self.seed, "dtype": self.dtype.name,
                 "names": self.names()}
         meta.update(extra_meta or {})
         arrays = {f"param_{n}": self._params[n].value for n in self.names()}
-        np.savez(path, __meta__=np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-            **arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(
+                json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+                **arrays)
 
     @classmethod
     def load(cls, path) -> tuple["ParamStore", dict]:
@@ -729,7 +714,7 @@ class ParamStore:
         store = cls(meta["seed"], meta.get("dtype", "float64"))
         for name in meta["names"]:
             store._params[name] = Tensor(
-                data[f"param_{name}"].astype(store.dtype), requires=True)
+                data[f"param_{name}"].astype(store.dtype))
         return store, meta
 
 

@@ -96,14 +96,18 @@ class NetworkConfig:
         for f in fields(self):
             kind, cast = _NUMBER_TYPES[f.type]
             value = getattr(self, f.name)
-            if isinstance(value, kind):
+            if isinstance(value, kind) and not isinstance(value, bool):
                 setattr(self, f.name, cast(value))
+            elif f.type != "int":  # a count is checked, with its bound, below
+                raise ValueError(f"{f.name} must be a {kind.__name__.lower()} "
+                                 f"number, got {value!r}")
         check_counts(self, dict(
             num_aps=1, num_ris=0, se_users_per_ap=1, iot_users_per_ap=0,
             antennas=1, ris_elements=1, num_nlos_paths=0, ris_phase_bits=1,
             analog_phase_bits=1, episode_slots=1, max_cluster_size=0))
         if self.antennas % self.rf_chains != 0:
-            raise ValueError("antennas must be a multiple of rf_chains")
+            raise ValueError("antennas must be a multiple of se_users_per_ap "
+                             "(rf_chains)")
         # every check below is written so that NaN fails it; a zero
         # noise_power would give a zero channel an SINR of 0/0
         for name in ("room_x", "room_y", "room_z", "carrier_freq", "bandwidth",
@@ -183,10 +187,11 @@ class NetworkConfig:
 def check_counts(record, least: dict) -> None:
     """Raise a ValueError naming the first field of ``record`` listed in
     ``least`` ({field: bound}) that does not hold an integer of at least its
-    bound."""
+    bound; a bool is not a count."""
     for name, bound in least.items():
         value = getattr(record, name)
-        if not isinstance(value, numbers.Integral) or value < bound:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < bound):
             raise ValueError(f"{name} must be an integer >= {bound}, got "
                              f"{value!r}")
 
@@ -240,9 +245,7 @@ def _parse(typename: str, text: str):
         return int(text)
     if typename == "float":
         return float(text)
-    if typename == "complex":
-        return complex(text.replace(" ", ""))
-    return text
+    return complex(text.replace(" ", ""))
 
 
 def config_dict(cfg: NetworkConfig) -> dict:

@@ -42,6 +42,7 @@ its last finite parameters.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +99,13 @@ class TrainConfig:
     def __post_init__(self):
         check_counts(self, dict(episodes=0, rollouts=1, horizon=0, nstep=1,
                                 seed=0, eval_rollouts=1))
-        for name in ("lr_pi", "lr_v", "lr_mix", "grad_clip"):
-            if not getattr(self, name) >= 0:  # NaN is rejected too
-                raise ValueError(f"{name} must be non-negative")
+        for name in ("gamma", "lr_pi", "lr_v", "lr_mix", "grad_clip"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got "
+                                 f"{value!r}")
+            if name != "gamma" and not 0 <= value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative and finite")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
 
@@ -288,9 +293,9 @@ def train(env_factory, tcfg: TrainConfig, policy: GEVDACPolicy,
     ``env_factory(seed)`` builds an environment; training and evaluation use
     separate instances so test metrics never disturb the training stream.
     Rewards are scaled by 1/mean|r| of the first batch, frozen from then on.
-    A non-finite update raises a RuntimeError naming the episode; as
-    ``apply_update`` aborts before it changes any parameter, ``policy``
-    holds the last finite parameters for the caller to save.
+    A non-finite update raises a RuntimeError naming the episode and the
+    parameter; as ``apply_update`` aborts before it changes any parameter,
+    ``policy`` holds the last finite parameters for the caller to save.
     """
     env = env_factory(tcfg.seed)
     eval_env = env_factory(tcfg.seed + 9999)
@@ -309,7 +314,7 @@ def train(env_factory, tcfg: TrainConfig, policy: GEVDACPolicy,
             stats = update(policy, batch, tcfg, reward_scale)
         except FloatingPointError as err:
             raise RuntimeError(
-                f"non-finite gradient at episode {episode}") from err
+                f"non-finite update at episode {episode} ({err})") from err
         metrics = evaluate(eval_env, policy, horizon, tcfg.eval_rollouts)
         row = {
             "episode": episode,

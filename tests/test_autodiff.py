@@ -18,13 +18,13 @@ from fd import fd_check
 
 class TestTapeBasics:
     def test_add_mul_chain(self):
-        x = Tensor(2.0, requires=True)
+        x = Tensor(2.0)
         y = (x * 3.0 + 1.0) * x  # 3x^2 + x
         y.backward()
         assert x.grad == pytest.approx(13.0)
 
     def test_getitem_scatters(self):
-        x = Tensor(np.arange(4.0), requires=True)
+        x = Tensor(np.arange(4.0))
         x[1:3].sum().backward()
         assert np.allclose(x.grad, [0, 1, 1, 0])
 
@@ -46,7 +46,7 @@ class TestTapeBasics:
         g = rng.normal(size=value[key].shape)
         g.flat[::2] = -0.0
         assert ad._is_basic(key) == basic
-        x = Tensor(value, requires=True)
+        x = Tensor(value)
         y = x[key]
         y._push(g)
         y._push(3.0 * g)
@@ -61,7 +61,7 @@ class TestTapeBasics:
         assert x.grad.tobytes() == want.tobytes()
 
     def test_getitem_repeated_index_accumulates(self):
-        x = Tensor(np.array([5.0, 7.0]), requires=True)
+        x = Tensor(np.array([5.0, 7.0]))
         x[[0, 0, 1]].sum().backward()
         assert np.array_equal(x.grad, [2.0, 1.0])
 
@@ -83,33 +83,36 @@ class TestTapeBasics:
         x0, y0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 5))
         c = rng.normal(size=(4, 7))
 
-        def run(inputs_require):
-            w, b = Tensor(w0, requires=True), Tensor(b0, requires=True)
-            x = Tensor(x0, requires=inputs_require)
-            y = Tensor(y0, requires=inputs_require)
-            (ad.concat([ad.linear([x], w, b), y]) * Tensor(c)).sum().backward()
+        def run(inputs_taped):
+            w, b = Tensor(w0), Tensor(b0)
+            x = Tensor(x0) if inputs_taped else x0
+            y = Tensor(y0) if inputs_taped else y0
+            (ad.concat([ad.linear([x], w, b), y]) * c).sum().backward()
             return w, b, x, y
 
-        w, b, x, y = run(False)
-        assert x.grad is None and y.grad is None
+        w, b, _, _ = run(False)
         w_ref, b_ref, x_ref, y_ref = run(True)
         assert x_ref.grad is not None and y_ref.grad is not None
         assert np.array_equal(w.grad, w_ref.grad)
         assert np.array_equal(b.grad, b_ref.grad)
 
+    def test_backward_without_seed_needs_a_scalar_root(self):
+        with pytest.raises(ValueError, match="scalar root"):
+            (Tensor(np.ones(2)) * 2.0).backward()
+
     def test_broadcast_add_reduces(self):
-        b = Tensor(np.zeros(3), requires=True)
+        b = Tensor(np.zeros(3))
         x = Tensor(np.ones((4, 3)))
         (x + b).sum().backward()
         assert np.allclose(b.grad, [4, 4, 4])
 
     def test_grad_accumulates_over_reuse(self):
-        x = Tensor(3.0, requires=True)
+        x = Tensor(3.0)
         (x * x + x).backward()
         assert x.grad == pytest.approx(7.0)
 
     def test_log_softmax_probabilities(self):
-        x = Tensor(np.array([0.1, -2.0, 1.3]), requires=True)
+        x = Tensor(np.array([0.1, -2.0, 1.3]))
         ls = ad.log_softmax(x)
         assert np.exp(ls.value).sum() == pytest.approx(1.0)
         ls[2].backward()
@@ -127,7 +130,7 @@ class TestFirstArrival:
         ((), -0.0),
     ])
     def test_matches_zeros_plus_gradient_bitwise(self, shape, g):
-        x = Tensor(np.ones(shape), requires=True)
+        x = Tensor(np.ones(shape))
         g = np.asarray(g, dtype=float)
         old = np.zeros(shape)
         old += g
@@ -138,7 +141,7 @@ class TestFirstArrival:
         assert not np.any(np.signbit(x.grad[x.grad == 0]))  # -0.0 -> +0.0
 
     def test_first_gradient_is_a_fresh_array(self):
-        x = Tensor(np.zeros(2), requires=True)
+        x = Tensor(np.zeros(2))
         g = np.array([1.0, 2.0])
         x._accum(g)
         x._accum(g)
@@ -190,10 +193,10 @@ class TestTapeLifetime:
         # concat its split points: a constant part, such as edge features,
         # dies with the caller's last reference to it
         rng = np.random.default_rng(7)
-        state = Tensor(rng.normal(size=(4, 2)), requires=True)
+        state = Tensor(rng.normal(size=(4, 2)))
         feat = rng.normal(size=(4, 3))
         probe = weakref.ref(feat)
-        w = Tensor(rng.normal(size=(5, 3)), requires=True)
+        w = Tensor(rng.normal(size=(5, 3)))
         if op == "linear":
             out = ad.linear([feat, state], w, np.zeros(3))
             want = np.ones((4, 3)) @ w.value[3:].T
@@ -206,7 +209,7 @@ class TestTapeLifetime:
         assert np.array_equal(state.grad, want)
 
     def test_deep_chain_needs_no_recursion(self):
-        x = Tensor(np.ones(2), requires=True)
+        x = Tensor(np.ones(2))
         y = x
         for _ in range(5 * sys.getrecursionlimit()):
             y = y * 1.0
@@ -217,7 +220,7 @@ class TestTapeLifetime:
 class TestInferenceOps:
     def test_arrays_in_array_out_and_mixed_inputs_tape(self):
         a = np.array([[0.3, -1.2], [2.0, 0.1]])
-        w = Tensor(np.array([[1.0, 2.0], [-0.5, 0.25]]), requires=True)
+        w = Tensor(np.array([[1.0, 2.0], [-0.5, 0.25]]))
         for op in (ad.tanh, ad.sigmoid, ad.relu, ad.elu, ad.exp, ad.absolute,
                    ad.square, ad.softplus, ad.log_softmax,
                    lambda v: ad.clip(v, -0.5, 0.5),
@@ -231,7 +234,7 @@ class TestInferenceOps:
             assert np.array_equal(free, taped.value)
         for mixed in (ad.linear([a], w, np.zeros(2)), a + w, a * w, a - w,
                       w - a):
-            assert isinstance(mixed, Tensor) and mixed.requires
+            assert isinstance(mixed, Tensor)
         ad.linear([a], w, np.zeros(2)).sum().backward()
         assert np.array_equal(w.grad, np.broadcast_to(a.sum(axis=0)[:, None],
                                                        (2, 2)))
@@ -313,9 +316,9 @@ class TestInferenceOps:
         # the same dtype: a float64 input meeting float32 weights is cast
         for name, op in self._cases(dtype):
             plain = op(lambda v: v)
-            taped = op(lambda v: Tensor(v, requires=True))
+            taped = op(lambda v: Tensor(v))
             assert isinstance(plain, np.ndarray), name
-            assert isinstance(taped, Tensor) and taped.requires, name
+            assert isinstance(taped, Tensor), name
             assert plain.dtype == taped.value.dtype == dtype, name
             assert plain.shape == taped.shape, name
             assert plain.tobytes() == taped.value.tobytes(), name
@@ -373,7 +376,7 @@ class TestDense:
 
         monkeypatch.setattr(Tensor, "__init__", counting)
         out = nn.dense(store, "d", x, 3, 2, "linear")
-        assert isinstance(out, Tensor) and out.requires
+        assert isinstance(out, Tensor)
         assert len(made) == 1
 
     def test_shape_mismatch_rejected(self):
@@ -399,8 +402,8 @@ class TestLinear:
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_matches_composed_dense(self, widths, ndim):
         values, w0, b0, g = self._case(widths, ndim)
-        w, b = Tensor(w0, requires=True), Tensor(b0, requires=True)
-        parts = [Tensor(v, requires=True) for v in values]
+        w, b = Tensor(w0), Tensor(b0)
+        parts = [Tensor(v) for v in values]
         out = ad.linear(parts, w, b)
         out.backward(g)
         a = np.concatenate(values, axis=-1)
@@ -437,12 +440,21 @@ class TestLinear:
     def test_constant_parts_get_no_gradient(self):
         rng = np.random.default_rng(6)
         feat = rng.normal(size=(4, 3))
-        frozen = Tensor(rng.normal(size=(4, 2)))
-        state = Tensor(rng.normal(size=(4, 2)), requires=True)
-        w = Tensor(rng.normal(size=(7, 3)), requires=True)
-        ad.linear([state, feat, frozen], w, np.zeros(3)).sum().backward()
-        assert frozen.grad is None
+        frozen = rng.normal(size=(4, 2))
+        s0, w0 = rng.normal(size=(4, 2)), rng.normal(size=(7, 3))
+
+        def run(frozen_taped):
+            state, w = Tensor(s0), Tensor(w0)
+            part = Tensor(frozen) if frozen_taped else frozen
+            ad.linear([state, feat, part], w, np.zeros(3)).sum().backward()
+            return state, w, part
+
+        state, w, _ = run(False)
         assert state.grad.shape == (4, 2) and w.grad.shape == (7, 3)
+        state_ref, w_ref, part_ref = run(True)
+        assert part_ref.grad is not None
+        assert np.array_equal(state.grad, state_ref.grad)
+        assert np.array_equal(w.grad, w_ref.grad)
 
     def test_against_finite_differences(self):
         store = ParamStore(3)
@@ -566,8 +578,8 @@ class TestGruScan:
 
     def test_gradients_match_the_composed_cell(self):
         store, weights, xs, h0 = self._setup()
-        x = Tensor(xs, requires=True)
-        h = Tensor(h0, requires=True)
+        x = Tensor(xs)
+        h = Tensor(h0)
         probe = np.random.default_rng(4).normal(
             size=(self.STEPS * self.ROWS, self.HIDDEN))
 
@@ -593,8 +605,8 @@ class TestGruScan:
     def test_no_rows_takes_no_step_and_gives_zero_weight_gradients(self):
         # a type without agents: (0, in) inputs from a (0, hidden) state
         store, weights, _, _ = self._setup()
-        x = Tensor(np.zeros((0, self.IN)), requires=True)
-        h = Tensor(np.zeros((0, self.HIDDEN)), requires=True)
+        x = Tensor(np.zeros((0, self.IN)))
+        h = Tensor(np.zeros((0, self.HIDDEN)))
         states = ad.gru_scan(x, h, weights)
         assert states.shape == (0, self.HIDDEN)
         store.zero_grads()
@@ -645,7 +657,7 @@ class TestClipWithoutNpClip:
             kept = np.isfinite(np.exp(-np.clip(narrow, -500, 500)))
             assert kept.sum() > len(v) // 2
             assert ad.sigmoid(narrow)[kept].tobytes() == old32[kept].tobytes()
-            x = Tensor(v, requires=True)
+            x = Tensor(v)
             ad.softplus(x).backward(np.ones_like(v))
         assert x.grad.tobytes() == (want + 0.0).tobytes()
 
@@ -668,7 +680,7 @@ class TestClipWithoutNpClip:
                 assert y.dtype == np.float32
                 assert np.all((0 <= y) & (y < 1e-37))
             h = ad.gru_scan(gate, np.zeros((1, 1), np.float32), weights)
-            taped = ad.gru_scan(Tensor(gate, requires=True),
+            taped = ad.gru_scan(Tensor(gate),
                                 np.zeros((1, 1), np.float32), weights)
         # z = sigmoid(-100) ~ 3e-39 keeps the zero state: h' = z * tanh(0)
         assert h.dtype == np.float32 and h.tobytes() == taped.value.tobytes()
@@ -697,6 +709,16 @@ class TestAggregate:
             perm = rng.permutation(9)
             got = ad.segment_mean(vecs[perm], ad.Segments(dst[perm], 4))
             assert np.array_equal(got, base)
+
+    @pytest.mark.parametrize("rows, dst", [
+        (np.ones((2, 3)), [[0], [1]]),   # ids in a column
+        (np.ones(3), [0, 1, 1]),         # one row of values
+        (np.ones((3, 2)), [0, 1]),       # an id short
+    ], ids=["2-D ids", "1-D rows", "short ids"])
+    def test_bad_shapes_rejected(self, rows, dst):
+        with pytest.raises(ValueError, match="segment ids must be a 1-D|"
+                                             "segment_mean needs"):
+            ad.segment_mean(rows, ad.Segments(dst, 2))
 
     def test_mean_gradients_over_seven_vectors(self):
         store = ParamStore(17)
@@ -852,6 +874,16 @@ class TestUpdatesAndCheckpoints:
             assert got.tobytes() == store.get(name).value.tobytes()
         assert loaded.param("c", (2,)).value.dtype == np.float32
 
+    def test_checkpoint_path_without_a_suffix_round_trips(self, tmp_path):
+        # np.savez given a name adds ".npz"; save writes the path it is given
+        store = ParamStore(8)
+        store.param("w", (3, 2))
+        path = str(tmp_path / "ckpt")
+        store.save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        loaded, _ = ParamStore.load(path)
+        assert loaded.get("w").value.tobytes() == store.get("w").value.tobytes()
+
     def test_checkpoint_without_a_dtype_loads_as_float64(self, tmp_path):
         path = tmp_path / "old.npz"
         meta = json.dumps({"seed": 3, "names": ["w"]}).encode()
@@ -871,6 +903,12 @@ class TestUpdatesAndCheckpoints:
             assert n.tobytes() == w.astype(np.float32).tobytes()
         with pytest.raises(ValueError, match="float dtype"):
             ParamStore(0, np.int64)
+
+    def test_parameter_shape_clash_rejected(self):
+        store = ParamStore(1)
+        store.param("w", (2, 3))
+        with pytest.raises(ValueError, match="shape clash for parameter w"):
+            store.param("w", (3, 2))
 
     def test_init_deterministic_per_name(self):
         a, b = ParamStore(5), ParamStore(5)
@@ -935,7 +973,7 @@ class TestDtype:
     def test_taped_ops_keep_the_operand_dtype(self, dtype):
         base = np.random.default_rng(9).normal(size=(4, 3))
         for name, op in self._ops():
-            x = Tensor(base.astype(dtype), requires=True)
+            x = Tensor(base.astype(dtype))
             out = op(x)
             assert out.value.dtype == dtype, name
             out.sum().backward()
@@ -951,8 +989,8 @@ class TestDtype:
     def test_gru_scan_and_mixer_run_in_the_store_dtype(self):
         store = ParamStore(4, np.float32)
         weights = nn.gru_params(store, "g", 3, 5)
-        x = Tensor(np.random.default_rng(1).normal(size=(6, 3)),
-                   requires=True)  # float64 input, float32 weights
+        # float64 input, float32 weights
+        x = Tensor(np.random.default_rng(1).normal(size=(6, 3)))
         states = ad.gru_scan(x, np.zeros((2, 5)), weights)
         assert states.value.dtype == np.float32
         states.sum().backward()

@@ -68,7 +68,7 @@ def test_slab_kernel_equals_reference(case):
     grads = []
     for fn in (lambda rows, dst, n: ad.segment_mean(rows, ad.Segments(dst, n)),
                partial(reference, "mean")):
-        rows = Tensor(vals, requires=True)
+        rows = Tensor(vals)
         out = fn(rows, dst, n)
         assert _bits(out.value) == _bits(want)
         if len(dst):

@@ -53,6 +53,11 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss_db(0.3e12, 0.0, 0.0033)
 
+    @pytest.mark.parametrize("freq", [0.0, -0.3e12])
+    def test_nonpositive_frequency_rejected(self, freq):
+        with pytest.raises(ValueError, match="frequency"):
+            path_loss_db(freq, 5.0, 0.0033)
+
 
 class TestLosProbability:
     def test_zero_distance(self):
@@ -81,6 +86,11 @@ class TestLosProbability:
         with pytest.raises(ValueError):
             los_probability(np.array([1.0, -1.0]), 8.0)
 
+    @pytest.mark.parametrize("d_b", [0.0, -8.0])
+    def test_nonpositive_decay_distance_rejected(self, d_b):
+        with pytest.raises(ValueError, match="decay distance"):
+            los_probability(1.0, d_b)
+
 
 class TestArrayResponse:
     def test_broadside_all_equal(self):
@@ -105,6 +115,10 @@ class TestArrayResponse:
         assert got.shape == (2, 3, 5)
         for idx in np.ndindex(aod.shape):
             assert np.array_equal(got[idx], array_response(5, aod[idx]))
+
+    def test_empty_array_rejected(self):
+        with pytest.raises(ValueError, match="array size"):
+            array_response(0, 0.0)
 
 
 class TestReflectionCoeff:
@@ -182,6 +196,7 @@ class TestRisPhase:
         ([[np.nan, 1]], [[0, 1]]),
         ([[0, 1]], [[0, np.nan]]),
         ([[0, 1]], [[0, np.inf]]),
+        ([[1]], [[0, 1]]),         # shapes that differ but broadcast
     ])
     def test_bad_action_entries_rejected(self, on, phase):
         with pytest.raises(ValueError):
@@ -436,6 +451,12 @@ class TestDirectChannel:
 
 
 class TestSampler:
+    def test_slot_before_an_episode_rejected(self):
+        cfg = tiny_config()
+        chan = EpisodeChannel(cfg, build_topology(cfg, np.random.default_rng(0)))
+        with pytest.raises(RuntimeError, match="new_episode"):
+            chan.slot_parts(np.random.default_rng(1))
+
     def test_infinite_decay_all_los(self):
         cfg = tiny_config(los_decay_distance=1e12)
         topo = build_topology(cfg, np.random.default_rng(0))

@@ -30,7 +30,10 @@ class TestNetworkConfig:
         ("carrier_freq", NAN), ("amp_gain", NAN), ("zf_cond_threshold", NAN),
         ("antenna_gain_dbi", NAN), ("refractive_index", complex(NAN, 0.0)),
         ("num_aps", 2.5), ("num_aps", 1.5), ("ris_elements", 2.0),
-        ("episode_slots", 40.5), ("max_cluster_size", 2.0)],
+        ("episode_slots", 40.5), ("max_cluster_size", 2.0),
+        ("se_users_per_ap", 3), ("num_aps", True), ("room_x", True),
+        ("carrier_freq", "3e11"), ("carrier_freq", 1j),
+        ("refractive_index", "1.9")],
         ids=lambda v: str(v))
     def test_bad_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -114,6 +117,18 @@ def test_load_rejects_a_repeated_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("line, match", [
+    ("num_aps 2", "malformed config line: num_aps 2"),
+    ("num_ap = 2", "unknown config key: num_ap")])
+def test_load_rejects_a_bad_line(tmp_path, line, match):
+    path = tmp_path / "net.cfg"
+    save_config(tiny_config(), path)
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_config(path)
+
+
 SEEDED = {"env": lambda seed: NetworkEnv(tiny_config(), seed),
           "store": ParamStore,
           "train": lambda seed: TrainConfig(seed=seed)}
@@ -122,8 +137,9 @@ SEEDED = {"env": lambda seed: NetworkEnv(tiny_config(), seed),
 class TestSeeds:
     # a fractional seed used to run the streams of its integer part, and a
     # negative one failed later, inside np.random.default_rng
-    @pytest.mark.parametrize("seed", [1.5, -1, 2.0, None],
-                             ids=["fraction", "negative", "float", "none"])
+    @pytest.mark.parametrize("seed", [1.5, -1, 2.0, None, True],
+                             ids=["fraction", "negative", "float", "none",
+                                  "bool"])
     @pytest.mark.parametrize("owner", sorted(SEEDED))
     def test_bad_seed_names_its_field(self, owner, seed):
         with pytest.raises(ValueError, match="seed"):

@@ -277,7 +277,11 @@ class TestTrainConfig:
         ("gamma", float("nan")), ("lr_pi", -1e-3), ("lr_v", -1e-3),
         ("lr_mix", -1e-3), ("grad_clip", -1.0),
         ("rollouts", 1.5), ("episodes", 2.5), ("horizon", 3.5),
-        ("nstep", 8.0), ("eval_rollouts", 1.5)])
+        ("nstep", 8.0), ("eval_rollouts", 1.5),
+        ("lr_pi", float("inf")), ("lr_v", float("inf")),
+        ("lr_mix", float("inf")), ("grad_clip", float("inf")),
+        ("lr_pi", "0.1"), ("gamma", "0.9"), ("lr_v", True),
+        ("rollouts", True)])
     def test_bad_values_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
@@ -936,6 +940,17 @@ class TestTrain:
         for name in store.names():
             assert np.array_equal(store.get(name).value,
                                   after_first[name]), name
+
+    def test_overflowing_update_names_the_episode_and_the_parameter(self):
+        # a finite lr_mix overflows the float32 mixer update; with numpy's
+        # overflow warning silenced, apply_update's own check stops train
+        env_factory = lambda s: NetworkEnv(tiny_config(), seed=s)
+        policy = policy_for_env(env_factory(0), self.PCFG, 0)
+        tcfg = TrainConfig(episodes=2, rollouts=1, horizon=4, lr_mix=1e38)
+        with np.errstate(over="ignore"), pytest.raises(
+                RuntimeError,
+                match=r"non-finite update at episode 0 \(.* for mix\."):
+            train(env_factory, tcfg, policy)
 
     def test_trains_without_ris(self):
         # an agent type with no agents: zero-row trunks, heads and critics

@@ -147,6 +147,12 @@ class TestClustering:
         h[0] = 0.0           # a zero head attracts nobody either
         assert _clusters(h, [0, 1], [3, 4], 3) == [[0, 3, 4], [1]]
 
+    def test_one_head_without_seats_for_every_iot_user_rejected(self):
+        h = np.ones((3, 4), dtype=complex)
+        assert _clusters(h, [0], [1, 2], 3) == [[0, 1, 2]]
+        with pytest.raises(ValueError, match="cluster capacity"):
+            _clusters(h, [0], [1, 2], 2)
+
     def test_strong_head_does_not_win_on_raw_inner_product(self):
         h = np.zeros((3, 2), dtype=complex)
         h[0] = [10, 0]        # strong head, |<h2, h0>| = 10, correlation 0.78
@@ -544,6 +550,11 @@ class TestPowerAndEfficiency:
     def test_efficiency_recomposes(self):
         r = np.array([1.5, 2.5, 3.0])
         assert ll.energy_efficiency(r, 4.0) == pytest.approx(r.sum() / 4.0)
+
+    @pytest.mark.parametrize("power_w", [0.0, -1.0])
+    def test_efficiency_needs_positive_power(self, power_w):
+        with pytest.raises(ValueError, match="power must be positive"):
+            ll.energy_efficiency(np.ones(2), power_w)
 
 
 class TestDerivePlan:

@@ -56,7 +56,8 @@ class TestPolicyConfig:
         ("embed_mode", "mpgn"), ("critic_mode", "centrl"),
         ("msg_dim", 0), ("hidden", 0), ("gru_hidden", 0), ("critic_hidden", 0),
         ("mix_hidden", 0), ("n_layers", 0), ("n_layers", -1),
-        ("hidden", 16.5), ("n_layers", 1.5), ("msg_dim", 4.0)])
+        ("hidden", 16.5), ("n_layers", 1.5), ("msg_dim", 4.0),
+        ("hidden", True)])
     def test_bad_values_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             PolicyConfig(**{field: value})
