@@ -618,7 +618,6 @@ class ParamStore:
     def __init__(self, seed: int, dtype=np.float64):
         self.seed = seed
         check_counts(self, {"seed": 0})
-        self.seed = int(seed)  # a NumPy integer too
         self.dtype = np.dtype(dtype)
         if self.dtype.kind != "f":
             raise ValueError(f"a parameter store needs a float dtype, got "

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 C_LIGHT = 299792458.0  # m/s
 
 # field annotation -> (the numbers it accepts, the Python type it stores)
-_NUMBER_TYPES = {"int": (numbers.Integral, int), "float": (numbers.Real, float),
+_NUMBER_TYPES = {"float": (numbers.Real, float),
                  "complex": (numbers.Complex, complex)}
 
 
@@ -93,14 +93,7 @@ class NetworkConfig:
     max_cluster_size: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            kind, cast = _NUMBER_TYPES[f.type]
-            value = getattr(self, f.name)
-            if isinstance(value, kind) and not isinstance(value, bool):
-                setattr(self, f.name, cast(value))
-            elif f.type != "int":  # a count is checked, with its bound, below
-                raise ValueError(f"{f.name} must be a {kind.__name__.lower()} "
-                                 f"number, got {value!r}")
+        check_reals(self)
         check_counts(self, dict(
             num_aps=1, num_ris=0, se_users_per_ap=1, iot_users_per_ap=0,
             antennas=1, ris_elements=1, num_nlos_paths=0, ris_phase_bits=1,
@@ -185,15 +178,30 @@ class NetworkConfig:
 
 
 def check_counts(record, least: dict) -> None:
-    """Raise a ValueError naming the first field of ``record`` listed in
-    ``least`` ({field: bound}) that does not hold an integer of at least its
-    bound; a bool is not a count."""
+    """Store each field of ``record`` listed in ``least`` ({field: bound})
+    as an ``int``; raise a ValueError naming the first that does not hold an
+    integer of at least its bound.  A bool is not a count."""
     for name, bound in least.items():
         value = getattr(record, name)
         if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                 or value < bound):
             raise ValueError(f"{name} must be an integer >= {bound}, got "
                              f"{value!r}")
+        setattr(record, name, int(value))
+
+
+def check_reals(record) -> None:
+    """Store each ``float`` or ``complex`` field of the dataclass ``record``
+    as that Python type; raise a ValueError naming the first that does not
+    hold such a number.  A bool is not a number."""
+    for f in fields(record):
+        if f.type in _NUMBER_TYPES:
+            kind, cast = _NUMBER_TYPES[f.type]
+            value = getattr(record, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be a {kind.__name__.lower()}"
+                                 f" number, got {value!r}")
+            setattr(record, f.name, cast(value))
 
 
 _UNITS = {

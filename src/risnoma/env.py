@@ -58,7 +58,6 @@ class NetworkEnv:
         self.config = config
         self.seed = seed
         check_counts(self, {"seed": 0})
-        self.seed = int(seed)  # a NumPy integer too
         self.topo: Topology = build_topology(
             config, np.random.default_rng([self.seed, 0]))
         self._channel = EpisodeChannel(config, self.topo)

@@ -101,7 +101,7 @@ class CommGraph:
         edge rows; the graph itself when its features already are."""
         dtype = np.dtype(dtype)
         arrays = [*self.nodes.values(), *self.edge_feat.values()]
-        if all(a.dtype == dtype for a in arrays):
+        if {a.dtype for a in arrays} == {dtype}:
             return self
         return CommGraph(
             {t: a.astype(dtype, copy=False) for t, a in self.nodes.items()},

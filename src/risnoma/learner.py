@@ -42,13 +42,12 @@ its last finite parameters.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import squared_sums
-from .config import check_counts
+from .config import check_counts, check_reals
 from .env import NetworkEnv, StepOutcome
 from .graphs import CommGraph
 from .policy import ActionSample, GEVDACPolicy
@@ -61,7 +60,7 @@ class StepRecord:
     dtype, their draws and what the env returned for them.  The draws are
     not scored here; the replay in ``update`` scores them."""
     graph: CommGraph
-    sample: ActionSample           # every agent's draws, slot axis 1
+    sample: ActionSample           # every agent's draws, agent rows
     outcome: StepOutcome
 
 
@@ -99,12 +98,9 @@ class TrainConfig:
     def __post_init__(self):
         check_counts(self, dict(episodes=0, rollouts=1, horizon=0, nstep=1,
                                 seed=0, eval_rollouts=1))
-        for name in ("gamma", "lr_pi", "lr_v", "lr_mix", "grad_clip"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got "
-                                 f"{value!r}")
-            if name != "gamma" and not 0 <= value < np.inf:  # NaN fails too
+        check_reals(self)
+        for name in ("lr_pi", "lr_v", "lr_mix", "grad_clip"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be non-negative and finite")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
@@ -228,9 +224,13 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
     trajectories, all replayed in one tape pass; the tape is released
     before the norms, the deltas and the step."""
     trajs = list(trajectories)
+    if not trajs:
+        raise ValueError("a batch needs at least one trajectory")
     if len({len(tr) for tr in trajs}) > 1:
         raise ValueError("a batch needs trajectories of equal length, got "
                          f"{sorted(len(tr) for tr in trajs)}")
+    if not len(trajs[0]):
+        raise ValueError("a batch needs trajectories of at least one slot")
     store = policy.store
     loss_pi, loss_v = _losses(policy, trajs, tcfg, reward_scale)
     blocks = policy.parameter_blocks()
@@ -250,12 +250,14 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
     grad_mix, mix_scale = _clip(_norm(sq_mix.values()), tcfg.grad_clip)
     grad_v = _norm(sq_v[n] for n in blocks["critic"] if n in sq_v) * v_scale
 
-    deltas = {n: (-tcfg.lr_mix * mix_scale) * g for n, g in g_mix.items()}
-    for n, g in g_pi.items():
-        deltas[n] = (tcfg.lr_pi * pi_scale) * g
-    for n, g in g_v.items():
-        step = (-tcfg.lr_v * v_scale) * g
-        deltas[n] = deltas[n] + step if n in deltas else step
+    # a delta that overflows is left to apply_update's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = {n: (-tcfg.lr_mix * mix_scale) * g for n, g in g_mix.items()}
+        for n, g in g_pi.items():
+            deltas[n] = (tcfg.lr_pi * pi_scale) * g
+        for n, g in g_v.items():
+            step = (-tcfg.lr_v * v_scale) * g
+            deltas[n] = deltas[n] + step if n in deltas else step
     store.apply_update(deltas)
 
     return {
@@ -271,6 +273,9 @@ def evaluate(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
     """Deterministic-policy metrics over fresh episodes; the deterministic
     policy draws no random number.  A config without IoT users
     (``iot_users_per_ap=0``) reports an IoT outage of 0.0."""
+    for name, n in (("horizon", horizon), ("rollouts", rollouts)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     rewards, etas, se_out, iot_out = [], [], [], []
     for _ in range(rollouts):
         traj = rollout(env, policy, horizon, None, deterministic=True)

@@ -34,8 +34,9 @@ plain arrays and returns them in place of Tensors.  Shapes, for n_t agents
 of type t (M APs, J RISs, K users per AP, L elements, P phase levels):
 
   embed        {t: (B * n_t, ztilde_dim(t))}
-  act          ActionSample with slot axis 1 and the next GRU states
-               {t: (n_t, gru_hidden)}; the draws are not scored
+  act          ActionSample of agent rows, (M, K+1) AP and (J, L) RIS
+               draws, and the next GRU states {t: (n_t, gru_hidden)};
+               the draws are not scored
   log_prob     log-probs (T * E, M + J) of T stored slots of E episodes,
                slot-major, and the final states
   local_value  (B, M + J), agents in node order
@@ -115,19 +116,18 @@ class PolicyConfig:
 
 @dataclass
 class ActionSample:
-    """Raw draws of every agent over T slots; enough to replay exact
-    log-probabilities.  Arrays are (T, agents of the type, ...)."""
-    gaussian: np.ndarray       # (T, M, K+1) AP raw logits, store dtype
-    on_off: np.ndarray         # (T, J, L) RIS binaries
-    phase: np.ndarray          # (T, J, L) RIS category picks
-
-    @property
-    def steps(self) -> int:
-        return self.gaussian.shape[0]
+    """Raw draws of every agent; enough to replay exact log-probabilities.
+    Arrays are agent rows, as every batched array of the nets: one slot's,
+    or several slots' slot-major (row ``s * n_t + i`` is agent i of slot s
+    among the n_t agents of its type)."""
+    gaussian: np.ndarray       # (T * M, K+1) AP raw logits, store dtype
+    on_off: np.ndarray         # (T * J, L) RIS binaries
+    phase: np.ndarray          # (T * J, L) RIS category picks
 
     @staticmethod
     def stack(samples) -> "ActionSample":
-        """Join per-slot samples along the slot axis."""
+        """Join samples slot-major: each one's rows follow the rows of the
+        one before."""
         samples = list(samples)
         return ActionSample(*(np.concatenate([getattr(s, f) for s in samples])
                               for f in ("gaussian", "on_off", "phase")))
@@ -179,14 +179,12 @@ class GEVDACPolicy:
         """Embedded states [own features, embedding] of every agent in a
         list of graphs: {type: (B * n_type, ztilde_dim) rows}."""
         p, dtype = self.pcfg, self.store.dtype
-        # a batch is cast as it is stacked; one graph is cast below, where
-        # only the features that are read get a copy
-        g = graphs[0] if len(graphs) == 1 else stack_graphs(graphs, dtype)
-        x = {t: g.nodes[t].astype(dtype, copy=False) for t in NODE_TYPES}
-        z = x
+        g = (graphs[0].astype(dtype) if len(graphs) == 1
+             else stack_graphs(graphs, dtype))
+        x = z = g.nodes
         layout = g.layout
         kinds = layout.kinds if p.embed_mode != "none" else ()
-        feat = {k: g.edge_feat[k].astype(dtype, copy=False) for k in kinds}
+        feat = g.edge_feat
         # without messages every node averages over no rows: zeros
         agg = np.zeros((layout.segments.n, p.msg_dim), dtype)
         for layer in range(1, p.n_layers + 1):
@@ -269,30 +267,29 @@ class GEVDACPolicy:
             u = rng.random((self._count["ris"], 2, onoff.shape[-1]))
             on = (u[:, 0] < ad.sigmoid(onoff)).astype(int)
             picks = _inverse_cdf(_softmax(phase), u[:, 1])
-        return ActionSample(draw[None], on[None], picks[None]), h
+        return ActionSample(draw, on, picks), h
 
     def log_prob(self, z_tilde: dict, gru_state: dict, sample: ActionSample):
         """Replay path: exact log-probabilities of stored slots whose
         embedded states are ``z_tilde``, and the final GRU states.
 
         For E episodes side by side (``gru_state`` from ``gru_zero(E)``) and
-        T slots, ``z_tilde`` rows and ``sample`` are slot-major, episode
-        within slot: ``sample`` holds T * E one-slot samples along its slot
-        axis, and the log-probs are (T * E, M + J) in that order."""
+        T slots, ``z_tilde`` rows and ``sample`` rows are slot-major,
+        episode within slot: ``sample`` holds the agent rows of T * E
+        one-slot samples, and the log-probs are (T * E, M + J) in that
+        order."""
         (mean, log_std, onoff, phase), h = self._heads(z_tilde, gru_state)
-        steps = sample.steps
-        gauss = sample.gaussian.reshape(mean.shape)
+        gauss = sample.gaussian
+        steps = len(gauss) // self._count["ap"]
         zed = (gauss - mean) * ad.exp(-log_std)
         ap = (ad.square(zed).sum(axis=1) * (-0.5) - log_std.sum(axis=1)
               - 0.5 * LOG2PI * gauss.shape[1])
-        on = sample.on_off.reshape(onoff.shape).astype(
-            ad.value_of(onoff).dtype)
+        on = sample.on_off.astype(ad.value_of(onoff).dtype)
         bern = (on * (-ad.softplus(-onoff))
                 + (1.0 - on) * (-ad.softplus(onoff))).sum(axis=1)
         rows, n_el = on.shape
         picked = ad.log_softmax(phase)[np.arange(rows)[:, None],
-                                       np.arange(n_el),
-                                       sample.phase.reshape(rows, n_el)]
+                                       np.arange(n_el), sample.phase]
         ris = bern + picked.sum(axis=1)
         return ad.concat([ap.reshape(steps, self._count["ap"]),
                           ris.reshape(steps, self._count["ris"])]), h
@@ -341,14 +338,14 @@ class GEVDACPolicy:
 
     # -- env action assembly -----------------------------------------------------
     def env_action(self, sample: ActionSample):
-        """Map the last slot of ``sample`` onto (power, on, phase) env arrays,
+        """Map a one-slot ``sample`` onto (power, on, phase) env arrays,
         computed in float64 whatever the store's dtype."""
         k, p_max = self.counts["users_per_ap"], self.counts["max_power"]
-        draw = sample.gaussian[-1].astype(np.float64, copy=False)
+        draw = sample.gaussian.astype(np.float64, copy=False)
         split = _softmax(draw[:, :k])
         total = p_max * ad.sigmoid(draw[:, k])
         power = (split * total[:, None]).ravel()
-        return power, sample.on_off[-1].copy(), sample.phase[-1].copy()
+        return power, sample.on_off.copy(), sample.phase.copy()
 
     # -- bookkeeping ---------------------------------------------------------------
     def exchange_volume(self, graph: CommGraph) -> int:

@@ -2,6 +2,7 @@
 trip of ``save_config`` / ``load_config``; seeds rejected by every
 constructor that takes one."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from risnoma.autodiff import ParamStore
 from risnoma.config import NetworkConfig, load_config, save_config
 from risnoma.env import NetworkEnv
-from risnoma.learner import TrainConfig
+from risnoma.learner import TrainConfig, train
+from risnoma.policy import PolicyConfig, policy_for_env
 from risnoma.presets import default_config, medium_config, tiny_config
 
 NAN, INF = float("nan"), float("inf")
@@ -89,6 +91,45 @@ class TestNumpyScalars:
         plain = {n: v.item() for n, v in self.NUMPY.items()}
         assert (NetworkEnv(tiny_config(**self.NUMPY), 0).checksum()
                 == NetworkEnv(tiny_config(**plain), 0).checksum())
+
+    # TrainConfig kept a NumPy scalar as given, so a float32 rate or clip
+    # trained in float32 where its Python float trains in float64, and
+    # neither learner config passed json.dumps
+    LEARNER = {
+        "train": (TrainConfig, dict(
+            episodes=np.int64(2), rollouts=np.int32(1), horizon=np.int64(8),
+            gamma=np.float32(0.99), nstep=np.int64(4),
+            lr_pi=np.float64(3e-4), lr_v=np.float32(1e-3),
+            lr_mix=np.float32(1e-3), seed=np.int64(0),
+            eval_rollouts=np.int64(1), grad_clip=np.float32(10.0))),
+        "policy": (PolicyConfig, dict(
+            msg_dim=np.int64(4), hidden=np.int32(4), gru_hidden=np.int64(6),
+            critic_hidden=np.int64(6), mix_hidden=np.int64(4),
+            n_layers=np.int64(1))),
+    }
+
+    @pytest.mark.parametrize("owner", sorted(LEARNER))
+    def test_learner_configs_store_python_numbers(self, owner):
+        make, values = self.LEARNER[owner]
+        cfg = make(**values)
+        for field in dataclasses.fields(cfg):
+            value = getattr(cfg, field.name)
+            assert type(value).__name__ == field.type, field.name
+        json.dumps(dataclasses.asdict(cfg))
+
+    @pytest.mark.parametrize("name, value", [
+        ("gamma", 0.99), ("lr_mix", 1e-3), ("grad_clip", 10.0)])
+    def test_numpy_train_number_trains_as_its_python_float(self, name, value):
+        def trained(number):
+            factory = lambda seed: NetworkEnv(tiny_config(), seed)
+            policy = policy_for_env(factory(0), PolicyConfig(), 0)
+            train(factory, TrainConfig(episodes=2, horizon=8,
+                                       **{name: number}), policy)
+            return {n: policy.store.get(n).value.tobytes()
+                    for n in policy.store.names()}
+
+        assert (trained(np.float32(value))
+                == trained(float(np.float32(value))))
 
 
 IDLE_OFF = dict(p_bb=0.0, p_rf=0.0, p_ps=0.0, p_a=0.0, p_d=0.0)

@@ -295,8 +295,8 @@ class TestActionHeads:
                 picks = [ref.choice(2, p=np.exp(row - row.max())
                                     / np.exp(row - row.max()).sum())
                          for row in logits[r]]
-                assert np.array_equal(sample.on_off[0, r], on.astype(int))
-                assert np.array_equal(sample.phase[0, r], picks)
+                assert np.array_equal(sample.on_off[r], on.astype(int))
+                assert np.array_equal(sample.phase[r], picks)
 
     def test_sliced_heads_match_finite_differences(self):
         # each head is one dense layer whose columns are sliced into the
@@ -336,7 +336,7 @@ class TestActionHeads:
         (mean, log_std, _, _), _ = policy._heads(z, policy.gru_zero())
         for i in range(2):
             mu, ls = mean.value[i], log_std.value[i]
-            g = sample.gaussian[0, i]
+            g = sample.gaussian[i]
             expect = float(-0.5 * (((g - mu) / np.exp(ls)) ** 2).sum()
                            - ls.sum() - 0.5 * g.size * np.log(2 * np.pi))
             assert logp.value[0, i] == pytest.approx(expect, rel=1e-12)
