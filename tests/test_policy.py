@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -390,6 +392,63 @@ class TestParameterLayout:
         got = {n: store.get(n).shape for n in store.names()
                if n.startswith("act.")}
         assert got == want
+
+    # SHA-256 of the repr of the sorted (name, shape) pairs of every
+    # parameter, per preset and (embed_mode, critic_mode)
+    LAYOUTS = {
+        ("tiny", "mpgnn", "mix"):
+            "e3119e6ec30f0781a051e5ec5eb1d8ecd4aac4e946d8095006e2df1ef968ea2a",
+        ("tiny", "mpgnn", "central"):
+            "5c47259988f901bab2d9fc00cd12f8e56f8c66f18a3a40161fee4fa2f63ec4e5",
+        ("tiny", "raw", "mix"):
+            "79fc83dcf3dc4ef42f7cd009ef4d7df9424b8f362c295b1a270c64bce3a242d5",
+        ("tiny", "raw", "central"):
+            "88f1a73a7d54827108043aa527849ccd08bcf56ee5a6ffb3d7a0506103aeadbb",
+        ("tiny", "none", "mix"):
+            "3092d12ce4546594dccbfe32ec766a5637af6dc63bbf1e97dd12a4a0e7909928",
+        ("tiny", "none", "central"):
+            "2314dd22463fd6db65d92694e06ebbaf3b706605867da095efe6fa7fb18311e7",
+        ("medium", "mpgnn", "mix"):
+            "2d64e5e010f54176661166a91529e3112e904ebe903bff28b6a84e83a5223fec",
+        ("medium", "mpgnn", "central"):
+            "7e2c06a884bab91974178e8db150aec7f4e7e6a104af0f308f17e67fc7acfd76",
+        ("medium", "raw", "mix"):
+            "601f256f77b22ca327085cde98a7fbb00df4e07ee6bf4e363390adb5c2248368",
+        ("medium", "raw", "central"):
+            "74e8bcd857348da743160f9f04ca47fc40264dd304577a2c546f44ea2ce18d39",
+        ("medium", "none", "mix"):
+            "1214c5a3bcb27dc4abebba2aa6b9744afc620e87fdabdefeda097b0473114443",
+        ("medium", "none", "central"):
+            "d89651f536491ae54ea0af79fbfca275229d90d9df8dcf8cd1d1b742e8734402",
+        ("default", "mpgnn", "mix"):
+            "d48806b4b6aede3fc97f67fa0d50a651f8050653b271fc1ada1b04a3e4fd1786",
+        ("default", "mpgnn", "central"):
+            "2b1afc139770505dc11e93f07ae627931b8d65b3be45153aa47b9782263e7941",
+        ("default", "raw", "mix"):
+            "e4f324bf462d959c99179ee884d17bcfd48afe4985d9f2c926de968cf179d920",
+        ("default", "raw", "central"):
+            "ba6c4522494b69565bea1b8e51e02d04b462aef87c3cb3740773d260dc3d0f43",
+        ("default", "none", "mix"):
+            "753f92b1f62b4a26106fe81bb0714a6dd83c3064dd44956afdbc1fe7904fdca0",
+        ("default", "none", "central"):
+            "7839c0440fe78fc612915946f3c58a34d0ecfc48161c0a3202ccc713fea33e8b",
+    }
+
+    @pytest.mark.parametrize("preset, embed_mode, critic_mode", sorted(LAYOUTS))
+    def test_every_parameter_keeps_its_name_and_shape(self, preset,
+                                                      embed_mode, critic_mode):
+        """Pins the name and shape of every parameter, so a change to how a
+        layer learns its widths cannot move one.  ``ParamStore.param`` seeds
+        each value from its name and shape, so this pins the initial values
+        too."""
+        make = {"tiny": tiny_config, "medium": medium_config,
+                "default": default_config}[preset]
+        policy = policy_for_env(NetworkEnv(make(), seed=0), PolicyConfig(
+            embed_mode=embed_mode, critic_mode=critic_mode), 0)
+        store = policy.store
+        layout = repr([(n, store.get(n).shape) for n in store.names()])
+        digest = hashlib.sha256(layout.encode()).hexdigest()
+        assert digest == self.LAYOUTS[preset, embed_mode, critic_mode]
 
 
 class TestCritics:
