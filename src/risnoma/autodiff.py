@@ -652,18 +652,23 @@ class ParamStore:
             raise ValueError(f"shape clash for parameter {name}")
         return t if self._taping else t.value
 
-    def layer(self, name: str, in_dim: int, out_dim: int) -> tuple:
-        """``(w, b)`` of a dense layer, handed out as ``param`` hands them
-        out: ``{name}.w`` (in_dim, out_dim) and ``{name}.b`` (out_dim,),
-        zeros at first.  Once the layer exists one lookup finds both."""
+    def layer(self, name: str, x, out_dim: int) -> tuple:
+        """``(w, b)`` of a dense layer over ``x``, one input or a list of
+        parts side by side, handed out as ``param`` hands them out:
+        ``{name}.w`` (input width, out_dim) and ``{name}.b`` (out_dim,),
+        zeros at first.  The call that makes the layer reads the input
+        width off ``x``; then ``w`` alone holds it, and one lookup finds
+        both."""
         pair = self._layers.get(name)
         if pair is None:
-            self.param(f"{name}.w", (in_dim, out_dim))
+            parts = x if type(x) is list else [x]
+            width = sum(np.shape(p)[-1] for p in parts)
+            self.param(f"{name}.w", (width, out_dim))
             self.param(f"{name}.b", (out_dim,), kind="zeros")
             pair = self._layers[name] = (self._params[f"{name}.w"],
                                          self._params[f"{name}.b"])
         w, b = pair[0].value, pair[1].value
-        if w.shape != (in_dim, out_dim) or b.shape != (out_dim,):
+        if w.shape[1] != out_dim or b.shape != (out_dim,):
             raise ValueError(f"shape clash for layer {name}")
         return pair if self._taping else (w, b)
 

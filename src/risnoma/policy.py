@@ -33,7 +33,7 @@ from ``gru_zero(E)``.  Under ``self.store.no_grad()`` the same code runs on
 plain arrays and returns them in place of Tensors.  Shapes, for n_t agents
 of type t (M APs, J RISs, K users per AP, L elements, P phase levels):
 
-  embed        {t: (B * n_t, ztilde_dim(t))}
+  embed        {t: (B * n_t, node width of t + hidden)}
   act          ActionSample of agent rows, (M, K+1) AP and (J, L) RIS
                draws, and the next GRU states {t: (n_t, gru_hidden)};
                the draws are not scored
@@ -55,7 +55,8 @@ reads the mixer's state off the embedded rows, already in that dtype.
 queues stay float64.
 
 Parameters.  Each one is declared once, by the layer call that uses it
-(``nn.dense``, ``nn.gru_params``), which names it and gives its shape.
+(``nn.dense``, ``nn.gru_params``), which names the layer and gives its
+output width; the call that makes it reads the input width off the input.
 Sibling layers that read the same rows are one dense layer whose output
 columns are sliced: the GRU's z, r and c gates are one weight over the input
 (``act.{t}.gru.x``) and one over the state (``act.{t}.gru.h``), the AP head
@@ -163,9 +164,6 @@ class GEVDACPolicy:
         feat = {k: np.zeros((len(ends[k]), self.dims[k])) for k in EDGE_ENDS}
         return CommGraph(nodes, ends, ends, feat)
 
-    def ztilde_dim(self, kind: str) -> int:
-        return self._node_dim[kind] + self.pcfg.hidden
-
     def gru_zero(self, episodes: int = 1) -> dict:
         """GRU states of every agent at the start of an episode, for
         ``episodes`` episodes side by side: {type: (episodes * n_type,
@@ -177,7 +175,7 @@ class GEVDACPolicy:
     # -- graph embedding ------------------------------------------------------
     def embed(self, graphs) -> dict:
         """Embedded states [own features, embedding] of every agent in a
-        list of graphs: {type: (B * n_type, ztilde_dim) rows}."""
+        list of graphs: {type: (B * n_type, node width + hidden) rows}."""
         p, dtype = self.pcfg, self.store.dtype
         g = (graphs[0].astype(dtype) if len(graphs) == 1
              else stack_graphs(graphs, dtype))
@@ -191,15 +189,13 @@ class GEVDACPolicy:
             msgs = []
             if p.embed_mode == "mpgnn":
                 for kind in kinds:
-                    sender = EDGE_ENDS[kind][0]
-                    z_dim = self._node_dim[sender] if layer == 1 else p.hidden
                     msgs.append(nn.dense(
                         self.store, f"emb.{kind}.l{layer}",
-                        [z[sender][g.src[kind]], feat[kind]],
-                        z_dim + self.dims[kind], p.msg_dim))
+                        [z[EDGE_ENDS[kind][0]][g.src[kind]], feat[kind]],
+                        p.msg_dim))
             elif p.embed_mode == "raw" and layer == 1:  # the same every layer
                 msgs = [nn.dense(self.store, f"emb.{kind}.raw", feat[kind],
-                                 self.dims[kind], p.msg_dim) for kind in kinds]
+                                 p.msg_dim) for kind in kinds]
             if msgs:  # tanh once over every message of the layer
                 rows = ad.tanh(msgs[0] if len(msgs) == 1
                                else ad.concat(msgs, axis=0))
@@ -207,11 +203,9 @@ class GEVDACPolicy:
                 agg = ad.segment_mean(rows, layout.segments)
             new_z = {}
             for t in NODE_TYPES:
-                z_dim = self._node_dim[t] if layer == 1 else p.hidden
                 new_z[t] = nn.dense(
                     self.store, f"emb.{t}.comb.l{layer}",
-                    [z[t], agg[layout.spans[t]]], z_dim + p.msg_dim,
-                    p.hidden, "tanh")
+                    [z[t], agg[layout.spans[t]]], p.hidden, "tanh")
             z = new_z
         return {t: ad.concat([x[t], z[t]]) for t in NODE_TYPES}
 
@@ -223,26 +217,26 @@ class GEVDACPolicy:
         side).  Returns post and the state after the last step."""
         p = self.pcfg
         rows = gru_state.shape[0]
-        pre = nn.dense(self.store, f"act.{kind}.pre", z_tilde,
-                       self.ztilde_dim(kind), p.gru_hidden, "tanh")
+        pre = nn.dense(self.store, f"act.{kind}.pre", z_tilde, p.gru_hidden,
+                       "tanh")
         states = ad.gru_scan(pre, gru_state, nn.gru_params(
-            self.store, f"act.{kind}.gru", p.gru_hidden, p.gru_hidden))
+            self.store, f"act.{kind}.gru", pre, gru_state))
         post = nn.dense(self.store, f"act.{kind}.post", states, p.gru_hidden,
-                        p.gru_hidden, "tanh")
+                        "tanh")
         return post, states[-rows:]
 
     def _heads(self, z_tilde: dict, gru_state: dict):
         """Trunks and distribution heads of both agent types."""
-        g, k = self.pcfg.gru_hidden, self.counts["users_per_ap"]
+        k = self.counts["users_per_ap"]
         n_el, n_ph = self.counts["ris_elements"], self.counts["n_phase"]
         post, h = {}, {}
         for t in NODE_TYPES:
             post[t], h[t] = self._trunk(z_tilde[t], t, gru_state[t])
-        ap = nn.dense(self.store, "act.ap.head", post["ap"], g, 2 * (k + 1))
+        ap = nn.dense(self.store, "act.ap.head", post["ap"], 2 * (k + 1))
         mean = ap[:, :k + 1]
         log_std = ad.clip(ap[:, k + 1:] + LOG_STD_OFFSET, LOG_STD_MIN,
                           LOG_STD_MAX)
-        ris = nn.dense(self.store, "act.ris.head", post["ris"], g,
+        ris = nn.dense(self.store, "act.ris.head", post["ris"],
                        n_el + n_el * n_ph)
         onoff = ris[:, :n_el]
         phase = ris[:, n_el:].reshape(ris.shape[0], n_el, n_ph)
@@ -302,9 +296,8 @@ class GEVDACPolicy:
         values = []
         for t in NODE_TYPES:
             hidden = nn.dense(self.store, f"critic.{t}.h", z_tilde[t],
-                              self.ztilde_dim(t), p.critic_hidden, "tanh")
-            out = nn.dense(self.store, f"critic.{t}.out", hidden,
-                           p.critic_hidden, 1)
+                              p.critic_hidden, "tanh")
+            out = nn.dense(self.store, f"critic.{t}.out", hidden, 1)
             values.append(out.reshape(slots, self._count[t]))
         return ad.concat(values)
 
@@ -313,12 +306,11 @@ class GEVDACPolicy:
         its (..., M + J) local values; returns one value per leading index."""
         p = self.pcfg
         state = np.asarray(state, dtype=self.store.dtype)
-        d = state.shape[-1]
         if p.critic_mode == "mix":
-            return nn.hyper_mixing(self.store, "mix", state, values, d,
+            return nn.hyper_mixing(self.store, "mix", state, values,
                                    p.mix_hidden)
         out = nn.mlp(self.store, "critic.central", state,
-                     [d, p.critic_hidden, p.critic_hidden, 1])
+                     [p.critic_hidden, p.critic_hidden, 1])
         return out.reshape(state.shape[:-1])
 
     def value(self, z_tilde: dict) -> Tensor:

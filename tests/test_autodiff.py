@@ -158,9 +158,9 @@ class TestTapeLifetime:
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            h = nn.dense(store, "a", x, 3, 4, "tanh")
+            h = nn.dense(store, "a", x, 4, "tanh")
             inner = ad.log_softmax(
-                ad.gru_scan(h, h, nn.gru_params(store, "g", 4, 4)))
+                ad.gru_scan(h, h, nn.gru_params(store, "g", h, h)))
             root = (ad.concat([inner, h]) * 0.5).sum()
             root.backward()
             del root
@@ -244,7 +244,7 @@ class TestInferenceOps:
         w = store.param("w", (3, 2))
         with store.no_grad():
             raw = store.param("w", (3, 2))
-            out = nn.dense(store, "d", np.ones((4, 3)), 3, 2, "tanh")
+            out = nn.dense(store, "d", np.ones((4, 3)), 2, "tanh")
         assert raw is w.value
         assert isinstance(out, np.ndarray)
         assert isinstance(store.param("w", (3, 2)), Tensor)
@@ -345,12 +345,12 @@ class TestDense:
         w = store.param("lin.w", (2, 2))
         w.value = np.eye(2)
         store.param("lin.b", (2,), kind="zeros")
-        out = nn.dense(store, "lin", x, 2, 2)
+        out = nn.dense(store, "lin", x, 2)
         assert np.allclose(out.value, x)
 
     def test_zero_input_zero_bias(self):
         store = ParamStore(0)
-        out = nn.dense(store, "z", np.zeros(3), 3, 5)
+        out = nn.dense(store, "z", np.zeros(3), 5)
         assert np.allclose(out.value, 0.0)
 
     @pytest.mark.parametrize("act", ["linear", "tanh", "relu"])
@@ -359,14 +359,14 @@ class TestDense:
         x = np.random.default_rng(2).normal(size=4) + 0.1
 
         def build():
-            return nn.dense(store, "d", x, 4, 3, activation=act).sum()
+            return nn.dense(store, "d", x, 3, activation=act).sum()
 
         fd_check(build, store)
 
     def test_one_tape_node_per_layer(self, monkeypatch):
         store = ParamStore(0)
         x = np.random.default_rng(3).normal(size=(4, 3))
-        nn.dense(store, "d", x, 3, 2)  # creates the parameters
+        nn.dense(store, "d", x, 2)  # creates the parameters
         made = []
         init = Tensor.__init__
 
@@ -375,15 +375,15 @@ class TestDense:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "__init__", counting)
-        out = nn.dense(store, "d", x, 3, 2, "linear")
+        out = nn.dense(store, "d", x, 2, "linear")
         assert isinstance(out, Tensor)
         assert len(made) == 1
 
     def test_shape_mismatch_rejected(self):
         store = ParamStore(0)
-        nn.dense(store, "d", np.zeros(3), 3, 2)
+        nn.dense(store, "d", np.zeros(3), 2)
         with pytest.raises(ValueError):
-            nn.dense(store, "d", np.zeros(4), 4, 2)
+            nn.dense(store, "d", np.zeros(4), 2)
 
 
 class TestLinear:
@@ -427,7 +427,7 @@ class TestLinear:
     def test_dense_over_parts_keeps_the_bits(self, widths, ndim):
         values, _, _, _ = self._case(widths, ndim)
         store = ParamStore(4)
-        args = (sum(widths), 3, "tanh")
+        args = (3, "tanh")
         taped = nn.dense(store, "d", list(values), *args)
         assert isinstance(taped, Tensor)
         with store.no_grad():
@@ -476,14 +476,14 @@ class TestGru:
     def test_closed_update_gate_keeps_state(self):
         store = ParamStore(3)
         h = np.random.default_rng(0).normal(size=5)
-        weights = nn.gru_params(store, "g", 4, 5)
+        weights = nn.gru_params(store, "g", np.ones(4), h)
         store.get("g.x.b").value[:5] = -40.0  # the z gate's columns
         out = ad.gru_scan(np.ones(4), h, weights)
         assert np.allclose(out.value, h, atol=1e-12)
 
     def test_zero_params_zero_state_fixed_point(self):
         store = ParamStore(0)
-        weights = nn.gru_params(store, "g", 3, 4)
+        weights = nn.gru_params(store, "g", np.zeros(3), np.zeros(4))
         for name in store.names():
             store.get(name).value[:] = 0.0
         out = ad.gru_scan(np.zeros(3), np.zeros(4), weights)
@@ -496,7 +496,7 @@ class TestGru:
         h = np.random.default_rng(5).normal(size=4)
 
         def build():
-            return ad.gru_scan(x, h, nn.gru_params(store, "g", 3, 4)).sum()
+            return ad.gru_scan(x, h, nn.gru_params(store, "g", x, h)).sum()
 
         fd_check(build, store)
 
@@ -508,18 +508,19 @@ class TestGru:
         def build():
             h = ad.Tensor(np.zeros(4))
             for t in range(5):
-                h = ad.gru_scan(xs[t], h, nn.gru_params(store, "g", 3, 4))
+                h = ad.gru_scan(xs[t], h, nn.gru_params(store, "g", xs[t], h))
             return h.sum()
 
         fd_check(build, store)
 
 
-def _composed_gru_step(store, name, x, h, in_dim, hidden):
+def _composed_gru_step(store, name, x, h):
     """The GRU cell written out in dense, sigmoid and tanh ops, over the
     weights of ``nn.gru_params``: one dense layer over the input and one
     over the state, each with the z, r and c columns side by side."""
-    a = nn.dense(store, f"{name}.x", x, in_dim, 3 * hidden)
-    e = nn.dense(store, f"{name}.h", h, hidden, 3 * hidden)
+    hidden = h.shape[-1]
+    a = nn.dense(store, f"{name}.x", x, 3 * hidden)
+    e = nn.dense(store, f"{name}.h", h, 3 * hidden)
 
     def gate(k, out):
         return out[..., k * hidden:(k + 1) * hidden]
@@ -535,7 +536,8 @@ class TestGruScan:
     def _setup(self, seed=19):
         store = ParamStore(seed)
         rng = np.random.default_rng(seed)
-        weights = nn.gru_params(store, "g", self.IN, self.HIDDEN)
+        weights = nn.gru_params(store, "g", np.zeros(self.IN),
+                                np.zeros(self.HIDDEN))
         for name in store.names():  # nonzero biases reach every term
             store.get(name).value[:] = rng.normal(
                 scale=0.8, size=store.get(name).shape)
@@ -562,15 +564,12 @@ class TestGruScan:
     def test_forward_is_stepping_the_cell_bitwise(self, taped):
         store, _, xs, h0 = self._setup()
         with contextlib.nullcontext() if taped else store.no_grad():
-            states = ad.gru_scan(xs, h0, nn.gru_params(store, "g", self.IN,
-                                                       self.HIDDEN))
+            states = ad.gru_scan(xs, h0, nn.gru_params(store, "g", xs, h0))
             h, composed = h0, h0
             for t in range(self.STEPS):
                 rows = xs[t * self.ROWS:(t + 1) * self.ROWS]
-                h = ad.gru_scan(rows, h, nn.gru_params(store, "g", self.IN,
-                                                       self.HIDDEN))
-                composed = _composed_gru_step(store, "g", rows, composed,
-                                              self.IN, self.HIDDEN)
+                h = ad.gru_scan(rows, h, nn.gru_params(store, "g", rows, h))
+                composed = _composed_gru_step(store, "g", rows, composed)
                 block = ad.value_of(states)[t * self.ROWS:(t + 1) * self.ROWS]
                 assert np.array_equal(block, ad.value_of(h))
                 assert np.array_equal(block, ad.value_of(composed))
@@ -587,8 +586,7 @@ class TestGruScan:
             state, out = h, []
             for t in range(self.STEPS):
                 state = _composed_gru_step(
-                    store, "g", x[t * self.ROWS:(t + 1) * self.ROWS], state,
-                    self.IN, self.HIDDEN)
+                    store, "g", x[t * self.ROWS:(t + 1) * self.ROWS], state)
                 out.append(state)
             return ad.concat(out, axis=0)
 
@@ -618,7 +616,7 @@ class TestGruScan:
             assert grad.shape == store.get(name).shape
             assert not grad.any()
         with store.no_grad():
-            weights = nn.gru_params(store, "g", self.IN, self.HIDDEN)
+            weights = nn.gru_params(store, "g", x.value, h.value)
             states = ad.gru_scan(x.value, h.value, weights)
         assert states.shape == (0, self.HIDDEN)
 
@@ -736,19 +734,19 @@ class TestAggregate:
 
 class TestHyperMixing:
     def _mix(self, store, s, v):
-        return nn.hyper_mixing(store, "mix", s, v, len(s), 4)
+        return nn.hyper_mixing(store, "mix", s, v, 4)
 
     def test_frozen_identity_equivalent(self):
         store = ParamStore(0)
         s = np.array([0.4, -0.2, 0.9])
         v = np.array([0.5, 1.5, 0.25])
-        nn.hyper_mixing(store, "mix", s, v, 3, 3)  # create params
+        nn.hyper_mixing(store, "mix", s, v, 3)  # create params
         for name in store.names():
             store.get(name).value[:] = 0.0
         store.get("mix.hw1.b").value[:] = np.eye(3).ravel()
         store.get("mix.hw2.b").value[:] = 1.0
         store.get("mix.hb2b.b").value[:] = 2.5
-        out = nn.hyper_mixing(store, "mix", s, v, 3, 3)
+        out = nn.hyper_mixing(store, "mix", s, v, 3)
         assert out.item() == pytest.approx(0.5 + 1.5 + 0.25 + 2.5, rel=1e-12)
 
     def test_zero_values_leave_state_bias(self):
@@ -756,11 +754,11 @@ class TestHyperMixing:
         s = np.random.default_rng(0).normal(size=4)
         v = np.zeros(3)
         out = self._mix(store, s, v)
-        w2 = ad.absolute(nn.dense(store, "mix.hw2", Tensor(s), 4, 4)).value
-        b1 = nn.dense(store, "mix.hb1", Tensor(s), 4, 4).value
+        w2 = ad.absolute(nn.dense(store, "mix.hw2", Tensor(s), 4)).value
+        b1 = nn.dense(store, "mix.hb1", Tensor(s), 4).value
         b2 = nn.dense(store, "mix.hb2b",
-                      nn.dense(store, "mix.hb2a", Tensor(s), 4, 4,
-                               activation="relu"), 4, 1).value
+                      nn.dense(store, "mix.hb2a", Tensor(s), 4,
+                               activation="relu"), 1).value
         hidden = np.where(b1 > 0, b1, np.exp(np.minimum(b1, 0)) - 1)
         assert out.item() == pytest.approx(float(hidden @ w2 + b2[0]), rel=1e-10)
 
@@ -769,7 +767,7 @@ class TestHyperMixing:
         rng = np.random.default_rng(3)
         s = rng.normal(size=(3, 5))
         v = rng.normal(size=(3, 4))
-        out = nn.hyper_mixing(store, "mix", s, v, 5, 6)
+        out = nn.hyper_mixing(store, "mix", s, v, 6)
         p = {n: store.get(n).value for n in store.names()}
         for b in range(3):
             w1 = np.abs(s[b] @ p["mix.hw1.w"] + p["mix.hw1.b"]).reshape(4, 6)
@@ -787,11 +785,11 @@ class TestHyperMixing:
         for _ in range(200):
             s = rng.normal(size=5)
             v = rng.normal(size=4)
-            base = nn.hyper_mixing(store, "mix", s, list(v), 5, 6).item()
+            base = nn.hyper_mixing(store, "mix", s, list(v), 6).item()
             for i in range(4):
                 bumped = v.copy()
                 bumped[i] += 1e-4
-                up = nn.hyper_mixing(store, "mix", s, list(bumped), 5, 6).item()
+                up = nn.hyper_mixing(store, "mix", s, list(bumped), 6).item()
                 assert (up - base) / 1e-4 >= -1e-8
 
     def test_gradients(self):
@@ -800,7 +798,7 @@ class TestHyperMixing:
         v = np.random.default_rng(2).normal(size=3)
 
         def build():
-            return nn.hyper_mixing(store, "mix", s, list(v), 3, 4)
+            return nn.hyper_mixing(store, "mix", s, list(v), 4)
 
         fd_check(build, store)
 
@@ -988,20 +986,20 @@ class TestDtype:
 
     def test_gru_scan_and_mixer_run_in_the_store_dtype(self):
         store = ParamStore(4, np.float32)
-        weights = nn.gru_params(store, "g", 3, 5)
         # float64 input, float32 weights
         x = Tensor(np.random.default_rng(1).normal(size=(6, 3)))
+        weights = nn.gru_params(store, "g", x, np.zeros((2, 5)))
         states = ad.gru_scan(x, np.zeros((2, 5)), weights)
         assert states.value.dtype == np.float32
         states.sum().backward()
         assert x.grad.dtype == np.float32
         assert all(w.grad.dtype == np.float32 for w in weights)
         mixed = nn.hyper_mixing(store, "mix", np.ones((2, 4), np.float32),
-                                [[1.0, 2.0], [3.0, 4.0]], 4, 3)
+                                [[1.0, 2.0], [3.0, 4.0]], 3)
         assert mixed.value.dtype == np.float32
         with store.no_grad():
             free = nn.hyper_mixing(store, "mix", np.ones((2, 4), np.float32),
-                                   [[1.0, 2.0], [3.0, 4.0]], 4, 3)
+                                   [[1.0, 2.0], [3.0, 4.0]], 3)
         assert free.dtype == np.float32
 
     def test_plain_path_casts_to_the_weight_dtype(self):
@@ -1018,7 +1016,7 @@ class TestDtype:
         assert y.dtype == f32 and y.tobytes() == want.tobytes()
         store = ParamStore(5, f32)
         with store.no_grad():
-            weights = nn.gru_params(store, "g", 4, 2)
+            weights = nn.gru_params(store, "g", a64, np.zeros((1, 2)))
         states = ad.gru_scan(a64, np.zeros((1, 2)), weights)
         assert states.dtype == f32
         assert states.tobytes() == ad.gru_scan(

@@ -1,9 +1,13 @@
-"""The package metadata points only at code that exists."""
+"""The package metadata points only at code that exists, and the README's
+example runs as printed."""
 import importlib
+import re
 import tomllib
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
 
 
 def test_every_console_script_imports():
@@ -11,3 +15,11 @@ def test_every_console_script_imports():
     for name, target in meta["project"].get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_readme_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
+    rewards = capsys.readouterr().out
+    assert rewards.startswith("[") and rewards.rstrip().endswith("]")

@@ -92,7 +92,8 @@ class TestEmbedding:
         policy = make_policy(dims)
         z = policy.embed([graph])
         for kind, feats in graph.nodes.items():
-            assert z[kind].shape == (len(feats), policy.ztilde_dim(kind))
+            assert z[kind].shape == (len(feats),
+                                     feats.shape[1] + policy.pcfg.hidden)
 
     @pytest.mark.parametrize("mode", ["mpgnn", "raw", "none"])
     def test_permutation_equivariance_is_bitwise(self, mode):
