@@ -71,6 +71,11 @@ class NetworkEnv:
             config.packet_gbps * config.slot_seconds,
             config.arrival_cap_factor)
         self._ris_shape = (config.num_ris, config.ris_elements)
+        self._power_shape = (config.total_users,)
+        # 0-d operands of per-slot ufunc calls: numpy takes them at less
+        # per-call cost than Python floats, and gives the same bits
+        self._noise = np.array(config.noise_power)
+        self._slot_seconds = np.array(config.slot_seconds)
         self._minima = np.where(kind == SE, config.rmin_se_gbps,
                                 config.rmin_iot_gbps)
         self._layout = graph_layout(self.topo, config, self._queues.q_max)
@@ -104,17 +109,17 @@ class NetworkEnv:
         """Clip negatives and rescale each AP onto its power budget.  A NaN
         or +inf entry is rejected (-inf is a negative and clips to 0)."""
         alloc = np.maximum(np.asarray(alloc, dtype=float), 0.0)
-        if alloc.shape != (self.config.total_users,):
+        if alloc.shape != self._power_shape:
             raise ValueError("power allocation must be one entry per user")
-        budget = self.config.max_tx_power            # validated > 0
+        budget = self.config.max_tx_power  # validated positive and finite
         per_ap = alloc.reshape(self.config.num_aps, -1)  # rows: topo.users
         totals = np.add.reduce(per_ap, axis=1)
         # a NaN or +inf entry makes its AP's total non-finite
         if not all(map(math.isfinite, totals.tolist())):
             raise ValueError("power allocation must be finite")
-        over = totals > budget
-        if np.count_nonzero(over):
-            per_ap[over] *= budget / totals[over, None]
+        # an AP over budget is scaled onto it, every other AP by
+        # budget / budget, which is 1 exactly
+        per_ap *= (budget / np.maximum(totals, budget))[:, None]
         return alloc
 
     def _ris_action(self, on: np.ndarray, phase: np.ndarray):
@@ -136,8 +141,8 @@ class NetworkEnv:
         h_eff = self._parts.effective(theta)
         links = linklayer.derive_plan(h_eff, self._links, cfg)
         terms = linklayer.power_terms(links, power)
-        fail = linklayer.sic_feasibility(links, power, cfg.noise_power, terms)
-        gamma = linklayer.sinr_all(links, power, cfg.noise_power, fail, terms)
+        fail = linklayer.sic_feasibility(links, power, self._noise, terms)
+        gamma = linklayer.sinr_all(links, power, self._noise, fail, terms)
         rates = linklayer.rates_gbps(gamma, cfg.bandwidth)
         p_total = linklayer.power_consumption(power, on, cfg)
         eta = linklayer.energy_efficiency(rates, p_total)
@@ -162,7 +167,7 @@ class NetworkEnv:
         ev = self._evaluate(power, on, theta)
 
         arrivals = self._queues.sample_arrivals(self._rng)
-        served = ev["rates"] * self.config.slot_seconds
+        served = ev["rates"] * self._slot_seconds
         q, y = self._queues.step(served, arrivals)
         outage = q >= self._queues.q_max
 

@@ -13,15 +13,20 @@ users per AP, N_A antennas and U users:
 - The inputs are the (M, U, N_A) effective channels and a ``LinkLayout``:
   the parts of the plan that the topology fixes, built once per env by
   ``link_layout`` from the (M, S) SE and (M, I) IoT user ids of each AP.
-  It holds the IoT ids in join order, the Gram gather ids (SE then IoT ids
-  per AP), the AP row index, each AP's first cluster column, the IoT join
-  ranks, the user index range and the SE half of ``slot``, ``position``
-  and ``head``.  Its construction checks that every user sits in exactly
-  one cluster, so a slot does only the channel-dependent work.
+  It holds the IoT ids in join order, each AP's first cluster column, the
+  IoT join ranks, the SE half of ``slot`` and ``position`` and the flat
+  index arrays a slot gathers through: the rows of each AP's Gram
+  members, heads and IoT users in the (M·U, N_A) channel rows, the head
+  of each cluster column and each user's row offset in the flat ``gains``.
+  Its construction checks that every user sits in exactly one cluster, so
+  a slot does only the channel-dependent work.
 - Cluster n of AP m is headed by SE user ``se_ids[m, n]`` and is column
   ``m·S + n`` of the slot.  IoT users join one at a time in ascending id
   order, and a cluster centre sums its members in that join order, head
   first.
+- The analog stage gathers the served head entries and scatters its
+  phase-shifter entries through flat index arrays that depend only on
+  (M, N_R, n_sub); ``_analog_index`` builds them once per shape.
 - ``SlotLinks.gains`` is the (U, M·S) matrix |h_u^(m) V^(m) w_n^(m)|²;
   ``slot`` (U,) is the column of each user's own cluster, ``position``
   (U,) its 1-based decode position (head = 1), ``head`` (U,) its cluster's
@@ -31,18 +36,29 @@ users per AP, N_A antennas and U users:
   was diagonally loaded.
 - SIC flags are a (U,) 0/1 array, 1 where the head fails to cancel that
   user's signal; heads get 0.
-- ``power_terms`` gives, per user, the inter-cluster interference and the
-  power decoded before it in its cluster; a slot builds them once and
-  hands them to both ``sic_feasibility`` and ``sinr_all``.
+- ``power_terms`` gives, per user, the inter-cluster interference, the
+  power decoded before it in its cluster and the signal and interference
+  sums that both ``sic_feasibility`` and ``sinr_all`` read; a slot builds
+  them once and hands them to both.
+
+Scalar operands of the per-slot ufunc calls are 0-d float64 arrays
+(``_ZERO``, ``_ONE``, ``_GIGA``): numpy takes them at less per-call cost
+than Python floats, and the results are the same bits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .config import NetworkConfig
+
+_ZERO, _ONE, _GIGA = np.array(0.0), np.array(1.0), np.array(1e9)
+for _c in (_ZERO, _ONE, _GIGA):
+    _c.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -51,13 +67,16 @@ class LinkLayout:
     module docstring); ``link_layout`` builds it and an env keeps one."""
     se_ids: np.ndarray             # (M, S) cluster heads
     iot_ids: np.ndarray            # (M, I) ascending: the join order
-    members: np.ndarray            # (M, S + I) the rows of each AP's Gram
     ap: np.ndarray                 # (M, 1) AP row index
     first_col: np.ndarray          # (M, 1) column of each AP's cluster 0
     join_rank: np.ndarray          # (I,) 2, 3, ...: positions after the head
-    users: np.ndarray              # (U,) every user id
-    se_half: np.ndarray            # (3, U) slot, position, head: SE entries
-                                   # filled, IoT entries 0
+    member_rows: np.ndarray        # (M, S + I) rows of each AP's Gram
+    head_rows: np.ndarray          # (M, S) rows of the cluster heads
+    iot_rows: np.ndarray           # (M, I) rows of the IoT users
+    heads: np.ndarray              # (M·S,) head of each cluster column
+    own_at: np.ndarray             # (U,) u·M·S: user u's row in flat gains
+    se_slot: np.ndarray            # (U,) SE columns filled, IoT entries 0
+    first_position: np.ndarray     # (U,) 1 for SE users, 2 for IoT users
 
 
 def link_layout(se_ids, iot_ids, n_users: int) -> LinkLayout:
@@ -76,17 +95,18 @@ def link_layout(se_ids, iot_ids, n_users: int) -> LinkLayout:
     ap = np.arange(m)[:, None]
     first_col = s * ap
     join_rank = np.arange(2, iot_ids.shape[1] + 2)
-    users = np.arange(n_users)
-    se_half = np.zeros((3, n_users), dtype=np.intp)
-    slot, position, head = se_half
-    slot[se_ids] = first_col + np.arange(s)
-    position[se_ids] = 1
-    head[se_ids] = se_ids
-    for arr in (se_ids, iot_ids, members, ap, first_col, join_rank, users,
-                se_half):
+    row = n_users * ap                      # AP m's rows start at m·U
+    se_slot = np.zeros(n_users, dtype=np.intp)
+    se_slot[se_ids] = first_col + np.arange(s)
+    first_position = np.full(n_users, 2, dtype=np.intp)
+    first_position[se_ids] = 1
+    layout = LinkLayout(se_ids, iot_ids, ap, first_col, join_rank,
+                        row + members, row + se_ids, row + iot_ids,
+                        se_ids.ravel(), m * s * np.arange(n_users), se_slot,
+                        first_position)
+    for arr in vars(layout).values():
         arr.flags.writeable = False   # every slot of the env shares them
-    return LinkLayout(se_ids, iot_ids, members, ap, first_col, join_rank,
-                      users, se_half)
+    return layout
 
 
 def cluster_users(h_eff: np.ndarray, layout: LinkLayout,
@@ -109,12 +129,12 @@ def cluster_users(h_eff: np.ndarray, layout: LinkLayout,
                 np.full((m, 1), n_iot + 1, dtype=np.intp))
     # one Gram per AP of its SE and IoT channels: norms on its diagonal,
     # inner products in its IoT x SE block
-    sub = h_eff[layout.ap, layout.members]
+    sub = h_eff.reshape(-1, h_eff.shape[2]).take(layout.member_rows, axis=0)
     gram = sub.conj() @ sub.transpose(0, 2, 1)
     norm = np.sqrt(gram.diagonal(0, 1, 2).real)
     norms = norm[:, s:, None] * norm[:, None, :s]
     # a zero channel has zero inner products: dividing them by 1 gives 0
-    corr = np.abs(gram[:, s:, :s]) / np.where(norms > 0, norms, 1.0)
+    corr = np.abs(gram[:, s:, :s]) / np.where(norms > _ZERO, norms, _ONE)
     ranks = (-corr).argsort(axis=2, kind="stable")  # ties keep lowest index
     # the greedy walk itself is a few list steps per user: cheaper in
     # Python than any numpy call at these sizes
@@ -145,6 +165,21 @@ def _phase_grid(bits: int, n_sub: int):
     return grid, entries
 
 
+@lru_cache(maxsize=None)
+def _analog_index(m: int, n_r: int, n_sub: int):
+    """Flat indices of M APs' sub-connected analog stage, both (M, N_R,
+    n_sub): where head r's served entry k sits in the (M, N_R, N_A) head
+    channels (row r, antenna r·n_sub + k), and where its phase shifter sits
+    in the (M, N_A, N_R) analog matrices (antenna r·n_sub + k, column r)."""
+    n_a = n_r * n_sub
+    ap, r, k = np.ogrid[:m, :n_r, :n_sub]
+    antenna = r * n_sub + k
+    served = (ap * n_r + r) * n_a + antenna
+    placed = (ap * n_a + antenna) * n_r + r
+    served.flags.writeable = placed.flags.writeable = False
+    return served, placed
+
+
 def analog_beamformer(head_channels: np.ndarray, n_sub: int, bits: int) -> np.ndarray:
     """Block-diagonal sub-connected analog matrices, one subarray per head:
     (M, N_R, N_A) head channels give (M, N_A, N_R).
@@ -153,25 +188,29 @@ def analog_beamformer(head_channels: np.ndarray, n_sub: int, bits: int) -> np.nd
     the grid point closest to the entry's unit phasor, conjugated so the
     product steers real-positive.  Zero entries default to phase 0.
     """
-    m, n_r = head_channels.shape[:2]
+    m, n_r, n_a = head_channels.shape
     grid, entries = _phase_grid(bits, n_sub)
-    diag = np.arange(n_r)
-    served = head_channels.reshape(m, n_r, n_r, n_sub)[:, diag, diag]  # (M, N_R, n_sub)
+    served_at, placed_at = _analog_index(m, n_r, n_sub)
+    served = head_channels.take(served_at)                   # (M, N_R, n_sub)
     mag = np.abs(served)
     # a zero entry keeps target 0, equidistant from the grid: phase 0 wins
-    target = served / np.where(mag > 0, mag, 1.0)
+    target = served / np.where(mag > _ZERO, mag, _ONE)
     best = np.abs(grid - target[..., None]).argmin(axis=-1)
-    v = np.zeros((m, n_r, n_sub, n_r), dtype=complex)
-    # the two diagonal indices lead the assigned block: (N_R, M, n_sub)
-    v[:, diag, :, diag] = entries[best.swapaxes(0, 1)]
-    return v.reshape(m, n_r * n_sub, n_r)
+    v = np.zeros(m * n_a * n_r, dtype=complex)
+    v[placed_at] = entries.take(best)
+    return v.reshape(m, n_a, n_r)
+
+
+def _lapack_failed(err, flag):
+    raise LinAlgError("LAPACK failed on a ZF Gram")
 
 
 def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
                           cond_threshold: float = 1e8):
     """Zero-forcing across each AP's cluster centers with unit ``||V w||``
-    columns: (M, N_R, N_A) centers and (M, N_A, N_R) analog matrices give
-    the (M, N_R, N_R) digital matrices and the (M,) loading flags.
+    columns: (M, N_R, N_A) complex centers and (M, N_A, N_R) analog
+    matrices give the (M, N_R, N_R) digital matrices and the (M,) loading
+    flags.
 
     Near-singular Gram matrices get diagonal loading (1e-8 x mean eigenvalue)
     and their AP's loading flag, which ``SlotLinks.zf_loaded`` and
@@ -180,28 +219,42 @@ def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
     so its condition number is its largest eigenvalue over its smallest; a
     smallest eigenvalue at or below 0 counts as singular.  An all-zero Gram
     (every center a zero channel) has no scale to load by; it gets unit
-    loading, which yields zero beams.  Each AP decides on its own.
+    loading, which yields zero beams.  Each AP decides on its own.  A Gram
+    with a non-finite eigenvalue (a NaN center, say) raises
+    ``LinAlgError``, as a LAPACK failure does.
     """
     h_eff = centers @ v
     h_adj = h_eff.conj().swapaxes(1, 2)
     gram = h_eff @ h_adj
     n_r = gram.shape[1]
-    # ascending; a 1 x 1 Gram's one eigenvalue is its real diagonal, the
-    # value LAPACK returns for it without iterating
-    eig = gram.real.reshape(-1, 1) if n_r == 1 else np.linalg.eigvalsh(gram)
-    # per AP, on Python floats: M tests cost less than one numpy call each
-    flags = [low <= 0 or high / (low if low > 0 else 1.0) > cond_threshold
-             for low, high in zip(eig[:, 0].tolist(), eig[:, -1].tolist())]
-    loaded = np.array(flags, dtype=bool)
-    if any(flags):
-        mean_eig = np.trace(gram, 0, 1, 2).real / n_r
-        load = np.where(mean_eig > 0, 1e-8 * mean_eig, 1.0)
-        gram[loaded] = (gram + load[:, None, None] * np.eye(n_r))[loaded]
-    w = h_adj @ np.linalg.inv(gram)
+    # the LAPACK gufuncs behind np.linalg.eigvalsh and np.linalg.inv,
+    # called bare: their wrappers' checks cost more than the work at these
+    # sizes.  Their error state is the wrappers': a LAPACK failure raises
+    with np.errstate(call=_lapack_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        # ascending; a 1 x 1 Gram's one eigenvalue is its real diagonal, the
+        # value LAPACK returns for it without iterating
+        eig = (gram.real.reshape(-1, 1) if n_r == 1
+               else _umath_linalg.eigvalsh_lo(gram))
+        # per AP, on Python floats: M tests cost less than one numpy call each
+        flags = []
+        for row in eig.tolist():
+            low, high = row[0], row[-1]
+            if not -math.inf < low <= high < math.inf:  # NaN fails too
+                raise LinAlgError("ZF Gram is not finite")
+            flags.append(low <= 0 or high / (low if low > 0 else 1.0)
+                         > cond_threshold)
+        loaded = np.array(flags, dtype=bool)
+        if any(flags):
+            mean_eig = np.trace(gram, 0, 1, 2).real / n_r
+            load = np.where(mean_eig > 0, 1e-8 * mean_eig, 1.0)
+            gram[loaded] = (gram + load[:, None, None] * np.eye(n_r))[loaded]
+        inverse = _umath_linalg.inv(gram)
+    w = h_adj @ inverse
     beams = v @ w
     # ||V w_n||, formed as np.linalg.norm(beams, axis=1) forms it
     norms = np.sqrt(np.add.reduce((beams.conj() * beams).real, axis=1))
-    return w / np.where(norms > 0, norms, 1.0)[:, None, :], loaded
+    return w / np.where(norms > _ZERO, norms, _ONE)[:, None, :], loaded
 
 
 @dataclass
@@ -218,28 +271,30 @@ class SlotLinks:
     zf_loaded: np.ndarray          # (M,) bool: ZF Gram diagonally loaded
 
 
-def decode_layout(layout: LinkLayout, cluster: np.ndarray, sizes: np.ndarray,
+def decode_layout(layout: LinkLayout, cols: np.ndarray, sizes: np.ndarray,
                   gains: np.ndarray):
-    """Cluster column, decode position and head of every user.
+    """Cluster column, decode position, head and own gain of every user.
 
-    ``cluster`` (M, I) is the cluster each of ``layout.iot_ids`` joined,
-    ``sizes`` (M, S) the cluster sizes and ``gains`` (M, U, S) the per-AP
-    beam gains.  Within a cluster the head comes first, then IoT members by
+    ``cols`` (M, I) is the column each of ``layout.iot_ids`` joined,
+    ``sizes`` (M, S) the cluster sizes and ``gains`` the (U, M·S) beam
+    gains.  Within a cluster the head comes first, then IoT members by
     descending gain in that cluster, ties by user id.  Returns (U,)
-    ``slot``, ``position`` and ``head``: the layout's SE half with the IoT
-    entries filled in."""
-    se_ids, iot_ids, ap = layout.se_ids, layout.iot_ids, layout.ap
-    # each AP's IoT users by cluster, then by descending gain; lexsort is
-    # stable, so ties stay in id order
-    order = np.lexsort((-gains[ap, iot_ids, cluster], cluster))
-    joined = sizes - 1
-    ahead = joined.cumsum(axis=1) - joined      # IoT users in lower clusters
-    slot, position, head = layout.se_half.copy()
-    slot[iot_ids] = layout.first_col + cluster
-    head[iot_ids] = se_ids[ap, cluster]
-    position[iot_ids[ap, order]] = (layout.join_rank
-                                    - ahead[ap, cluster[ap, order]])
-    return slot, position, head
+    ``slot``, ``position``, ``head`` and ``own``."""
+    slot = layout.se_slot.copy()
+    slot.put(layout.iot_ids, cols)
+    own = gains.take(layout.own_at + slot)
+    position = layout.first_position.copy()
+    # a cluster of at most one IoT member has it at position 2
+    if np.maximum.reduce(sizes, axis=None) > 2:
+        iot_ids, ap = layout.iot_ids, layout.ap
+        # each AP's IoT users by cluster, then by descending gain; lexsort
+        # is stable, so ties stay in id order
+        order = np.lexsort((-own[iot_ids], cols))
+        joined = sizes - 1
+        ahead = joined.cumsum(axis=1) - joined  # IoT users in lower clusters
+        position[iot_ids[ap, order]] = (layout.join_rank
+                                        - ahead.take(cols[ap, order]))
+    return slot, position, layout.heads.take(slot), own
 
 
 def derive_plan(h_eff: np.ndarray, layout: LinkLayout,
@@ -248,40 +303,49 @@ def derive_plan(h_eff: np.ndarray, layout: LinkLayout,
 
     ``h_eff`` is the (M, U, N_A) channel of every AP to every user of
     ``layout``."""
-    se_ids, iot_ids, ap = layout.se_ids, layout.iot_ids, layout.ap
-    m, s = se_ids.shape
-    n_users = h_eff.shape[1]
+    m, s = layout.se_ids.shape
+    n_users, n_a = h_eff.shape[1:]
     if s > config.rf_chains:
         raise ValueError("more clusters than RF chains")
-    if n_users != layout.se_half.shape[1]:
+    if n_users != layout.se_slot.shape[0]:
         raise ValueError("every user must sit in exactly one cluster")
     cluster, sizes = cluster_users(h_eff, layout, config.cluster_cap)
-    centers = h_eff[ap, se_ids]                               # (M, S, N_A)
+    rows = h_eff.reshape(-1, n_a)
+    centers = rows.take(layout.head_rows, axis=0)            # (M, S, N_A)
     v = analog_beamformer(centers, config.n_sub, config.analog_phase_bits)
     # a cluster's center sums its members in join order: the head, then
-    # IoT members by id
-    np.add.at(centers, (ap, cluster), h_eff[ap, iot_ids])
+    # IoT members by id.  np.add.at adds entry by entry in index order, and
+    # takes its fast path only with one flat index into a flat array
+    cols = layout.first_col + cluster                         # (M, I)
+    np.add.at(centers.reshape(-1), (cols[..., None] * n_a
+                                    + np.arange(n_a)).reshape(-1),
+              rows.take(layout.iot_rows, axis=0).reshape(-1))
     w, loaded = zf_digital_beamformer(centers / sizes[..., None], v,
                                       cond_threshold=config.zf_cond_threshold)
-    per_ap = np.abs(h_eff @ (v @ w)) ** 2                     # (M, U, S)
-    slot, position, head = decode_layout(layout, cluster, sizes, per_ap)
+    per_ap = np.square(np.abs(h_eff @ (v @ w)))               # (M, U, S)
     gains = per_ap.transpose(1, 0, 2).reshape(n_users, m * s)
-    return SlotLinks(gains, slot, position, head,
-                     gains[layout.users, slot], v, w, loaded)
+    slot, position, head, own = decode_layout(layout, cols, sizes, gains)
+    return SlotLinks(gains, slot, position, head, own, v, w, loaded)
 
 
 def power_terms(links: SlotLinks, alpha: np.ndarray):
-    """Per user: inter-cluster interference and the power of the members
-    decoded before it in its cluster, as two (U,) arrays."""
-    # alpha by (cluster, position), behind a zero column: its running sum at
-    # position p - 1 is the power of positions 1..p-1, its last the cluster's
-    table = np.zeros((links.gains.shape[1],
-                      np.maximum.reduce(links.position) + 1))
-    table[links.slot, links.position] = alpha
+    """The per-user sums ``sic_feasibility`` and ``sinr_all`` share, as
+    four (U,) arrays: the inter-cluster interference, the power of the
+    members decoded before the user in its cluster, the user's received
+    signal own·alpha and own·earlier + inter."""
+    slot, position, own = links.slot, links.position, links.own
+    depth = np.maximum.reduce(position) + 1
+    # alpha by (cluster, position), behind a zero column, flattened: its
+    # running sum at position p - 1 is the power of positions 1..p-1, its
+    # last the cluster's
+    at = slot * depth + position
+    table = np.zeros((links.gains.shape[1], depth))
+    table.put(at, alpha)
     before = table.cumsum(axis=1)
     powers = before[:, -1]
-    inter = links.gains @ powers - links.own * powers[links.slot]
-    return inter, before[links.slot, links.position - 1]
+    inter = links.gains @ powers - own * powers.take(slot)
+    earlier = before.take(at - 1)
+    return inter, earlier, own * alpha, own * earlier + inter
 
 
 def sic_feasibility(links: SlotLinks, alpha: np.ndarray, sigma2: float,
@@ -290,10 +354,12 @@ def sic_feasibility(links: SlotLinks, alpha: np.ndarray, sigma2: float,
     user's signal must reach the user's own decode SINR.  ``terms`` is
     ``power_terms(links, alpha)``.  Returns (U,) 0/1 flags, 1 where SIC
     fails; heads get 0."""
-    inter, earlier = terms
-    own, head = links.own, links.head
-    at_head = own[head] * alpha / (own[head] * earlier + inter[head] + sigma2)
-    at_self = own * alpha / (own * earlier + inter + sigma2)
+    inter, earlier, signal, base = terms
+    head = links.head
+    own_head = links.own.take(head)
+    at_head = own_head * alpha / (own_head * earlier + inter.take(head)
+                                  + sigma2)
+    at_self = signal / (base + sigma2)
     return ((links.position > 1) & ~(at_head >= at_self)).astype(int)  # NaN fails
 
 
@@ -302,19 +368,21 @@ def sinr_all(links: SlotLinks, alpha: np.ndarray, sigma2: float,
     """SINR per user given the (U,) SIC flags and ``power_terms(links,
     alpha)``: a head sees the residue of the IoT signals it failed to
     cancel, an IoT member every earlier one."""
-    inter, earlier = terms
+    inter, _, signal, base = terms
     residue = np.bincount(links.slot, weights=alpha * sic_fail,
                           minlength=links.gains.shape[1])
-    intra = np.where(links.position == 1, residue[links.slot], earlier)
-    return links.own * alpha / (links.own * intra + inter + sigma2)
+    heard = np.where(links.position == 1,
+                     links.own * residue.take(links.slot) + inter, base)
+    return signal / (heard + sigma2)
 
 
 def rates_gbps(gamma: np.ndarray, bandwidth: float) -> np.ndarray:
     """Shannon rate over the full band, in Gbps."""
     gamma = np.asarray(gamma, dtype=float)
-    if not np.logical_and.reduce(gamma >= 0, axis=None):  # NaN is rejected too
+    # the least of 0 and every SINR: NaN propagates and is rejected too
+    if not np.minimum.reduce(gamma, axis=None, initial=_ZERO) >= 0:
         raise ValueError("SINR must be non-negative")
-    return bandwidth * np.log2(1.0 + gamma) / 1e9
+    return bandwidth * np.log2(_ONE + gamma) / _GIGA
 
 
 def power_consumption(alpha: np.ndarray, ris_on: np.ndarray,

@@ -43,9 +43,12 @@ def hyper_mixing(store: ParamStore, prefix: str, state, values, hidden: int):
     leading axes; returns one mixed value per leading index.  Both weight
     layers pass through |.| so every path from a local value to the output
     has a non-negative slope; biases are unconstrained and the final bias is
-    itself a small network of the state.  Local values given as an array
-    are cast to the store's dtype.
+    itself a small network of the state.  A state or local values given
+    as an array (or a list of numbers) are cast to the store's dtype; a
+    Tensor passes through.
     """
+    if not isinstance(state, ad.Tensor):
+        state = np.asarray(state, dtype=store.dtype)
     if not isinstance(values, ad.Tensor):
         values = np.asarray(values, dtype=store.dtype)
     lead, n = values.shape[:-1], values.shape[-1]

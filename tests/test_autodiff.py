@@ -779,6 +779,15 @@ class TestHyperMixing:
             assert out.value[b] == pytest.approx(float(hidden @ w2 + b2[0]),
                                                  rel=1e-12)
 
+    def test_list_state_is_one_input(self):
+        # a list state is the state itself, cast as the local values are,
+        # not a list of input parts
+        got = nn.hyper_mixing(ParamStore(7), "mix", [0.1, 0.2, 0.3],
+                              [1.0, 2.0], 4)
+        want = nn.hyper_mixing(ParamStore(7), "mix", np.array([0.1, 0.2, 0.3]),
+                               [1.0, 2.0], 4)
+        assert got.value.tobytes() == want.value.tobytes()
+
     def test_monotone_in_every_local_value(self):
         rng = np.random.default_rng(9)
         store = ParamStore(21)

@@ -58,8 +58,8 @@ def _decoding_order(members, gains) -> list:
     gives them under ``gains`` (indexed by user id), head last."""
     head, iot = members[0], members[1:]
     listed, layout = _local_layout([head], iot)
-    per_user = np.array([gains[u] for u in listed])[None, :, None]
-    _, position, _ = ll.decode_layout(
+    per_user = np.array([gains[u] for u in listed])[:, None]
+    _, position, _, _ = ll.decode_layout(
         layout, np.zeros((1, len(iot)), dtype=np.intp),
         np.array([[len(members)]]), per_user)
     return sorted(iot, key=lambda u: position[listed.index(u)]) + [head]
@@ -233,21 +233,28 @@ class TestAnalogBeamformer:
         # as written, e.g. 1 + 1j), at several scales, and zero entries:
         # the stacked quantizer must break each tie as the reference does.
         # (argmax Re(conj(grid) * entry) picks the other side of some of
-        # these ties, so it is not the same quantizer.)
+        # these ties, so it is not the same quantizer.)  Every entry is
+        # served, on 1 and 3 APs of tiny's (1, 4) and default's (4, 16)
+        # subarray shapes among others, so each shape's flat index arrays
+        # are checked.
         halfway = np.exp(1j * 2.0 * np.pi * (np.arange(2 ** bits) + 0.5)
                          / 2 ** bits)
         written = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1, 1j, -1, -1j])
         entries = np.concatenate([c * np.concatenate([halfway, written])
                                   for c in (1.0, 3.0, 0.7, 2.0 ** -20)])
         entries = np.concatenate([entries, np.zeros(8), -0.0 * entries[:8]])
-        n_r, n_sub = 2, 4
-        per_ap = n_r * n_r * n_sub
-        entries = np.resize(entries, -(-len(entries) // per_ap) * per_ap)
-        heads = entries.reshape(-1, n_r, n_r * n_sub)
-        got = ll.analog_beamformer(heads, n_sub, bits)
-        for m, ap_heads in enumerate(heads):
-            want = ref.analog_beamformer(ap_heads, n_sub, bits)
-            assert got[m].tobytes() == want.tobytes()
+        for m in (1, 3):
+            for n_r, n_sub in ((1, 1), (1, 4), (2, 4), (4, 16)):
+                served = m * n_r * n_sub
+                cover = np.resize(entries, -(-len(entries) // served) * served)
+                for chunk in cover.reshape(-1, m, n_r, n_sub):
+                    # each head row repeats its served entries in every
+                    # subarray block, the served block among them
+                    heads = np.tile(chunk, (1, 1, n_r))
+                    got = ll.analog_beamformer(heads, n_sub, bits)
+                    for k, ap_heads in enumerate(heads):
+                        want = ref.analog_beamformer(ap_heads, n_sub, bits)
+                        assert got[k].tobytes() == want.tobytes()
 
 
 class TestZF:
@@ -322,6 +329,30 @@ class TestZF:
             assert loaded == (np.linalg.cond(gram) > 1e8)
             decisions.append(loaded)
         assert 0 < sum(decisions) < len(decisions)
+
+    def test_nan_center_raises_on_default_shape(self):
+        # a NaN center must stop the slot, not give NaN beams: default's
+        # three APs of four 64-antenna clusters, one NaN entry at AP 1
+        rng = np.random.default_rng(30)
+        shape = (3, 4, 64)
+        heads = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        v = ll.analog_beamformer(heads, 16, 2)
+        centers = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        centers[1, 2, 5] = np.nan
+        with pytest.raises((np.linalg.LinAlgError, FloatingPointError)):
+            ll.zf_digital_beamformer(centers, v)
+
+    @pytest.mark.parametrize("n_r", [1, 2, 4])
+    def test_nan_center_raises_on_every_gram_size(self, n_r):
+        # LAPACK reports no failure on a NaN 1 x 1 or 2 x 2 Gram (the 1 x 1
+        # one skips it), so the eigenvalue test rejects it
+        rng = np.random.default_rng(31)
+        shape = (2, n_r, 4 * n_r)
+        v = ll.analog_beamformer(rng.normal(size=shape) + 0j, 4, 2)
+        centers = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        centers[0, -1, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            ll.zf_digital_beamformer(centers, v)
 
 
 class TestDecodeOrder:

@@ -1,9 +1,12 @@
-"""The package metadata points only at code that exists, and the README's
-example runs as printed."""
+"""The package metadata points only at code that exists, the README's
+example runs as printed, and the private numpy names the code calls are
+there."""
 import importlib
 import re
 import tomllib
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -23,3 +26,14 @@ def test_readme_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
     rewards = capsys.readouterr().out
     assert rewards.startswith("[") and rewards.rstrip().endswith("]")
+
+
+def test_bare_lapack_gufuncs_exist():
+    # the ZF stage of ``risnoma.linklayer`` calls the gufuncs behind
+    # np.linalg.eigvalsh and np.linalg.inv directly; a numpy release that
+    # moves or reshapes these private names fails here, not mid-run
+    from numpy.linalg import _umath_linalg
+    for gufunc, signature in ((_umath_linalg.eigvalsh_lo, "(m,m)->(m)"),
+                              (_umath_linalg.inv, "(m,m)->(m,m)")):
+        assert isinstance(gufunc, np.ufunc)
+        assert gufunc.signature.replace(" ", "") == signature
