@@ -690,9 +690,15 @@ class ParamStore:
         return self._params[name]
 
     def apply_update(self, deltas: dict) -> None:
-        """theta <- theta + delta for each named delta, added as given;
-        aborts on non-finite components before changing any parameter."""
+        """theta <- theta + delta for each named delta, added as given.
+        Every delta is checked before any is applied: one whose name and
+        shape fit no parameter raises ``ValueError``, one with a non-finite
+        component ``FloatingPointError``."""
         for name in sorted(deltas):
+            param, shape = self._params.get(name), np.shape(deltas[name])
+            if param is None or param.value.shape != shape:
+                raise ValueError(f"update of shape {shape} for {name} fits no "
+                                 "parameter")
             if not np.isfinite(deltas[name]).all():
                 raise FloatingPointError(f"non-finite update for {name}")
         for name in sorted(deltas):

@@ -141,8 +141,8 @@ class NetworkEnv:
         h_eff = self._parts.effective(theta)
         links = linklayer.derive_plan(h_eff, self._links, cfg)
         terms = linklayer.power_terms(links, power)
-        fail = linklayer.sic_feasibility(links, power, self._noise, terms)
-        gamma = linklayer.sinr_all(links, power, self._noise, fail, terms)
+        fail = linklayer.sic_feasibility(links, self._noise, terms)
+        gamma = linklayer.sinr_all(links, self._noise, fail, terms)
         rates = linklayer.rates_gbps(gamma, cfg.bandwidth)
         p_total = linklayer.power_consumption(power, on, cfg)
         eta = linklayer.energy_efficiency(rates, p_total)

@@ -4,6 +4,7 @@ Collection runs the decentralized pipeline per slot (observe, message
 passing, per-agent sampling, env step), each stage one batched call over
 all agents, and records the graph, the draws and the env's outcome: enough
 to replay exact log-probabilities, which it does not compute itself.
+Training draws actions from a generator; ``evaluate`` takes their modes.
 It runs without a tape: an episode runs under the parameter store's
 ``no_grad()``, entered once, so embedding and sampling are plain numpy over
 the parameter arrays and bitwise equal to the taped forward; only the replay
@@ -107,12 +108,11 @@ class TrainConfig:
 
 
 def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
-            rng: np.random.Generator | None,
-            deterministic: bool = False) -> Trajectory:
+            rng: np.random.Generator | None) -> Trajectory:
     """One episode of length ``horizon`` under the current parameters: per
-    slot the observed graph, cast to the store's dtype, the agents' draws
-    (not scored) and the env's ``StepOutcome``.  ``rng`` draws the samples;
-    a deterministic rollout draws none and may take None."""
+    slot the observed graph, cast to the store's dtype, the agents' actions
+    (not scored) and the env's ``StepOutcome``.  Actions are drawn from
+    ``rng``; with ``rng`` None every agent takes its mode."""
     env.reset()
     gru = policy.gru_zero()
     steps = []
@@ -120,8 +120,7 @@ def rollout(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
     with policy.store.no_grad():
         for _ in range(horizon):
             graph = env.comm_graph().astype(dtype)
-            sample, gru = policy.act(policy.embed([graph]), gru, rng,
-                                     deterministic=deterministic)
+            sample, gru = policy.act(policy.embed([graph]), gru, rng)
             steps.append(StepRecord(graph, sample,
                                     env.step(*policy.env_action(sample))))
     return Trajectory(steps, env.comm_graph().astype(dtype))
@@ -270,15 +269,15 @@ def update(policy: GEVDACPolicy, trajectories, tcfg: TrainConfig,
 
 def evaluate(env: NetworkEnv, policy: GEVDACPolicy, horizon: int,
              rollouts: int) -> dict:
-    """Deterministic-policy metrics over fresh episodes; the deterministic
-    policy draws no random number.  A config without IoT users
+    """Metrics over fresh episodes in which every agent takes its mode
+    (``rollout`` with no generator).  A config without IoT users
     (``iot_users_per_ap=0``) reports an IoT outage of 0.0."""
     for name, n in (("horizon", horizon), ("rollouts", rollouts)):
         if n < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")
     rewards, etas, se_out, iot_out = [], [], [], []
     for _ in range(rollouts):
-        traj = rollout(env, policy, horizon, None, deterministic=True)
+        traj = rollout(env, policy, horizon, None)
         rewards.append(np.mean([s.outcome.reward for s in traj.steps]))
         etas.append(np.mean([s.outcome.eta for s in traj.steps]))
         kind = env.topo.user_kind

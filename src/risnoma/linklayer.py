@@ -26,7 +26,7 @@ users per AP, N_A antennas and U users:
   first.
 - The analog stage gathers the served head entries and scatters its
   phase-shifter entries through flat index arrays that depend only on
-  (M, N_R, n_sub); ``_analog_index`` builds them once per shape.
+  (M, N_R, n_sub = N_A / N_R); ``_analog_index`` builds them once per shape.
 - ``SlotLinks.gains`` is the (U, M·S) matrix |h_u^(m) V^(m) w_n^(m)|²;
   ``slot`` (U,) is the column of each user's own cluster, ``position``
   (U,) its 1-based decode position (head = 1), ``head`` (U,) its cluster's
@@ -36,10 +36,10 @@ users per AP, N_A antennas and U users:
   was diagonally loaded.
 - SIC flags are a (U,) 0/1 array, 1 where the head fails to cancel that
   user's signal; heads get 0.
-- ``power_terms`` gives, per user, the inter-cluster interference, the
-  power decoded before it in its cluster and the signal and interference
-  sums that both ``sic_feasibility`` and ``sinr_all`` read; a slot builds
-  them once and hands them to both.
+- ``power_terms`` carries the (U,) power split ``alpha`` and the per-user
+  sums built from it: inter-cluster interference, the power decoded before
+  the user in its cluster, signal and interference.  A slot builds them
+  once; ``sic_feasibility`` and ``sinr_all`` read the split from them too.
 
 Scalar operands of the per-slot ufunc calls are 0-d float64 arrays
 (``_ZERO``, ``_ONE``, ``_GIGA``): numpy takes them at less per-call cost
@@ -180,7 +180,7 @@ def _analog_index(m: int, n_r: int, n_sub: int):
     return served, placed
 
 
-def analog_beamformer(head_channels: np.ndarray, n_sub: int, bits: int) -> np.ndarray:
+def analog_beamformer(head_channels: np.ndarray, bits: int) -> np.ndarray:
     """Block-diagonal sub-connected analog matrices, one subarray per head:
     (M, N_R, N_A) head channels give (M, N_A, N_R).
 
@@ -189,6 +189,7 @@ def analog_beamformer(head_channels: np.ndarray, n_sub: int, bits: int) -> np.nd
     product steers real-positive.  Zero entries default to phase 0.
     """
     m, n_r, n_a = head_channels.shape
+    n_sub = n_a // n_r
     grid, entries = _phase_grid(bits, n_sub)
     served_at, placed_at = _analog_index(m, n_r, n_sub)
     served = head_channels.take(served_at)                   # (M, N_R, n_sub)
@@ -206,14 +207,15 @@ def _lapack_failed(err, flag):
 
 
 def zf_digital_beamformer(centers: np.ndarray, v: np.ndarray, *,
-                          cond_threshold: float = 1e8):
+                          cond_threshold: float):
     """Zero-forcing across each AP's cluster centers with unit ``||V w||``
     columns: (M, N_R, N_A) complex centers and (M, N_A, N_R) analog
     matrices give the (M, N_R, N_R) digital matrices and the (M,) loading
     flags.
 
-    Near-singular Gram matrices get diagonal loading (1e-8 x mean eigenvalue)
-    and their AP's loading flag, which ``SlotLinks.zf_loaded`` and
+    A Gram whose condition number exceeds ``cond_threshold`` (a slot's is
+    ``NetworkConfig.zf_cond_threshold``) gets diagonal loading (1e-8 x mean
+    eigenvalue) and its AP's loading flag, which ``SlotLinks.zf_loaded`` and
     ``StepOutcome.zf_loaded`` carry on, so degenerate clustering is visible;
     no warning is raised.  The Gram is Hermitian and positive semi-definite,
     so its condition number is its largest eigenvalue over its smallest; a
@@ -312,7 +314,7 @@ def derive_plan(h_eff: np.ndarray, layout: LinkLayout,
     cluster, sizes = cluster_users(h_eff, layout, config.cluster_cap)
     rows = h_eff.reshape(-1, n_a)
     centers = rows.take(layout.head_rows, axis=0)            # (M, S, N_A)
-    v = analog_beamformer(centers, config.n_sub, config.analog_phase_bits)
+    v = analog_beamformer(centers, config.analog_phase_bits)
     # a cluster's center sums its members in join order: the head, then
     # IoT members by id.  np.add.at adds entry by entry in index order, and
     # takes its fast path only with one flat index into a flat array
@@ -329,9 +331,9 @@ def derive_plan(h_eff: np.ndarray, layout: LinkLayout,
 
 
 def power_terms(links: SlotLinks, alpha: np.ndarray):
-    """The per-user sums ``sic_feasibility`` and ``sinr_all`` share, as
-    four (U,) arrays: the inter-cluster interference, the power of the
-    members decoded before the user in its cluster, the user's received
+    """What ``sic_feasibility`` and ``sinr_all`` share, as five (U,) arrays:
+    the power split ``alpha``, the inter-cluster interference, the power of
+    the members decoded before the user in its cluster, the user's received
     signal own·alpha and own·earlier + inter."""
     slot, position, own = links.slot, links.position, links.own
     depth = np.maximum.reduce(position) + 1
@@ -345,16 +347,15 @@ def power_terms(links: SlotLinks, alpha: np.ndarray):
     powers = before[:, -1]
     inter = links.gains @ powers - own * powers.take(slot)
     earlier = before.take(at - 1)
-    return inter, earlier, own * alpha, own * earlier + inter
+    return alpha, inter, earlier, own * alpha, own * earlier + inter
 
 
-def sic_feasibility(links: SlotLinks, alpha: np.ndarray, sigma2: float,
-                    terms) -> np.ndarray:
+def sic_feasibility(links: SlotLinks, sigma2: float, terms) -> np.ndarray:
     """Per-IoT-user cancellation test: the head's decode SINR for that
     user's signal must reach the user's own decode SINR.  ``terms`` is
     ``power_terms(links, alpha)``.  Returns (U,) 0/1 flags, 1 where SIC
     fails; heads get 0."""
-    inter, earlier, signal, base = terms
+    alpha, inter, earlier, signal, base = terms
     head = links.head
     own_head = links.own.take(head)
     at_head = own_head * alpha / (own_head * earlier + inter.take(head)
@@ -363,12 +364,12 @@ def sic_feasibility(links: SlotLinks, alpha: np.ndarray, sigma2: float,
     return ((links.position > 1) & ~(at_head >= at_self)).astype(int)  # NaN fails
 
 
-def sinr_all(links: SlotLinks, alpha: np.ndarray, sigma2: float,
-             sic_fail: np.ndarray, terms) -> np.ndarray:
+def sinr_all(links: SlotLinks, sigma2: float, sic_fail: np.ndarray,
+             terms) -> np.ndarray:
     """SINR per user given the (U,) SIC flags and ``power_terms(links,
     alpha)``: a head sees the residue of the IoT signals it failed to
     cancel, an IoT member every earlier one."""
-    inter, _, signal, base = terms
+    alpha, inter, _, signal, base = terms
     residue = np.bincount(links.slot, weights=alpha * sic_fail,
                           minlength=links.gains.shape[1])
     heard = np.where(links.position == 1,

@@ -61,13 +61,3 @@ def hyper_mixing(store: ParamStore, prefix: str, state, values, hidden: int):
     b2 = dense(store, f"{prefix}.hb2b", b2, 1)
     return (mixed * w2).sum(axis=-1) + b2.reshape(lead)
 
-
-def mlp(store: ParamStore, name: str, x, widths, activation: str = "tanh",
-        final: str = "linear"):
-    """Dense layers of the given output ``widths``, ``final`` after the
-    last."""
-    out = x
-    for i, width in enumerate(widths):
-        act = final if i == len(widths) - 1 else activation
-        out = dense(store, f"{name}.l{i}", out, width, activation=act)
-    return out

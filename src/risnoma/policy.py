@@ -34,9 +34,9 @@ plain arrays and returns them in place of Tensors.  Shapes, for n_t agents
 of type t (M APs, J RISs, K users per AP, L elements, P phase levels):
 
   embed        {t: (B * n_t, node width of t + hidden)}
-  act          ActionSample of agent rows, (M, K+1) AP and (J, L) RIS
-               draws, and the next GRU states {t: (n_t, gru_hidden)};
-               the draws are not scored
+  act          ActionSample of the agent rows of B graphs, (B * M, K+1) AP
+               and (B * J, L) RIS draws, and the next GRU states
+               {t: (B * n_t, gru_hidden)}; the draws are not scored
   log_prob     log-probs (T * E, M + J) of T stored slots of E episodes,
                slot-major, and the final states
   local_value  (B, M + J), agents in node order
@@ -63,8 +63,8 @@ columns are sliced: the GRU's z, r and c gates are one weight over the input
 ``act.ap.head`` gives the Gaussian means then the log-stds, and the RIS head
 ``act.ris.head`` the L on/off logits then the L * P phase logits.
 Construction creates them all by one tape-free pass of ``embed``, ``act``
-(deterministic, so no random draw) and ``value`` over a zero graph of the
-policy's widths with one edge of every kind whose two ends exist.
+(with no generator, so no random draw) and ``value`` over a zero graph of
+the policy's widths with one edge of every kind whose two ends exist.
 ``ParamStore.param`` seeds each value from its name, so the order of
 creation does not matter.  A type without agents runs its nets on zero
 rows; edge kinds it would end have no parameters, and in central mode the
@@ -118,9 +118,9 @@ class PolicyConfig:
 @dataclass
 class ActionSample:
     """Raw draws of every agent; enough to replay exact log-probabilities.
-    Arrays are agent rows, as every batched array of the nets: one slot's,
-    or several slots' slot-major (row ``s * n_t + i`` is agent i of slot s
-    among the n_t agents of its type)."""
+    Arrays are agent rows, as every batched array of the nets: one graph's,
+    or several graphs' in order (row ``s * n_t + i`` is agent i of graph s
+    among the n_t agents of its type), be they slots or episodes."""
     gaussian: np.ndarray       # (T * M, K+1) AP raw logits, store dtype
     on_off: np.ndarray         # (T * J, L) RIS binaries
     phase: np.ndarray          # (T * J, L) RIS category picks
@@ -139,27 +139,26 @@ class GEVDACPolicy:
 
     def __init__(self, dims: dict, counts: dict, pcfg: PolicyConfig, seed: int,
                  dtype=np.float32):
-        self.dims = dict(dims)          # node/edge feature widths
-        # num_aps, num_ris, users_per_ap, ris_elements, n_phase, max_power
+        self.dims = dict(dims)  # widths by node type and edge kind: "ap", ...
+        # agents per node type ("ap", "ris"), users_per_ap, ris_elements,
+        # n_phase, max_power
         self.counts = dict(counts)
         self.pcfg = pcfg
         self.store = ParamStore(seed, dtype)
-        self._node_dim = {"ap": dims["ap_node"], "ris": dims["ris_node"]}
-        self._count = {"ap": counts["num_aps"], "ris": counts["num_ris"]}
         # -- parameter creation: one tape-free pass of every net over a zero
         # graph creates each parameter at the call that uses it, so a
         # checkpoint taken before any step already holds them all.
         with self.store.no_grad():
             z = self.embed([self._probe_graph()])
-            self.act(z, self.gru_zero(), None, deterministic=True)
+            self.act(z, self.gru_zero(), None)
             self.value(z)
 
     def _probe_graph(self) -> CommGraph:
         """A zero graph of this policy's widths and agent counts, with one
         edge of every kind whose two ends exist."""
-        nodes = {t: np.zeros((n, self._node_dim[t]))
-                 for t, n in self._count.items()}
-        ends = {k: np.zeros(int(all(self._count[t] for t in EDGE_ENDS[k])),
+        nodes = {t: np.zeros((self.counts[t], self.dims[t]))
+                 for t in NODE_TYPES}
+        ends = {k: np.zeros(int(all(self.counts[t] for t in EDGE_ENDS[k])),
                             dtype=np.intp) for k in EDGE_ENDS}
         feat = {k: np.zeros((len(ends[k]), self.dims[k])) for k in EDGE_ENDS}
         return CommGraph(nodes, ends, ends, feat)
@@ -168,9 +167,9 @@ class GEVDACPolicy:
         """GRU states of every agent at the start of an episode, for
         ``episodes`` episodes side by side: {type: (episodes * n_type,
         gru_hidden)}, row ``e * n_type + i`` for agent i of episode e."""
-        return {t: np.zeros((episodes * n, self.pcfg.gru_hidden),
+        return {t: np.zeros((episodes * self.counts[t], self.pcfg.gru_hidden),
                             self.store.dtype)
-                for t, n in self._count.items()}
+                for t in NODE_TYPES}
 
     # -- graph embedding ------------------------------------------------------
     def embed(self, graphs) -> dict:
@@ -242,14 +241,15 @@ class GEVDACPolicy:
         phase = ris[:, n_el:].reshape(ris.shape[0], n_el, n_ph)
         return (mean, log_std, onoff, phase), h
 
-    def act(self, z_tilde: dict, gru_state: dict, rng: np.random.Generator,
-            deterministic: bool = False):
-        """Sample (or take the mode of) every agent's action in one slot;
-        returns (ActionSample, next GRU states).  It does not score the
-        draw: ``log_prob`` does, on the replay that needs it."""
+    def act(self, z_tilde: dict, gru_state: dict,
+            rng: np.random.Generator | None):
+        """Every agent's action in one slot of one or more graphs side by
+        side (a ``gru_state`` row per agent row): drawn from ``rng``, or each
+        agent's mode if it is None.  Returns (ActionSample, next GRU states),
+        not scored: ``log_prob`` does that, on the replay that needs it."""
         heads, h = self._heads(z_tilde, gru_state)
         mean, log_std, onoff, phase = map(ad.value_of, heads)
-        if deterministic:
+        if rng is None:
             draw = mean.copy()
             on = (onoff > 0).astype(int)
             picks = phase.argmax(axis=-1)
@@ -257,8 +257,8 @@ class GEVDACPolicy:
             noise = rng.standard_normal(mean.shape).astype(mean.dtype,
                                                            copy=False)
             draw = mean + np.exp(log_std) * noise
-            # per RIS: L on/off uniforms, then L phase uniforms
-            u = rng.random((self._count["ris"], 2, onoff.shape[-1]))
+            # per RIS row: L on/off uniforms, then L phase uniforms
+            u = rng.random((onoff.shape[0], 2, onoff.shape[1]))
             on = (u[:, 0] < ad.sigmoid(onoff)).astype(int)
             picks = _inverse_cdf(_softmax(phase), u[:, 1])
         return ActionSample(draw, on, picks), h
@@ -274,7 +274,7 @@ class GEVDACPolicy:
         order."""
         (mean, log_std, onoff, phase), h = self._heads(z_tilde, gru_state)
         gauss = sample.gaussian
-        steps = len(gauss) // self._count["ap"]
+        steps = len(gauss) // self.counts["ap"]
         zed = (gauss - mean) * ad.exp(-log_std)
         ap = (ad.square(zed).sum(axis=1) * (-0.5) - log_std.sum(axis=1)
               - 0.5 * LOG2PI * gauss.shape[1])
@@ -285,20 +285,20 @@ class GEVDACPolicy:
         picked = ad.log_softmax(phase)[np.arange(rows)[:, None],
                                        np.arange(n_el), sample.phase]
         ris = bern + picked.sum(axis=1)
-        return ad.concat([ap.reshape(steps, self._count["ap"]),
-                          ris.reshape(steps, self._count["ris"])]), h
+        return ad.concat([ap.reshape(steps, self.counts["ap"]),
+                          ris.reshape(steps, self.counts["ris"])]), h
 
     # -- critics ---------------------------------------------------------------
     def local_value(self, z_tilde: dict) -> Tensor:
         """Per-agent values (B, M + J) of a batch of B slots."""
         p = self.pcfg
-        slots = z_tilde["ap"].shape[0] // self._count["ap"]
+        slots = z_tilde["ap"].shape[0] // self.counts["ap"]
         values = []
         for t in NODE_TYPES:
             hidden = nn.dense(self.store, f"critic.{t}.h", z_tilde[t],
                               p.critic_hidden, "tanh")
             out = nn.dense(self.store, f"critic.{t}.out", hidden, 1)
-            values.append(out.reshape(slots, self._count[t]))
+            values.append(out.reshape(slots, self.counts[t]))
         return ad.concat(values)
 
     def global_value(self, state, values) -> Tensor:
@@ -309,8 +309,11 @@ class GEVDACPolicy:
         if p.critic_mode == "mix":
             return nn.hyper_mixing(self.store, "mix", state, values,
                                    p.mix_hidden)
-        out = nn.mlp(self.store, "critic.central", state,
-                     [p.critic_hidden, p.critic_hidden, 1])
+        hidden = nn.dense(self.store, "critic.central.l0", state,
+                          p.critic_hidden, "tanh")
+        hidden = nn.dense(self.store, "critic.central.l1", hidden,
+                          p.critic_hidden, "tanh")
+        out = nn.dense(self.store, "critic.central.l2", hidden, 1)
         return out.reshape(state.shape[:-1])
 
     def value(self, z_tilde: dict) -> Tensor:
@@ -319,11 +322,10 @@ class GEVDACPolicy:
         leading columns of their embedded rows: the AP rows, then the RIS
         rows, flattened.  Only the mixer reads the local values, so in
         central mode the local critics neither run nor exist."""
-        slots = z_tilde["ap"].shape[0] // self._count["ap"]
+        slots = z_tilde["ap"].shape[0] // self.counts["ap"]
         state = np.concatenate(
-            [ad.value_of(z_tilde[t])[:, :self._node_dim[t]].reshape(
-                slots, self._count[t] * self._node_dim[t]) for t in NODE_TYPES],
-            axis=1)
+            [ad.value_of(z_tilde[t])[:, :self.dims[t]].reshape(slots, -1)
+             for t in NODE_TYPES], axis=1)
         mixes = self.pcfg.critic_mode == "mix"
         return self.global_value(state,
                                  self.local_value(z_tilde) if mixes else None)
@@ -379,14 +381,14 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def policy_for_env(env, pcfg: PolicyConfig, seed: int,
                    dtype=np.float32) -> GEVDACPolicy:
-    """The policy for ``env``'s agents, its feature widths read off the
-    shapes of the env's comm graph."""
+    """The policy for ``env``'s agents, their counts and feature widths
+    read off the shapes of the env's comm graph."""
     cfg = env.config
     graph = env.comm_graph()
-    dims = {f"{t}_node": graph.nodes[t].shape[1] for t in NODE_TYPES}
+    dims = {t: x.shape[1] for t, x in graph.nodes.items()}
     dims.update((k, f.shape[1]) for k, f in graph.edge_feat.items())
-    counts = dict(num_aps=cfg.num_aps, num_ris=cfg.num_ris,
-                  users_per_ap=cfg.users_per_ap,
+    counts = {t: len(x) for t, x in graph.nodes.items()}
+    counts.update(users_per_ap=cfg.users_per_ap,
                   ris_elements=cfg.ris_elements,
                   n_phase=2 ** cfg.ris_phase_bits,
                   max_power=cfg.max_tx_power)

@@ -853,6 +853,25 @@ class TestUpdatesAndCheckpoints:
             store.apply_update({"a": np.ones(2), "w": np.array([np.inf, 0.0])})
         assert np.array_equal(a.value, before)
 
+    def test_unknown_name_changes_nothing(self):
+        store = ParamStore(1)
+        a = store.param("a", (3, 4))
+        before = a.value.copy()
+        with pytest.raises(ValueError, match="for c fits no parameter"):
+            store.apply_update({"a": np.ones((3, 4)), "c": np.ones(2)})
+        assert np.array_equal(a.value, before)
+        assert store.names() == ["a"]
+
+    def test_mismatched_shape_changes_nothing(self):
+        # a (4,) delta would broadcast into every row of a (3, 4) parameter
+        store = ParamStore(1)
+        params = [store.param(n, (3, 4)) for n in ("a", "w")]
+        before = [p.value.copy() for p in params]
+        with pytest.raises(ValueError, match="for w fits no parameter"):
+            store.apply_update({"a": np.ones((3, 4)), "w": np.ones(4)})
+        for p, b in zip(params, before):
+            assert np.array_equal(p.value, b)
+
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         store = ParamStore(31)
         store.param("a.w", (4, 3))

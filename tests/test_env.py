@@ -236,13 +236,13 @@ class TestCommGraph:
             env = NetworkEnv(cfg, seed=0)
             graph = env.comm_graph()
             k, n_a, n_el = cfg.users_per_ap, cfg.antennas, cfg.ris_elements
-            dims = {"ap_node": 2 * k * n_a + 2 * k,   # channels, weight, power
-                    "ris_node": 2 * n_el,             # on/off, phase
+            dims = {"ap": 2 * k * n_a + 2 * k,        # channels, weight, power
+                    "ris": 2 * n_el,                  # on/off, phase
                     "ap_ap": 2 * k * n_a,
                     "ap_ris": cfg.num_aps * 2 * k * n_a,
                     "ris_ap": 2 * n_el * n_a + 2 * k * n_el}
             for kind, feat in graph.nodes.items():
-                assert feat.shape == (len(feat), dims[f"{kind}_node"])
+                assert feat.shape == (len(feat), dims[kind])
             for kind, feat in graph.edge_feat.items():
                 assert feat.shape == (len(graph.src[kind]), dims[kind])
                 assert len(graph.dst[kind]) == len(feat)

@@ -6,11 +6,14 @@ import pytest
 
 from risnoma import linklayer as ll
 from risnoma.channel import EpisodeChannel, ris_phase_diag
+from risnoma.config import NetworkConfig
 from risnoma.presets import default_config, medium_config, tiny_config
 from risnoma.topology import SE, build_topology
 
 import reference_link as ref
 from literal_link import LinkPlan, literal_sic_and_sinr, random_instance
+
+COND_THRESHOLD = NetworkConfig.zf_cond_threshold
 
 
 def channel_correlation(h1: np.ndarray, h2: np.ndarray) -> float:
@@ -42,14 +45,16 @@ def _clusters(h, se, iot, cap):
     return clusters
 
 
-def _analog(heads, n_sub, bits):
+def _analog(heads, bits):
     """``ll.analog_beamformer`` on one AP's (N_R, N_A) head channels."""
-    return ll.analog_beamformer(heads[None], n_sub, bits)[0]
+    return ll.analog_beamformer(heads[None], bits)[0]
 
 
-def _zf(centers, v, **kw):
-    """``ll.zf_digital_beamformer`` on one AP: its w and loading flag."""
-    w, loaded = ll.zf_digital_beamformer(centers[None], v[None], **kw)
+def _zf(centers, v):
+    """``ll.zf_digital_beamformer`` on one AP, at the config's loading
+    threshold: its w and loading flag."""
+    w, loaded = ll.zf_digital_beamformer(centers[None], v[None],
+                                         cond_threshold=COND_THRESHOLD)
     return w[0], bool(loaded[0])
 
 
@@ -186,7 +191,7 @@ class TestClustering:
 class TestAnalogBeamformer:
     def test_real_positive_heads_give_flat_phases(self):
         heads = np.abs(np.random.default_rng(0).normal(size=(2, 8))) + 0.1
-        v = _analog(heads, 4, 3)
+        v = _analog(heads, 3)
         nz = v[v != 0]
         assert np.allclose(nz, 1 / np.sqrt(4))
 
@@ -194,7 +199,7 @@ class TestAnalogBeamformer:
     def _brute_force_check(bits, seed):
         rng = np.random.default_rng(seed)
         heads = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        v = _analog(heads, 4, bits)
+        v = _analog(heads, bits)
         cands = [np.exp(2j * np.pi * k / 2 ** bits) for k in range(2 ** bits)]
         for n in range(2):
             for i in range(4):
@@ -213,7 +218,7 @@ class TestAnalogBeamformer:
     def test_block_diagonal_structure(self):
         rng = np.random.default_rng(3)
         heads = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
-        v = _analog(heads, 4, 2)
+        v = _analog(heads, 2)
         for n in range(3):
             for i in range(3):
                 block = v[i * 4:(i + 1) * 4, n]
@@ -224,7 +229,7 @@ class TestAnalogBeamformer:
 
     def test_zero_entry_defaults_to_phase_zero(self):
         heads = np.zeros((1, 4), dtype=complex)
-        v = _analog(heads, 4, 2)
+        v = _analog(heads, 2)
         assert np.allclose(v[:, 0], 1 / np.sqrt(4))
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
@@ -251,7 +256,7 @@ class TestAnalogBeamformer:
                     # each head row repeats its served entries in every
                     # subarray block, the served block among them
                     heads = np.tile(chunk, (1, 1, n_r))
-                    got = ll.analog_beamformer(heads, n_sub, bits)
+                    got = ll.analog_beamformer(heads, bits)
                     for k, ap_heads in enumerate(heads):
                         want = ref.analog_beamformer(ap_heads, n_sub, bits)
                         assert got[k].tobytes() == want.tobytes()
@@ -268,9 +273,9 @@ class TestZF:
     def test_nulling_on_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            n_r, n_sub = 3, 4
+            n_r = 3
             heads = rng.normal(size=(n_r, 12)) + 1j * rng.normal(size=(n_r, 12))
-            v = _analog(heads, n_sub, 3)
+            v = _analog(heads, 3)
             centers = rng.normal(size=(n_r, 12)) + 1j * rng.normal(size=(n_r, 12))
             w, _ = _zf(centers, v)
             for i in range(n_r):
@@ -282,7 +287,7 @@ class TestZF:
     def test_unit_composed_norm(self):
         rng = np.random.default_rng(5)
         heads = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        v = _analog(heads, 4, 2)
+        v = _analog(heads, 2)
         centers = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
         w, _ = _zf(centers, v)
         for n in range(2):
@@ -324,7 +329,7 @@ class TestZF:
         decisions = []
         for centers in cases:
             v = np.eye(centers.shape[1], dtype=complex)
-            _, loaded = _zf(centers, v, cond_threshold=1e8)
+            _, loaded = _zf(centers, v)
             gram = centers @ centers.conj().T
             assert loaded == (np.linalg.cond(gram) > 1e8)
             decisions.append(loaded)
@@ -336,11 +341,11 @@ class TestZF:
         rng = np.random.default_rng(30)
         shape = (3, 4, 64)
         heads = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        v = ll.analog_beamformer(heads, 16, 2)
+        v = ll.analog_beamformer(heads, 2)
         centers = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         centers[1, 2, 5] = np.nan
         with pytest.raises((np.linalg.LinAlgError, FloatingPointError)):
-            ll.zf_digital_beamformer(centers, v)
+            ll.zf_digital_beamformer(centers, v, cond_threshold=COND_THRESHOLD)
 
     @pytest.mark.parametrize("n_r", [1, 2, 4])
     def test_nan_center_raises_on_every_gram_size(self, n_r):
@@ -348,11 +353,11 @@ class TestZF:
         # one skips it), so the eigenvalue test rejects it
         rng = np.random.default_rng(31)
         shape = (2, n_r, 4 * n_r)
-        v = ll.analog_beamformer(rng.normal(size=shape) + 0j, 4, 2)
+        v = ll.analog_beamformer(rng.normal(size=shape) + 0j, 2)
         centers = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         centers[0, -1, 0] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
-            ll.zf_digital_beamformer(centers, v)
+            ll.zf_digital_beamformer(centers, v, cond_threshold=COND_THRESHOLD)
 
 
 class TestDecodeOrder:
@@ -374,8 +379,8 @@ def _sic_and_sinr(h_eff, plans, alpha, sigma2):
 
 def _links_sic_and_sinr(links, alpha, sigma2):
     terms = ll.power_terms(links, alpha)
-    fail = ll.sic_feasibility(links, alpha, sigma2, terms)
-    return fail, ll.sinr_all(links, alpha, sigma2, fail, terms)
+    fail = ll.sic_feasibility(links, sigma2, terms)
+    return fail, ll.sinr_all(links, sigma2, fail, terms)
 
 
 def _oracle_flags(lit_fail, n_users):
@@ -498,7 +503,7 @@ class TestSicAndSinr:
                                                  extra_users=0)
         sigma2 = 1e-2
         links = ref.slot_links(h_eff, plans)
-        got = ll.sinr_all(links, alpha, sigma2, np.zeros(len(alpha), dtype=int),
+        got = ll.sinr_all(links, sigma2, np.zeros(len(alpha), dtype=int),
                           ll.power_terms(links, alpha))
         g = abs(h_eff[0, 0] @ plans[0].v @ plans[0].w[:, 0]) ** 2
         assert got[0] == pytest.approx(g * alpha[0] / sigma2, rel=1e-12)

@@ -1,8 +1,11 @@
 """The package metadata points only at code that exists, the README's
-example runs as printed, and the private numpy names the code calls are
-there."""
+example runs as printed, the private numpy names the code calls are there,
+and the pytest configuration reports a failing property test."""
 import importlib
 import re
+import shutil
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -37,3 +40,29 @@ def test_bare_lapack_gufuncs_exist():
                               (_umath_linalg.inv, "(m,m)->(m,m)")):
         assert isinstance(gufunc, np.ufunc)
         assert gufunc.signature.replace(" ", "") == signature
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+'''
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # on a failure hypothesis imports libcst to suggest a patch; under the
+    # repo's ``filterwarnings = error`` a deprecation warning raised by that
+    # import must not abort the test run before the example is shown
+    shutil.copy(ROOT / "pytest.ini", tmp_path)
+    (tmp_path / "test_throwaway.py").write_text(FAILING_PROPERTY)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+         "test_throwaway.py"], cwd=tmp_path, capture_output=True, text=True,
+        timeout=120)
+    out = done.stdout + done.stderr
+    assert done.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out

@@ -13,10 +13,9 @@ from fd import fd_check
 
 
 def synthetic_graph(rng, n_ap=2, n_ris=2, dims=None):
-    dims = dims or {"ap_node": 6, "ris_node": 4, "ap_ap": 5, "ap_ris": 7,
-                    "ris_ap": 3}
-    nodes = {"ap": rng.normal(size=(n_ap, dims["ap_node"])),
-             "ris": rng.normal(size=(n_ris, dims["ris_node"]))}
+    dims = dims or {"ap": 6, "ris": 4, "ap_ap": 5, "ap_ris": 7, "ris_ap": 3}
+    nodes = {"ap": rng.normal(size=(n_ap, dims["ap"])),
+             "ris": rng.normal(size=(n_ris, dims["ris"]))}
     pairs = {"ap_ap": [(i, i2) for i in range(n_ap) for i2 in range(n_ap)
                        if i != i2],
              "ap_ris": [(i, r) for i in range(n_ap) for r in range(n_ris)],
@@ -41,7 +40,7 @@ def node_rows(z):
 
 
 def make_policy(dims, n_ap=2, n_ris=2, seed=0, dtype=np.float32, **pkw):
-    counts = dict(num_aps=n_ap, num_ris=n_ris, users_per_ap=3,
+    counts = dict(ap=n_ap, ris=n_ris, users_per_ap=3,
                   ris_elements=4, n_phase=2, max_power=1.0)
     return GEVDACPolicy(dims, counts, PolicyConfig(**pkw), seed, dtype)
 
@@ -257,8 +256,7 @@ class TestActionHeads:
         policy.store.get("act.ap.head.b").value[4:] = -100.0
         z = policy.embed([graph])
         s1, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(0))
-        s2, _ = policy.act(z, policy.gru_zero(), np.random.default_rng(1),
-                           deterministic=True)
+        s2, _ = policy.act(z, policy.gru_zero(), None)
         assert np.allclose(s1.gaussian, s2.gaussian, atol=1e-6)
 
     def test_zero_logit_onoff_frequency_is_half(self):
@@ -278,6 +276,24 @@ class TestActionHeads:
         freq = ones / total
         sigma = 0.5 / np.sqrt(total)
         assert abs(freq - 0.5) < 3 * sigma
+
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_act_takes_the_agent_rows_of_stacked_graphs(self, sampled):
+        # two medium graphs side by side, one GRU state row per agent row:
+        # every row gets an action
+        cfg = medium_config()
+        envs = [NetworkEnv(cfg, seed=s) for s in (0, 1)]
+        policy = policy_for_env(envs[0], PolicyConfig(), 0)
+        m, j = cfg.num_aps, cfg.num_ris
+        rng = np.random.default_rng(0) if sampled else None
+        with policy.store.no_grad():
+            z = policy.embed([env.comm_graph() for env in envs])
+            sample, h = policy.act(z, policy.gru_zero(2), rng)
+        assert sample.gaussian.shape == (2 * m, cfg.users_per_ap + 1)
+        assert sample.on_off.shape == (2 * j, cfg.ris_elements)
+        assert sample.phase.shape == (2 * j, cfg.ris_elements)
+        assert {t: len(h[t]) for t in NODE_TYPES} == {"ap": 2 * m,
+                                                      "ris": 2 * j}
 
     def test_phase_picks_follow_generator_choice(self):
         # the batched inverse-CDF draw replays Generator.choice on each row
@@ -611,14 +627,14 @@ class TestInference:
         gru = policy.gru_zero()
         for slot in range(3):
             graph = env.comm_graph()
-            for deterministic in (False, True):
+            for sampled in (True, False):  # False: every agent's mode
                 z = policy.embed([graph])
-                taped = policy.act(z, gru, np.random.default_rng(slot),
-                                   deterministic=deterministic)
+                taped = policy.act(
+                    z, gru, np.random.default_rng(slot) if sampled else None)
                 with policy.store.no_grad():
                     z_free = policy.embed([graph])
-                    free = policy.act(z_free, gru, np.random.default_rng(slot),
-                                      deterministic=deterministic)
+                    free = policy.act(z_free, gru, np.random.default_rng(slot)
+                                      if sampled else None)
                 for t in z:
                     assert isinstance(z_free[t], np.ndarray)
                     assert z_free[t].dtype == dtype
